@@ -9,7 +9,8 @@ Subcommands:
     reproduce  run one of the canned studies (fig2, fig3, fig4)
 
 Exit codes: 0 success, 2 bad usage or config, 3 infeasible budget,
-1 other runtime failure (I/O and similar).
+1 other runtime failure (I/O and similar, or an optimize search that
+aborted after writing its partial profile).
 """
 
 from __future__ import annotations
@@ -135,7 +136,7 @@ def _cmd_optimize(args) -> int:
                 cells = [str(b_h), str(b_p), repr(value)] + [repr(v) for v in per_user]
                 fh.write(",".join(cells) + "\n")
         print(f"profile {args.profile_out}")
-    return 0
+    return 1 if result.failed else 0
 
 
 def _cmd_reproduce(args) -> int:

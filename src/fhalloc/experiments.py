@@ -22,7 +22,7 @@ import csv
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 from . import __version__
@@ -31,6 +31,13 @@ from .se import SeReport, closed_form_mrt_sinr, mc_hardening_sinr
 from .sysmodel import SystemConfig
 
 EVALUATORS = ("mc", "closed-form")
+
+
+def _known_keys(cls, d: dict) -> dict:
+    unknown = sorted(set(d) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ValueError(f"unknown {cls.__name__} keys: {', '.join(map(str, unknown))}")
+    return d
 
 
 @dataclass(frozen=True)
@@ -54,7 +61,7 @@ class ExperimentSpec:
     b_h_values: tuple | None = None
     b_p_fixed: int | None = None
     trials: int = 1000
-    moment_trials: int = 500
+    moment_trials: int = 500  # read only for ZF/WF when gamma differs across users
     seed: int = 1
     workers: int = 1
     out_dir: str | None = None
@@ -87,9 +94,10 @@ class ExperimentSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentSpec":
-        d = dict(d)
+        """Build a spec from plain data; unknown keys raise ValueError."""
+        d = dict(_known_keys(cls, d))
         if d.get("budget") is not None and not isinstance(d["budget"], FronthaulBudget):
-            d["budget"] = FronthaulBudget(**d["budget"])
+            d["budget"] = FronthaulBudget(**_known_keys(FronthaulBudget, d["budget"]))
         for key in ("snr_db", "precoders", "b_h_values"):
             if d.get(key) is not None:
                 d[key] = tuple(d[key])

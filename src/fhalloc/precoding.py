@@ -14,8 +14,22 @@ respective kinds (G = H_d H_d^H).
 When the precoder itself crosses the fronthaul it is quantized entrywise.
 The AQNM noise variance needs the per-entry second moments of P over the
 channel distribution; those population moments are what PrecoderMoments
-carries.  For MRT they are available in closed form, for ZF and WF they
-are estimated by simulation.
+carries.  For MRT they are available in closed form (mrt_moments).  For ZF
+and WF they are exact whenever the estimate variance gamma_k is the same
+for every user, which covers i.i.d. Rayleigh fading with equal beta and
+pilot power:
+
+- The quantized estimate then has i.i.d. entries, so its law is unchanged
+  when antennas (columns of H_d) or users (rows of H_d) are permuted.
+- Permuting antennas permutes the rows of P and permuting users permutes
+  its columns.  This holds for ZF, and for WF because its regularizer is
+  a multiple of the identity.
+- So E|P[m, i]|^2 is one constant, and ||P||_F^2 = P_t in every
+  realization makes that constant P_t / (M K).
+
+Only when gamma differs across users are the ZF/WF moments estimated by
+simulation (estimate_moments_mc).  The dispatch is in
+fhalloc.se.mc_hardening_sinr.
 """
 
 from __future__ import annotations
@@ -142,7 +156,13 @@ class PrecoderMoments:
     """Population second moments of a precoder family over the channel law.
 
     D[i, m] = E|P[m, i]|^2, one row per user (shape (K, M)); the grand
-    total equals P_t because every realization is power normalized.
+    total equals P_t because every realization is power normalized.  For
+    MRT, D is in closed form (mrt_moments).  For ZF and WF with the same
+    estimate variance gamma_k for every user, D = P_t / (M K) in every
+    entry: the i.i.d. quantized estimate makes the law of P invariant
+    under row and column permutations (module docstring), and the entries
+    sum to P_t.  With unequal gamma, ZF/WF moments come from Monte Carlo
+    (estimate_moments_mc), which reads ExperimentSpec.moment_trials.
     alpha_bar is the deterministic proxy for the post-quantization rescale,
     1 / sqrt(1 - eta_p).  zeta_bar is the deterministic normalization proxy
     used by closed-form analysis; it is only available analytically (MRT).
@@ -195,39 +215,24 @@ def estimate_moments_mc(
 ) -> PrecoderMoments:
     """Monte Carlo estimate of PrecoderMoments for any precoder kind.
 
-    First pass averages |P[m, i]|^2 over `trials` fresh channel draws
-    (pilot estimation and CSI quantization included).  A second pass of the
-    same size then applies precoder quantization with the estimated moments
-    and sets alpha_bar = sqrt(P_t / mean ||P_q||_F^2).  At least 100 trials
-    are required; fewer would make the downstream noise scales themselves
-    noisy.
+    Averages |P[m, i]|^2 over `trials` fresh channel draws (pilot
+    estimation and CSI quantization included).  alpha_bar is the
+    deterministic proxy 1 / sqrt(1 - eta_p), as for every kind.  At least
+    100 trials are required; fewer would make the downstream noise scales
+    themselves noisy.  This is the fallback for ZF/WF when gamma differs
+    across users; with equal gamma the moments are exact (module
+    docstring).
     """
     if trials < 100:
         raise ValueError("trials must be >= 100")
     if kind not in PRECODER_KINDS:
         raise ValueError(f"unknown precoder kind {kind!r}")
-    gamma = gamma_coefficient(cfg.pilot_power, cfg.tau_p, cfg.beta)
     csi_q = AqnmQuantizer.from_eta(eta_h)
-
-    def draw_precoder(stream: RngStream) -> np.ndarray:
-        cs = estimate_channel(cfg, stream.child(0), stream.child(1))
-        Hhat_q = aqnm_quantize(cs.H_hat, csi_q, cs.gamma, stream.child(2)).value
-        return build_precoder(Hhat_q.T, kind, cfg).P
-
     base = RngStream(seed, (DOMAIN_MOMENTS,))
     acc = np.zeros((cfg.M, cfg.K))
     for t in range(trials):
-        P = draw_precoder(base.child(0, t))
-        acc += np.abs(P) ** 2
-    D = (acc / trials).T
-
-    prec_q = AqnmQuantizer.from_eta(eta_p)
-    norm_acc = 0.0
-    for t in range(trials):
-        stream = base.child(1, t)
-        P = draw_precoder(stream)
-        P_q = aqnm_quantize(P, prec_q, D.T, stream.child(3)).value
-        norm_acc += np.sum(np.abs(P_q) ** 2)
-    alpha_bar = float(np.sqrt(cfg.total_power / (norm_acc / trials)))
-
-    return PrecoderMoments(kind=kind, D=D, alpha_bar=alpha_bar)
+        stream = base.child(0, t)
+        cs = estimate_channel(cfg, stream.child(0), stream.child(1))
+        Hhat_q = aqnm_quantize(cs.H_hat, csi_q, cs.gamma, stream.child(2)).value
+        acc += np.abs(build_precoder(Hhat_q.T, kind, cfg).P) ** 2
+    return PrecoderMoments(kind=kind, D=(acc / trials).T, alpha_bar=1.0 / np.sqrt(1.0 - eta_p))

@@ -113,14 +113,24 @@ def _resolve_moments(
     kind: str,
     eta_h: float,
     eta_p: float,
+    gamma: np.ndarray,
     seed: int,
     moment_trials: int,
     moments: PrecoderMoments | None,
 ) -> PrecoderMoments:
+    """Precoder moments for one cell: given, closed form, exact, or sampled.
+
+    ZF/WF moments are exact, P_t / (M K) per entry, when gamma is the same
+    for every user (derivation in fhalloc.precoding); only unequal gamma
+    falls back to estimate_moments_mc with moment_trials trials.
+    """
     if moments is not None:
         return moments
     if kind == "mrt":
         return mrt_moments(cfg, eta_h, eta_p)
+    if np.all(gamma == gamma[0]):
+        D = np.full((cfg.K, cfg.M), cfg.total_power / (cfg.M * cfg.K))
+        return PrecoderMoments(kind=kind, D=D, alpha_bar=1.0 / np.sqrt(1.0 - eta_p))
     return estimate_moments_mc(cfg, kind, eta_h, eta_p, moment_trials, seed)
 
 
@@ -145,6 +155,11 @@ def mc_hardening_sinr(
     per-realization transmit rescale.  csi_mode "perfect" hands the true
     channel to the precoder and skips both quantizers (b_h, b_p ignored).
 
+    The precoder quantizer needs the population moments of P.  They are
+    taken from `moments` if given, else computed exactly (MRT always, ZF/WF
+    when gamma is equal across users); moment_trials is read only for
+    ZF/WF with unequal gamma, where the moments are sampled.
+
     Realizations whose Gram matrix is numerically rank deficient are
     redrawn from a fresh per-trial substream; the count is reported.
     """
@@ -158,8 +173,8 @@ def mc_hardening_sinr(
             raise ValueError("quantized mode needs b_h and b_p")
         eta_h = eta_of_bits(b_h)
         eta_p = eta_of_bits(b_p)
-        moments = _resolve_moments(cfg, kind, eta_h, eta_p, seed, moment_trials, moments)
         gamma = gamma_coefficient(cfg.pilot_power, cfg.tau_p, cfg.beta)
+        moments = _resolve_moments(cfg, kind, eta_h, eta_p, gamma, seed, moment_trials, moments)
         coef = np.sqrt(cfg.pilot_power * cfg.tau_p) * cfg.beta / (cfg.pilot_power * cfg.tau_p * cfg.beta + 1.0)
         csi_noise_std = np.sqrt(eta_h * (1.0 - eta_h) * gamma)
         prec_noise_std = np.sqrt(eta_p * (1.0 - eta_p) * moments.entry_var)
@@ -231,10 +246,7 @@ def mc_hardening_sinr(
 
 
 def closed_form_mrt_terms(
-    cfg: SystemConfig,
-    b_h: int | None,
-    b_p: int | None,
-    bracket: str = "cancelled",
+    cfg: SystemConfig, b_h: int | None, b_p: int | None
 ) -> dict[str, np.ndarray]:
     r"""Closed-form pieces of the MRT hardening SINR, per user.
 
@@ -248,11 +260,12 @@ def closed_form_mrt_terms(
         noise_k     = sigma^2
 
     and Gamma_k = signal / (variation + prec_noise + noise).  The coherent
-    part of the user's own beam is excluded from variation_k; that is the
-    "cancelled" bracket.  bracket="retained" instead keeps the raw
-    second-moment-minus-squared-mean bracket of the aligned gain written
-    out per matrix trace, M gamma_k^2 - M^2 gamma_k^2, which goes negative
-    for M > 1 and is kept only to document why it was rejected.
+    part of the user's own beam is excluded from variation_k.  Keeping it
+    instead, as the raw second-moment-minus-squared-mean bracket of the
+    aligned gain written out per matrix trace, would add
+    M gamma_k^2 - M^2 gamma_k^2 to variation_k.  That term is negative for
+    M > 1 and drives the whole denominator negative at scale (M = 128,
+    K = 8, +10 dB, B_H = B_P = 5), so that bookkeeping was rejected.
 
     Split symmetry.  With alpha_bar^2 = 1/(1-eta_p) and zeta_bar^2 =
     P_t / (M (1-eta_h) sum_i gamma_i), the AQNM gains and the power
@@ -303,8 +316,6 @@ def closed_form_mrt_terms(
     would need about eta(2)/eta(8) = 2830 times the weight of precoder
     distortion.
     """
-    if bracket not in ("cancelled", "retained"):
-        raise ValueError("bracket must be 'cancelled' or 'retained'")
     eta_h = 0.0 if b_h is None else eta_of_bits(b_h)
     eta_p = 0.0 if b_p is None else eta_of_bits(b_p)
     gamma = gamma_coefficient(cfg.pilot_power, cfg.tau_p, cfg.beta)
@@ -315,8 +326,6 @@ def closed_form_mrt_terms(
     common = alpha_bar_sq * zeta_bar_sq * (1.0 - eta_p) ** 2
     signal = common * (1.0 - eta_h) ** 2 * cfg.M**2 * gamma**2
     variation = common * cfg.M * cfg.beta * np.sum(gtil)
-    if bracket == "retained":
-        variation = variation + common * (1.0 - eta_h) ** 2 * (cfg.M * gamma**2 - cfg.M**2 * gamma**2)
     prec_noise = alpha_bar_sq * eta_p * (1.0 - eta_p) * cfg.beta * cfg.total_power
     return {
         "signal": signal,
@@ -326,21 +335,16 @@ def closed_form_mrt_terms(
     }
 
 
-def closed_form_mrt_sinr(
-    cfg: SystemConfig,
-    b_h: int | None,
-    b_p: int | None,
-    bracket: str = "cancelled",
-) -> SeReport:
+def closed_form_mrt_sinr(cfg: SystemConfig, b_h: int | None, b_p: int | None) -> SeReport:
     """Closed-form hardening SINR and SE for MRT with both quantizers.
 
     Passing b_h=None or b_p=None turns the corresponding quantizer off
     (eta = 0), so (None, None) gives the unquantized matched filter with
     imperfect CSI.
     """
-    terms = closed_form_mrt_terms(cfg, b_h, b_p, bracket=bracket)
+    terms = closed_form_mrt_terms(cfg, b_h, b_p)
     sinr = terms["signal"] / (terms["variation"] + terms["precoder_noise"] + terms["noise"])
-    se = se_from_sinr(np.maximum(sinr, 0.0), cfg.tau_p, cfg.tau_c)
+    se = se_from_sinr(sinr, cfg.tau_p, cfg.tau_c)
     return SeReport(
         sinr=sinr,
         se=se,

@@ -4,8 +4,9 @@ import json
 import numpy as np
 import pytest
 
+import fhalloc.cli as cli
 import fhalloc.experiments as experiments
-from fhalloc.allocation import FronthaulBudget
+from fhalloc.allocation import AllocationResult, BitSplit, FronthaulBudget
 from fhalloc.cli import main
 from fhalloc.experiments import (
     ExperimentSpec,
@@ -350,3 +351,30 @@ class TestCli:
         assert code == 0
         assert (tmp_path / "fig4.csv").exists()
         assert "wrote 36 rows" in capsys.readouterr().out
+
+    def test_config_with_unknown_key_is_a_config_error(self, tmp_path, capsys):
+        config = tmp_path / "spec.json"
+        config.write_text(json.dumps({"bogus": 1}))
+        code = main(["sweep", "--config", str(config), "--budget-bbar", "4", "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "bogus" in err
+
+    def test_unknown_budget_key_is_named(self):
+        with pytest.raises(ValueError, match="extra"):
+            ExperimentSpec.from_dict({"budget": {"c_fh": 1e5, "extra": 2}})
+
+    def test_optimize_aborted_search_exits_nonzero(self, tmp_path, capsys, monkeypatch):
+        partial = AllocationResult(
+            best=BitSplit(1, 9),
+            best_sum_se=1.5,
+            profile=((1, 9, 1.5, (0.75, 0.75)),),
+            failed=True,
+            error="RuntimeError: synthetic failure",
+        )
+        monkeypatch.setattr(cli, "optimize_split", lambda spec: partial)
+        profile = tmp_path / "profile.csv"
+        code = main(["optimize", "--budget-bbar", "10", "--profile-out", str(profile), "--out", str(tmp_path)])
+        assert code == 1
+        assert "search aborted early" in capsys.readouterr().err
+        assert read_csv(profile) == [["b_h", "b_p", "sum_se", "se_1", "se_2"], ["1", "9", "1.5", "0.75", "0.75"]]

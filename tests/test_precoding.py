@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fhalloc.channel import estimate_channel
 from fhalloc.precoding import (
     PrecoderMoments,
     PrecodingMatrix,
@@ -11,6 +14,7 @@ from fhalloc.precoding import (
     mrt_moments,
     transmit_rescale,
 )
+from fhalloc.quantization import AqnmQuantizer, aqnm_quantize, eta_of_bits
 from fhalloc.sysmodel import RngStream, SystemConfig, draw_complex_gaussian
 
 KINDS = ("mrt", "zf", "wf")
@@ -210,3 +214,27 @@ class TestEstimateMomentsMc:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             estimate_moments_mc(make_cfg(), "rzf", 0.0, 0.0, trials=100, seed=0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    K=st.integers(1, 6),
+    extra=st.integers(1, 12),
+    snr_db=st.floats(-20.0, 30.0),
+    kind=st.sampled_from(("zf", "wf")),
+    b_h=st.integers(1, 12),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_quantized_csi_precoder_has_total_power(K, extra, snr_db, kind, b_h, seed):
+    """||P||_F^2 = P_t in every realization, the invariant behind exact D.
+
+    Equal beta and pilot power give every user the same gamma, the case in
+    which ZF/WF moments are taken as P_t / (M K) per entry.
+    """
+    cfg = SystemConfig.from_snr(M=K + extra, K=K, tau_c=50, tau_p=K, snr_db=snr_db)
+    stream = RngStream(seed, (9,))
+    cs = estimate_channel(cfg, stream.child(0), stream.child(1))
+    csi_q = AqnmQuantizer.from_eta(eta_of_bits(b_h))
+    Hhat_q = aqnm_quantize(cs.H_hat, csi_q, cs.gamma, stream.child(2)).value
+    P = build_precoder(Hhat_q.T, kind, cfg).P
+    assert np.sum(np.abs(P) ** 2) == pytest.approx(cfg.total_power, rel=1e-10)

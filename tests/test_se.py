@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
 
+import fhalloc.se as se
+from fhalloc.channel import gamma_coefficient
+from fhalloc.precoding import estimate_moments_mc
 from fhalloc.se import (
     closed_form_mrt_sinr,
     closed_form_mrt_terms,
@@ -89,20 +92,6 @@ class TestClosedFormMrt:
         for v in terms.values():
             assert v.shape == (cfg.K,)
             assert np.all(v > 0)
-
-    def test_retained_bracket_goes_negative_at_scale(self):
-        """The rejected interference bookkeeping breaks down for large arrays."""
-        cfg = cfg_at(10.0, M=128, K=8)
-        keep = closed_form_mrt_terms(cfg, 5, 5, bracket="retained")
-        drop = closed_form_mrt_terms(cfg, 5, 5, bracket="cancelled")
-        denom_keep = keep["variation"] + keep["precoder_noise"] + keep["noise"]
-        denom_drop = drop["variation"] + drop["precoder_noise"] + drop["noise"]
-        assert np.all(denom_keep < 0)
-        assert np.all(denom_drop > 0)
-
-    def test_unknown_bracket(self):
-        with pytest.raises(ValueError):
-            closed_form_mrt_terms(cfg_at(0.0), 4, 4, bracket="exact")
 
 
 class TestMcHardeningSinr:
@@ -197,3 +186,33 @@ class TestTermEstimates:
         assert set(est) == set(ref)
         for name in ref:
             np.testing.assert_allclose(est[name], ref[name], rtol=0.05)
+
+
+class TestPrecoderMomentDispatch:
+    """ZF/WF moments are exact at equal gamma; Monte Carlo only otherwise."""
+
+    @pytest.mark.parametrize("kind", ("zf", "wf"))
+    def test_exact_moments_match_monte_carlo(self, kind):
+        cfg = cfg_at(0.0, M=16, K=4)
+        eta_h, eta_p = 0.1175, 0.03454
+        gamma = gamma_coefficient(cfg.pilot_power, cfg.tau_p, cfg.beta)
+        exact = se._resolve_moments(cfg, kind, eta_h, eta_p, gamma, 11, 100, None)
+        np.testing.assert_array_equal(exact.D, np.full((4, 16), cfg.total_power / 64))
+        assert np.sum(exact.D) == pytest.approx(cfg.total_power, rel=1e-14)
+        assert exact.alpha_bar == 1.0 / np.sqrt(1.0 - eta_p)
+        mc = estimate_moments_mc(cfg, kind, eta_h, eta_p, trials=2000, seed=11)
+        np.testing.assert_allclose(mc.per_user_trace, exact.per_user_trace, rtol=0.03)
+
+    def test_monte_carlo_only_for_unequal_gamma(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("Monte Carlo moment pass reached")
+
+        monkeypatch.setattr(se, "estimate_moments_mc", refuse)
+        cfg = cfg_at(0.0, M=16, K=2)
+        for kind in ("zf", "wf"):
+            rep = mc_hardening_sinr(cfg, kind, 4, 4, trials=20, seed=3)
+            assert np.all(rep.sinr > 0)
+        uneven = SystemConfig.from_snr(M=16, K=2, tau_c=200, tau_p=8, snr_db=0.0, beta=[0.5, 1.0])
+        for kind in ("zf", "wf"):
+            with pytest.raises(AssertionError, match="Monte Carlo moment pass reached"):
+                mc_hardening_sinr(uneven, kind, 4, 4, trials=20, seed=3)
