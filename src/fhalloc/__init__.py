@@ -26,8 +26,6 @@ from .quantization import (
     quantized_csi_covariance,
 )
 from .precoding import (
-    PrecodingMatrix,
-    TransmitPrecoder,
     build_precoder,
     transmit_rescale,
     PrecoderMoments,
@@ -67,8 +65,6 @@ __all__ = [
     "QuantizedMatrix",
     "aqnm_quantize",
     "quantized_csi_covariance",
-    "PrecodingMatrix",
-    "TransmitPrecoder",
     "build_precoder",
     "transmit_rescale",
     "PrecoderMoments",

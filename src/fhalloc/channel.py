@@ -26,7 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sysmodel import RngStream, SystemConfig, draw_complex_gaussian
+from .quantization import aqnm_noise_var
+from .sysmodel import SystemConfig, draw_complex_gaussian
 
 
 @dataclass(frozen=True)
@@ -83,11 +84,12 @@ def mmse_estimate(Y: np.ndarray, cfg: SystemConfig, H: np.ndarray | None = None)
 
     hhat_k = sqrt(q_k tau_p) beta_k / (q_k tau_p beta_k + 1) * y_k.  The
     scaling makes the estimate variance come out at gamma_k per entry and
-    the error orthogonal to the estimate.  Pass the true H to keep it in
-    the returned ChannelSet for downstream SINR work.
+    the error orthogonal to the estimate.  Y has shape (..., M, K);
+    leading dimensions are batched.  Pass the true H to keep it in the
+    returned ChannelSet for downstream SINR work.
     """
-    if Y.shape != (cfg.M, cfg.K):
-        raise ValueError(f"Y has shape {Y.shape}, config expects {(cfg.M, cfg.K)}")
+    if Y.shape[-2:] != (cfg.M, cfg.K):
+        raise ValueError(f"Y has shape {Y.shape}, config expects (..., {cfg.M}, {cfg.K})")
     snr_eff = cfg.pilot_power * cfg.tau_p * cfg.beta
     coef = np.sqrt(cfg.pilot_power * cfg.tau_p) * cfg.beta / (snr_eff + 1.0)
     gamma = gamma_coefficient(cfg.pilot_power, cfg.tau_p, cfg.beta)
@@ -103,3 +105,20 @@ def estimate_channel(cfg: SystemConfig, rng_channel, rng_noise) -> ChannelSet:
     H = draw_channel(cfg, rng_channel)
     Y = despread_pilots(H, cfg, rng_noise)
     return mmse_estimate(Y, cfg, H)
+
+
+def quantized_estimate(cfg: SystemConfig, z: np.ndarray, eta_h: float) -> tuple[np.ndarray, np.ndarray]:
+    """True channel and its quantized MMSE estimate from unit draws.
+
+    z has shape (..., 4, M, K) as returned by sysmodel.trial_draws; slots
+    0, 1 and 2 scale to the channel, the pilot noise and the AQNM noise of
+    the CSI quantizer at distortion eta_h (slot 3 is left to the precoder
+    quantizer).  Returns (H, Hhat_q), both (..., M, K), with
+    Hhat_q = (1 - eta_h) Hhat + N_Q and N_Q of per-entry variance
+    eta_h (1 - eta_h) gamma_k.
+    """
+    H = z[..., 0, :, :] * np.sqrt(cfg.beta)
+    Y = H * np.sqrt(cfg.pilot_power * cfg.tau_p) + z[..., 1, :, :]
+    cs = mmse_estimate(Y, cfg)
+    Hhat_q = (1.0 - eta_h) * cs.H_hat + z[..., 2, :, :] * np.sqrt(aqnm_noise_var(eta_h, cs.gamma))
+    return H, Hhat_q

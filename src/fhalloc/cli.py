@@ -9,8 +9,9 @@ Subcommands:
     reproduce  run one of the canned studies (fig2, fig3, fig4)
 
 Exit codes: 0 success, 2 bad usage or config, 3 infeasible budget,
-1 other runtime failure (I/O and similar, or an optimize search that
-aborted after writing its partial profile).
+1 other runtime failure (I/O and similar, an optimize search that
+aborted after writing its partial profile, or a sweep/reproduce run in
+which some cell failed, after the other cells' outputs are written).
 """
 
 from __future__ import annotations
@@ -59,7 +60,10 @@ def _spec_from_args(args, defaults: dict | None = None) -> ExperimentSpec:
     fields: dict = dict(defaults or {})
     if getattr(args, "config", None):
         with open(args.config) as fh:
-            fields.update(json.load(fh))
+            config = json.load(fh)
+        if not isinstance(config, dict):
+            raise ValueError(f"--config must hold a JSON object, got {type(config).__name__}")
+        fields.update(config)
     direct = {
         "M": args.m,
         "K": args.k,
@@ -112,11 +116,17 @@ def _cmd_budget(args) -> int:
     return 0
 
 
+def _report_run(meta: dict, csv_path: str) -> int:
+    print(f"wrote {meta['rows']} rows to {csv_path}")
+    failed = meta["failed_cells"]
+    if failed:
+        print(f"{len(failed)} cells failed, first: {failed[0]['error']}", file=sys.stderr)
+    return 1 if failed else 0
+
+
 def _cmd_sweep(args) -> int:
     spec = _spec_from_args(args, defaults={"name": "sweep"})
-    meta = run_sweep(spec, args.out)
-    print(f"wrote {meta['rows']} rows to {args.out}/sweep.csv")
-    return 0
+    return _report_run(run_sweep(spec, args.out), f"{args.out}/sweep.csv")
 
 
 def _cmd_optimize(args) -> int:
@@ -151,9 +161,7 @@ def _cmd_reproduce(args) -> int:
         value = getattr(args, attr, None)
         if value is not None:
             overrides[key] = value
-    meta = reproduce(args.figure, args.out, **overrides)
-    print(f"wrote {meta['rows']} rows to {args.out}/{args.figure}.csv")
-    return 0
+    return _report_run(reproduce(args.figure, args.out, **overrides), f"{args.out}/{args.figure}.csv")
 
 
 def build_parser() -> argparse.ArgumentParser:

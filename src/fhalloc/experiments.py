@@ -96,8 +96,11 @@ class ExperimentSpec:
     def from_dict(cls, d: dict) -> "ExperimentSpec":
         """Build a spec from plain data; unknown keys raise ValueError."""
         d = dict(_known_keys(cls, d))
-        if d.get("budget") is not None and not isinstance(d["budget"], FronthaulBudget):
-            d["budget"] = FronthaulBudget(**_known_keys(FronthaulBudget, d["budget"]))
+        budget = d.get("budget")
+        if budget is not None and not isinstance(budget, FronthaulBudget):
+            if not isinstance(budget, dict) or "c_fh" not in budget:
+                raise ValueError("budget must be an object with c_fh, the link bits per coherence block")
+            d["budget"] = FronthaulBudget(**_known_keys(FronthaulBudget, budget))
         for key in ("snr_db", "precoders", "b_h_values"):
             if d.get(key) is not None:
                 d[key] = tuple(d[key])
@@ -296,14 +299,25 @@ def write_outputs(
     return meta
 
 
-def run_sweep(spec: ExperimentSpec, out_dir=None, stem: str = "sweep") -> dict:
-    if out_dir is None:
-        out_dir = spec.out_dir or "."
-    cells = _expand_sweep(spec)
+def _run(spec: ExperimentSpec, expand, out_dir, stem: str) -> dict:
+    """Expand the spec into cells with `expand`, run them, write the outputs.
+
+    Every SNR's SystemConfig is built first, so a bad config raises a
+    ConfigError before any cell runs instead of failing each cell.
+    """
+    for snr in spec.snr_db:
+        spec.config_for(snr)
+    cells = expand(spec)
     t0 = time.monotonic()
     outcomes = run_cells(spec, cells)
     elapsed = time.monotonic() - t0
     return write_outputs(spec, cells, outcomes, out_dir, stem=stem, extra_meta={"elapsed_s": round(elapsed, 3)})
+
+
+def run_sweep(spec: ExperimentSpec, out_dir=None, stem: str = "sweep") -> dict:
+    if out_dir is None:
+        out_dir = spec.out_dir or "."
+    return _run(spec, _expand_sweep, out_dir, stem)
 
 
 def optimize_split(spec: ExperimentSpec, precoder: str | None = None) -> AllocationResult:
@@ -400,11 +414,4 @@ def reproduce(figure: str, out_dir=None, **overrides) -> dict:
     if out_dir is not None:
         overrides.setdefault("out_dir", str(out_dir))
     spec = preset_spec(figure, **overrides)
-    out_dir = spec.out_dir or "."
-    cells = preset_cells(figure, spec)
-    t0 = time.monotonic()
-    outcomes = run_cells(spec, cells)
-    elapsed = time.monotonic() - t0
-    return write_outputs(
-        spec, cells, outcomes, out_dir, stem=figure, extra_meta={"elapsed_s": round(elapsed, 3)}
-    )
+    return _run(spec, lambda s: preset_cells(figure, s), spec.out_dir or ".", figure)

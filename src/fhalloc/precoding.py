@@ -38,9 +38,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import estimate_channel, gamma_coefficient
-from .quantization import AqnmQuantizer, aqnm_quantize, quantized_csi_covariance
-from .sysmodel import DOMAIN_MOMENTS, RngStream, SystemConfig
+from .channel import gamma_coefficient, quantized_estimate
+from .quantization import quantized_csi_covariance
+from .sysmodel import DOMAIN_MOMENTS, TRIAL_BLOCK, SystemConfig, trial_draws
 
 PRECODER_KINDS = ("mrt", "zf", "wf")
 
@@ -74,81 +74,51 @@ def rank_deficient_mask(H_d: np.ndarray) -> np.ndarray:
     return ev[..., 0] <= ev[..., -1] * _RANK_RTOL
 
 
-@dataclass(frozen=True)
-class PrecodingMatrix:
-    """A normalized precoder with the scale factor that was applied.
-
-    P has shape (..., M, K) and satisfies ||P||_F^2 = P_t per batch entry;
-    zeta is the positive normalization factor (scalar, or an array over
-    the batch dimensions).
-    """
-
-    P: np.ndarray
-    kind: str
-    zeta: np.ndarray | float
-
-
-@dataclass(frozen=True)
-class TransmitPrecoder:
-    """A quantized precoder with its power-restoring rescale factor.
-
-    alpha satisfies alpha^2 ||P_Q||_F^2 = P_t per realization; the matrix
-    actually transmitted is alpha * P_Q.
-    """
-
-    P_Q: np.ndarray
-    alpha: np.ndarray | float
-
-
-def build_precoder(H_d: np.ndarray, kind: str, cfg: SystemConfig) -> PrecodingMatrix:
+def build_precoder(H_d: np.ndarray, kind: str, cfg: SystemConfig) -> np.ndarray:
     """Build a power-normalized precoder from the downlink channel estimate.
 
-    H_d has shape (..., K, M); leading dimensions are batched.  The result
-    matrix has shape (..., M, K) with ||P||_F^2 = total_power per batch
-    entry.  Raises RankDeficientError if any ZF/WF Gram matrix is
-    numerically singular (callers running Monte Carlo redraw such
-    realizations).
+    H_d has shape (..., K, M); leading dimensions are batched.  Returns
+    P of shape (..., M, K) with ||P||_F^2 = total_power per batch entry.
+    Raises RankDeficientError if any ZF/WF Gram matrix is numerically
+    singular (callers running Monte Carlo redraw such realizations).
     """
     if kind not in PRECODER_KINDS:
         raise ValueError(f"unknown precoder kind {kind!r}, expected one of {PRECODER_KINDS}")
-    *batch, K, M = H_d.shape
+    K, M = H_d.shape[-2:]
     if (K, M) != (cfg.K, cfg.M):
         raise ValueError(f"H_d has shape {H_d.shape}, config expects (..., {cfg.K}, {cfg.M})")
 
     if kind == "mrt":
         U = H_d.conj().swapaxes(-2, -1)
     else:
-        G = _gram(H_d)
-        ev = np.linalg.eigvalsh(G)
-        if np.any(ev[..., 0] <= ev[..., -1] * _RANK_RTOL):
+        if np.any(rank_deficient_mask(H_d)):
             raise RankDeficientError("estimated channel Gram matrix is numerically singular")
-        A = G
+        A = _gram(H_d)
         if kind == "wf":
             load = cfg.K * cfg.noise_var / cfg.total_power
-            A = G + load * np.eye(K)
+            A = A + load * np.eye(K)
         # H_d^H A^(-1) = (A^(-1) H_d)^H since A is Hermitian
         U = np.linalg.solve(A, H_d).conj().swapaxes(-2, -1)
 
     norm_sq = _frob_sq(U)
     if np.any(norm_sq == 0.0):
         raise RankDeficientError("precoder has zero norm")
-    zeta = np.sqrt(cfg.total_power / norm_sq)
-    P = U * zeta[..., None, None]
-    return PrecodingMatrix(P=P, kind=kind, zeta=float(zeta) if zeta.ndim == 0 else zeta)
+    return U * np.sqrt(cfg.total_power / norm_sq)[..., None, None]
 
 
-def transmit_rescale(P_q: np.ndarray, total_power: float) -> TransmitPrecoder:
-    """Pair P_q with the scale alpha restoring ||alpha P_q||_F^2 = P_t.
+def transmit_rescale(P_q: np.ndarray, total_power: float):
+    """Scale alpha restoring ||alpha P_q||_F^2 = P_t.
 
-    Applied after precoder quantization, which perturbs the Frobenius norm.
-    alpha carries the leading batch shape of P_q (scalar for a single
-    matrix).  Raises on zero input norm.
+    Applied after precoder quantization, which perturbs the Frobenius norm;
+    the matrix actually transmitted is alpha * P_q.  alpha carries the
+    leading batch shape of P_q (a float for a single matrix).  Raises on
+    zero input norm.
     """
     norm_sq = _frob_sq(P_q)
     if np.any(norm_sq == 0.0):
         raise ValueError("cannot rescale a zero precoding matrix")
     alpha = np.sqrt(total_power / norm_sq)
-    return TransmitPrecoder(P_Q=P_q, alpha=float(alpha) if alpha.ndim == 0 else alpha)
+    return float(alpha) if alpha.ndim == 0 else alpha
 
 
 @dataclass(frozen=True)
@@ -215,8 +185,9 @@ def estimate_moments_mc(
 ) -> PrecoderMoments:
     """Monte Carlo estimate of PrecoderMoments for any precoder kind.
 
-    Averages |P[m, i]|^2 over `trials` fresh channel draws (pilot
-    estimation and CSI quantization included).  alpha_bar is the
+    Averages |P[m, i]|^2 over `trials` channel draws from the
+    DOMAIN_MOMENTS streams, pilot estimation and CSI quantization
+    included, in blocks of TRIAL_BLOCK trials.  alpha_bar is the
     deterministic proxy 1 / sqrt(1 - eta_p), as for every kind.  At least
     100 trials are required; fewer would make the downstream noise scales
     themselves noisy.  This is the fallback for ZF/WF when gamma differs
@@ -227,12 +198,9 @@ def estimate_moments_mc(
         raise ValueError("trials must be >= 100")
     if kind not in PRECODER_KINDS:
         raise ValueError(f"unknown precoder kind {kind!r}")
-    csi_q = AqnmQuantizer.from_eta(eta_h)
-    base = RngStream(seed, (DOMAIN_MOMENTS,))
     acc = np.zeros((cfg.M, cfg.K))
-    for t in range(trials):
-        stream = base.child(0, t)
-        cs = estimate_channel(cfg, stream.child(0), stream.child(1))
-        Hhat_q = aqnm_quantize(cs.H_hat, csi_q, cs.gamma, stream.child(2)).value
-        acc += np.abs(build_precoder(Hhat_q.T, kind, cfg).P) ** 2
+    for start in range(0, trials, TRIAL_BLOCK):
+        ids = range(start, min(start + TRIAL_BLOCK, trials))
+        _, Hhat_q = quantized_estimate(cfg, trial_draws(cfg, seed, ids, domain=DOMAIN_MOMENTS), eta_h)
+        acc += np.sum(np.abs(build_precoder(Hhat_q.swapaxes(-2, -1), kind, cfg)) ** 2, axis=0)
     return PrecoderMoments(kind=kind, D=(acc / trials).T, alpha_bar=1.0 / np.sqrt(1.0 - eta_p))

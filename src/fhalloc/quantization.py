@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sysmodel import RngStream, draw_complex_gaussian
+from .sysmodel import draw_complex_gaussian
 
 # Distortion of the MMSE-optimal scalar quantizer for a unit Gaussian,
 # resolutions one through five bits.
@@ -87,6 +87,11 @@ class QuantizedMatrix:
     noise: np.ndarray
 
 
+def aqnm_noise_var(eta: float, entry_var):
+    """AQNM noise variance eta (1 - eta) entry_var for an input of second moment entry_var."""
+    return eta * (1.0 - eta) * entry_var
+
+
 def aqnm_quantize(X: np.ndarray, quantizer: AqnmQuantizer, entry_var, rng) -> QuantizedMatrix:
     """Apply the additive quantization noise model to a complex matrix.
 
@@ -101,11 +106,9 @@ def aqnm_quantize(X: np.ndarray, quantizer: AqnmQuantizer, entry_var, rng) -> Qu
     entry_var = np.asarray(entry_var, dtype=float)
     if np.any(entry_var < 0):
         raise ValueError("entry_var must be nonnegative")
-    eta = quantizer.eta
-    noise_var = eta * (1.0 - eta) * entry_var
     rows, cols = X.shape
-    N = draw_complex_gaussian(rng, rows, cols, variance=noise_var)
-    return QuantizedMatrix(value=(1.0 - eta) * X + N, noise=N)
+    N = draw_complex_gaussian(rng, rows, cols, variance=aqnm_noise_var(quantizer.eta, entry_var))
+    return QuantizedMatrix(value=quantizer.gain * X + N, noise=N)
 
 
 def quantized_csi_covariance(gamma_k, eta_h: float) -> np.ndarray:

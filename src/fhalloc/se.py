@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import gamma_coefficient
+from .channel import gamma_coefficient, quantized_estimate
 from .precoding import (
     PrecoderMoments,
     build_precoder,
@@ -32,8 +32,8 @@ from .precoding import (
     rank_deficient_mask,
     transmit_rescale,
 )
-from .quantization import eta_of_bits, quantized_csi_covariance
-from .sysmodel import DOMAIN_TRIAL, RngStream, SystemConfig
+from .quantization import aqnm_noise_var, eta_of_bits, quantized_csi_covariance
+from .sysmodel import TRIAL_BLOCK, SystemConfig, trial_draws
 
 CSI_MODES = ("quantized", "perfect")
 
@@ -86,28 +86,6 @@ def se_from_sinr(sinr, tau_p: int, tau_c: int) -> np.ndarray:
     return (1.0 - tau_p / tau_c) * np.log2(1.0 + sinr)
 
 
-def _trial_draws(cfg: SystemConfig, stream: RngStream) -> tuple[np.ndarray, ...]:
-    """Unit draws for one trial, fixed order and count.
-
-    Returns four (M, K) complex matrices with unit per-entry variance:
-    channel, pilot noise, CSI quantization noise, precoder quantization
-    noise.  Scales are applied by the caller, so the same draws serve
-    every (B_H, B_P) grid cell.
-    """
-    gen = stream.generator()
-    shape = (4, cfg.M, cfg.K)
-    z = (gen.standard_normal(shape) + 1j * gen.standard_normal(shape)) / np.sqrt(2.0)
-    return z[0], z[1], z[2], z[3]
-
-
-def _collect_draws(cfg: SystemConfig, seed: int, trial_ids, attempt: dict) -> list:
-    out = []
-    for t in trial_ids:
-        stream = RngStream(seed, (DOMAIN_TRIAL, int(t), attempt.get(int(t), 0)))
-        out.append(_trial_draws(cfg, stream))
-    return out
-
-
 def _resolve_moments(
     cfg: SystemConfig,
     kind: str,
@@ -145,7 +123,7 @@ def mc_hardening_sinr(
     *,
     moments: PrecoderMoments | None = None,
     moment_trials: int = 500,
-    batch: int = 256,
+    batch: int = TRIAL_BLOCK,
 ) -> SeReport:
     """Monte Carlo estimate of the hardening-bound SINR and SE per user.
 
@@ -175,50 +153,36 @@ def mc_hardening_sinr(
         eta_p = eta_of_bits(b_p)
         gamma = gamma_coefficient(cfg.pilot_power, cfg.tau_p, cfg.beta)
         moments = _resolve_moments(cfg, kind, eta_h, eta_p, gamma, seed, moment_trials, moments)
-        coef = np.sqrt(cfg.pilot_power * cfg.tau_p) * cfg.beta / (cfg.pilot_power * cfg.tau_p * cfg.beta + 1.0)
-        csi_noise_std = np.sqrt(eta_h * (1.0 - eta_h) * gamma)
-        prec_noise_std = np.sqrt(eta_p * (1.0 - eta_p) * moments.entry_var)
+        prec_noise_std = np.sqrt(aqnm_noise_var(eta_p, moments.entry_var))
 
     gains = np.empty((trials, cfg.K, cfg.K), dtype=complex)
-    redraws = 0
-    attempt: dict[int, int] = {}
-    pending = list(range(trials))
-    while pending:
+    attempt = np.zeros(trials, int)
+    pending = np.arange(trials)
+    while pending.size:
         take, pending = pending[:batch], pending[batch:]
-        draws = _collect_draws(cfg, seed, take, attempt)
-        z_h = np.stack([d[0] for d in draws])
-        H = z_h * np.sqrt(cfg.beta)
-
+        z = trial_draws(cfg, seed, take, attempt[take])
         if perfect:
+            H = z[:, 0] * np.sqrt(cfg.beta)
             H_d = H.swapaxes(-2, -1)
-            bad = rank_deficient_mask(H_d) if kind != "mrt" else np.zeros(len(take), bool)
-            ok = ~bad
-            if np.any(ok):
-                P = build_precoder(H_d[ok], kind, cfg).P
-                gains[np.asarray(take)[ok]] = H_d[ok] @ P
         else:
-            z_pn = np.stack([d[1] for d in draws])
-            z_cq = np.stack([d[2] for d in draws])
-            z_pq = np.stack([d[3] for d in draws])
-            Y = H * np.sqrt(cfg.pilot_power * cfg.tau_p) + z_pn
-            Hhat = Y * coef
-            Hhat_q = (1.0 - eta_h) * Hhat + z_cq * csi_noise_std
+            H, Hhat_q = quantized_estimate(cfg, z, eta_h)
             H_d = Hhat_q.swapaxes(-2, -1)
-            bad = rank_deficient_mask(H_d) if kind != "mrt" else np.zeros(len(take), bool)
-            ok = ~bad
-            if np.any(ok):
-                P = build_precoder(H_d[ok], kind, cfg).P
-                P_q = (1.0 - eta_p) * P + z_pq[ok] * prec_noise_std
-                alpha = transmit_rescale(P_q, cfg.total_power).alpha
-                gains[np.asarray(take)[ok]] = alpha[:, None, None] * (H.swapaxes(-2, -1)[ok] @ P_q)
+        bad = rank_deficient_mask(H_d) if kind != "mrt" else np.zeros(len(take), bool)
+        ok = ~bad
+        if np.any(ok):
+            P = build_precoder(H_d[ok], kind, cfg)
+            if not perfect:
+                P = (1.0 - eta_p) * P + z[ok, 3] * prec_noise_std
+            gain = H.swapaxes(-2, -1)[ok] @ P
+            gains[take[ok]] = gain if perfect else transmit_rescale(P, cfg.total_power)[:, None, None] * gain
 
-        for t, is_bad in zip(take, bad):
-            if is_bad:
-                attempt[int(t)] = attempt.get(int(t), 0) + 1
-                redraws += 1
-                if attempt[int(t)] > _MAX_REDRAWS:
-                    raise RuntimeError(f"trial {t} stayed rank deficient after {_MAX_REDRAWS} redraws")
-                pending.append(int(t))
+        redo = take[bad]
+        attempt[redo] += 1
+        if np.any(attempt[redo] > _MAX_REDRAWS):
+            t = redo[np.argmax(attempt[redo])]
+            raise RuntimeError(f"trial {t} stayed rank deficient after {_MAX_REDRAWS} redraws")
+        pending = np.concatenate([pending, redo])
+    redraws = int(np.sum(attempt))
 
     # hardening bound from the per-trial gain matrices, canonical trial order
     mean_gain = np.mean(gains, axis=0)
@@ -380,22 +344,18 @@ def mc_mrt_term_estimates(
     moments = mrt_moments(cfg, eta_h, eta_p)
     zeta_bar = moments.zeta_bar
     alpha_bar = moments.alpha_bar
-    gamma = gamma_coefficient(cfg.pilot_power, cfg.tau_p, cfg.beta)
-    coef = np.sqrt(cfg.pilot_power * cfg.tau_p) * cfg.beta / (cfg.pilot_power * cfg.tau_p * cfg.beta + 1.0)
-    csi_noise_std = np.sqrt(eta_h * (1.0 - eta_h) * gamma)
-    prec_noise_std = np.sqrt(eta_p * (1.0 - eta_p) * moments.entry_var)
+    prec_noise_std = np.sqrt(aqnm_noise_var(eta_p, moments.entry_var))
 
     inner = np.empty((trials, cfg.K, cfg.K), dtype=complex)
     qnoise = np.empty((trials, cfg.K))
-    for t in range(trials):
-        z_h, z_pn, z_cq, z_pq = _trial_draws(cfg, RngStream(seed, (DOMAIN_TRIAL, t, 0)))
-        H = z_h * np.sqrt(cfg.beta)
-        Y = H * np.sqrt(cfg.pilot_power * cfg.tau_p) + z_pn
-        Hhat_q = (1.0 - eta_h) * (Y * coef) + z_cq * csi_noise_std
+    for start in range(0, trials, TRIAL_BLOCK):
+        ids = np.arange(start, min(start + TRIAL_BLOCK, trials))
+        z = trial_draws(cfg, seed, ids)
+        H, Hhat_q = quantized_estimate(cfg, z, eta_h)
+        H_up = H.swapaxes(-2, -1)
         # matched-filter direction without per-realization normalization
-        inner[t] = H.T @ Hhat_q.conj()
-        n_q = z_pq * prec_noise_std
-        qnoise[t] = np.sum(np.abs(H.T @ n_q) ** 2, axis=1)
+        inner[ids] = H_up @ Hhat_q.conj()
+        qnoise[ids] = np.sum(np.abs(H_up @ (z[:, 3] * prec_noise_std)) ** 2, axis=-1)
 
     scale = alpha_bar**2 * zeta_bar**2 * (1.0 - eta_p) ** 2
     mean_inner = np.mean(inner, axis=0)

@@ -24,6 +24,9 @@ class ConfigError(ValueError):
 DOMAIN_TRIAL = 0
 DOMAIN_MOMENTS = 1
 
+# Trials drawn and processed together by the Monte Carlo loops.
+TRIAL_BLOCK = 256
+
 
 def _as_user_vector(value, K: int, name: str, allow_zero: bool = False) -> np.ndarray:
     """Broadcast a scalar to length K, or validate a length-K vector."""
@@ -143,6 +146,27 @@ class RngStream:
     def child(self, *suffix) -> "RngStream":
         key = self.stream_id if isinstance(self.stream_id, tuple) else (self.stream_id,)
         return RngStream(self.master_seed, key + tuple(int(s) for s in suffix))
+
+
+def trial_draws(cfg: SystemConfig, seed: int, trial_ids, attempt=None, domain: int = DOMAIN_TRIAL) -> np.ndarray:
+    """Unit draws for a block of trials, shape (n, 4, M, K).
+
+    Slot j of trial i holds a CN(0, 1) matrix: 0 channel, 1 pilot noise,
+    2 CSI quantization noise, 3 precoder quantization noise.  Trial t
+    draws from stream (domain, t, attempt) alone, so a trial's draws do
+    not depend on the block it arrives in; attempt is aligned with
+    trial_ids (0 for every trial when None) and selects the redraw.
+    Scales are applied by the caller, so the same draws serve every
+    (B_H, B_P) grid cell.
+    """
+    shape = (4, cfg.M, cfg.K)
+    out = np.empty((len(trial_ids), *shape), dtype=complex)
+    if attempt is None:
+        attempt = [0] * len(trial_ids)
+    for i, (t, a) in enumerate(zip(trial_ids, attempt)):
+        gen = RngStream(seed, (domain, int(t), int(a))).generator()
+        out[i] = (gen.standard_normal(shape) + 1j * gen.standard_normal(shape)) / np.sqrt(2.0)
+    return out
 
 
 def draw_complex_gaussian(rng, rows: int, cols: int, variance=1.0) -> np.ndarray:

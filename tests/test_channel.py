@@ -8,8 +8,10 @@ from fhalloc.channel import (
     estimate_channel,
     gamma_coefficient,
     mmse_estimate,
+    quantized_estimate,
 )
-from fhalloc.sysmodel import RngStream, SystemConfig
+from fhalloc.quantization import eta_of_bits
+from fhalloc.sysmodel import RngStream, SystemConfig, trial_draws
 
 
 def cfg_small(**kw):
@@ -160,3 +162,40 @@ class TestEstimateChannel:
         b = estimate_channel(cfg, RngStream(4, (0,)), RngStream(4, (1,)))
         np.testing.assert_array_equal(a.H, b.H)
         np.testing.assert_array_equal(a.H_hat, b.H_hat)
+
+
+class TestQuantizedEstimate:
+    def test_matches_the_step_by_step_pipeline(self):
+        """Unit draws scaled as despreading, MMSE and AQNM would scale them."""
+        cfg = cfg_small(beta=[0.5, 2.0])
+        z = trial_draws(cfg, 4, [0])[0]
+        eta = eta_of_bits(2)
+        H, Hhat_q = quantized_estimate(cfg, z, eta)
+        np.testing.assert_array_equal(H, z[0] * np.sqrt(cfg.beta))
+        cs = mmse_estimate(H * np.sqrt(cfg.pilot_power * cfg.tau_p) + z[1], cfg)
+        noise_std = np.sqrt(eta * (1.0 - eta) * cs.gamma)
+        np.testing.assert_array_equal(Hhat_q, (1.0 - eta) * cs.H_hat + z[2] * noise_std)
+
+    def test_batch_matches_single(self):
+        cfg = cfg_small()
+        z = trial_draws(cfg, 6, range(5))
+        H, Hhat_q = quantized_estimate(cfg, z, 0.1175)
+        H_one, Hhat_one = quantized_estimate(cfg, z[3], 0.1175)
+        np.testing.assert_array_equal(H[3], H_one)
+        np.testing.assert_array_equal(Hhat_q[3], Hhat_one)
+
+    def test_batched_mmse_estimate(self):
+        cfg = cfg_small()
+        Y = trial_draws(cfg, 7, range(3))[:, 1]
+        batched = mmse_estimate(Y, cfg)
+        np.testing.assert_array_equal(batched.H_hat[1], mmse_estimate(Y[1], cfg).H_hat)
+        with pytest.raises(ValueError):
+            mmse_estimate(Y.swapaxes(-2, -1), cfg)
+
+    def test_second_moment(self):
+        """The quantized estimate keeps (1 - eta) gamma per entry, as AQNM says."""
+        cfg = cfg_small(M=64, K=4, tau_p=4)
+        eta = eta_of_bits(1)
+        _, Hhat_q = quantized_estimate(cfg, trial_draws(cfg, 8, range(200)), eta)
+        gamma = gamma_coefficient(cfg.pilot_power, cfg.tau_p, cfg.beta)
+        assert np.mean(np.abs(Hhat_q) ** 2) == pytest.approx((1.0 - eta) * gamma[0], rel=0.02)

@@ -378,3 +378,62 @@ class TestCli:
         assert code == 1
         assert "search aborted early" in capsys.readouterr().err
         assert read_csv(profile) == [["b_h", "b_p", "sum_se", "se_1", "se_2"], ["1", "9", "1.5", "0.75", "0.75"]]
+
+    @pytest.mark.parametrize("command", ("sweep", "reproduce"))
+    def test_bad_config_value_exits_before_any_cell(self, tmp_path, capsys, monkeypatch, command):
+        def refuse(spec_dict, cell):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr(experiments, "_eval_cell", refuse)
+        if command == "sweep":
+            config = tmp_path / "spec.json"
+            config.write_text(json.dumps({"M": "abc"}))
+            argv = ["sweep", "--config", str(config), "--budget-bbar", "4"]
+        else:
+            argv = ["reproduce", "fig4", "--m", "0"]
+        code = main(argv + ["--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "M must be a positive integer" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ("sweep", "reproduce"))
+    def test_failed_cell_exits_one_after_writing(self, tmp_path, capsys, monkeypatch, command):
+        real = experiments._eval_cell
+
+        def flaky(spec_dict, cell):
+            if cell.b_h == 2:
+                raise RuntimeError("synthetic failure")
+            return real(spec_dict, cell)
+
+        monkeypatch.setattr(experiments, "_eval_cell", flaky)
+        small = ["--m", "16", "--k", "2", "--trials", "5"]
+        if command == "sweep":
+            argv = ["sweep", *small, "--budget-bbar", "4", "--evaluator", "closed-form"]
+            stem, rows, failed = "sweep", 2, 1
+        else:
+            argv = ["reproduce", "fig4", *small]
+            stem, rows, failed = "fig4", 32, 4
+        code = main(argv + ["--out", str(tmp_path)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert f"wrote {rows} rows" in captured.out
+        assert "RuntimeError: synthetic failure" in captured.err
+        assert len(read_csv(tmp_path / f"{stem}.csv")) == 1 + rows
+        meta = json.loads((tmp_path / f"{stem}_meta.json").read_text())
+        assert len(meta["failed_cells"]) == failed
+
+    def test_config_that_is_not_an_object(self, tmp_path, capsys):
+        config = tmp_path / "spec.json"
+        config.write_text(json.dumps([1, 2]))
+        code = main(["sweep", "--config", str(config), "--budget-bbar", "4", "--out", str(tmp_path)])
+        assert code == 2
+        assert "JSON object, got list" in capsys.readouterr().err
+
+    def test_budget_without_capacity(self, tmp_path, capsys):
+        with pytest.raises(ValueError, match="c_fh"):
+            ExperimentSpec.from_dict({"budget": {"bs_ul": 1}})
+        config = tmp_path / "spec.json"
+        config.write_text(json.dumps({"budget": {"bs_ul": 1}}))
+        code = main(["sweep", "--config", str(config), "--out", str(tmp_path)])
+        assert code == 2
+        assert "c_fh" in capsys.readouterr().err

@@ -11,7 +11,7 @@ from fhalloc.se import (
     mc_mrt_term_estimates,
     se_from_sinr,
 )
-from fhalloc.sysmodel import SystemConfig
+from fhalloc.sysmodel import SystemConfig, trial_draws
 
 
 def cfg_at(snr_db, *, M=32, K=4, tau_c=200, tau_p=8):
@@ -111,12 +111,26 @@ class TestMcHardeningSinr:
         b = mc_hardening_sinr(cfg, "zf", 4, 4, trials=50, seed=9, moment_trials=100)
         np.testing.assert_array_equal(a.sinr, b.sinr)
 
-    def test_batch_size_invariance(self):
-        """Chunking the trial loop differently must not move a single bit."""
-        cfg = cfg_at(0.0, M=16, K=2)
-        a = mc_hardening_sinr(cfg, "mrt", 3, 3, trials=50, seed=2, batch=7)
-        b = mc_hardening_sinr(cfg, "mrt", 3, 3, trials=50, seed=2, batch=64)
+    @pytest.mark.parametrize(
+        "kind, csi_mode, beta",
+        [(kind, mode, 1.0) for kind in ("mrt", "zf", "wf") for mode in ("quantized", "perfect")]
+        + [("zf", "quantized", [0.5, 1.0])],
+        ids=lambda v: v if isinstance(v, str) else ("equal-beta" if v == 1.0 else "unequal-beta"),
+    )
+    def test_batch_size_invariance(self, monkeypatch, kind, csi_mode, beta):
+        """Chunking the trial loop differently must not move a single bit.
+
+        Unequal beta makes gamma unequal, so the ZF case samples its
+        precoder moments with estimate_moments_mc.
+        """
+        sampled = []
+        real = se.estimate_moments_mc
+        monkeypatch.setattr(se, "estimate_moments_mc", lambda *a, **k: sampled.append(a) or real(*a, **k))
+        cfg = SystemConfig.from_snr(M=16, K=2, tau_c=200, tau_p=8, snr_db=0.0, beta=beta)
+        a = mc_hardening_sinr(cfg, kind, 3, 3, trials=50, seed=2, csi_mode=csi_mode, batch=7, moment_trials=100)
+        b = mc_hardening_sinr(cfg, kind, 3, 3, trials=50, seed=2, csi_mode=csi_mode, batch=64, moment_trials=100)
         np.testing.assert_array_equal(a.sinr, b.sinr)
+        assert len(sampled) == (2 if beta != 1.0 else 0)
 
     def test_sinr_reconstructs_from_moments(self):
         cfg = cfg_at(0.0, M=16, K=2)
@@ -176,6 +190,49 @@ class TestMcHardeningSinr:
             mc_hardening_sinr(cfg, "mrt", 4, 4, trials=0, seed=0)
         with pytest.raises(ValueError):
             mc_hardening_sinr(cfg, "mrt", 4, 4, trials=10, seed=0, csi_mode="oracle")
+
+
+class TestRedraw:
+    """Rank-deficient realizations are redrawn from the trial's next stream."""
+
+    def test_flagged_trial_is_redrawn_from_next_attempt(self, monkeypatch):
+        cfg = cfg_at(0.0, M=16, K=2)
+        seen = []
+        real = se.rank_deficient_mask
+
+        def flag_once(H_d):
+            seen.append(H_d.copy())
+            bad = real(H_d)
+            if len(seen) == 1:
+                bad[3] = True
+            return bad
+
+        monkeypatch.setattr(se, "rank_deficient_mask", flag_once)
+        rep = mc_hardening_sinr(cfg, "zf", None, None, trials=10, seed=4, csi_mode="perfect")
+        assert rep.redraws == 1
+        assert [len(H_d) for H_d in seen] == [10, 1]
+        redrawn = trial_draws(cfg, 4, [3], [1])[0, 0] * np.sqrt(cfg.beta)
+        np.testing.assert_array_equal(seen[1][0], redrawn.T)
+        assert not np.array_equal(seen[1][0], seen[0][3])
+        monkeypatch.undo()
+        base = mc_hardening_sinr(cfg, "zf", None, None, trials=10, seed=4, csi_mode="perfect")
+        assert base.redraws == 0
+        assert not np.array_equal(base.sinr, rep.sinr)  # trial 3 entered with its redrawn channel
+
+    def test_trial_flagged_on_every_attempt_raises(self, monkeypatch):
+        cfg = cfg_at(0.0, M=16, K=2)
+        calls = []
+
+        def flag_first(H_d):
+            calls.append(len(H_d))
+            bad = np.zeros(len(H_d), bool)
+            bad[0] = True
+            return bad
+
+        monkeypatch.setattr(se, "rank_deficient_mask", flag_first)
+        with pytest.raises(RuntimeError, match=f"trial 0 stayed rank deficient after {se._MAX_REDRAWS} redraws"):
+            mc_hardening_sinr(cfg, "zf", 3, 3, trials=10, seed=4)
+        assert calls == [10] + [1] * se._MAX_REDRAWS
 
 
 class TestTermEstimates:

@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from fhalloc.sysmodel import (
+    DOMAIN_MOMENTS,
     ConfigError,
     RngStream,
     SystemConfig,
     draw_complex_gaussian,
+    trial_draws,
 )
 
 
@@ -127,3 +129,26 @@ class TestComplexGaussian:
         z = draw_complex_gaussian(gen, 3, 3)
         assert z.shape == (3, 3)
         assert z.dtype == complex
+
+
+class TestTrialDraws:
+    def test_block_rows_do_not_depend_on_the_block(self):
+        cfg = make_cfg(M=6, K=2, tau_p=2)
+        block = trial_draws(cfg, 5, [3, 0, 7])
+        assert block.shape == (3, 4, 6, 2)
+        for row, t in zip(block, (3, 0, 7)):
+            np.testing.assert_array_equal(row, trial_draws(cfg, 5, [t])[0])
+
+    def test_attempt_and_domain_select_other_streams(self):
+        cfg = make_cfg(M=6, K=2, tau_p=2)
+        base = trial_draws(cfg, 5, [1, 2])
+        redrawn = trial_draws(cfg, 5, [1, 2], [0, 1])
+        np.testing.assert_array_equal(redrawn[0], base[0])
+        assert not np.array_equal(redrawn[1], base[1])
+        assert not np.array_equal(trial_draws(cfg, 5, [1], domain=DOMAIN_MOMENTS)[0], base[0])
+
+    def test_unit_variance(self):
+        cfg = make_cfg(M=64, K=8, tau_p=8)
+        z = trial_draws(cfg, 2, range(50))
+        assert np.mean(np.abs(z) ** 2) == pytest.approx(1.0, rel=0.02)
+        assert abs(np.mean(z**2)) < 0.02  # circular symmetry
