@@ -28,7 +28,6 @@ from .quantization import (
 from .precoding import (
     build_precoder,
     transmit_rescale,
-    PrecoderMoments,
     mrt_moments,
     estimate_moments_mc,
     RankDeficientError,
@@ -67,7 +66,6 @@ __all__ = [
     "quantized_csi_covariance",
     "build_precoder",
     "transmit_rescale",
-    "PrecoderMoments",
     "mrt_moments",
     "estimate_moments_mc",
     "RankDeficientError",

@@ -27,7 +27,8 @@ from pathlib import Path
 
 from . import __version__
 from .allocation import AllocationResult, FronthaulBudget, compute_budget, line_search
-from .se import SeReport, closed_form_mrt_sinr, mc_hardening_sinr
+from .precoding import PRECODER_KINDS
+from .se import CSI_MODES, SeReport, closed_form_mrt_sinr, mc_hardening_sinr
 from .sysmodel import SystemConfig
 
 EVALUATORS = ("mc", "closed-form")
@@ -66,6 +67,23 @@ class ExperimentSpec:
     workers: int = 1
     out_dir: str | None = None
 
+    def __post_init__(self):
+        """Reject unknown enumerated values and non-list grids; store grids as tuples."""
+        for key in ("snr_db", "precoders", "b_h_values"):
+            value = getattr(self, key)
+            if value is None and key == "b_h_values":
+                continue
+            if not isinstance(value, (list, tuple)):
+                raise ValueError(f"{key} must be a list, got {type(value).__name__}")
+            object.__setattr__(self, key, tuple(value))
+        for key, value, allowed in (
+            ("csi_mode", self.csi_mode, CSI_MODES),
+            ("evaluator", self.evaluator, EVALUATORS),
+            *(("precoder", kind, PRECODER_KINDS) for kind in self.precoders),
+        ):
+            if value not in allowed:
+                raise ValueError(f"unknown {key} {value!r}, expected one of {allowed}")
+
     def config_for(self, snr_db: float) -> SystemConfig:
         return SystemConfig.from_snr(
             M=self.M,
@@ -86,24 +104,17 @@ class ExperimentSpec:
         return None
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        for key in ("snr_db", "precoders", "b_h_values"):
-            if d[key] is not None:
-                d[key] = list(d[key])
-        return d
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentSpec":
-        """Build a spec from plain data; unknown keys raise ValueError."""
+        """Build a spec from plain data; unknown keys and bad values raise ValueError."""
         d = dict(_known_keys(cls, d))
         budget = d.get("budget")
         if budget is not None and not isinstance(budget, FronthaulBudget):
             if not isinstance(budget, dict) or "c_fh" not in budget:
                 raise ValueError("budget must be an object with c_fh, the link bits per coherence block")
             d["budget"] = FronthaulBudget(**_known_keys(FronthaulBudget, budget))
-        for key in ("snr_db", "precoders", "b_h_values"):
-            if d.get(key) is not None:
-                d[key] = tuple(d[key])
         return cls(**d)
 
 
@@ -192,39 +203,37 @@ def _eval_cell(spec_dict: dict, cell: Cell) -> SeReport:
     cfg = spec.config_for(cell.snr_db)
     if cell.method == "closed_form_mrt":
         return closed_form_mrt_sinr(cfg, cell.b_h, cell.b_p)
-    if cell.csi_mode == "perfect":
-        return mc_hardening_sinr(
-            cfg, cell.precoder, None, None, spec.trials, spec.seed, csi_mode="perfect"
-        )
+    # perfect CSI ignores the bit widths and moment_trials
     return mc_hardening_sinr(
-        cfg,
-        cell.precoder,
-        cell.b_h,
-        cell.b_p,
-        spec.trials,
-        spec.seed,
+        cfg, cell.precoder, cell.b_h, cell.b_p, spec.trials, spec.seed, cell.csi_mode,
         moment_trials=spec.moment_trials,
     )
+
+
+def _failed(exc: BaseException) -> CellOutcome:
+    return CellOutcome(report=None, error=f"{type(exc).__name__}: {exc}")
 
 
 def _eval_cell_guarded(spec_dict: dict, cell: Cell) -> CellOutcome:
     try:
         return CellOutcome(report=_eval_cell(spec_dict, cell))
     except Exception as exc:
-        return CellOutcome(report=None, error=f"{type(exc).__name__}: {exc}")
+        return _failed(exc)
 
 
 def run_cells(spec: ExperimentSpec, cells: list[Cell]) -> list[CellOutcome]:
     """Evaluate cells, inline or on a process pool, in canonical order.
 
     A failing cell does not stop the run; it comes back as a CellOutcome
-    with the error recorded and no report.
+    with the error recorded and no report.  So does every cell left
+    unfinished when a pool worker dies (BrokenProcessPool).
     """
     spec_dict = spec.to_dict()
     if spec.workers <= 1 or len(cells) <= 1:
         return [_eval_cell_guarded(spec_dict, cell) for cell in cells]
     with ProcessPoolExecutor(max_workers=spec.workers) as pool:
-        return list(pool.map(_eval_cell_guarded, [spec_dict] * len(cells), cells, chunksize=1))
+        futures = [pool.submit(_eval_cell_guarded, spec_dict, cell) for cell in cells]
+    return [_failed(f.exception()) if f.exception() else f.result() for f in futures]
 
 
 def write_outputs(

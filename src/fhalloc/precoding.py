@@ -11,30 +11,24 @@ In every case zeta = sqrt(P_t) / ||unnormalized||_F, which coincides with
 the trace expressions tr(G), tr(G^(-1)), tr(A^(-1) G A^(-1)) for the
 respective kinds (G = H_d H_d^H).
 
-When the precoder itself crosses the fronthaul it is quantized entrywise.
-The AQNM noise variance needs the per-entry second moments of P over the
-channel distribution; those population moments are what PrecoderMoments
-carries.  For MRT they are available in closed form (mrt_moments).  For ZF
-and WF they are exact whenever the estimate variance gamma_k is the same
-for every user, which covers i.i.d. Rayleigh fading with equal beta and
-pilot power:
+When the precoder itself crosses the fronthaul it is quantized entrywise,
+and the AQNM noise variance eta_p (1 - eta_p) E|P[m, i]|^2 needs the
+per-entry second moments of P over the channel law.  precoder_entry_var
+returns them as an (M, K) array, the layout of P, in one of three ways:
 
-- The quantized estimate then has i.i.d. entries, so its law is unchanged
+- MRT: closed form (mrt_moments).
+- ZF/WF with the same estimate variance gamma_k for every user (i.i.d.
+  Rayleigh fading with equal beta and pilot power): exactly P_t / (M K).
+  The quantized estimate then has i.i.d. entries, so its law is unchanged
   when antennas (columns of H_d) or users (rows of H_d) are permuted.
-- Permuting antennas permutes the rows of P and permuting users permutes
-  its columns.  This holds for ZF, and for WF because its regularizer is
-  a multiple of the identity.
-- So E|P[m, i]|^2 is one constant, and ||P||_F^2 = P_t in every
-  realization makes that constant P_t / (M K).
-
-Only when gamma differs across users are the ZF/WF moments estimated by
-simulation (estimate_moments_mc).  The dispatch is in
-fhalloc.se.mc_hardening_sinr.
+  Permuting antennas permutes the rows of P and permuting users permutes
+  its columns; this holds for ZF, and for WF because its regularizer is a
+  multiple of the identity.  So E|P[m, i]|^2 is one constant, and
+  ||P||_F^2 = P_t in every realization makes that constant P_t / (M K).
+- ZF/WF with unequal gamma: sampled (estimate_moments_mc).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -121,86 +115,61 @@ def transmit_rescale(P_q: np.ndarray, total_power: float):
     return float(alpha) if alpha.ndim == 0 else alpha
 
 
-@dataclass(frozen=True)
-class PrecoderMoments:
-    """Population second moments of a precoder family over the channel law.
+def _mrt_normalization(cfg: SystemConfig, eta_h: float):
+    """Estimate quality gamma, gtil = (1 - eta_h) gamma and zeta_bar^2.
 
-    D[i, m] = E|P[m, i]|^2, one row per user (shape (K, M)); the grand
-    total equals P_t because every realization is power normalized.  For
-    MRT, D is in closed form (mrt_moments).  For ZF and WF with the same
-    estimate variance gamma_k for every user, D = P_t / (M K) in every
-    entry: the i.i.d. quantized estimate makes the law of P invariant
-    under row and column permutations (module docstring), and the entries
-    sum to P_t.  With unequal gamma, ZF/WF moments come from Monte Carlo
-    (estimate_moments_mc), which reads ExperimentSpec.moment_trials.
-    alpha_bar is the deterministic proxy for the post-quantization rescale,
-    1 / sqrt(1 - eta_p).  zeta_bar is the deterministic normalization proxy
-    used by closed-form analysis; it is only available analytically (MRT).
-    """
-
-    kind: str
-    D: np.ndarray
-    alpha_bar: float
-    zeta_bar: float | None = None
-
-    @property
-    def per_user_trace(self) -> np.ndarray:
-        """tr(D_i) per user: total transmit-side second moment of column i."""
-        return np.sum(self.D, axis=1)
-
-    @property
-    def entry_var(self) -> np.ndarray:
-        """D transposed to the (M, K) layout of a precoding matrix."""
-        return self.D.T
-
-
-def mrt_moments(cfg: SystemConfig, eta_h: float, eta_p: float) -> PrecoderMoments:
-    """Closed-form per-entry second moments of the quantized-CSI MRT precoder.
-
-    The matched filter columns inherit the quantized estimate statistics,
-    so E|P[m, i]|^2 = zeta_bar^2 (1 - eta_h) gamma_i with
-    zeta_bar^2 = P_t / (M sum_i (1 - eta_h) gamma_i).  Their total is P_t
-    exactly.
+    zeta_bar^2 = P_t / (M sum_i gtil_i) is the deterministic MRT
+    normalization: E|P[m, i]|^2 = zeta_bar^2 gtil_i for the quantized-CSI
+    matched filter.
     """
     gamma = gamma_coefficient(cfg.pilot_power, cfg.tau_p, cfg.beta)
     gtil = quantized_csi_covariance(gamma, eta_h)
-    zeta_bar_sq = cfg.total_power / (cfg.M * np.sum(gtil))
-    D = np.broadcast_to(zeta_bar_sq * gtil[:, None], (cfg.K, cfg.M)).copy()
-    alpha_bar = 1.0 / np.sqrt(1.0 - eta_p)
-    return PrecoderMoments(
-        kind="mrt",
-        D=D,
-        alpha_bar=alpha_bar,
-        zeta_bar=float(np.sqrt(zeta_bar_sq)),
-    )
+    return gamma, gtil, cfg.total_power / (cfg.M * np.sum(gtil))
 
 
-def estimate_moments_mc(
-    cfg: SystemConfig,
-    kind: str,
-    eta_h: float,
-    eta_p: float,
-    trials: int,
-    seed: int,
-) -> PrecoderMoments:
-    """Monte Carlo estimate of PrecoderMoments for any precoder kind.
+def mrt_moments(cfg: SystemConfig, eta_h: float) -> np.ndarray:
+    """Closed-form E|P[m, i]|^2, shape (M, K), of the quantized-CSI MRT precoder.
+
+    The matched filter columns inherit the quantized estimate statistics,
+    so E|P[m, i]|^2 = zeta_bar^2 (1 - eta_h) gamma_i.  The total is P_t
+    exactly.
+    """
+    _, gtil, zeta_bar_sq = _mrt_normalization(cfg, eta_h)
+    return np.tile(zeta_bar_sq * gtil, (cfg.M, 1))
+
+
+def estimate_moments_mc(cfg: SystemConfig, kind: str, eta_h: float, trials: int, seed: int) -> np.ndarray:
+    """Monte Carlo estimate of E|P[m, i]|^2, shape (M, K), for any precoder kind.
 
     Averages |P[m, i]|^2 over `trials` channel draws from the
     DOMAIN_MOMENTS streams, pilot estimation and CSI quantization
-    included, in blocks of TRIAL_BLOCK trials.  alpha_bar is the
-    deterministic proxy 1 / sqrt(1 - eta_p), as for every kind.  At least
-    100 trials are required; fewer would make the downstream noise scales
-    themselves noisy.  This is the fallback for ZF/WF when gamma differs
-    across users; with equal gamma the moments are exact (module
-    docstring).
+    included, in blocks of TRIAL_BLOCK trials.  At least 100 trials are
+    required; fewer would make the downstream noise scales themselves
+    noisy.
     """
     if trials < 100:
         raise ValueError("trials must be >= 100")
-    if kind not in PRECODER_KINDS:
-        raise ValueError(f"unknown precoder kind {kind!r}")
     acc = np.zeros((cfg.M, cfg.K))
     for start in range(0, trials, TRIAL_BLOCK):
         ids = range(start, min(start + TRIAL_BLOCK, trials))
         _, Hhat_q = quantized_estimate(cfg, trial_draws(cfg, seed, ids, domain=DOMAIN_MOMENTS), eta_h)
         acc += np.sum(np.abs(build_precoder(Hhat_q.swapaxes(-2, -1), kind, cfg)) ** 2, axis=0)
-    return PrecoderMoments(kind=kind, D=(acc / trials).T, alpha_bar=1.0 / np.sqrt(1.0 - eta_p))
+    return acc / trials
+
+
+def precoder_entry_var(cfg: SystemConfig, kind: str, eta_h: float, trials: int, seed: int) -> np.ndarray:
+    """E|P[m, i]|^2, shape (M, K): the prior the precoder quantizer needs.
+
+    MRT is in closed form (mrt_moments); ZF/WF are exactly P_t / (M K)
+    when gamma is the same for every user (module docstring) and sampled
+    with estimate_moments_mc otherwise, the only case that reads `trials`
+    and `seed`.
+    """
+    if kind not in PRECODER_KINDS:
+        raise ValueError(f"unknown precoder kind {kind!r}, expected one of {PRECODER_KINDS}")
+    if kind == "mrt":
+        return mrt_moments(cfg, eta_h)
+    gamma = gamma_coefficient(cfg.pilot_power, cfg.tau_p, cfg.beta)
+    if np.all(gamma == gamma[0]):
+        return np.full((cfg.M, cfg.K), cfg.total_power / (cfg.M * cfg.K))
+    return estimate_moments_mc(cfg, kind, eta_h, trials, seed)

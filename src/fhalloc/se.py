@@ -23,16 +23,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import gamma_coefficient, quantized_estimate
+from .channel import quantized_estimate
 from .precoding import (
-    PrecoderMoments,
+    _mrt_normalization,
     build_precoder,
-    estimate_moments_mc,
-    mrt_moments,
+    precoder_entry_var,
     rank_deficient_mask,
     transmit_rescale,
 )
-from .quantization import aqnm_noise_var, eta_of_bits, quantized_csi_covariance
+from .quantization import aqnm_noise_var, eta_of_bits
 from .sysmodel import TRIAL_BLOCK, SystemConfig, trial_draws
 
 CSI_MODES = ("quantized", "perfect")
@@ -86,32 +85,6 @@ def se_from_sinr(sinr, tau_p: int, tau_c: int) -> np.ndarray:
     return (1.0 - tau_p / tau_c) * np.log2(1.0 + sinr)
 
 
-def _resolve_moments(
-    cfg: SystemConfig,
-    kind: str,
-    eta_h: float,
-    eta_p: float,
-    gamma: np.ndarray,
-    seed: int,
-    moment_trials: int,
-    moments: PrecoderMoments | None,
-) -> PrecoderMoments:
-    """Precoder moments for one cell: given, closed form, exact, or sampled.
-
-    ZF/WF moments are exact, P_t / (M K) per entry, when gamma is the same
-    for every user (derivation in fhalloc.precoding); only unequal gamma
-    falls back to estimate_moments_mc with moment_trials trials.
-    """
-    if moments is not None:
-        return moments
-    if kind == "mrt":
-        return mrt_moments(cfg, eta_h, eta_p)
-    if np.all(gamma == gamma[0]):
-        D = np.full((cfg.K, cfg.M), cfg.total_power / (cfg.M * cfg.K))
-        return PrecoderMoments(kind=kind, D=D, alpha_bar=1.0 / np.sqrt(1.0 - eta_p))
-    return estimate_moments_mc(cfg, kind, eta_h, eta_p, moment_trials, seed)
-
-
 def mc_hardening_sinr(
     cfg: SystemConfig,
     kind: str,
@@ -121,7 +94,6 @@ def mc_hardening_sinr(
     seed: int,
     csi_mode: str = "quantized",
     *,
-    moments: PrecoderMoments | None = None,
     moment_trials: int = 500,
     batch: int = TRIAL_BLOCK,
 ) -> SeReport:
@@ -133,10 +105,9 @@ def mc_hardening_sinr(
     per-realization transmit rescale.  csi_mode "perfect" hands the true
     channel to the precoder and skips both quantizers (b_h, b_p ignored).
 
-    The precoder quantizer needs the population moments of P.  They are
-    taken from `moments` if given, else computed exactly (MRT always, ZF/WF
-    when gamma is equal across users); moment_trials is read only for
-    ZF/WF with unequal gamma, where the moments are sampled.
+    The precoder quantizer needs the population moments E|P[m, i]|^2
+    (precoding.precoder_entry_var); moment_trials is read only for ZF/WF
+    with unequal gamma, where they are sampled.
 
     Realizations whose Gram matrix is numerically rank deficient are
     redrawn from a fresh per-trial substream; the count is reported.
@@ -151,9 +122,8 @@ def mc_hardening_sinr(
             raise ValueError("quantized mode needs b_h and b_p")
         eta_h = eta_of_bits(b_h)
         eta_p = eta_of_bits(b_p)
-        gamma = gamma_coefficient(cfg.pilot_power, cfg.tau_p, cfg.beta)
-        moments = _resolve_moments(cfg, kind, eta_h, eta_p, gamma, seed, moment_trials, moments)
-        prec_noise_std = np.sqrt(aqnm_noise_var(eta_p, moments.entry_var))
+        entry_var = precoder_entry_var(cfg, kind, eta_h, moment_trials, seed)
+        prec_noise_std = np.sqrt(aqnm_noise_var(eta_p, entry_var))
 
     gains = np.empty((trials, cfg.K, cfg.K), dtype=complex)
     attempt = np.zeros(trials, int)
@@ -282,9 +252,7 @@ def closed_form_mrt_terms(
     """
     eta_h = 0.0 if b_h is None else eta_of_bits(b_h)
     eta_p = 0.0 if b_p is None else eta_of_bits(b_p)
-    gamma = gamma_coefficient(cfg.pilot_power, cfg.tau_p, cfg.beta)
-    gtil = quantized_csi_covariance(gamma, eta_h)
-    zeta_bar_sq = cfg.total_power / (cfg.M * np.sum(gtil))
+    gamma, gtil, zeta_bar_sq = _mrt_normalization(cfg, eta_h)
     alpha_bar_sq = 1.0 / (1.0 - eta_p)
 
     common = alpha_bar_sq * zeta_bar_sq * (1.0 - eta_p) ** 2
@@ -341,10 +309,9 @@ def mc_mrt_term_estimates(
     """
     eta_h = eta_of_bits(b_h)
     eta_p = eta_of_bits(b_p)
-    moments = mrt_moments(cfg, eta_h, eta_p)
-    zeta_bar = moments.zeta_bar
-    alpha_bar = moments.alpha_bar
-    prec_noise_std = np.sqrt(aqnm_noise_var(eta_p, moments.entry_var))
+    _, gtil, zeta_bar_sq = _mrt_normalization(cfg, eta_h)
+    alpha_bar_sq = 1.0 / (1.0 - eta_p)
+    prec_noise_std = np.sqrt(aqnm_noise_var(eta_p, zeta_bar_sq * gtil))
 
     inner = np.empty((trials, cfg.K, cfg.K), dtype=complex)
     qnoise = np.empty((trials, cfg.K))
@@ -357,7 +324,7 @@ def mc_mrt_term_estimates(
         inner[ids] = H_up @ Hhat_q.conj()
         qnoise[ids] = np.sum(np.abs(H_up @ (z[:, 3] * prec_noise_std)) ** 2, axis=-1)
 
-    scale = alpha_bar**2 * zeta_bar**2 * (1.0 - eta_p) ** 2
+    scale = alpha_bar_sq * zeta_bar_sq * (1.0 - eta_p) ** 2
     mean_inner = np.mean(inner, axis=0)
     signal = scale * np.abs(np.diagonal(mean_inner)) ** 2
     cross = np.mean(np.abs(inner) ** 2, axis=0)
@@ -365,7 +332,7 @@ def mc_mrt_term_estimates(
     variation = scale * (
         np.sum(cross, axis=1) - np.diagonal(cross) + np.diagonal(diag_var)
     )
-    prec_noise = alpha_bar**2 * np.mean(qnoise, axis=0)
+    prec_noise = alpha_bar_sq * np.mean(qnoise, axis=0)
     return {
         "signal": signal,
         "variation": variation,

@@ -1,5 +1,9 @@
 import csv
+import functools
 import json
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -395,6 +399,58 @@ class TestCli:
         assert code == 2
         assert "M must be a positive integer" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "command, config",
+        [
+            ("sweep", {"snr_db": 5}),
+            ("sweep", {"csi_mode": "bogus"}),
+            ("sweep", {"evaluator": "bogus"}),
+            ("optimize", {"evaluator": "bogus"}),
+            ("sweep", {"precoders": ["xx"]}),
+            ("sweep", {"precoders": "mrt"}),
+            ("sweep", {"b_h_values": 2}),
+        ],
+        ids=lambda v: v if isinstance(v, str) else "-".join(f"{k}={v[k]}" for k in v),
+    )
+    def test_bad_enumerated_or_list_field_exits_two(self, tmp_path, capsys, monkeypatch, command, config):
+        def refuse(spec_dict, cell):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr(experiments, "_eval_cell", refuse)
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(config))
+        argv = [command, "--config", str(path), "--budget-bbar", "3", "--m", "16", "--k", "2"]
+        code = main(argv + ["--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="the patched cell reaches the workers only when they are forked",
+    )
+    def test_dead_pool_worker_becomes_failed_cells(self, tmp_path, capsys, monkeypatch):
+        real = experiments._eval_cell
+
+        def die(spec_dict, cell):
+            if cell.b_h == 2:
+                os._exit(1)
+            return real(spec_dict, cell)
+
+        monkeypatch.setattr(experiments, "_eval_cell", die)
+        fork = multiprocessing.get_context("fork")
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", functools.partial(ProcessPoolExecutor, mp_context=fork))
+        argv = ["sweep", "--m", "16", "--k", "2", "--budget-bbar", "4", "--evaluator", "closed-form", "--workers", "2"]
+        code = main(argv + ["--out", str(tmp_path)])
+        assert code == 1
+        assert "BrokenProcessPool" in capsys.readouterr().err
+        meta = json.loads((tmp_path / "sweep_meta.json").read_text())
+        failed = meta["failed_cells"]
+        assert 2 in [f["b_h"] for f in failed]
+        assert all(f["error"].startswith("BrokenProcessPool") for f in failed)
+        assert meta["rows"] + len(failed) == 3
+        assert len(read_csv(tmp_path / "sweep.csv")) == 1 + meta["rows"]
 
     @pytest.mark.parametrize("command", ("sweep", "reproduce"))
     def test_failed_cell_exits_one_after_writing(self, tmp_path, capsys, monkeypatch, command):

@@ -4,12 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fhalloc.channel import estimate_channel
+import fhalloc.precoding as precoding
 from fhalloc.precoding import (
-    PrecoderMoments,
     RankDeficientError,
     build_precoder,
     estimate_moments_mc,
     mrt_moments,
+    precoder_entry_var,
     transmit_rescale,
 )
 from fhalloc.quantization import AqnmQuantizer, aqnm_quantize, eta_of_bits
@@ -136,76 +137,120 @@ class TestTransmitRescale:
 class TestMrtMoments:
     def test_symmetric_config(self):
         cfg = make_cfg(M=64, K=4, total_power=10.0)
-        mom = mrt_moments(cfg, eta_h=0.0, eta_p=0.0)
-        assert isinstance(mom, PrecoderMoments)
-        assert mom.kind == "mrt"
-        assert mom.D.shape == (4, 64)
+        mom = mrt_moments(cfg, eta_h=0.0)
+        assert mom.shape == (64, 4)
         # gamma = 8/9 for every user, so zeta_bar^2 = P_t / (M K 8/9)
         expect = 10.0 / (64 * 4 * (8.0 / 9.0)) * (8.0 / 9.0)
-        np.testing.assert_allclose(mom.D, expect, rtol=1e-12)
-        assert mom.alpha_bar == 1.0
-        assert mom.zeta_bar == pytest.approx(
-            np.sqrt(10.0 / (64 * 4 * (8.0 / 9.0))), rel=1e-12
-        )
+        np.testing.assert_allclose(mom, expect, rtol=1e-12)
 
     def test_total_power_exact(self):
         cfg = make_cfg(M=32, K=3, tau_p=8, total_power=7.0, beta=[0.2, 1.0, 3.5])
-        mom = mrt_moments(cfg, eta_h=0.1175, eta_p=0.03454)
-        assert np.sum(mom.D) == pytest.approx(7.0, rel=1e-14)
-        assert mom.alpha_bar == pytest.approx(1.0 / np.sqrt(1.0 - 0.03454), rel=1e-14)
+        mom = mrt_moments(cfg, eta_h=0.1175)
+        assert np.sum(mom) == pytest.approx(7.0, rel=1e-14)
 
-    def test_accessors(self):
-        cfg = make_cfg(M=8, K=2)
-        mom = mrt_moments(cfg, 0.0, 0.0)
-        assert mom.per_user_trace.shape == (2,)
-        assert mom.entry_var.shape == (8, 2)
-        np.testing.assert_array_equal(mom.entry_var, mom.D.T)
+    def test_layout(self):
+        """One row per antenna, one column per user, the layout of P."""
+        cfg = make_cfg(M=8, K=2, beta=[0.5, 2.0])
+        mom = mrt_moments(cfg, 0.0)
+        assert mom.shape == (8, 2)
+        np.testing.assert_array_equal(mom, np.broadcast_to(mom[0], (8, 2)))
 
     def test_unequal_betas_order(self):
         cfg = make_cfg(beta=[0.1, 0.5, 1.0, 2.0])
-        mom = mrt_moments(cfg, 0.0, 0.0)
-        trace = mom.per_user_trace
+        trace = np.sum(mrt_moments(cfg, 0.0), axis=0)
         assert np.all(np.diff(trace) > 0)
 
 
 class TestEstimateMomentsMc:
     def test_matches_closed_form_for_mrt(self):
         cfg = make_cfg(M=32, K=4, total_power=2.0)
-        eta_h, eta_p = 0.1175, 0.03454
-        ref = mrt_moments(cfg, eta_h, eta_p)
-        mom = estimate_moments_mc(cfg, "mrt", eta_h, eta_p, trials=2000, seed=11)
-        np.testing.assert_allclose(mom.per_user_trace, ref.per_user_trace, rtol=0.03)
-        assert mom.alpha_bar == pytest.approx(ref.alpha_bar, rel=0.03)
+        ref = mrt_moments(cfg, 0.1175)
+        mom = estimate_moments_mc(cfg, "mrt", 0.1175, trials=2000, seed=11)
+        np.testing.assert_allclose(np.sum(mom, axis=0), np.sum(ref, axis=0), rtol=0.03)
 
     def test_total_power_preserved(self):
         cfg = make_cfg(M=16, K=2)
-        mom = estimate_moments_mc(cfg, "wf", 0.1175, 0.1175, trials=200, seed=3)
-        assert np.sum(mom.D) == pytest.approx(cfg.total_power, rel=1e-12)
-        assert mom.zeta_bar is None
+        mom = estimate_moments_mc(cfg, "wf", 0.1175, trials=200, seed=3)
+        assert mom.shape == (16, 2)
+        assert np.sum(mom) == pytest.approx(cfg.total_power, rel=1e-12)
 
     def test_deterministic(self):
         cfg = make_cfg(M=16, K=2)
-        a = estimate_moments_mc(cfg, "zf", 0.0, 0.0, trials=150, seed=5)
-        b = estimate_moments_mc(cfg, "zf", 0.0, 0.0, trials=150, seed=5)
-        np.testing.assert_array_equal(a.D, b.D)
-        assert a.alpha_bar == b.alpha_bar
+        a = estimate_moments_mc(cfg, "zf", 0.0, trials=150, seed=5)
+        b = estimate_moments_mc(cfg, "zf", 0.0, trials=150, seed=5)
+        np.testing.assert_array_equal(a, b)
 
     def test_error_shrinks_with_trials(self):
         cfg = make_cfg(M=32, K=4)
-        ref = mrt_moments(cfg, 0.0, 0.0)
+        ref = mrt_moments(cfg, 0.0)
         errs = {}
         for trials in (500, 2000):
-            mom = estimate_moments_mc(cfg, "mrt", 0.0, 0.0, trials=trials, seed=17)
-            errs[trials] = np.sqrt(np.mean((mom.D - ref.D) ** 2))
+            mom = estimate_moments_mc(cfg, "mrt", 0.0, trials=trials, seed=17)
+            errs[trials] = np.sqrt(np.mean((mom - ref) ** 2))
         assert errs[2000] < errs[500]
 
     def test_too_few_trials(self):
         with pytest.raises(ValueError):
-            estimate_moments_mc(make_cfg(), "mrt", 0.0, 0.0, trials=99, seed=0)
+            estimate_moments_mc(make_cfg(), "mrt", 0.0, trials=99, seed=0)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
-            estimate_moments_mc(make_cfg(), "rzf", 0.0, 0.0, trials=100, seed=0)
+            estimate_moments_mc(make_cfg(), "rzf", 0.0, trials=100, seed=0)
+
+
+class TestPrecoderEntryVar:
+    """ZF/WF moments are exact at equal gamma; Monte Carlo only otherwise."""
+
+    @pytest.mark.parametrize("kind", ("zf", "wf"))
+    def test_exact_moments_match_monte_carlo(self, kind):
+        cfg = SystemConfig.from_snr(M=16, K=4, tau_c=200, tau_p=8, snr_db=0.0)
+        exact = precoder_entry_var(cfg, kind, 0.1175, trials=100, seed=11)
+        np.testing.assert_array_equal(exact, np.full((16, 4), cfg.total_power / 64))
+        assert np.sum(exact) == pytest.approx(cfg.total_power, rel=1e-14)
+        mc = estimate_moments_mc(cfg, kind, 0.1175, trials=2000, seed=11)
+        np.testing.assert_allclose(np.sum(mc, axis=0), np.sum(exact, axis=0), rtol=0.03)
+
+    def test_monte_carlo_only_for_unequal_gamma(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("Monte Carlo moment pass reached")
+
+        monkeypatch.setattr(precoding, "estimate_moments_mc", refuse)
+        cfg = SystemConfig.from_snr(M=16, K=2, tau_c=200, tau_p=8, snr_db=0.0)
+        uneven = SystemConfig.from_snr(M=16, K=2, tau_c=200, tau_p=8, snr_db=0.0, beta=[0.5, 1.0])
+        for kind in KINDS:
+            assert np.all(precoder_entry_var(cfg, kind, 0.1175, trials=100, seed=3) > 0)
+        assert np.all(precoder_entry_var(uneven, "mrt", 0.1175, trials=100, seed=3) > 0)
+        for kind in ("zf", "wf"):
+            with pytest.raises(AssertionError, match="Monte Carlo moment pass reached"):
+                precoder_entry_var(uneven, kind, 0.1175, trials=100, seed=3)
+
+    def test_unknown_kind(self):
+        with pytest.raises(ValueError, match="unknown precoder kind"):
+            precoder_entry_var(make_cfg(), "rzf", 0.0, trials=100, seed=0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kind=st.sampled_from(KINDS),
+    K=st.integers(1, 4),
+    extra=st.integers(1, 8),
+    snr_db=st.floats(-20.0, 30.0),
+    beta=st.one_of(st.just(None), st.lists(st.floats(0.05, 4.0), min_size=4, max_size=4)),
+    b_h=st.integers(1, 12),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_entry_var_sums_to_total_power(kind, K, extra, snr_db, beta, b_h, seed):
+    """sum_{m,i} E|P[m, i]|^2 = P_t whichever case supplies the moments.
+
+    beta=None gives every user the same gamma (exact ZF/WF moments); a
+    list of per-user betas makes gamma unequal (sampled ZF/WF moments).
+    """
+    cfg = SystemConfig.from_snr(
+        M=K + extra, K=K, tau_c=50, tau_p=K, snr_db=snr_db, beta=None if beta is None else beta[:K]
+    )
+    entry_var = precoder_entry_var(cfg, kind, eta_of_bits(b_h), trials=100, seed=seed)
+    assert entry_var.shape == (cfg.M, cfg.K)
+    assert np.sum(entry_var) == pytest.approx(cfg.total_power, rel=1e-12)
 
 
 @settings(max_examples=60, deadline=None)

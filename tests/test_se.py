@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
+import fhalloc.precoding as precoding
 import fhalloc.se as se
-from fhalloc.channel import gamma_coefficient
-from fhalloc.precoding import estimate_moments_mc
 from fhalloc.se import (
     closed_form_mrt_sinr,
     closed_form_mrt_terms,
@@ -124,8 +123,8 @@ class TestMcHardeningSinr:
         precoder moments with estimate_moments_mc.
         """
         sampled = []
-        real = se.estimate_moments_mc
-        monkeypatch.setattr(se, "estimate_moments_mc", lambda *a, **k: sampled.append(a) or real(*a, **k))
+        real = precoding.estimate_moments_mc
+        monkeypatch.setattr(precoding, "estimate_moments_mc", lambda *a, **k: sampled.append(a) or real(*a, **k))
         cfg = SystemConfig.from_snr(M=16, K=2, tau_c=200, tau_p=8, snr_db=0.0, beta=beta)
         a = mc_hardening_sinr(cfg, kind, 3, 3, trials=50, seed=2, csi_mode=csi_mode, batch=7, moment_trials=100)
         b = mc_hardening_sinr(cfg, kind, 3, 3, trials=50, seed=2, csi_mode=csi_mode, batch=64, moment_trials=100)
@@ -243,33 +242,3 @@ class TestTermEstimates:
         assert set(est) == set(ref)
         for name in ref:
             np.testing.assert_allclose(est[name], ref[name], rtol=0.05)
-
-
-class TestPrecoderMomentDispatch:
-    """ZF/WF moments are exact at equal gamma; Monte Carlo only otherwise."""
-
-    @pytest.mark.parametrize("kind", ("zf", "wf"))
-    def test_exact_moments_match_monte_carlo(self, kind):
-        cfg = cfg_at(0.0, M=16, K=4)
-        eta_h, eta_p = 0.1175, 0.03454
-        gamma = gamma_coefficient(cfg.pilot_power, cfg.tau_p, cfg.beta)
-        exact = se._resolve_moments(cfg, kind, eta_h, eta_p, gamma, 11, 100, None)
-        np.testing.assert_array_equal(exact.D, np.full((4, 16), cfg.total_power / 64))
-        assert np.sum(exact.D) == pytest.approx(cfg.total_power, rel=1e-14)
-        assert exact.alpha_bar == 1.0 / np.sqrt(1.0 - eta_p)
-        mc = estimate_moments_mc(cfg, kind, eta_h, eta_p, trials=2000, seed=11)
-        np.testing.assert_allclose(mc.per_user_trace, exact.per_user_trace, rtol=0.03)
-
-    def test_monte_carlo_only_for_unequal_gamma(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("Monte Carlo moment pass reached")
-
-        monkeypatch.setattr(se, "estimate_moments_mc", refuse)
-        cfg = cfg_at(0.0, M=16, K=2)
-        for kind in ("zf", "wf"):
-            rep = mc_hardening_sinr(cfg, kind, 4, 4, trials=20, seed=3)
-            assert np.all(rep.sinr > 0)
-        uneven = SystemConfig.from_snr(M=16, K=2, tau_c=200, tau_p=8, snr_db=0.0, beta=[0.5, 1.0])
-        for kind in ("zf", "wf"):
-            with pytest.raises(AssertionError, match="Monte Carlo moment pass reached"):
-                mc_hardening_sinr(uneven, kind, 4, 4, trials=20, seed=3)
