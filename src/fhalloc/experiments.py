@@ -22,8 +22,10 @@ import csv
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .allocation import AllocationResult, FronthaulBudget, compute_budget, line_search
@@ -32,6 +34,9 @@ from .se import CSI_MODES, SeReport, closed_form_mrt_sinr, mc_hardening_sinr
 from .sysmodel import SystemConfig
 
 EVALUATORS = ("mc", "closed-form")
+
+# Integer ExperimentSpec fields and the least value each accepts.
+_COUNT_FLOORS = (("trials", 1), ("seed", 0), ("moment_trials", 100), ("workers", 1))
 
 
 def _known_keys(cls, d: dict) -> dict:
@@ -68,7 +73,16 @@ class ExperimentSpec:
     out_dir: str | None = None
 
     def __post_init__(self):
-        """Reject unknown enumerated values and non-list grids; store grids as tuples."""
+        """Reject bad counts, unknown enumerated values and non-list grids.
+
+        Counts are stored as Python ints and grids as tuples.
+        """
+        for key, floor in _COUNT_FLOORS:
+            value = getattr(self, key)
+            if not (type(value) is int or isinstance(value, np.integer)) or value < floor:
+                raise ValueError(f"{key} must be an integer >= {floor}, got {value!r}")
+            if type(value) is not int:  # numpy integers do not serialize to JSON
+                object.__setattr__(self, key, int(value))
         for key in ("snr_db", "precoders", "b_h_values"):
             value = getattr(self, key)
             if value is None and key == "b_h_values":
@@ -192,10 +206,15 @@ def _snr_tag(snr_db: float) -> str:
 
 @dataclass(frozen=True)
 class CellOutcome:
-    """Result of evaluating one cell: a report, or the error that stopped it."""
+    """Result of evaluating one cell: a report, or the error that stopped it.
+
+    elapsed_s is the cell's wall time in the process that ran it; it is
+    None for a cell that a dead pool worker never returned.
+    """
 
     report: SeReport | None
     error: str | None = None
+    elapsed_s: float | None = None
 
 
 def _eval_cell(spec_dict: dict, cell: Cell) -> SeReport:
@@ -215,10 +234,12 @@ def _failed(exc: BaseException) -> CellOutcome:
 
 
 def _eval_cell_guarded(spec_dict: dict, cell: Cell) -> CellOutcome:
+    t0 = time.perf_counter()
     try:
-        return CellOutcome(report=_eval_cell(spec_dict, cell))
+        outcome = CellOutcome(report=_eval_cell(spec_dict, cell))
     except Exception as exc:
-        return _failed(exc)
+        outcome = _failed(exc)
+    return replace(outcome, elapsed_s=time.perf_counter() - t0)
 
 
 def run_cells(spec: ExperimentSpec, cells: list[Cell]) -> list[CellOutcome]:
@@ -248,7 +269,9 @@ def write_outputs(
     """Write <stem>.csv, per-series <stem>_<series>.dat, and <stem>_meta.json.
 
     Failed cells contribute no CSV row or series point; they are listed
-    under "failed_cells" in the metadata instead.
+    under "failed_cells" in the metadata instead.  The metadata's "cells"
+    lists every cell in canonical order with its wall time and redraw
+    count (null where the cell returned no report or no timing).
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -298,6 +321,16 @@ def write_outputs(
         "rows": len(done),
         "failed_cells": failed,
         "total_redraws": int(sum(rep.redraws for _, rep in done)),
+        "cells": [
+            {
+                "series": cell.series,
+                "b_h": cell.b_h,
+                "b_p": cell.b_p,
+                "elapsed_s": None if oc.elapsed_s is None else round(oc.elapsed_s, 4),
+                "redraws": None if oc.report is None else oc.report.redraws,
+            }
+            for cell, oc in zip(cells, outcomes)
+        ],
         "outputs": [csv_path.name] + series_files,
     }
     if extra_meta:

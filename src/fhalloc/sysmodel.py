@@ -6,6 +6,11 @@ a pure function of ``(master_seed, stream_id)``.  That is what makes Monte
 Carlo runs bit-identical no matter how trials are distributed over worker
 processes, and it is what lets a bit-split sweep reuse the same channel
 realizations in every grid cell (common random numbers).
+
+Since every cell of a sweep reads the same first-attempt unit draws,
+:func:`trial_draws` memoizes those blocks per process.  Every block it
+returns is read-only, and the memo keeps at most ``_DRAW_CACHE_BYTES`` of
+them, dropping the oldest block first.
 """
 
 from __future__ import annotations
@@ -26,6 +31,11 @@ DOMAIN_MOMENTS = 1
 
 # Trials drawn and processed together by the Monte Carlo loops.
 TRIAL_BLOCK = 256
+
+# Byte bound on the memo of first-attempt draw blocks.  It holds the four
+# 256-trial blocks of a 1000-trial sweep at M=128, K=8 (16.8 MB each).
+_DRAW_CACHE_BYTES = 128 * 2**20
+_draw_cache: dict[tuple, np.ndarray] = {}
 
 
 def _as_user_vector(value, K: int, name: str, allow_zero: bool = False) -> np.ndarray:
@@ -149,7 +159,7 @@ class RngStream:
 
 
 def trial_draws(cfg: SystemConfig, seed: int, trial_ids, attempt=None, domain: int = DOMAIN_TRIAL) -> np.ndarray:
-    """Unit draws for a block of trials, shape (n, 4, M, K).
+    """Unit draws for a block of trials, shape (n, 4, M, K), read-only.
 
     Slot j of trial i holds a CN(0, 1) matrix: 0 channel, 1 pilot noise,
     2 CSI quantization noise, 3 precoder quantization noise.  Trial t
@@ -158,14 +168,30 @@ def trial_draws(cfg: SystemConfig, seed: int, trial_ids, attempt=None, domain: i
     trial_ids (0 for every trial when None) and selects the redraw.
     Scales are applied by the caller, so the same draws serve every
     (B_H, B_P) grid cell.
+
+    Blocks in which every attempt is 0 are memoized on (M, K, seed,
+    domain, trial_ids), so later cells of a sweep read the first cell's
+    block instead of drawing it again.  The memo holds at most
+    _DRAW_CACHE_BYTES and drops its oldest block first; a block with a
+    redraw in it is drawn afresh and never stored.
     """
+    ids = tuple(int(t) for t in trial_ids)
+    attempts = (0,) * len(ids) if attempt is None else tuple(int(a) for a in attempt)
+    key = (cfg.M, cfg.K, seed, domain, ids)
+    memoize = not any(attempts)
+    if memoize and key in _draw_cache:
+        return _draw_cache[key]
     shape = (4, cfg.M, cfg.K)
-    out = np.empty((len(trial_ids), *shape), dtype=complex)
-    if attempt is None:
-        attempt = [0] * len(trial_ids)
-    for i, (t, a) in enumerate(zip(trial_ids, attempt)):
-        gen = RngStream(seed, (domain, int(t), int(a))).generator()
+    out = np.empty((len(ids), *shape), dtype=complex)
+    for i, (t, a) in enumerate(zip(ids, attempts)):
+        gen = RngStream(seed, (domain, t, a)).generator()
         out[i] = (gen.standard_normal(shape) + 1j * gen.standard_normal(shape)) / np.sqrt(2.0)
+    out.setflags(write=False)
+    if memoize and out.nbytes <= _DRAW_CACHE_BYTES:
+        held = sum(block.nbytes for block in _draw_cache.values())
+        while held + out.nbytes > _DRAW_CACHE_BYTES:
+            held -= _draw_cache.pop(next(iter(_draw_cache))).nbytes
+        _draw_cache[key] = out
     return out
 
 

@@ -53,6 +53,11 @@ class TestExperimentSpec:
         assert back == spec
         assert isinstance(back.budget, FronthaulBudget)
 
+    def test_numpy_counts_are_stored_as_ints(self):
+        spec = small_spec(trials=np.int32(5), seed=np.int64(3), workers=np.uint8(1))
+        assert [type(getattr(spec, key)) for key in ("trials", "seed", "workers")] == [int, int, int]
+        assert json.loads(json.dumps(spec.to_dict()))["seed"] == 3
+
     def test_resolve_b_bar_prefers_explicit(self):
         spec = small_spec(b_bar=6, budget=FronthaulBudget(c_fh=30720.0))
         assert spec.resolve_b_bar() == 6
@@ -180,6 +185,18 @@ class TestRunSweep:
         assert failed["b_h"] == 2
         assert "RuntimeError: synthetic failure" in failed["error"]
         assert len(read_csv(tmp_path / "sweep.csv")) == 1 + 2
+        timed = meta["cells"][1]
+        assert timed["b_h"] == 2 and timed["redraws"] is None and timed["elapsed_s"] >= 0
+
+    @pytest.mark.parametrize("workers", (1, 2))
+    def test_meta_times_every_cell_in_order(self, tmp_path, workers):
+        spec = small_spec(precoders=("zf", "mrt"), workers=workers)
+        run_sweep(spec, tmp_path)
+        cells = json.loads((tmp_path / "sweep_meta.json").read_text())["cells"]
+        assert [(c["series"], c["b_h"], c["b_p"]) for c in cells] == [
+            (c.series, c.b_h, c.b_p) for c in _expand_sweep(spec)
+        ]
+        assert all(c["elapsed_s"] >= 0 and c["redraws"] == 0 for c in cells)
 
     def test_spec_out_dir_fallback(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -410,6 +427,12 @@ class TestCli:
             ("sweep", {"precoders": ["xx"]}),
             ("sweep", {"precoders": "mrt"}),
             ("sweep", {"b_h_values": 2}),
+            ("sweep", {"trials": 0}),
+            ("sweep", {"seed": -1}),
+            ("sweep", {"seed": 1.5}),
+            ("sweep", {"moment_trials": 99}),
+            ("sweep", {"workers": 0}),
+            ("optimize", {"trials": True}),
         ],
         ids=lambda v: v if isinstance(v, str) else "-".join(f"{k}={v[k]}" for k in v),
     )
@@ -424,6 +447,26 @@ class TestCli:
         code = main(argv + ["--out", str(tmp_path / "out")])
         assert code == 2
         assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--budget-bbar", "3", "--m", "16", "--k", "2", "--trials", "0"],
+            ["sweep", "--budget-bbar", "3", "--m", "16", "--k", "2", "--seed", "-1"],
+            ["sweep", "--budget-bbar", "3", "--m", "16", "--k", "2", "--workers", "-3"],
+            ["reproduce", "fig4", "--m", "16", "--k", "2", "--workers", "0"],
+        ],
+        ids=lambda argv: f"{argv[0]}{argv[-2]}={argv[-1]}",
+    )
+    def test_bad_count_flag_exits_two(self, tmp_path, capsys, monkeypatch, argv):
+        def refuse(spec_dict, cell):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr(experiments, "_eval_cell", refuse)
+        code = main(argv + ["--out", str(tmp_path / "out")])
+        assert code == 2
+        assert f"{argv[-2].lstrip('-')} must be an integer >=" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.skipif(

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fhalloc.precoding as precoding
 import fhalloc.se as se
+import fhalloc.sysmodel as sysmodel
 from fhalloc.se import (
     closed_form_mrt_sinr,
     closed_form_mrt_terms,
@@ -130,6 +133,27 @@ class TestMcHardeningSinr:
         b = mc_hardening_sinr(cfg, kind, 3, 3, trials=50, seed=2, csi_mode=csi_mode, batch=64, moment_trials=100)
         np.testing.assert_array_equal(a.sinr, b.sinr)
         assert len(sampled) == (2 if beta != 1.0 else 0)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        kind=st.sampled_from(("mrt", "zf", "wf")),
+        csi_mode=st.sampled_from(se.CSI_MODES),
+        beta=st.sampled_from((1.0, (0.5, 1.0))),
+        trials=st.integers(1, 60),
+        batches=st.tuples(st.integers(1, 64), st.integers(1, 64)),
+    )
+    def test_cache_state_and_batch_leave_sinr_unchanged(self, kind, csi_mode, beta, trials, batches):
+        """A cold draw cache, a warm one and another batch size give the same bits."""
+        cfg = SystemConfig.from_snr(M=16, K=2, tau_c=200, tau_p=8, snr_db=0.0, beta=beta)
+
+        def run(batch):
+            rep = mc_hardening_sinr(cfg, kind, 3, 2, trials, 6, csi_mode, batch=batch, moment_trials=100)
+            return rep.sinr
+
+        sysmodel._draw_cache.clear()
+        cold = run(batches[0])
+        np.testing.assert_array_equal(run(batches[0]), cold)
+        np.testing.assert_array_equal(run(batches[1]), cold)
 
     def test_sinr_reconstructs_from_moments(self):
         cfg = cfg_at(0.0, M=16, K=2)

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+import fhalloc.sysmodel as sysmodel
 from fhalloc.sysmodel import (
     DOMAIN_MOMENTS,
+    TRIAL_BLOCK,
     ConfigError,
     RngStream,
     SystemConfig,
@@ -132,6 +134,10 @@ class TestComplexGaussian:
 
 
 class TestTrialDraws:
+    @pytest.fixture(autouse=True)
+    def cold_cache(self, monkeypatch):
+        monkeypatch.setattr(sysmodel, "_draw_cache", {})
+
     def test_block_rows_do_not_depend_on_the_block(self):
         cfg = make_cfg(M=6, K=2, tau_p=2)
         block = trial_draws(cfg, 5, [3, 0, 7])
@@ -152,3 +158,59 @@ class TestTrialDraws:
         z = trial_draws(cfg, 2, range(50))
         assert np.mean(np.abs(z) ** 2) == pytest.approx(1.0, rel=0.02)
         assert abs(np.mean(z**2)) < 0.02  # circular symmetry
+
+    def test_returned_block_is_read_only(self):
+        cfg = make_cfg(M=6, K=2, tau_p=2)
+        z = trial_draws(cfg, 5, [0, 1])
+        with pytest.raises(ValueError):
+            z[0, 0, 0, 0] = 1.0
+        assert trial_draws(cfg, 5, [0, 1]) is z  # served from the cache
+
+    def test_redraw_block_bypasses_the_cache(self):
+        cfg = make_cfg(M=6, K=2, tau_p=2)
+        cached = trial_draws(cfg, 5, [1, 2])
+        redrawn = trial_draws(cfg, 5, [1, 2], [0, 1])
+        assert redrawn is not cached
+        np.testing.assert_array_equal(redrawn[0], cached[0])
+        assert not np.array_equal(redrawn[1], cached[1])
+        assert list(sysmodel._draw_cache.values()) == [cached]
+        assert trial_draws(cfg, 5, [1, 2], [0, 1]) is not redrawn
+
+    def test_cached_blocks_equal_cold_draws(self):
+        # each call differs from the first in one part of the memo key
+        cfg = make_cfg(M=6, K=2, tau_p=2)
+        calls = [
+            (cfg, 8, (0, 1, 2), sysmodel.DOMAIN_TRIAL),
+            (cfg, 8, (2, 1, 0), sysmodel.DOMAIN_TRIAL),
+            (cfg, 9, (0, 1, 2), sysmodel.DOMAIN_TRIAL),
+            (cfg, 8, (0, 1, 2), DOMAIN_MOMENTS),
+            (make_cfg(M=7, K=2, tau_p=2), 8, (0, 1, 2), sysmodel.DOMAIN_TRIAL),
+            (make_cfg(M=6, K=3, tau_p=3), 8, (0, 1, 2), sysmodel.DOMAIN_TRIAL),
+        ]
+        for c, seed, ids, domain in calls:
+            trial_draws(c, seed, ids, domain=domain)
+        warm = [trial_draws(c, seed, ids, domain=domain) for c, seed, ids, domain in calls]
+        for (c, seed, ids, domain), block in zip(calls, warm):
+            sysmodel._draw_cache.clear()
+            cold = trial_draws(c, seed, ids, domain=domain)
+            assert cold is not block
+            np.testing.assert_array_equal(block, cold)
+
+    def test_cache_stays_within_its_byte_bound(self, monkeypatch):
+        # the default bound holds the four blocks of a 1000-trial sweep at M=128, K=8
+        assert 4 * TRIAL_BLOCK * 4 * 128 * 8 * np.dtype(complex).itemsize <= sysmodel._DRAW_CACHE_BYTES
+        cfg = make_cfg(M=6, K=2, tau_p=2)
+        block_bytes = trial_draws(cfg, 0, range(3)).nbytes
+        bound = 3 * block_bytes + block_bytes // 2
+        monkeypatch.setattr(sysmodel, "_DRAW_CACHE_BYTES", bound)
+        sysmodel._draw_cache.clear()
+        first = trial_draws(cfg, 0, range(3))
+        for seed in range(1, 10):
+            trial_draws(cfg, seed, range(3))
+            assert sum(b.nbytes for b in sysmodel._draw_cache.values()) <= bound
+            assert len(sysmodel._draw_cache) == min(seed + 1, 3)
+        assert trial_draws(cfg, 0, range(3)) is not first  # oldest block was dropped
+        held = list(sysmodel._draw_cache.values())
+        big = trial_draws(cfg, 0, range(12))  # larger than the bound: drawn, not stored
+        assert big.nbytes > bound and not big.flags.writeable
+        assert list(sysmodel._draw_cache.values()) == held
