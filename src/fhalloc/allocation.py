@@ -9,15 +9,22 @@ total per-entry bits are
     B_bar = floor((C_FH - (Bs_ul T_u + Bs_dl T_d) K) / (K M)),
 
 to be split as B_H + B_P = B_bar with both parts at least 1 bit.  A budget
-below 2 is infeasible.  The split is chosen by evaluating the sum spectral
-efficiency at every candidate (B_H, B_P) and keeping the best; the
-candidate count is B_bar - 1, so exhaustive scan is the right tool.
+below 2 is infeasible, and a non-finite capacity or control rate is an
+error.  The split is chosen by evaluating the sum spectral efficiency at
+every candidate (B_H, B_P) and keeping the best; the candidate count is
+B_bar - 1, so exhaustive scan is the right tool.
+
+line_search takes the objective either as a per-split evaluator or as the
+whole profile already computed.  The closed-form MRT search uses the
+latter (the closed form evaluates every split in one numpy pass), so its
+profile is always complete; a partial profile, cut short by an evaluator
+that raised, can only come from the Monte Carlo evaluator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -53,6 +60,9 @@ def compute_budget(budget: FronthaulBudget, M: int, K: int) -> FronthaulBudget:
     """Fill in the per-entry bit budget B_bar; raises if it lands below 2."""
     if M < 1 or K < 1:
         raise ValueError("M and K must be positive")
+    for key in ("c_fh", "bs_ul", "bs_dl"):
+        if not np.isfinite(getattr(budget, key)):
+            raise ValueError(f"{key} must be finite, got {getattr(budget, key)!r}")
     if budget.c_fh < 0:
         raise ValueError("c_fh must be nonnegative")
     remaining = budget.c_fh - budget.payload_bits(K)
@@ -102,15 +112,19 @@ class AllocationResult:
         return self.best.b_h + self.best.b_p
 
 
-def line_search(budget: FronthaulBudget | int, evaluate: Callable[[int, int], object]) -> AllocationResult:
+def line_search(
+    budget: FronthaulBudget | int, evaluate: Callable[[int, int], object] | Sequence
+) -> AllocationResult:
     """Exhaustive scan of B_H = 1..B_bar-1 with B_P = B_bar - B_H.
 
     `budget` is either a FronthaulBudget with b_bar filled in or the bare
-    integer budget.  `evaluate(b_h, b_p)` returns the objective: anything
-    with a sum_se attribute (and optionally per-user se), or a plain
-    number.  Strict improvement is required to move the incumbent, so ties
-    resolve to the smallest B_H.  The full profile is retained for
-    inspection.
+    integer budget.  `evaluate` gives the objective of each candidate:
+    either a callable evaluate(b_h, b_p), or a sequence of the B_bar - 1
+    objectives in scan order, from an evaluator that computes the whole
+    profile in one pass.  An objective is anything with a sum_se
+    attribute (and optionally per-user se), or a plain number.  Strict
+    improvement is required to move the incumbent, so ties resolve to the
+    smallest B_H.  The full profile is retained for inspection.
 
     If the evaluator raises after at least one candidate finished, the
     partial profile is returned with failed=True; a failure on the very
@@ -124,6 +138,11 @@ def line_search(budget: FronthaulBudget | int, evaluate: Callable[[int, int], ob
         b_bar = int(budget)
     if b_bar < 2:
         raise InfeasibleBudgetError(f"b_bar = {b_bar} leaves no feasible split")
+    if not callable(evaluate):
+        rows = evaluate
+        if len(rows) != b_bar - 1:
+            raise ValueError(f"{len(rows)} objectives given for the {b_bar - 1} splits of b_bar = {b_bar}")
+        evaluate = lambda b_h, b_p: rows[b_h - 1]
 
     best = None
     profile = []
@@ -138,13 +157,13 @@ def line_search(budget: FronthaulBudget | int, evaluate: Callable[[int, int], ob
             failure = f"({b_h}, {b_p}): {type(exc).__name__}: {exc}"
             break
         value = float(getattr(report, "sum_se", report))
-        per_user = tuple(float(v) for v in getattr(report, "se", ()))
+        per_user = tuple(np.asarray(getattr(report, "se", ()), dtype=float).tolist())
         profile.append((b_h, b_p, value, per_user))
-        if best is None or value > best[1]:
-            best = (BitSplit(b_h=b_h, b_p=b_p), value)
+        if best is None or value > best[2]:
+            best = profile[-1]
     return AllocationResult(
-        best=best[0],
-        best_sum_se=best[1],
+        best=BitSplit(b_h=best[0], b_p=best[1]),
+        best_sum_se=best[2],
         profile=tuple(profile),
         failed=failure is not None,
         error=failure,

@@ -24,19 +24,37 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
 from . import __version__
-from .allocation import AllocationResult, FronthaulBudget, compute_budget, line_search
+from .allocation import AllocationResult, FronthaulBudget, InfeasibleBudgetError, compute_budget, line_search
 from .precoding import PRECODER_KINDS
-from .se import CSI_MODES, SeReport, closed_form_mrt_sinr, mc_hardening_sinr
+from .se import CSI_MODES, SeReport, _closed_form_mrt_profile, closed_form_mrt_sinr, mc_hardening_sinr
 from .sysmodel import SystemConfig
 
 EVALUATORS = ("mc", "closed-form")
 
-# Integer ExperimentSpec fields and the least value each accepts.
-_COUNT_FLOORS = (("trials", 1), ("seed", 0), ("moment_trials", 100), ("workers", 1))
+# Integer ExperimentSpec fields and the least value each accepts.  The
+# bit widths may be None, and their floors are checked with the splits.
+_INTEGER_FLOORS = (
+    ("trials", 1), ("seed", 0), ("moment_trials", 100), ("workers", 1), ("b_bar", None), ("b_p_fixed", None)
+)
+
+
+def _integer(key: str, value, floor: int | None = None) -> int:
+    """value as a Python int (numpy integers do not serialize to JSON).
+
+    A bool, a float or any other non-integer raises ValueError, even when
+    it holds a whole number.
+    """
+    if type(value) is int:
+        return value
+    if isinstance(value, np.integer):
+        return int(value)
+    least = "" if floor is None else f" >= {floor}"
+    raise ValueError(f"{key} must be an integer{least}, got {value!r}")
 
 
 def _known_keys(cls, d: dict) -> dict:
@@ -73,22 +91,29 @@ class ExperimentSpec:
     out_dir: str | None = None
 
     def __post_init__(self):
-        """Reject bad counts, unknown enumerated values and non-list grids.
+        """Reject bad counts and bit widths, unknown enumerated values and non-list grids.
 
-        Counts are stored as Python ints and grids as tuples.
+        Counts and bit widths are stored as Python ints and grids as
+        tuples.  A bit width only has to be an integer here; one below 1,
+        or a b_bar below 2, is refused where the splits are formed.
         """
-        for key, floor in _COUNT_FLOORS:
+        for key, floor in _INTEGER_FLOORS:
             value = getattr(self, key)
-            if not (type(value) is int or isinstance(value, np.integer)) or value < floor:
+            if type(value) is not int:
+                if value is None and floor is None:
+                    continue
+                value = _integer(key, value, floor)
+                object.__setattr__(self, key, value)
+            if floor is not None and value < floor:
                 raise ValueError(f"{key} must be an integer >= {floor}, got {value!r}")
-            if type(value) is not int:  # numpy integers do not serialize to JSON
-                object.__setattr__(self, key, int(value))
         for key in ("snr_db", "precoders", "b_h_values"):
             value = getattr(self, key)
             if value is None and key == "b_h_values":
                 continue
             if not isinstance(value, (list, tuple)):
                 raise ValueError(f"{key} must be a list, got {type(value).__name__}")
+            if key == "b_h_values":
+                value = [_integer("b_h_values entry", v) for v in value]
             object.__setattr__(self, key, tuple(value))
         for key, value, allowed in (
             ("csi_mode", self.csi_mode, CSI_MODES),
@@ -112,7 +137,7 @@ class ExperimentSpec:
 
     def resolve_b_bar(self) -> int | None:
         if self.b_bar is not None:
-            return int(self.b_bar)
+            return self.b_bar
         if self.budget is not None:
             return compute_budget(self.budget, self.M, self.K).b_bar
         return None
@@ -163,9 +188,11 @@ def _expand_sweep(spec: ExperimentSpec) -> list[Cell]:
             for snr in spec.snr_db
         ]
     if spec.b_h_values is not None:
-        b_h_values = [int(b) for b in spec.b_h_values]
+        b_h_values = spec.b_h_values
     elif b_bar is not None:
-        b_h_values = list(range(1, b_bar))
+        if b_bar < 2:
+            raise InfeasibleBudgetError(f"b_bar = {b_bar} leaves no feasible split")
+        b_h_values = range(1, b_bar)
     else:
         raise ValueError("sweep needs b_h_values, b_bar, or a budget")
     method = "closed_form_mrt" if spec.evaluator == "closed-form" else "monte_carlo"
@@ -176,7 +203,7 @@ def _expand_sweep(spec: ExperimentSpec) -> list[Cell]:
         for snr in spec.snr_db:
             for b_h in b_h_values:
                 if spec.b_p_fixed is not None:
-                    b_p = int(spec.b_p_fixed)
+                    b_p = spec.b_p_fixed
                     tag = f"bp{b_p}"
                 elif b_bar is not None:
                     b_p = b_bar - b_h
@@ -365,9 +392,10 @@ def run_sweep(spec: ExperimentSpec, out_dir=None, stem: str = "sweep") -> dict:
 def optimize_split(spec: ExperimentSpec, precoder: str | None = None) -> AllocationResult:
     """Line-search the bit split under the spec's budget.
 
-    The evaluator follows spec.evaluator: the closed form (mrt) or the
-    Monte Carlo pipeline with the spec's first (or given) precoder.  One
-    SNR point is used; pass a spec with a single snr_db entry.
+    The evaluator follows spec.evaluator: the closed form (mrt), which
+    evaluates every split in one pass, or the Monte Carlo pipeline with
+    the spec's first (or given) precoder, one split at a time.  One SNR
+    point is used; pass a spec with a single snr_db entry.
     """
     if len(spec.snr_db) != 1:
         raise ValueError("optimize expects exactly one snr_db value")
@@ -379,7 +407,9 @@ def optimize_split(spec: ExperimentSpec, precoder: str | None = None) -> Allocat
     if spec.evaluator == "closed-form":
         if kind != "mrt":
             raise ValueError("the closed-form evaluator only covers mrt")
-        evaluate = lambda b_h, b_p: closed_form_mrt_sinr(cfg, b_h, b_p)
+        splits = range(1, b_bar)
+        _, se, sum_se = _closed_form_mrt_profile(cfg, splits, [b_bar - b_h for b_h in splits])
+        evaluate = [SimpleNamespace(sum_se=v, se=row) for v, row in zip(sum_se.tolist(), se)]
     else:
         evaluate = lambda b_h, b_p: mc_hardening_sinr(
             cfg, kind, b_h, b_p, spec.trials, spec.seed, moment_trials=spec.moment_trials

@@ -74,23 +74,32 @@ def build_precoder(H_d: np.ndarray, kind: str, cfg: SystemConfig) -> np.ndarray:
     H_d has shape (..., K, M); leading dimensions are batched.  Returns
     P of shape (..., M, K) with ||P||_F^2 = total_power per batch entry.
     Raises RankDeficientError if any ZF/WF Gram matrix is numerically
-    singular (callers running Monte Carlo redraw such realizations).
+    singular.  The Monte Carlo loop masks and redraws such realizations
+    itself and then calls the unchecked core, _precoder.
     """
     if kind not in PRECODER_KINDS:
         raise ValueError(f"unknown precoder kind {kind!r}, expected one of {PRECODER_KINDS}")
-    K, M = H_d.shape[-2:]
-    if (K, M) != (cfg.K, cfg.M):
+    if H_d.shape[-2:] != (cfg.K, cfg.M):
         raise ValueError(f"H_d has shape {H_d.shape}, config expects (..., {cfg.K}, {cfg.M})")
+    if kind != "mrt" and np.any(rank_deficient_mask(H_d)):
+        raise RankDeficientError("estimated channel Gram matrix is numerically singular")
+    return _precoder(H_d, kind, cfg)
 
+
+def _precoder(H_d: np.ndarray, kind: str, cfg: SystemConfig) -> np.ndarray:
+    """build_precoder without its input checks.
+
+    The caller guarantees a known kind, H_d of shape (..., K, M) and, for
+    ZF/WF, Gram matrices of full rank (the Monte Carlo loop has already
+    masked out the singular ones with rank_deficient_mask).
+    """
     if kind == "mrt":
         U = H_d.conj().swapaxes(-2, -1)
     else:
-        if np.any(rank_deficient_mask(H_d)):
-            raise RankDeficientError("estimated channel Gram matrix is numerically singular")
         A = _gram(H_d)
         if kind == "wf":
             load = cfg.K * cfg.noise_var / cfg.total_power
-            A = A + load * np.eye(K)
+            A = A + load * np.eye(cfg.K)
         # H_d^H A^(-1) = (A^(-1) H_d)^H since A is Hermitian
         U = np.linalg.solve(A, H_d).conj().swapaxes(-2, -1)
 
@@ -115,16 +124,17 @@ def transmit_rescale(P_q: np.ndarray, total_power: float):
     return float(alpha) if alpha.ndim == 0 else alpha
 
 
-def _mrt_normalization(cfg: SystemConfig, eta_h: float):
+def _mrt_normalization(cfg: SystemConfig, eta_h):
     """Estimate quality gamma, gtil = (1 - eta_h) gamma and zeta_bar^2.
 
     zeta_bar^2 = P_t / (M sum_i gtil_i) is the deterministic MRT
     normalization: E|P[m, i]|^2 = zeta_bar^2 gtil_i for the quantized-CSI
-    matched filter.
+    matched filter.  eta_h may be an (S, 1) column of distortion factors;
+    gtil is then (S, K) and zeta_bar^2 (S, 1), else (K,) and (1,).
     """
     gamma = gamma_coefficient(cfg.pilot_power, cfg.tau_p, cfg.beta)
     gtil = quantized_csi_covariance(gamma, eta_h)
-    return gamma, gtil, cfg.total_power / (cfg.M * np.sum(gtil))
+    return gamma, gtil, cfg.total_power / (cfg.M * np.sum(gtil, axis=-1, keepdims=True))
 
 
 def mrt_moments(cfg: SystemConfig, eta_h: float) -> np.ndarray:

@@ -111,7 +111,7 @@ def aqnm_quantize(X: np.ndarray, quantizer: AqnmQuantizer, entry_var, rng) -> Qu
     return QuantizedMatrix(value=quantizer.gain * X + N, noise=N)
 
 
-def quantized_csi_covariance(gamma_k, eta_h: float) -> np.ndarray:
+def quantized_csi_covariance(gamma_k, eta_h) -> np.ndarray:
     """Per-entry variance of the quantized channel estimate.
 
     Quantizing an estimate of per-entry variance gamma with distortion
@@ -119,9 +119,11 @@ def quantized_csi_covariance(gamma_k, eta_h: float) -> np.ndarray:
     seen by the precoder; the residual mismatch between the true channel
     and the quantized estimate has per-entry variance
     beta - (1 - eta_h) gamma and stays uncorrelated with the estimate.
+    gamma_k and eta_h broadcast against each other.
     """
     gamma_k = np.asarray(gamma_k, dtype=float)
-    if not (0.0 <= eta_h < 1.0):
+    eta = np.asarray(eta_h)
+    if np.any((eta < 0.0) | (eta >= 1.0)):
         raise ValueError(f"eta_h must lie in [0, 1), got {eta_h}")
     if np.any(gamma_k < 0):
         raise ValueError("gamma_k must be nonnegative")

@@ -25,8 +25,9 @@ import numpy as np
 
 from .channel import quantized_estimate
 from .precoding import (
+    PRECODER_KINDS,
     _mrt_normalization,
-    build_precoder,
+    _precoder,
     precoder_entry_var,
     rank_deficient_mask,
     transmit_rescale,
@@ -114,6 +115,8 @@ def mc_hardening_sinr(
     """
     if csi_mode not in CSI_MODES:
         raise ValueError(f"csi_mode must be one of {CSI_MODES}")
+    if kind not in PRECODER_KINDS:
+        raise ValueError(f"unknown precoder kind {kind!r}, expected one of {PRECODER_KINDS}")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     perfect = csi_mode == "perfect"
@@ -140,9 +143,13 @@ def mc_hardening_sinr(
         bad = rank_deficient_mask(H_d) if kind != "mrt" else np.zeros(len(take), bool)
         ok = ~bad
         if np.any(ok):
-            P = build_precoder(H_d[ok], kind, cfg)
+            # the mask above is the rank check; build_precoder would repeat it
+            P = _precoder(H_d[ok], kind, cfg)
             if not perfect:
-                P = (1.0 - eta_p) * P + z[ok, 3] * prec_noise_std
+                # in place: every block-sized temporary freed here can make glibc
+                # trim the heap, which the next cell then faults back in
+                P *= 1.0 - eta_p
+                P += z[ok, 3] * prec_noise_std
             gain = H.swapaxes(-2, -1)[ok] @ P
             gains[take[ok]] = gain if perfect else transmit_rescale(P, cfg.total_power)[:, None, None] * gain
 
@@ -179,10 +186,25 @@ def mc_hardening_sinr(
     )
 
 
-def closed_form_mrt_terms(
-    cfg: SystemConfig, b_h: int | None, b_p: int | None
-) -> dict[str, np.ndarray]:
+def _eta(bits):
+    """eta_of_bits of one bit width, or an (S, 1) column of them for a sequence.
+
+    None stands for an unquantized transfer (eta = 0).
+    """
+    if bits is None or isinstance(bits, (int, np.integer)):
+        return 0.0 if bits is None else eta_of_bits(bits)
+    return np.array([0.0 if b is None else eta_of_bits(b) for b in bits]).reshape(-1, 1)
+
+
+def closed_form_mrt_terms(cfg: SystemConfig, b_h, b_p) -> dict[str, np.ndarray]:
     r"""Closed-form pieces of the MRT hardening SINR, per user.
+
+    b_h and b_p are bit widths, None turning that quantizer off.  Either
+    may also be a sequence of bit widths, one per split (both of length S
+    when both are sequences); every term then has shape (S, K), row s
+    holding split s.  All splits are evaluated in one numpy pass with the
+    arithmetic of a single split, so each row is bit-identical to
+    evaluating its split alone.
 
     With gamma_i the estimate quality, eta_h/eta_p the two distortion
     factors, zeta_bar the deterministic MRT normalization and
@@ -250,21 +272,34 @@ def closed_form_mrt_terms(
     would need about eta(2)/eta(8) = 2830 times the weight of precoder
     distortion.
     """
-    eta_h = 0.0 if b_h is None else eta_of_bits(b_h)
-    eta_p = 0.0 if b_p is None else eta_of_bits(b_p)
+    eta_h = _eta(b_h)
+    eta_p = _eta(b_p)
     gamma, gtil, zeta_bar_sq = _mrt_normalization(cfg, eta_h)
     alpha_bar_sq = 1.0 / (1.0 - eta_p)
 
     common = alpha_bar_sq * zeta_bar_sq * (1.0 - eta_p) ** 2
     signal = common * (1.0 - eta_h) ** 2 * cfg.M**2 * gamma**2
-    variation = common * cfg.M * cfg.beta * np.sum(gtil)
+    variation = common * cfg.M * cfg.beta * np.sum(gtil, axis=-1, keepdims=True)
     prec_noise = alpha_bar_sq * eta_p * (1.0 - eta_p) * cfg.beta * cfg.total_power
     return {
         "signal": signal,
         "variation": variation,
         "precoder_noise": prec_noise,
-        "noise": np.full(cfg.K, cfg.noise_var),
+        "noise": np.full(signal.shape, cfg.noise_var),
     }
+
+
+def _closed_form_mrt_profile(cfg: SystemConfig, b_h, b_p):
+    """SINR, SE and sum SE from closed_form_mrt_terms, with its broadcasting.
+
+    Returns (sinr, se, sum_se): (K,), (K,) and a 0-d array for one
+    split; (S, K), (S, K) and (S,) when b_h or b_p is a sequence of S
+    splits.
+    """
+    terms = closed_form_mrt_terms(cfg, b_h, b_p)
+    sinr = terms["signal"] / (terms["variation"] + terms["precoder_noise"] + terms["noise"])
+    se = se_from_sinr(sinr, cfg.tau_p, cfg.tau_c)
+    return sinr, se, np.sum(se, axis=-1)
 
 
 def closed_form_mrt_sinr(cfg: SystemConfig, b_h: int | None, b_p: int | None) -> SeReport:
@@ -274,13 +309,11 @@ def closed_form_mrt_sinr(cfg: SystemConfig, b_h: int | None, b_p: int | None) ->
     (eta = 0), so (None, None) gives the unquantized matched filter with
     imperfect CSI.
     """
-    terms = closed_form_mrt_terms(cfg, b_h, b_p)
-    sinr = terms["signal"] / (terms["variation"] + terms["precoder_noise"] + terms["noise"])
-    se = se_from_sinr(sinr, cfg.tau_p, cfg.tau_c)
+    sinr, se, sum_se = _closed_form_mrt_profile(cfg, b_h, b_p)
     return SeReport(
         sinr=sinr,
         se=se,
-        sum_se=float(np.sum(se)),
+        sum_se=float(sum_se),
         method="closed_form_mrt",
         csi_mode="quantized",
         kind="mrt",

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fhalloc.allocation import (
     AllocationResult,
@@ -52,6 +54,36 @@ class TestComputeBudget:
 
     def test_infeasible_is_a_value_error(self):
         assert issubclass(InfeasibleBudgetError, ValueError)
+
+    @pytest.mark.parametrize("key", ["c_fh", "bs_ul", "bs_dl"])
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_non_finite_field_is_named(self, key, value):
+        budget = FronthaulBudget(**{"c_fh": 16640.0, "t_u": 40, "t_d": 40, key: value})
+        with pytest.raises(ValueError, match=f"{key} must be finite") as info:
+            compute_budget(budget, M=128, K=8)
+        assert not isinstance(info.value, InfeasibleBudgetError)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        M=st.integers(8, 256),
+        K=st.integers(1, 16),
+        c_fh=st.integers(0, 50_000),
+        bs_ul=st.integers(0, 50),
+        bs_dl=st.integers(0, 50),
+        t_u=st.integers(0, 40),
+        t_d=st.integers(0, 40),
+    )
+    def test_matches_brute_force_count(self, M, K, c_fh, bs_ul, bs_dl, t_u, t_d):
+        """b_bar is the most bits per entry whose K x M entries fit after the payload."""
+        budget = FronthaulBudget(c_fh=float(c_fh), bs_ul=float(bs_ul), bs_dl=float(bs_dl), t_u=t_u, t_d=t_d)
+        left = c_fh - (bs_ul * t_u + bs_dl * t_d) * K  # exact in integers
+        # the payload costs at most 500 bits per entry and c_fh funds at most 6250
+        expected = max(b for b in range(-600, 6300) if b * K * M <= left)
+        if expected < 2:
+            with pytest.raises(InfeasibleBudgetError):
+                compute_budget(budget, M=M, K=K)
+        else:
+            assert compute_budget(budget, M=M, K=K).b_bar == expected
 
 
 class TestLineSearch:
@@ -135,6 +167,24 @@ class TestLineSearch:
     def test_infeasible_integer_budget(self):
         with pytest.raises(InfeasibleBudgetError):
             line_search(1, lambda b_h, b_p: 1.0)
+
+    def test_precomputed_objectives(self):
+        class Report:
+            def __init__(self, sum_se, se):
+                self.sum_se = sum_se
+                self.se = se
+
+        values = [1.0, 3.0, 2.0, 3.0]
+        rows = [Report(v, np.array([v / 2, v / 2])) for v in values]
+        result = line_search(5, rows)
+        assert result.best == BitSplit(b_h=2, b_p=3)  # the tie at B_H = 4 goes to the smaller B_H
+        assert result.profile == line_search(5, lambda b_h, b_p: rows[b_h - 1]).profile
+        assert result.profile[1] == (2, 3, 3.0, (1.5, 1.5))
+        assert line_search(3, [4.0, 5.0]).best == BitSplit(b_h=2, b_p=1)
+
+    def test_precomputed_objectives_must_cover_every_split(self):
+        with pytest.raises(ValueError, match="3 objectives given for the 4 splits"):
+            line_search(5, [1.0, 2.0, 3.0])
 
     def test_result_is_immutable(self):
         result = line_search(3, lambda b_h, b_p: 1.0)

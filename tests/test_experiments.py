@@ -58,6 +58,12 @@ class TestExperimentSpec:
         assert [type(getattr(spec, key)) for key in ("trials", "seed", "workers")] == [int, int, int]
         assert json.loads(json.dumps(spec.to_dict()))["seed"] == 3
 
+    def test_numpy_bit_widths_are_stored_as_ints(self):
+        spec = small_spec(b_bar=np.int64(6), b_h_values=[np.int32(1), 2], b_p_fixed=np.uint8(2))
+        assert type(spec.b_bar) is int and type(spec.b_p_fixed) is int
+        assert [type(b) for b in spec.b_h_values] == [int, int]
+        assert [(c.b_h, c.b_p) for c in _expand_sweep(spec)] == [(1, 2), (2, 2)]
+
     def test_resolve_b_bar_prefers_explicit(self):
         spec = small_spec(b_bar=6, budget=FronthaulBudget(c_fh=30720.0))
         assert spec.resolve_b_bar() == 6
@@ -303,6 +309,25 @@ class TestCli:
     def test_budget_needs_input(self, capsys):
         assert main(["budget"]) == 2
 
+    @pytest.mark.parametrize(
+        "argv, field",
+        [
+            (["budget", "--cfh", "inf"], "c_fh"),
+            (["budget", "--cfh", "nan"], "c_fh"),
+            (["budget", "--cfh=-inf"], "c_fh"),
+            (["budget", "--cfh", "16640", "--bs-ul", "inf", "--tu", "40"], "bs_ul"),
+            (["budget", "--cfh", "16640", "--bs-dl", "nan", "--td", "40"], "bs_dl"),
+            (["optimize", "--cfh", "inf"], "c_fh"),
+            (["optimize", "--cfh", "nan"], "c_fh"),
+        ],
+        ids=lambda v: v if isinstance(v, str) else "-".join(a.lstrip("-") for a in v),
+    )
+    def test_non_finite_budget_exits_two(self, tmp_path, capsys, argv, field):
+        if argv[0] == "optimize":
+            argv = argv + ["--out", str(tmp_path)]
+        assert main(argv) == 2
+        assert f"config error: {field} must be finite" in capsys.readouterr().err
+
     def test_optimize_with_profile(self, tmp_path, capsys):
         profile = tmp_path / "profile.csv"
         code = main(
@@ -447,6 +472,43 @@ class TestCli:
         code = main(argv + ["--out", str(tmp_path / "out")])
         assert code == 2
         assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["sweep", "optimize"])
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {"b_bar": 10.7},
+            {"b_bar": 10.0},
+            {"b_bar": True},
+            {"b_bar": "10"},
+            {"b_bar": 6, "b_h_values": [1, 2.5]},
+            {"b_bar": 6, "b_h_values": [True, 2]},
+            {"b_h_values": [1, 2], "b_p_fixed": 2.5},
+            {"b_h_values": [1, 2], "b_p_fixed": False},
+        ],
+        ids=lambda c: "-".join(f"{k}={c[k]}" for k in c),
+    )
+    def test_non_integer_bit_width_exits_two(self, tmp_path, capsys, monkeypatch, command, config):
+        def refuse(spec_dict, cell):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr(experiments, "_eval_cell", refuse)
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(config))
+        argv = [command, "--config", str(path), "--m", "16", "--k", "2", "--evaluator", "closed-form"]
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+        assert "must be an integer, got" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["sweep", "optimize"])
+    @pytest.mark.parametrize("b_bar", [1, 0])
+    def test_integer_b_bar_below_two_exits_three(self, tmp_path, capsys, command, b_bar):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"b_bar": b_bar}))
+        argv = [command, "--config", str(path), "--m", "16", "--k", "2", "--evaluator", "closed-form"]
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 3
+        assert f"infeasible budget: b_bar = {b_bar}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(

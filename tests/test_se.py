@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 import fhalloc.precoding as precoding
 import fhalloc.se as se
 import fhalloc.sysmodel as sysmodel
+from fhalloc.experiments import ExperimentSpec, optimize_split
 from fhalloc.se import (
     closed_form_mrt_sinr,
     closed_form_mrt_terms,
@@ -95,6 +96,69 @@ class TestClosedFormMrt:
             assert v.shape == (cfg.K,)
             assert np.all(v > 0)
 
+    def test_terms_take_a_leading_split_axis(self):
+        cfg = cfg_at(10.0, K=3)
+        splits = [(1, 9), (4, None), (None, 2), (None, None)]
+        terms = closed_form_mrt_terms(cfg, [b for b, _ in splits], [b for _, b in splits])
+        for key, value in terms.items():
+            assert value.shape == (len(splits), cfg.K)
+            for row, (b_h, b_p) in zip(value, splits):
+                np.testing.assert_array_equal(row, closed_form_mrt_terms(cfg, b_h, b_p)[key])
+
+
+@st.composite
+def closed_form_searches(draw):
+    """Closed-form search specs over M, K, unequal beta and pilot power, SNR and b_bar.
+
+    b_bar up to 40 reaches the asymptotic branch of eta (B >= 6) on both
+    transfers.
+    """
+    K = draw(st.integers(1, 8))
+    per_user = lambda lo, hi: st.lists(st.floats(lo, hi), min_size=K, max_size=K)
+    return ExperimentSpec(
+        name="search",
+        M=draw(st.integers(K + 1, 128)),
+        K=K,
+        tau_c=200,
+        tau_p=draw(st.integers(K, 2 * K)),
+        beta=draw(per_user(0.05, 5.0)),
+        pilot_q=draw(per_user(0.01, 100.0)),
+        snr_db=(draw(st.floats(-30.0, 30.0)),),
+        evaluator="closed-form",
+        b_bar=draw(st.integers(2, 40)),
+    )
+
+
+class TestClosedFormProfile:
+    """optimize_split evaluates every split of a closed-form search in one pass."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(spec=closed_form_searches())
+    def test_profile_is_the_per_split_closed_form(self, spec):
+        cfg = spec.config_for(spec.snr_db[0])
+        result = optimize_split(spec)
+        singles = [closed_form_mrt_sinr(cfg, b_h, spec.b_bar - b_h) for b_h in range(1, spec.b_bar)]
+        # bit for bit, in the row layout of line_search
+        assert result.profile == tuple(
+            (r.b_h, r.b_p, r.sum_se, tuple(float(v) for v in r.se)) for r in singles
+        )
+        values = [r.sum_se for r in singles]
+        assert result.best_sum_se == max(values)
+        assert result.b_h == values.index(max(values)) + 1  # ties go to the smallest B_H
+        assert not result.failed
+
+    @settings(max_examples=80, deadline=None)
+    @given(spec=closed_form_searches())
+    def test_profile_mirrors(self, spec):
+        """B_H <-> b_bar - B_H leaves every SE unchanged (closed_form_mrt_terms docstring)."""
+        profile = optimize_split(spec).profile
+        np.testing.assert_allclose(
+            [row[2] for row in profile], [row[2] for row in reversed(profile)], rtol=1e-12
+        )
+        np.testing.assert_allclose(
+            [row[3] for row in profile], [row[3] for row in reversed(profile)], rtol=1e-12
+        )
+
 
 class TestMcHardeningSinr:
     def test_report_shape_and_fields(self):
@@ -106,6 +170,25 @@ class TestMcHardeningSinr:
         assert rep.redraws == 0
         assert rep.method == "monte_carlo"
         np.testing.assert_array_equal(rep.se, se_from_sinr(rep.sinr, 8, 200))
+
+    def test_unknown_kind(self):
+        with pytest.raises(ValueError, match="unknown precoder kind"):
+            mc_hardening_sinr(cfg_at(0.0, M=16, K=2), "mmse", None, None, trials=10, seed=1, csi_mode="perfect")
+
+    @pytest.mark.parametrize("kind", ("zf", "wf"))
+    def test_one_rank_check_per_block(self, monkeypatch, kind):
+        """The Monte Carlo mask is the only rank check; the precoder is built unchecked."""
+        checked = []
+        real = precoding.rank_deficient_mask
+
+        def counted(H_d):
+            checked.append(H_d.shape[0])
+            return real(H_d)
+
+        monkeypatch.setattr(se, "rank_deficient_mask", counted)
+        monkeypatch.setattr(precoding, "rank_deficient_mask", counted)
+        mc_hardening_sinr(cfg_at(0.0, M=16, K=2), kind, 3, 3, trials=300, seed=1, batch=128)
+        assert checked == [128, 128, 44]
 
     def test_deterministic(self):
         cfg = cfg_at(0.0, M=16, K=2)
