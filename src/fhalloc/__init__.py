@@ -11,13 +11,7 @@ for maximum ratio transmission), and the integer bit-split search itself.
 """
 
 from .sysmodel import SystemConfig, RngStream, draw_complex_gaussian
-from .channel import (
-    ChannelSet,
-    gamma_coefficient,
-    despread_pilots,
-    mmse_estimate,
-    estimate_channel,
-)
+from .channel import gamma_coefficient, mmse_estimate
 from .quantization import (
     eta_of_bits,
     AqnmQuantizer,
@@ -34,7 +28,6 @@ from .precoding import (
 )
 from .se import (
     SeReport,
-    HardeningMoments,
     mc_hardening_sinr,
     closed_form_mrt_sinr,
     se_from_sinr,
@@ -54,11 +47,8 @@ __all__ = [
     "SystemConfig",
     "RngStream",
     "draw_complex_gaussian",
-    "ChannelSet",
     "gamma_coefficient",
-    "despread_pilots",
     "mmse_estimate",
-    "estimate_channel",
     "eta_of_bits",
     "AqnmQuantizer",
     "QuantizedMatrix",
@@ -70,7 +60,6 @@ __all__ = [
     "estimate_moments_mc",
     "RankDeficientError",
     "SeReport",
-    "HardeningMoments",
     "mc_hardening_sinr",
     "closed_form_mrt_sinr",
     "se_from_sinr",

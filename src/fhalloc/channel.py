@@ -1,13 +1,15 @@
-r"""Rayleigh block-fading channels, pilot despreading, and MMSE estimation.
+r"""Rayleigh block-fading channels and pilot-based MMSE estimation.
 
 Model per coherence block: the uplink channel of user k is
 h_k ~ CN(0, beta_k I_M), columns independent across users.  Users send
-orthogonal pilot sequences of length tau_p at power q_k; after despreading,
-the base station sees
+orthogonal pilot sequences of length tau_p at power q_k, so the despread
+pilot observation of user k is
 
     y_k = sqrt(q_k tau_p) h_k + n_k,      n_k ~ CN(0, I_M).
 
-The per-entry MMSE estimate of h_k from y_k is
+quantized_estimate forms these observations for a whole block of trials
+from the unit draws of sysmodel.trial_draws.  The per-entry MMSE estimate
+of h_k from y_k is
 
     hhat_k = sqrt(q_k tau_p) beta_k / (q_k tau_p beta_k + 1) * y_k,
 
@@ -22,26 +24,10 @@ Downlink channels follow from TDD reciprocity, H_down = H^T.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .quantization import aqnm_noise_var
 from .sysmodel import SystemConfig, draw_complex_gaussian
-
-
-@dataclass(frozen=True)
-class ChannelSet:
-    """A channel realization paired with its estimate and quality figures.
-
-    H is the true channel when the producer had it (estimate_channel always
-    does; mmse_estimate only if the caller passed it along), else None.
-    gamma holds the per-user estimate variance coefficients.
-    """
-
-    H: np.ndarray | None
-    H_hat: np.ndarray
-    gamma: np.ndarray
 
 
 def gamma_coefficient(q, tau_p: int, beta) -> np.ndarray:
@@ -60,51 +46,31 @@ def gamma_coefficient(q, tau_p: int, beta) -> np.ndarray:
     return snr_eff * beta / (snr_eff + 1.0)
 
 
-def draw_channel(cfg: SystemConfig, rng) -> np.ndarray:
-    """One uplink channel realization H, shape (M, K), column k CN(0, beta_k I)."""
-    return draw_complex_gaussian(rng, cfg.M, cfg.K, variance=cfg.beta)
-
-
-def despread_pilots(H: np.ndarray, cfg: SystemConfig, rng, noise_var: float = 1.0) -> np.ndarray:
-    """Despread pilot observations, one column per user.
-
-    Returns Y with column k = sqrt(q_k tau_p) h_k + n_k.  noise_var exists
-    as a test hook; the model fixes it at 1.
-    """
-    M, K = H.shape
-    if (M, K) != (cfg.M, cfg.K):
-        raise ValueError(f"H has shape {H.shape}, config expects {(cfg.M, cfg.K)}")
-    amp = np.sqrt(cfg.pilot_power * cfg.tau_p)
-    N = draw_complex_gaussian(rng, M, K, variance=noise_var)
-    return H * amp + N
-
-
-def mmse_estimate(Y: np.ndarray, cfg: SystemConfig, H: np.ndarray | None = None) -> ChannelSet:
+def mmse_estimate(Y: np.ndarray, cfg: SystemConfig) -> np.ndarray:
     """Per-entry MMSE channel estimate from despread pilots.
 
     hhat_k = sqrt(q_k tau_p) beta_k / (q_k tau_p beta_k + 1) * y_k.  The
     scaling makes the estimate variance come out at gamma_k per entry and
     the error orthogonal to the estimate.  Y has shape (..., M, K);
-    leading dimensions are batched.  Pass the true H to keep it in the
-    returned ChannelSet for downstream SINR work.
+    leading dimensions are batched, and the estimate has Y's shape.
     """
     if Y.shape[-2:] != (cfg.M, cfg.K):
         raise ValueError(f"Y has shape {Y.shape}, config expects (..., {cfg.M}, {cfg.K})")
     snr_eff = cfg.pilot_power * cfg.tau_p * cfg.beta
-    coef = np.sqrt(cfg.pilot_power * cfg.tau_p) * cfg.beta / (snr_eff + 1.0)
-    gamma = gamma_coefficient(cfg.pilot_power, cfg.tau_p, cfg.beta)
-    return ChannelSet(H=H, H_hat=Y * coef, gamma=gamma)
+    return Y * (np.sqrt(cfg.pilot_power * cfg.tau_p) * cfg.beta / (snr_eff + 1.0))
 
 
-def estimate_channel(cfg: SystemConfig, rng_channel, rng_noise) -> ChannelSet:
-    """Draw H and produce its pilot-based MMSE estimate in one step.
+def estimate_channel(cfg: SystemConfig, rng_channel, rng_noise) -> tuple[np.ndarray, np.ndarray]:
+    """One channel realization H and its MMSE estimate, as (H, Hhat).
 
-    Separate streams for the channel and the pilot noise keep the two
-    reusable under common-random-number designs.
+    Nothing in fhalloc calls this; every Monte Carlo number comes from
+    trial_draws and quantized_estimate.  It is kept only because the
+    perfbench tracer wraps it by name, and it goes when that tracer is
+    retargeted at the block pipeline (ROADMAP.md, item 1).
     """
-    H = draw_channel(cfg, rng_channel)
-    Y = despread_pilots(H, cfg, rng_noise)
-    return mmse_estimate(Y, cfg, H)
+    H = draw_complex_gaussian(rng_channel, cfg.M, cfg.K, variance=cfg.beta)
+    Y = H * np.sqrt(cfg.pilot_power * cfg.tau_p) + draw_complex_gaussian(rng_noise, cfg.M, cfg.K)
+    return H, mmse_estimate(Y, cfg)
 
 
 def quantized_estimate(cfg: SystemConfig, z: np.ndarray, eta_h: float) -> tuple[np.ndarray, np.ndarray]:
@@ -115,10 +81,11 @@ def quantized_estimate(cfg: SystemConfig, z: np.ndarray, eta_h: float) -> tuple[
     the CSI quantizer at distortion eta_h (slot 3 is left to the precoder
     quantizer).  Returns (H, Hhat_q), both (..., M, K), with
     Hhat_q = (1 - eta_h) Hhat + N_Q and N_Q of per-entry variance
-    eta_h (1 - eta_h) gamma_k.
+    eta_h (1 - eta_h) gamma_k.  At eta_h = 0, Hhat_q is the unquantized
+    MMSE estimate.
     """
     H = z[..., 0, :, :] * np.sqrt(cfg.beta)
     Y = H * np.sqrt(cfg.pilot_power * cfg.tau_p) + z[..., 1, :, :]
-    cs = mmse_estimate(Y, cfg)
-    Hhat_q = (1.0 - eta_h) * cs.H_hat + z[..., 2, :, :] * np.sqrt(aqnm_noise_var(eta_h, cs.gamma))
-    return H, Hhat_q
+    gamma = gamma_coefficient(cfg.pilot_power, cfg.tau_p, cfg.beta)
+    N_Q = z[..., 2, :, :] * np.sqrt(aqnm_noise_var(eta_h, gamma))
+    return H, (1.0 - eta_h) * mmse_estimate(Y, cfg) + N_Q

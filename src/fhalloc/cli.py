@@ -150,17 +150,8 @@ def _cmd_optimize(args) -> int:
 
 
 def _cmd_reproduce(args) -> int:
-    overrides = {}
-    for key, attr in (
-        ("trials", "trials"),
-        ("seed", "seed"),
-        ("workers", "workers"),
-        ("M", "m"),
-        ("K", "k"),
-    ):
-        value = getattr(args, attr, None)
-        if value is not None:
-            overrides[key] = value
+    flags = {"trials": args.trials, "seed": args.seed, "workers": args.workers, "M": args.m, "K": args.k}
+    overrides = {key: value for key, value in flags.items() if value is not None}
     return _report_run(reproduce(args.figure, args.out, **overrides), f"{args.out}/{args.figure}.csv")
 
 

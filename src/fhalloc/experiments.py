@@ -21,7 +21,7 @@ from __future__ import annotations
 import csv
 import json
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -32,7 +32,7 @@ from . import __version__
 from .allocation import AllocationResult, FronthaulBudget, InfeasibleBudgetError, compute_budget, line_search
 from .precoding import PRECODER_KINDS
 from .se import CSI_MODES, SeReport, _closed_form_mrt_profile, closed_form_mrt_sinr, mc_hardening_sinr
-from .sysmodel import SystemConfig
+from .sysmodel import SystemConfig, _real
 
 EVALUATORS = ("mc", "closed-form")
 
@@ -91,11 +91,12 @@ class ExperimentSpec:
     out_dir: str | None = None
 
     def __post_init__(self):
-        """Reject bad counts and bit widths, unknown enumerated values and non-list grids.
+        """Reject bad counts, bit widths and SNRs, unknown enumerated values and non-list grids.
 
         Counts and bit widths are stored as Python ints and grids as
-        tuples.  A bit width only has to be an integer here; one below 1,
-        or a b_bar below 2, is refused where the splits are formed.
+        tuples; an SNR must be a real, non-boolean number.  A bit width
+        only has to be an integer here; one below 1, or a b_bar below 2,
+        is refused where the splits are formed.
         """
         for key, floor in _INTEGER_FLOORS:
             value = getattr(self, key)
@@ -114,6 +115,8 @@ class ExperimentSpec:
                 raise ValueError(f"{key} must be a list, got {type(value).__name__}")
             if key == "b_h_values":
                 value = [_integer("b_h_values entry", v) for v in value]
+            elif key == "snr_db":
+                value = [_real("snr_db entry", v) for v in value]
             object.__setattr__(self, key, tuple(value))
         for key, value, allowed in (
             ("csi_mode", self.csi_mode, CSI_MODES),
@@ -274,14 +277,23 @@ def run_cells(spec: ExperimentSpec, cells: list[Cell]) -> list[CellOutcome]:
 
     A failing cell does not stop the run; it comes back as a CellOutcome
     with the error recorded and no report.  So does every cell left
-    unfinished when a pool worker dies (BrokenProcessPool).
+    unfinished or not yet queued when a pool worker dies
+    (BrokenProcessPool).
     """
     spec_dict = spec.to_dict()
     if spec.workers <= 1 or len(cells) <= 1:
         return [_eval_cell_guarded(spec_dict, cell) for cell in cells]
+    futures, broken = [], None
     with ProcessPoolExecutor(max_workers=spec.workers) as pool:
-        futures = [pool.submit(_eval_cell_guarded, spec_dict, cell) for cell in cells]
-    return [_failed(f.exception()) if f.exception() else f.result() for f in futures]
+        for cell in cells:
+            try:
+                futures.append(pool.submit(_eval_cell_guarded, spec_dict, cell))
+            except BrokenExecutor as exc:
+                # a worker died before this cell was queued; it and the rest fail
+                broken = _failed(exc)
+                break
+    outcomes = [_failed(f.exception()) if f.exception() else f.result() for f in futures]
+    return outcomes + [broken] * (len(cells) - len(futures))
 
 
 def write_outputs(

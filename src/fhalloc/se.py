@@ -41,25 +41,12 @@ _MAX_REDRAWS = 8
 
 
 @dataclass(frozen=True)
-class HardeningMoments:
-    """Monte Carlo estimates of the expectations behind the SINR.
-
-    signal_mean[k] estimates E g_kk (complex); power[k, i] estimates
-    E|g_ki|^2.  Always power[k, k] >= |signal_mean[k]|^2 up to sampling
-    noise, which keeps the SINR denominator positive.
-    """
-
-    signal_mean: np.ndarray
-    power: np.ndarray
-
-
-@dataclass(frozen=True)
 class SeReport:
     """Per-user SINR/SE figures for one evaluated operating point.
 
-    trials is 0 for the closed form (nothing is sampled); moments carries
-    the estimated expectations for Monte Carlo reports and is None
-    otherwise.
+    method names the evaluator ("monte_carlo" or "closed_form_mrt").
+    trials is 0 for the closed form (nothing is sampled); seed and
+    redraws describe the Monte Carlo run and stay None and 0 otherwise.
     """
 
     sinr: np.ndarray
@@ -73,7 +60,6 @@ class SeReport:
     trials: int = 0
     seed: int | None = None
     redraws: int = 0
-    moments: HardeningMoments | None = None
 
 
 def se_from_sinr(sinr, tau_p: int, tau_c: int) -> np.ndarray:
@@ -180,9 +166,6 @@ def mc_hardening_sinr(
         trials=trials,
         seed=seed,
         redraws=redraws,
-        moments=HardeningMoments(
-            signal_mean=np.diagonal(mean_gain).copy(), power=mean_power
-        ),
     )
 
 

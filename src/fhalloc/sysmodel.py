@@ -1,11 +1,13 @@
 """System-level configuration and reproducible random number streams.
 
-Everything downstream (channel draws, quantization noise, precoder noise)
-pulls its randomness through :class:`RngStream` so that a trial's draws are
-a pure function of ``(master_seed, stream_id)``.  That is what makes Monte
-Carlo runs bit-identical no matter how trials are distributed over worker
-processes, and it is what lets a bit-split sweep reuse the same channel
-realizations in every grid cell (common random numbers).
+Every Monte Carlo draw (channel, pilot noise, CSI and precoder
+quantization noise) comes from :func:`trial_draws`, which reads trial t's
+unit draws from the :class:`RngStream` ``(master_seed, (domain, t,
+attempt))`` alone.  A trial's draws are therefore a pure function of the
+seed and its index.  That is what makes Monte Carlo runs bit-identical no
+matter how trials are distributed over worker processes, and it is what
+lets a bit-split sweep reuse the same channel realizations in every grid
+cell (common random numbers).
 
 Since every cell of a sweep reads the same first-attempt unit draws,
 :func:`trial_draws` memoizes those blocks per process.  Every block it
@@ -36,6 +38,13 @@ TRIAL_BLOCK = 256
 # 256-trial blocks of a 1000-trial sweep at M=128, K=8 (16.8 MB each).
 _DRAW_CACHE_BYTES = 128 * 2**20
 _draw_cache: dict[tuple, np.ndarray] = {}
+
+
+def _real(name: str, value):
+    """value itself if it is a real, non-boolean number, else ConfigError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ConfigError(f"{name} must be a real number, got {value!r}")
+    return value
 
 
 def _as_user_vector(value, K: int, name: str, allow_zero: bool = False) -> np.ndarray:
@@ -78,16 +87,17 @@ class SystemConfig:
     pilot_power: np.ndarray = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
-        if not (isinstance(self.M, (int, np.integer)) and self.M >= 1):
-            raise ConfigError("M must be a positive integer")
-        if not (isinstance(self.K, (int, np.integer)) and 1 <= self.K < self.M):
-            raise ConfigError("K must satisfy 1 <= K < M")
-        if not (self.K <= self.tau_p <= self.tau_c):
-            raise ConfigError("need K <= tau_p <= tau_c")
-        if not (np.isfinite(self.total_power) and self.total_power > 0):
-            raise ConfigError("total_power must be finite and positive")
-        if not (np.isfinite(self.noise_var) and self.noise_var > 0):
-            raise ConfigError("noise_var must be finite and positive")
+        for name in ("M", "K", "tau_p", "tau_c"):
+            value = getattr(self, name)
+            # a bool is an int to Python, but never a count
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+                raise ConfigError(f"{name} must be a positive integer, got {value!r}")
+        if not (self.K < self.M and self.K <= self.tau_p <= self.tau_c):
+            raise ConfigError("need K < M and K <= tau_p <= tau_c")
+        for name in ("total_power", "noise_var"):
+            value = _real(name, getattr(self, name))
+            if not (np.isfinite(value) and value > 0):
+                raise ConfigError(f"{name} must be finite and positive")
         beta = _as_user_vector(1.0 if self.beta is None else self.beta, self.K, "beta")
         # default pilot power: match the downlink SNR, q_k = P_t / sigma^2
         q = self.total_power / self.noise_var if self.pilot_power is None else self.pilot_power
@@ -112,7 +122,7 @@ class SystemConfig:
 
         SNR is defined as P_t / sigma^2, so P_t = sigma^2 * 10^(snr_db/10).
         """
-        p_t = noise_var * 10.0 ** (snr_db / 10.0)
+        p_t = _real("noise_var", noise_var) * 10.0 ** (_real("snr_db", snr_db) / 10.0)
         return cls(
             M=M,
             K=K,
@@ -141,8 +151,8 @@ class RngStream:
     The generator produced for a given (master_seed, stream_id) pair is
     always the same object state, independent of how many other streams
     exist or which process asks for it.  stream_id may be an int or a
-    tuple of ints; tuples let callers carve out sub-streams (for example
-    one per trial, or one per redraw attempt) without collisions.
+    tuple of ints; trial_draws uses the tuple (domain, trial, attempt), so
+    every trial and every redraw attempt gets a stream of its own.
     """
 
     master_seed: int
@@ -152,10 +162,6 @@ class RngStream:
         key = self.stream_id if isinstance(self.stream_id, tuple) else (self.stream_id,)
         ss = np.random.SeedSequence(entropy=self.master_seed, spawn_key=tuple(int(s) for s in key))
         return np.random.Generator(np.random.PCG64(ss))
-
-    def child(self, *suffix) -> "RngStream":
-        key = self.stream_id if isinstance(self.stream_id, tuple) else (self.stream_id,)
-        return RngStream(self.master_seed, key + tuple(int(s) for s in suffix))
 
 
 def trial_draws(cfg: SystemConfig, seed: int, trial_ids, attempt=None, domain: int = DOMAIN_TRIAL) -> np.ndarray:

@@ -3,7 +3,8 @@ import functools
 import json
 import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -63,6 +64,13 @@ class TestExperimentSpec:
         assert type(spec.b_bar) is int and type(spec.b_p_fixed) is int
         assert [type(b) for b in spec.b_h_values] == [int, int]
         assert [(c.b_h, c.b_p) for c in _expand_sweep(spec)] == [(1, 2), (2, 2)]
+
+    def test_snr_entries_are_real_numbers(self):
+        """Refused when the spec is built, before any SystemConfig exists."""
+        for bad in (["10"], [True], [0.0, None]):
+            with pytest.raises(ValueError, match="snr_db entry must be a real number"):
+                small_spec(snr_db=bad)
+        assert small_spec(snr_db=[np.float32(5.0), 10]).snr_db == (5.0, 10)
 
     def test_resolve_b_bar_prefers_explicit(self):
         spec = small_spec(b_bar=6, budget=FronthaulBudget(c_fh=30720.0))
@@ -458,6 +466,12 @@ class TestCli:
             ("sweep", {"moment_trials": 99}),
             ("sweep", {"workers": 0}),
             ("optimize", {"trials": True}),
+            ("sweep", {"snr_db": ["10"]}),
+            ("sweep", {"snr_db": [True]}),
+            ("optimize", {"snr_db": [True]}),
+            ("sweep", {"noise_var": "1"}),
+            ("optimize", {"noise_var": "1"}),
+            ("sweep", {"noise_var": True}),
         ],
         ids=lambda v: v if isinstance(v, str) else "-".join(f"{k}={v[k]}" for k in v),
     )
@@ -499,6 +513,26 @@ class TestCli:
         argv = [command, "--config", str(path), "--m", "16", "--k", "2", "--evaluator", "closed-form"]
         assert main(argv + ["--out", str(tmp_path / "out")]) == 2
         assert "must be an integer, got" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["sweep", "optimize"])
+    @pytest.mark.parametrize(
+        "config",
+        [{"tau_p": 8.5}, {"tau_c": 200.5}, {"tau_p": True, "K": 1}, {"K": True}],
+        ids=lambda c: "-".join(f"{k}={c[k]}" for k in c),
+    )
+    def test_non_integer_length_exits_two(self, tmp_path, capsys, monkeypatch, command, config):
+        """Pilot and block lengths and the user count are integers, never bools."""
+        def refuse(spec_dict, cell):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr(experiments, "_eval_cell", refuse)
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(config))
+        argv = [command, "--config", str(path), "--m", "16", "--budget-bbar", "4", "--evaluator", "closed-form"]
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "integer" in err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["sweep", "optimize"])
@@ -556,6 +590,35 @@ class TestCli:
         assert all(f["error"].startswith("BrokenProcessPool") for f in failed)
         assert meta["rows"] + len(failed) == 3
         assert len(read_csv(tmp_path / "sweep.csv")) == 1 + meta["rows"]
+
+    def test_pool_broken_while_queueing_fails_the_unqueued_cells(self, monkeypatch):
+        """A worker that dies before every cell is queued fails those cells, not the run."""
+
+        class BreaksAfterFirstSubmit:
+            def __init__(self, max_workers):
+                self.queued = 0
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def submit(self, fn, *args):
+                if self.queued:
+                    raise BrokenProcessPool("A child process terminated abruptly")
+                self.queued += 1
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", BreaksAfterFirstSubmit)
+        spec = small_spec(evaluator="closed-form", workers=2)
+        outcomes = experiments.run_cells(spec, _expand_sweep(spec))
+        assert len(outcomes) == 3
+        assert outcomes[0].report is not None
+        assert [o.report for o in outcomes[1:]] == [None, None]
+        assert all(o.error.startswith("BrokenProcessPool") for o in outcomes[1:])
 
     @pytest.mark.parametrize("command", ("sweep", "reproduce"))
     def test_failed_cell_exits_one_after_writing(self, tmp_path, capsys, monkeypatch, command):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fhalloc.channel import estimate_channel
+from fhalloc.channel import quantized_estimate
 import fhalloc.precoding as precoding
 from fhalloc.precoding import (
     RankDeficientError,
@@ -13,8 +13,8 @@ from fhalloc.precoding import (
     precoder_entry_var,
     transmit_rescale,
 )
-from fhalloc.quantization import AqnmQuantizer, aqnm_quantize, eta_of_bits
-from fhalloc.sysmodel import RngStream, SystemConfig, draw_complex_gaussian
+from fhalloc.quantization import eta_of_bits
+from fhalloc.sysmodel import RngStream, SystemConfig, draw_complex_gaussian, trial_draws
 
 KINDS = ("mrt", "zf", "wf")
 
@@ -269,9 +269,6 @@ def test_quantized_csi_precoder_has_total_power(K, extra, snr_db, kind, b_h, see
     which ZF/WF moments are taken as P_t / (M K) per entry.
     """
     cfg = SystemConfig.from_snr(M=K + extra, K=K, tau_c=50, tau_p=K, snr_db=snr_db)
-    stream = RngStream(seed, (9,))
-    cs = estimate_channel(cfg, stream.child(0), stream.child(1))
-    csi_q = AqnmQuantizer.from_eta(eta_of_bits(b_h))
-    Hhat_q = aqnm_quantize(cs.H_hat, csi_q, cs.gamma, stream.child(2)).value
+    _, Hhat_q = quantized_estimate(cfg, trial_draws(cfg, seed, [0])[0], eta_of_bits(b_h))
     P = build_precoder(Hhat_q.T, kind, cfg)
     assert np.sum(np.abs(P) ** 2) == pytest.approx(cfg.total_power, rel=1e-10)

@@ -238,15 +238,6 @@ class TestMcHardeningSinr:
         np.testing.assert_array_equal(run(batches[0]), cold)
         np.testing.assert_array_equal(run(batches[1]), cold)
 
-    def test_sinr_reconstructs_from_moments(self):
-        cfg = cfg_at(0.0, M=16, K=2)
-        rep = mc_hardening_sinr(cfg, "mrt", 3, 3, trials=80, seed=3)
-        m = rep.moments
-        desired = np.abs(m.signal_mean) ** 2
-        denom = np.sum(m.power, axis=1) - desired + cfg.noise_var
-        np.testing.assert_allclose(rep.sinr, desired / denom, rtol=1e-12)
-        assert np.all(np.sum(m.power, axis=1) - desired >= 0)
-
     def test_perfect_csi_ignores_bits(self):
         cfg = cfg_at(0.0, M=16, K=2)
         a = mc_hardening_sinr(cfg, "wf", None, None, trials=50, seed=4, csi_mode="perfect", moment_trials=100)

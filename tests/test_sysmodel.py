@@ -39,6 +39,11 @@ class TestSystemConfig:
             make_cfg(tau_p=3)  # below K
         with pytest.raises(ConfigError):
             make_cfg(tau_p=51)  # above tau_c
+        # lengths and the user count are integers: no fractions, no bools
+        for over in ({"tau_p": 4.5}, {"tau_c": 50.0}, {"tau_p": True, "K": 1}, {"K": True}, {"M": True}):
+            with pytest.raises(ConfigError, match="must be a positive integer"):
+                make_cfg(**over)
+        assert make_cfg(M=np.int64(16), tau_c=np.int32(50)).tau_c == 50
 
     def test_positive_powers(self):
         with pytest.raises(ConfigError):
@@ -47,6 +52,10 @@ class TestSystemConfig:
             make_cfg(total_power=-1.0)
         with pytest.raises(ConfigError):
             make_cfg(noise_var=0.0)
+        for over in ({"noise_var": "1"}, {"noise_var": True}, {"total_power": "10"}, {"total_power": np.bool_(True)}):
+            with pytest.raises(ConfigError, match="must be a real number"):
+                make_cfg(**over)
+        assert make_cfg(total_power=np.float32(2.0), noise_var=np.int64(1)).noise_var == 1
 
     def test_beta_vector_validation(self):
         cfg = make_cfg(beta=[1.0, 2.0, 0.5, 1.5])
@@ -70,6 +79,9 @@ class TestSystemConfig:
         assert cfg.snr_db == pytest.approx(10.0)
         cfg = SystemConfig.from_snr(M=16, K=4, tau_c=50, tau_p=4, snr_db=-15.0, noise_var=2.0)
         assert cfg.total_power == pytest.approx(2.0 * 10 ** (-1.5))
+        for kw in ({"snr_db": "10"}, {"snr_db": True}, {"snr_db": 0.0, "noise_var": "1"}):
+            with pytest.raises(ConfigError, match="must be a real number"):
+                SystemConfig.from_snr(M=16, K=4, tau_c=50, tau_p=4, **kw)
 
     def test_pilot_overhead(self):
         assert make_cfg(tau_p=5).pilot_overhead == pytest.approx(0.1)
@@ -87,13 +99,6 @@ class TestRngStream:
         c = RngStream(43, (3, 1)).generator().standard_normal(8)
         assert not np.array_equal(a, b)
         assert not np.array_equal(a, c)
-
-    def test_child_extends_the_key(self):
-        s = RngStream(7, (1,))
-        assert s.child(2, 3).stream_id == (1, 2, 3)
-        direct = RngStream(7, (1, 2, 3)).generator().standard_normal(4)
-        via_child = s.child(2, 3).generator().standard_normal(4)
-        np.testing.assert_array_equal(direct, via_child)
 
     def test_int_id_equals_singleton_tuple(self):
         a = RngStream(5, 4).generator().standard_normal(4)
