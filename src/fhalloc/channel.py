@@ -8,8 +8,11 @@ pilot observation of user k is
     y_k = sqrt(q_k tau_p) h_k + n_k,      n_k ~ CN(0, I_M).
 
 quantized_estimate forms these observations for a whole block of trials
-from the unit draws of sysmodel.trial_draws.  The per-entry MMSE estimate
-of h_k from y_k is
+from the unit draws of sysmodel.trial_draws.  The channel and its
+estimate do not depend on the quantizer, so for a block the draw memo
+holds they are computed once per process and kept beside the block,
+keyed on tau_p, beta and the pilot power; every cell then adds only its
+own CSI quantization.  The per-entry MMSE estimate of h_k from y_k is
 
     hhat_k = sqrt(q_k tau_p) beta_k / (q_k tau_p beta_k + 1) * y_k,
 
@@ -27,7 +30,7 @@ from __future__ import annotations
 import numpy as np
 
 from .quantization import aqnm_noise_var
-from .sysmodel import SystemConfig, draw_complex_gaussian
+from .sysmodel import SystemConfig, _block_derived, draw_complex_gaussian
 
 
 def gamma_coefficient(q, tau_p: int, beta) -> np.ndarray:
@@ -73,6 +76,40 @@ def estimate_channel(cfg: SystemConfig, rng_channel, rng_noise) -> tuple[np.ndar
     return H, mmse_estimate(Y, cfg)
 
 
+def _block_estimate(cfg: SystemConfig, z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The quantizer-free part of quantized_estimate: (H, Hhat, H_up), read-only.
+
+    H and Hhat are (..., M, K); H_up is H^T as a C-contiguous (..., K, M)
+    array, the layout the gain products H^T P read.  The three share one
+    buffer, kept beside z in the draw memo when the memo holds z
+    (sysmodel._block_derived).
+    """
+    if z.shape[-3:] != (4, cfg.M, cfg.K):
+        raise ValueError(f"z has shape {z.shape}, config expects (..., 4, {cfg.M}, {cfg.K})")
+    lead = z.shape[:-3]
+
+    def build(z):
+        buf = np.empty((3, *lead, cfg.M * cfg.K), dtype=complex)
+        H = np.multiply(z[..., 0, :, :], np.sqrt(cfg.beta), out=buf[0].reshape(*lead, cfg.M, cfg.K))
+        Y = H * np.sqrt(cfg.pilot_power * cfg.tau_p) + z[..., 1, :, :]
+        buf[1].reshape(*lead, cfg.M, cfg.K)[...] = mmse_estimate(Y, cfg)
+        buf[2].reshape(*lead, cfg.K, cfg.M)[...] = H.swapaxes(-2, -1)
+        return buf
+
+    tag = ("estimate", cfg.tau_p, cfg.beta.tobytes(), cfg.pilot_power.tobytes())
+    buf = _block_derived(z, tag, build)
+    shape = (*lead, cfg.M, cfg.K)
+    return buf[0].reshape(shape), buf[1].reshape(shape), buf[2].reshape(*lead, cfg.K, cfg.M)
+
+
+def _quantize_csi(cfg: SystemConfig, z: np.ndarray, Hhat: np.ndarray, eta_h: float) -> np.ndarray:
+    """Hhat_q = (1 - eta_h) Hhat + N_Q, N_Q from slot 2 of the draw block z."""
+    gamma = gamma_coefficient(cfg.pilot_power, cfg.tau_p, cfg.beta)
+    Hhat_q = (1.0 - eta_h) * Hhat
+    Hhat_q += z[..., 2, :, :] * np.sqrt(aqnm_noise_var(eta_h, gamma))
+    return Hhat_q
+
+
 def quantized_estimate(cfg: SystemConfig, z: np.ndarray, eta_h: float) -> tuple[np.ndarray, np.ndarray]:
     """True channel and its quantized MMSE estimate from unit draws.
 
@@ -82,10 +119,8 @@ def quantized_estimate(cfg: SystemConfig, z: np.ndarray, eta_h: float) -> tuple[
     quantizer).  Returns (H, Hhat_q), both (..., M, K), with
     Hhat_q = (1 - eta_h) Hhat + N_Q and N_Q of per-entry variance
     eta_h (1 - eta_h) gamma_k.  At eta_h = 0, Hhat_q is the unquantized
-    MMSE estimate.
+    MMSE estimate.  H is read-only (_block_estimate); Hhat_q is a new
+    array on every call.
     """
-    H = z[..., 0, :, :] * np.sqrt(cfg.beta)
-    Y = H * np.sqrt(cfg.pilot_power * cfg.tau_p) + z[..., 1, :, :]
-    gamma = gamma_coefficient(cfg.pilot_power, cfg.tau_p, cfg.beta)
-    N_Q = z[..., 2, :, :] * np.sqrt(aqnm_noise_var(eta_h, gamma))
-    return H, (1.0 - eta_h) * mmse_estimate(Y, cfg) + N_Q
+    H, Hhat, _ = _block_estimate(cfg, z)
+    return H, _quantize_csi(cfg, z, Hhat, eta_h)

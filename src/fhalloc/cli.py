@@ -136,7 +136,9 @@ def _cmd_optimize(args) -> int:
     print(f"best_b_h {result.b_h}")
     print(f"best_b_p {result.b_p}")
     print(f"best_sum_se {result.best_sum_se!r}")
+    print(f"scanned {len(result.profile)} of {result.b_bar - 1}")
     if result.failed:
+        print(f"aborted {result.error}")
         print(f"search aborted early: {result.error}", file=sys.stderr)
     if args.profile_out:
         k = len(result.profile[0][3]) if result.profile else 0

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import quantized_estimate
+from .channel import _block_estimate, _quantize_csi, quantized_estimate
 from .precoding import (
     PRECODER_KINDS,
     _mrt_normalization,
@@ -120,24 +120,24 @@ def mc_hardening_sinr(
     while pending.size:
         take, pending = pending[:batch], pending[batch:]
         z = trial_draws(cfg, seed, take, attempt[take])
-        if perfect:
-            H = z[:, 0] * np.sqrt(cfg.beta)
-            H_d = H.swapaxes(-2, -1)
-        else:
-            H, Hhat_q = quantized_estimate(cfg, z, eta_h)
-            H_d = Hhat_q.swapaxes(-2, -1)
+        # H and H^T come from the draw memo; a cell adds only its quantization
+        _, Hhat, H_up = _block_estimate(cfg, z)
+        H_d = H_up if perfect else _quantize_csi(cfg, z, Hhat, eta_h).swapaxes(-2, -1)
         bad = rank_deficient_mask(H_d) if kind != "mrt" else np.zeros(len(take), bool)
-        ok = ~bad
-        if np.any(ok):
+        rows, z_p = take, z[:, 3]
+        if np.any(bad):
+            ok = ~bad
+            rows, z_p, H_d, H_up = take[ok], z[ok, 3], H_d[ok], H_up[ok]
+        if rows.size:
             # the mask above is the rank check; build_precoder would repeat it
-            P = _precoder(H_d[ok], kind, cfg)
+            P = _precoder(H_d, kind, cfg)
             if not perfect:
                 # in place: every block-sized temporary freed here can make glibc
                 # trim the heap, which the next cell then faults back in
                 P *= 1.0 - eta_p
-                P += z[ok, 3] * prec_noise_std
-            gain = H.swapaxes(-2, -1)[ok] @ P
-            gains[take[ok]] = gain if perfect else transmit_rescale(P, cfg.total_power)[:, None, None] * gain
+                P += z_p * prec_noise_std
+            gain = H_up @ P
+            gains[rows] = gain if perfect else transmit_rescale(P, cfg.total_power)[:, None, None] * gain
 
         redo = take[bad]
         attempt[redo] += 1

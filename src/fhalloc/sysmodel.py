@@ -10,9 +10,13 @@ lets a bit-split sweep reuse the same channel realizations in every grid
 cell (common random numbers).
 
 Since every cell of a sweep reads the same first-attempt unit draws,
-:func:`trial_draws` memoizes those blocks per process.  Every block it
-returns is read-only, and the memo keeps at most ``_DRAW_CACHE_BYTES`` of
-them, dropping the oldest block first.
+:func:`trial_draws` memoizes those blocks per process, and
+:func:`_block_derived` keeps arrays computed from a memoized block beside
+it (the channel and its MMSE estimate, which do not depend on the bit
+widths).  Everything the memo holds is read-only.  Blocks and derived
+arrays together stay within ``_DRAW_CACHE_BYTES``: room is made by
+dropping derived arrays first and then blocks, oldest first in each
+group, and a derived array never pushes out a block.
 """
 
 from __future__ import annotations
@@ -34,10 +38,39 @@ DOMAIN_MOMENTS = 1
 # Trials drawn and processed together by the Monte Carlo loops.
 TRIAL_BLOCK = 256
 
-# Byte bound on the memo of first-attempt draw blocks.  It holds the four
-# 256-trial blocks of a 1000-trial sweep at M=128, K=8 (16.8 MB each).
+# Byte bound on the memo of first-attempt draw blocks and the arrays
+# derived from them.  It holds the four 256-trial blocks of a 1000-trial
+# sweep at M=128, K=8 (16.8 MB each) with their channel estimates
+# (12.6 MB each).
 _DRAW_CACHE_BYTES = 128 * 2**20
+# A block is keyed (M, K, seed, domain, trial ids); an array derived from
+# it is keyed (block key, tag).
 _draw_cache: dict[tuple, np.ndarray] = {}
+
+
+def _is_derived(key: tuple) -> bool:
+    return isinstance(key[0], tuple)
+
+
+def _memoize(key: tuple, value: np.ndarray) -> None:
+    """Store a read-only value under key if room can be made for it.
+
+    Room comes from dropping entries, derived arrays before blocks and
+    oldest first within each group; a derived array may push out only
+    other derived arrays.  So no derived array outlives its block, and a
+    value that cannot fit drops nothing and is not stored.
+    """
+    victims = [k for k in _draw_cache if _is_derived(k)]
+    if not _is_derived(key):
+        victims += [k for k in _draw_cache if not _is_derived(k)]
+    held = sum(v.nbytes for v in _draw_cache.values())
+    if held - sum(_draw_cache[k].nbytes for k in victims) + value.nbytes > _DRAW_CACHE_BYTES:
+        return
+    for k in victims:
+        if held + value.nbytes <= _DRAW_CACHE_BYTES:
+            break
+        held -= _draw_cache.pop(k).nbytes
+    _draw_cache[key] = value
 
 
 def _real(name: str, value):
@@ -178,8 +211,8 @@ def trial_draws(cfg: SystemConfig, seed: int, trial_ids, attempt=None, domain: i
     Blocks in which every attempt is 0 are memoized on (M, K, seed,
     domain, trial_ids), so later cells of a sweep read the first cell's
     block instead of drawing it again.  The memo holds at most
-    _DRAW_CACHE_BYTES and drops its oldest block first; a block with a
-    redraw in it is drawn afresh and never stored.
+    _DRAW_CACHE_BYTES (module docstring); a block with a redraw in it is
+    drawn afresh and never stored.
     """
     ids = tuple(int(t) for t in trial_ids)
     attempts = (0,) * len(ids) if attempt is None else tuple(int(a) for a in attempt)
@@ -193,12 +226,28 @@ def trial_draws(cfg: SystemConfig, seed: int, trial_ids, attempt=None, domain: i
         gen = RngStream(seed, (domain, t, a)).generator()
         out[i] = (gen.standard_normal(shape) + 1j * gen.standard_normal(shape)) / np.sqrt(2.0)
     out.setflags(write=False)
-    if memoize and out.nbytes <= _DRAW_CACHE_BYTES:
-        held = sum(block.nbytes for block in _draw_cache.values())
-        while held + out.nbytes > _DRAW_CACHE_BYTES:
-            held -= _draw_cache.pop(next(iter(_draw_cache))).nbytes
-        _draw_cache[key] = out
+    if memoize:
+        _memoize(key, out)
     return out
+
+
+def _block_derived(z: np.ndarray, tag: tuple, build):
+    """build(z), memoized beside the draw block z under tag; read-only.
+
+    tag must name every input of build other than z.  Only a block the
+    memo holds, the very array trial_draws returned, gets an entry; for
+    any other array (a redraw block, a slice, an array the caller made)
+    build runs on every call and nothing is stored.
+    """
+    owner = next((k for k, v in _draw_cache.items() if v is z and not _is_derived(k)), None)
+    key = (owner, tag)
+    if owner is not None and key in _draw_cache:
+        return _draw_cache[key]
+    value = build(z)
+    value.setflags(write=False)
+    if owner is not None:
+        _memoize(key, value)
+    return value
 
 
 def draw_complex_gaussian(rng, rows: int, cols: int, variance=1.0) -> np.ndarray:

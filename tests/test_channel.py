@@ -181,3 +181,82 @@ class TestQuantizedEstimate:
         _, Hhat_q = quantized_estimate(cfg, trial_draws(cfg, 8, range(200)), eta)
         gamma = gamma_coefficient(cfg.pilot_power, cfg.tau_p, cfg.beta)
         assert np.mean(np.abs(Hhat_q) ** 2) == pytest.approx((1.0 - eta) * gamma[0], rel=0.02)
+
+
+class TestEstimateMemo:
+    """The channel and its estimate are kept beside a memoized draw block."""
+
+    @pytest.fixture(autouse=True)
+    def cold_cache(self, monkeypatch):
+        monkeypatch.setattr(sysmodel, "_draw_cache", {})
+
+    @staticmethod
+    def derived_keys():
+        return [key for key in sysmodel._draw_cache if sysmodel._is_derived(key)]
+
+    ETAS = (0.0, eta_of_bits(1), eta_of_bits(3), eta_of_bits(8))
+
+    def test_warm_cold_and_cleared_memo_agree(self):
+        cfg = cfg_small(beta=[0.5, 2.0])
+
+        def estimates():
+            z = trial_draws(cfg, 3, range(6))
+            return [quantized_estimate(cfg, z, eta) for eta in self.ETAS]
+
+        cold = estimates()
+        assert len(self.derived_keys()) == 1  # one entry serves every eta_h
+        warm = estimates()
+        assert np.shares_memory(warm[0][0], cold[0][0])  # H came from the memo
+        sysmodel._draw_cache.clear()
+        cleared = estimates()
+        assert not np.shares_memory(cleared[0][0], cold[0][0])
+        for (H, Hhat_q), (H_w, Hhat_w), (H_c, Hhat_c) in zip(cold, warm, cleared):
+            np.testing.assert_array_equal(H_w, H)
+            np.testing.assert_array_equal(H_c, H)
+            np.testing.assert_array_equal(Hhat_w, Hhat_q)
+            np.testing.assert_array_equal(Hhat_c, Hhat_q)
+
+    def test_returned_arrays_cannot_corrupt_the_memo(self):
+        cfg = cfg_small()
+        z = trial_draws(cfg, 3, range(4))
+        H, Hhat_q = quantized_estimate(cfg, z, eta_of_bits(2))
+        expected = (H.copy(), Hhat_q.copy())
+        with pytest.raises(ValueError):
+            H[0, 0, 0] = 1.0
+        Hhat_q[...] = 7.0  # the quantized estimate is the caller's own array
+        for array in sysmodel._draw_cache.values():
+            assert not array.flags.writeable
+            assert not np.shares_memory(array, Hhat_q)
+        again = quantized_estimate(cfg, z, eta_of_bits(2))
+        np.testing.assert_array_equal(again[0], expected[0])
+        np.testing.assert_array_equal(again[1], expected[1])
+
+    def test_redraw_block_and_caller_array_leave_the_memo_alone(self):
+        cfg = cfg_small()
+        z = trial_draws(cfg, 3, range(4))
+        memoized = quantized_estimate(cfg, z, 0.1)
+        held = dict(sysmodel._draw_cache)
+        for other in (trial_draws(cfg, 3, range(4), [0, 1, 0, 0]), np.array(z)):
+            H, Hhat_q = quantized_estimate(cfg, other, 0.1)
+            assert not any(np.shares_memory(H, array) for array in sysmodel._draw_cache.values())
+            assert sysmodel._draw_cache.keys() == held.keys()
+            assert all(sysmodel._draw_cache[key] is held[key] for key in held)
+        # the caller's copy holds the same draws, so it gives the same bits
+        np.testing.assert_array_equal(quantized_estimate(cfg, np.array(z), 0.1)[1], memoized[1])
+
+    @pytest.mark.parametrize(
+        "change",
+        ({"pilot_power": 0.5}, {"beta": [1.0, 1.5]}, {"tau_p": 4}, {"total_power": 4.0, "pilot_power": None}),
+    )
+    def test_estimation_parameters_miss_the_memo(self, change):
+        cfg = cfg_small()
+        other = cfg_small(**change)
+        z = trial_draws(cfg, 3, range(4))
+        quantized_estimate(cfg, z, 0.1)
+        warm = quantized_estimate(other, z, 0.1)
+        assert len(self.derived_keys()) == 2
+        sysmodel._draw_cache.clear()
+        cold = quantized_estimate(other, trial_draws(cfg, 3, range(4)), 0.1)
+        np.testing.assert_array_equal(warm[0], cold[0])
+        np.testing.assert_array_equal(warm[1], cold[1])
+        assert not np.array_equal(warm[1], quantized_estimate(cfg, z, 0.1)[1])

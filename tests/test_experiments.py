@@ -11,6 +11,7 @@ import pytest
 
 import fhalloc.cli as cli
 import fhalloc.experiments as experiments
+import fhalloc.sysmodel as sysmodel
 from fhalloc.allocation import AllocationResult, BitSplit, FronthaulBudget
 from fhalloc.cli import main
 from fhalloc.experiments import (
@@ -292,6 +293,30 @@ class TestPresets:
         assert len(rows) == 37
         assert meta["spec"]["name"] == "fig4"
 
+    def test_outputs_do_not_depend_on_memo_state_or_workers(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(sysmodel, "_draw_cache", {})
+        reproduce("fig4", tmp_path / "cold", M=16, K=2, trials=20)
+        assert any(sysmodel._is_derived(key) for key in sysmodel._draw_cache)
+        reproduce("fig4", tmp_path / "warm", M=16, K=2, trials=20)
+        reproduce("fig4", tmp_path / "pool", M=16, K=2, trials=20, workers=2)
+        names = sorted(p.name for p in (tmp_path / "cold").iterdir() if p.suffix in (".csv", ".dat"))
+        assert len(names) == 5 and "fig4.csv" in names
+        for name in names:
+            cold = (tmp_path / "cold" / name).read_bytes()
+            assert (tmp_path / "warm" / name).read_bytes() == cold, name
+            assert (tmp_path / "pool" / name).read_bytes() == cold, name
+
+        # every CSV float reads back as the value the run computed
+        spec = preset_spec("fig4", M=16, K=2, trials=20)
+        cells = preset_cells("fig4", spec)
+        reports = [outcome.report for outcome in experiments.run_cells(spec, cells)]
+        rows = read_csv(tmp_path / "cold" / "fig4.csv")[1:]
+        assert len(rows) == len(cells)
+        for row, cell, rep in zip(rows, cells, reports):
+            assert (row[0], int(row[3]), int(row[4]), row[5]) == (cell.precoder, cell.b_h, cell.b_p, cell.method)
+            assert float(row[8]) == rep.sum_se
+            assert [float(v) for v in row[9:]] == rep.se.tolist()
+
 
 class TestCli:
     def test_eta(self, capsys):
@@ -430,7 +455,10 @@ class TestCli:
         profile = tmp_path / "profile.csv"
         code = main(["optimize", "--budget-bbar", "10", "--profile-out", str(profile), "--out", str(tmp_path)])
         assert code == 1
-        assert "search aborted early" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert "search aborted early" in captured.err
+        assert "scanned 1 of 9" in captured.out.splitlines()
+        assert "aborted RuntimeError: synthetic failure" in captured.out.splitlines()
         assert read_csv(profile) == [["b_h", "b_p", "sum_se", "se_1", "se_2"], ["1", "9", "1.5", "0.75", "0.75"]]
 
     @pytest.mark.parametrize("command", ("sweep", "reproduce"))

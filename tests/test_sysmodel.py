@@ -219,3 +219,53 @@ class TestTrialDraws:
         big = trial_draws(cfg, 0, range(12))  # larger than the bound: drawn, not stored
         assert big.nbytes > bound and not big.flags.writeable
         assert list(sysmodel._draw_cache.values()) == held
+
+    def test_derived_arrays_count_against_the_bound(self, monkeypatch):
+        cfg = make_cfg(M=6, K=2, tau_p=2)
+        block_bytes = trial_draws(cfg, 0, range(3)).nbytes
+        derived_bytes = sysmodel._block_derived(trial_draws(cfg, 0, range(3)), ("probe",), np.copy).nbytes
+        bound = 2 * block_bytes + derived_bytes + derived_bytes // 2
+        monkeypatch.setattr(sysmodel, "_DRAW_CACHE_BYTES", bound)
+        sysmodel._draw_cache.clear()
+
+        def held():
+            return sum(array.nbytes for array in sysmodel._draw_cache.values())
+
+        def holds(*arrays):
+            return [id(a) for a in sysmodel._draw_cache.values()] == [id(a) for a in arrays]
+
+        def owners_present():
+            derived = [key for key in sysmodel._draw_cache if sysmodel._is_derived(key)]
+            return all(key[0] in sysmodel._draw_cache for key in derived)
+
+        first, second = trial_draws(cfg, 0, range(3)), trial_draws(cfg, 1, range(3))
+        d_first = sysmodel._block_derived(first, ("copy",), np.copy)
+        assert not d_first.flags.writeable and held() <= bound
+        # a second derived array would overflow: it pushes out the first
+        # derived array, never a block
+        d_second = sysmodel._block_derived(second, ("copy",), np.copy)
+        np.testing.assert_array_equal(d_second, second)
+        assert held() <= bound and owners_present()
+        assert holds(first, second, d_second)
+        # a new block pushes out derived arrays before blocks, oldest first,
+        # and no derived array outlives its block
+        third = trial_draws(cfg, 2, range(3))
+        assert held() <= bound and owners_present()
+        assert holds(first, second, third)
+        fourth = trial_draws(cfg, 3, range(3))
+        assert held() <= bound and holds(second, third, fourth)
+        # a derived array that does not fit beside the blocks is built, not stored
+        big = sysmodel._block_derived(third, ("tile",), lambda z: np.concatenate([z, z, z]))
+        assert big.shape[0] == 9 and not big.flags.writeable
+        assert holds(second, third, fourth)
+
+    def test_thousand_trial_run_fits_with_its_estimates(self):
+        from fhalloc.channel import quantized_estimate
+
+        cfg = make_cfg(M=128, K=8, tau_p=8)
+        blocks = [trial_draws(cfg, 1, range(s, min(s + TRIAL_BLOCK, 1000))) for s in range(0, 1000, TRIAL_BLOCK)]
+        for z in blocks:
+            quantized_estimate(cfg, z, 0.0)
+        assert len(sysmodel._draw_cache) == 2 * len(blocks) == 8
+        assert sum(array.nbytes for array in sysmodel._draw_cache.values()) <= sysmodel._DRAW_CACHE_BYTES
+        assert all(any(array is z for array in sysmodel._draw_cache.values()) for z in blocks)
