@@ -88,18 +88,20 @@ def _block_estimate(cfg: SystemConfig, z: np.ndarray) -> tuple[np.ndarray, np.nd
         raise ValueError(f"z has shape {z.shape}, config expects (..., 4, {cfg.M}, {cfg.K})")
     lead = z.shape[:-3]
 
+    def views(buf):
+        H, Hhat = buf[:2].reshape(2, *lead, cfg.M, cfg.K)
+        return H, Hhat, buf[2].reshape(*lead, cfg.K, cfg.M)
+
     def build(z):
         buf = np.empty((3, *lead, cfg.M * cfg.K), dtype=complex)
-        H = np.multiply(z[..., 0, :, :], np.sqrt(cfg.beta), out=buf[0].reshape(*lead, cfg.M, cfg.K))
-        Y = H * np.sqrt(cfg.pilot_power * cfg.tau_p) + z[..., 1, :, :]
-        buf[1].reshape(*lead, cfg.M, cfg.K)[...] = mmse_estimate(Y, cfg)
-        buf[2].reshape(*lead, cfg.K, cfg.M)[...] = H.swapaxes(-2, -1)
+        H, Hhat, H_up = views(buf)
+        np.multiply(z[..., 0, :, :], np.sqrt(cfg.beta), out=H)
+        Hhat[...] = mmse_estimate(H * np.sqrt(cfg.pilot_power * cfg.tau_p) + z[..., 1, :, :], cfg)
+        H_up[...] = H.swapaxes(-2, -1)
         return buf
 
     tag = ("estimate", cfg.tau_p, cfg.beta.tobytes(), cfg.pilot_power.tobytes())
-    buf = _block_derived(z, tag, build)
-    shape = (*lead, cfg.M, cfg.K)
-    return buf[0].reshape(shape), buf[1].reshape(shape), buf[2].reshape(*lead, cfg.K, cfg.M)
+    return views(_block_derived(z, tag, build))
 
 
 def _quantize_csi(cfg: SystemConfig, z: np.ndarray, Hhat: np.ndarray, eta_h: float) -> np.ndarray:

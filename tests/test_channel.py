@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import fhalloc.sysmodel as sysmodel
-from fhalloc.channel import gamma_coefficient, mmse_estimate, quantized_estimate
+from fhalloc.channel import _block_estimate, gamma_coefficient, mmse_estimate, quantized_estimate
 from fhalloc.quantization import eta_of_bits
 from fhalloc.sysmodel import SystemConfig, trial_draws
 
@@ -205,6 +205,8 @@ class TestEstimateMemo:
 
         cold = estimates()
         assert len(self.derived_keys()) == 1  # one entry serves every eta_h
+        H, _, H_up = _block_estimate(cfg, trial_draws(cfg, 3, range(6)))
+        assert H_up.flags.c_contiguous and np.array_equal(H_up, H.swapaxes(-2, -1))
         warm = estimates()
         assert np.shares_memory(warm[0][0], cold[0][0])  # H came from the memo
         sysmodel._draw_cache.clear()
