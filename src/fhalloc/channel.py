@@ -104,11 +104,15 @@ def _block_estimate(cfg: SystemConfig, z: np.ndarray) -> tuple[np.ndarray, np.nd
     return views(_block_derived(z, tag, build))
 
 
-def _quantize_csi(cfg: SystemConfig, z: np.ndarray, Hhat: np.ndarray, eta_h: float) -> np.ndarray:
-    """Hhat_q = (1 - eta_h) Hhat + N_Q, N_Q from slot 2 of the draw block z."""
-    gamma = gamma_coefficient(cfg.pilot_power, cfg.tau_p, cfg.beta)
+def _csi_noise_std(cfg: SystemConfig, eta_h: float) -> np.ndarray:
+    """Per-user standard deviation, shape (K,), of the CSI quantizer's AQNM noise N_Q."""
+    return np.sqrt(aqnm_noise_var(eta_h, gamma_coefficient(cfg.pilot_power, cfg.tau_p, cfg.beta)))
+
+
+def _quantize_csi(z: np.ndarray, Hhat: np.ndarray, eta_h: float, noise_std: np.ndarray) -> np.ndarray:
+    """Hhat_q = (1 - eta_h) Hhat + N_Q, N_Q = noise_std times slot 2 of the draw block z."""
     Hhat_q = (1.0 - eta_h) * Hhat
-    Hhat_q += z[..., 2, :, :] * np.sqrt(aqnm_noise_var(eta_h, gamma))
+    Hhat_q += z[..., 2, :, :] * noise_std
     return Hhat_q
 
 
@@ -125,4 +129,4 @@ def quantized_estimate(cfg: SystemConfig, z: np.ndarray, eta_h: float) -> tuple[
     array on every call.
     """
     H, Hhat, _ = _block_estimate(cfg, z)
-    return H, _quantize_csi(cfg, z, Hhat, eta_h)
+    return H, _quantize_csi(z, Hhat, eta_h, _csi_noise_std(cfg, eta_h))

@@ -58,8 +58,11 @@ def _frob_sq(X: np.ndarray) -> np.ndarray:
     and hence the rounding, is identical whether matrices arrive alone or
     stacked in batches of any size.
     """
-    flat = np.ascontiguousarray(X).reshape(*X.shape[:-2], -1)
-    return np.sum(np.abs(flat) ** 2, axis=-1)
+    # a C-ordered out makes |X|^2 flat in that order whatever X's layout,
+    # with no contiguous copy of X itself
+    sq = np.abs(X, out=np.empty(X.shape))
+    sq *= sq
+    return np.sum(sq.reshape(*X.shape[:-2], -1), axis=-1)
 
 
 def rank_deficient_mask(H_d: np.ndarray) -> np.ndarray:
@@ -99,14 +102,17 @@ def _precoder(H_d: np.ndarray, kind: str, cfg: SystemConfig) -> np.ndarray:
         A = _gram(H_d)
         if kind == "wf":
             load = cfg.K * cfg.noise_var / cfg.total_power
-            A = A + load * np.eye(cfg.K)
+            A += load * np.eye(cfg.K)
         # H_d^H A^(-1) = (A^(-1) H_d)^H since A is Hermitian
-        U = np.linalg.solve(A, H_d).conj().swapaxes(-2, -1)
+        X = np.linalg.solve(A, H_d)
+        U = np.conjugate(X, out=X).swapaxes(-2, -1)
 
     norm_sq = _frob_sq(U)
     if np.any(norm_sq == 0.0):
         raise RankDeficientError("precoder has zero norm")
-    return U * np.sqrt(cfg.total_power / norm_sq)[..., None, None]
+    # U is a fresh array in every branch, so it is scaled in place
+    U *= np.sqrt(cfg.total_power / norm_sq)[..., None, None]
+    return U
 
 
 def transmit_rescale(P_q: np.ndarray, total_power: float):

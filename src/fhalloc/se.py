@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import _block_estimate, _quantize_csi, quantized_estimate
+from .channel import _block_estimate, _csi_noise_std, _quantize_csi, quantized_estimate
 from .precoding import (
     PRECODER_KINDS,
     _mrt_normalization,
@@ -38,6 +38,16 @@ from .sysmodel import TRIAL_BLOCK, SystemConfig, trial_draws
 CSI_MODES = ("quantized", "perfect")
 
 _MAX_REDRAWS = 8
+
+# Trials whose arithmetic mc_hardening_sinr runs together inside one draw
+# block (its default batch).  A chunk temporary is then 0.25 MB at M=128,
+# K=8, so a chunk's few live temporaries stay in cache and below glibc's
+# heap trim threshold, and the next chunk and cell reuse the same pages;
+# block-sized temporaries were trimmed after every cell and faulted back
+# in by the next.  32 trials measured as fast at 100-trial cells but still
+# trimmed at 50-trial ones (fig2), whose smaller blocks set a lower
+# threshold.
+_CHUNK = 16
 
 
 @dataclass(frozen=True)
@@ -82,7 +92,7 @@ def mc_hardening_sinr(
     csi_mode: str = "quantized",
     *,
     moment_trials: int = 500,
-    batch: int = TRIAL_BLOCK,
+    batch: int = _CHUNK,
 ) -> SeReport:
     """Monte Carlo estimate of the hardening-bound SINR and SE per user.
 
@@ -98,6 +108,14 @@ def mc_hardening_sinr(
 
     Realizations whose Gram matrix is numerically rank deficient are
     redrawn from a fresh per-trial substream; the count is reported.
+
+    Unit draws and their channel estimates are fetched in TRIAL_BLOCK-
+    aligned blocks, the blocks the draw memo holds.  batch (>= 1) is the
+    number of trials whose arithmetic runs together within a block: CSI
+    quantization, the rank check, the precoder, its quantization, the
+    transmit rescale and the gains.  Every trial's gains are computed on
+    their own and reduced in canonical trial order, so batch changes only
+    speed and memory, never a bit of the result.
     """
     if csi_mode not in CSI_MODES:
         raise ValueError(f"csi_mode must be one of {CSI_MODES}")
@@ -105,46 +123,57 @@ def mc_hardening_sinr(
         raise ValueError(f"unknown precoder kind {kind!r}, expected one of {PRECODER_KINDS}")
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if batch < 1:
+        raise ValueError("batch must be >= 1")
     perfect = csi_mode == "perfect"
     if not perfect:
         if b_h is None or b_p is None:
             raise ValueError("quantized mode needs b_h and b_p")
         eta_h = eta_of_bits(b_h)
         eta_p = eta_of_bits(b_p)
+        csi_noise_std = _csi_noise_std(cfg, eta_h)
         entry_var = precoder_entry_var(cfg, kind, eta_h, moment_trials, seed)
         prec_noise_std = np.sqrt(aqnm_noise_var(eta_p, entry_var))
 
     gains = np.empty((trials, cfg.K, cfg.K), dtype=complex)
     attempt = np.zeros(trials, int)
-    pending = np.arange(trials)
-    while pending.size:
-        take, pending = pending[:batch], pending[batch:]
-        z = trial_draws(cfg, seed, take, attempt[take])
-        # H and H^T come from the draw memo; a cell adds only its quantization
+    # first attempts come in TRIAL_BLOCK-aligned draw blocks, the keys of the
+    # draw memo; each block's redraws follow as a block of their own
+    blocks = [np.arange(lo, min(lo + TRIAL_BLOCK, trials)) for lo in range(0, trials, TRIAL_BLOCK)]
+    while blocks:
+        ids = blocks.pop(0)
+        z = trial_draws(cfg, seed, ids, attempt[ids])
+        # H, Hhat and H^T come from the draw memo; a cell adds only its quantization
         _, Hhat, H_up = _block_estimate(cfg, z)
-        H_d = H_up if perfect else _quantize_csi(cfg, z, Hhat, eta_h).swapaxes(-2, -1)
-        bad = rank_deficient_mask(H_d) if kind != "mrt" else np.zeros(len(take), bool)
-        rows, z_p = take, z[:, 3]
-        if np.any(bad):
-            ok = ~bad
-            rows, z_p, H_d, H_up = take[ok], z[ok, 3], H_d[ok], H_up[ok]
-        if rows.size:
+        bad = np.zeros(len(ids), bool)
+        for lo in range(0, len(ids), batch):
+            c = slice(lo, lo + batch)
+            rows, z_p, H_c = ids[c], z[c, 3], H_up[c]
+            H_d = H_c if perfect else _quantize_csi(z[c], Hhat[c], eta_h, csi_noise_std).swapaxes(-2, -1)
+            if kind != "mrt":
+                bad[c] = rank_deficient_mask(H_d)
+                if np.any(bad[c]):
+                    ok = ~bad[c]
+                    rows, z_p, H_d, H_c = rows[ok], z_p[ok], H_d[ok], H_c[ok]
+            if not rows.size:
+                continue
             # the mask above is the rank check; build_precoder would repeat it
             P = _precoder(H_d, kind, cfg)
             if not perfect:
-                # in place: every block-sized temporary freed here can make glibc
-                # trim the heap, which the next cell then faults back in
                 P *= 1.0 - eta_p
                 P += z_p * prec_noise_std
-            gain = H_up @ P
-            gains[rows] = gain if perfect else transmit_rescale(P, cfg.total_power)[:, None, None] * gain
+            gain = H_c @ P
+            if not perfect:
+                gain *= transmit_rescale(P, cfg.total_power)[:, None, None]
+            gains[rows] = gain
 
-        redo = take[bad]
+        redo = ids[bad]
         attempt[redo] += 1
         if np.any(attempt[redo] > _MAX_REDRAWS):
             t = redo[np.argmax(attempt[redo])]
             raise RuntimeError(f"trial {t} stayed rank deficient after {_MAX_REDRAWS} redraws")
-        pending = np.concatenate([pending, redo])
+        if redo.size:
+            blocks.append(redo)
     redraws = int(np.sum(attempt))
 
     # hardening bound from the per-trial gain matrices, canonical trial order

@@ -35,7 +35,10 @@ class ConfigError(ValueError):
 DOMAIN_TRIAL = 0
 DOMAIN_MOMENTS = 1
 
-# Trials drawn and processed together by the Monte Carlo loops.
+# Trials drawn together by the Monte Carlo loops: a first-attempt block of
+# trial ids [k TRIAL_BLOCK, (k + 1) TRIAL_BLOCK) is one memo entry.  The
+# precoder-moment estimator also sums over whole blocks; the hardening loop
+# runs its arithmetic over smaller chunks of a block (se._CHUNK).
 TRIAL_BLOCK = 256
 
 # Byte bound on the memo of first-attempt draw blocks and the arrays

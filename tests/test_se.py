@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -189,6 +191,74 @@ class TestMcHardeningSinr:
         monkeypatch.setattr(precoding, "rank_deficient_mask", counted)
         mc_hardening_sinr(cfg_at(0.0, M=16, K=2), kind, 3, 3, trials=300, seed=1, batch=128)
         assert checked == [128, 128, 44]
+
+    def test_default_batch_checks_each_trial_once_in_small_chunks(self, monkeypatch):
+        """Each trial is rank-checked once, in canonical order, in chunks of at most _CHUNK."""
+        cfg = cfg_at(0.0, M=16, K=2)
+        seen = []
+        real = se.rank_deficient_mask
+
+        def recorded(H_d):
+            seen.append(H_d[:, 0, 0].copy())
+            return real(H_d)
+
+        monkeypatch.setattr(se, "rank_deficient_mask", recorded)
+        rep = mc_hardening_sinr(cfg, "zf", None, None, trials=300, seed=1, csi_mode="perfect")
+        assert rep.redraws == 0
+        assert inspect.signature(mc_hardening_sinr).parameters["batch"].default == se._CHUNK
+        assert max(len(h) for h in seen) <= se._CHUNK
+        assert len(seen) == -(-256 // se._CHUNK) + -(-44 // se._CHUNK)
+        # perfect CSI: H_d[:, 0, 0] is the true channel entry of each trial
+        first = trial_draws(cfg, 1, range(300))[:, 0, 0, 0] * np.sqrt(cfg.beta[0])
+        np.testing.assert_array_equal(np.concatenate(seen), first)
+
+    def test_draw_memo_keeps_trial_blocks(self):
+        """A small batch chunks the arithmetic only; draws stay in TRIAL_BLOCK blocks."""
+        cfg = cfg_at(0.0, M=16, K=2)
+        sysmodel._draw_cache.clear()
+        mc_hardening_sinr(cfg, "zf", 3, 3, trials=300, seed=1, batch=7)
+        blocks = [(16, 2, 1, sysmodel.DOMAIN_TRIAL, tuple(range(0, 256))),
+                  (16, 2, 1, sysmodel.DOMAIN_TRIAL, tuple(range(256, 300)))]
+        held = list(sysmodel._draw_cache)
+        assert [k for k in held if not sysmodel._is_derived(k)] == blocks
+        derived = [k for k in held if sysmodel._is_derived(k)]
+        assert [k[0] for k in derived] == blocks
+        assert all(k[1][0] == "estimate" for k in derived)
+
+    @pytest.mark.parametrize("csi_mode", se.CSI_MODES)
+    @pytest.mark.parametrize("kind", ("zf", "wf"))
+    def test_redraws_do_not_depend_on_batch(self, monkeypatch, kind, csi_mode):
+        """Trials flagged by their content are redrawn to the same bits at any chunk size."""
+
+        def flag_by_content(H_d):
+            return H_d[..., 0, 0].real > 0.8
+
+        monkeypatch.setattr(se, "rank_deficient_mask", flag_by_content)
+        cfg = cfg_at(0.0, M=16, K=2)
+        runs = [
+            mc_hardening_sinr(cfg, kind, 3, 3, trials=300, seed=3, csi_mode=csi_mode, batch=batch)
+            for batch in (1, 7, 32, sysmodel.TRIAL_BLOCK)
+        ]
+        assert runs[0].redraws > 0
+        for rep in runs[1:]:
+            np.testing.assert_array_equal(rep.sinr, runs[0].sinr)
+            assert rep.redraws == runs[0].redraws
+
+    @pytest.mark.parametrize("batch", (0, -3))
+    def test_batch_must_be_positive(self, monkeypatch, batch):
+        """A batch below 1 is refused before any draw, so the trial loop never starts."""
+        calls = []
+
+        def bounded(*args, **kwargs):
+            calls.append(args)
+            if len(calls) > 3:
+                raise AssertionError("trial loop did not stop")
+            return trial_draws(*args, **kwargs)
+
+        monkeypatch.setattr(se, "trial_draws", bounded)
+        with pytest.raises(ValueError, match="batch must be >= 1"):
+            mc_hardening_sinr(cfg_at(0.0, M=16, K=2), "mrt", 3, 3, trials=10, seed=1, batch=batch)
+        assert calls == []
 
     def test_deterministic(self):
         cfg = cfg_at(0.0, M=16, K=2)
