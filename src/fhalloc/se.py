@@ -43,9 +43,9 @@ _MAX_REDRAWS = 8
 # block (its default batch).  A chunk temporary is then 0.25 MB at M=128,
 # K=8, so a chunk's few live temporaries stay in cache and below glibc's
 # heap trim threshold, and the next chunk and cell reuse the same pages;
-# block-sized temporaries were trimmed after every cell and faulted back
-# in by the next.  32 trials measured as fast at 100-trial cells but still
-# trimmed at 50-trial ones (fig2), whose smaller blocks set a lower
+# whole-block temporaries (1.6 MB at 100 trials) get trimmed after every
+# cell and faulted back in by the next.  32 trials measured as fast on 100-trial cells but slower
+# on fig2's 50-trial cells, whose smaller blocks leave glibc a lower trim
 # threshold.
 _CHUNK = 16
 

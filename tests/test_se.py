@@ -217,8 +217,10 @@ class TestMcHardeningSinr:
         cfg = cfg_at(0.0, M=16, K=2)
         sysmodel._draw_cache.clear()
         mc_hardening_sinr(cfg, "zf", 3, 3, trials=300, seed=1, batch=7)
-        blocks = [(16, 2, 1, sysmodel.DOMAIN_TRIAL, tuple(range(0, 256))),
-                  (16, 2, 1, sysmodel.DOMAIN_TRIAL, tuple(range(256, 300)))]
+        blocks = [
+            (16, 2, 1, sysmodel.DOMAIN_TRIAL, tuple(range(0, 256))),
+            (16, 2, 1, sysmodel.DOMAIN_TRIAL, tuple(range(256, 300))),
+        ]
         held = list(sysmodel._draw_cache)
         assert [k for k in held if not sysmodel._is_derived(k)] == blocks
         derived = [k for k in held if sysmodel._is_derived(k)]
