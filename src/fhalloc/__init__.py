@@ -19,13 +19,7 @@ from .quantization import (
     aqnm_quantize,
     quantized_csi_covariance,
 )
-from .precoding import (
-    build_precoder,
-    transmit_rescale,
-    mrt_moments,
-    estimate_moments_mc,
-    RankDeficientError,
-)
+from .precoding import build_precoder, RankDeficientError
 from .se import (
     SeReport,
     mc_hardening_sinr,
@@ -55,9 +49,6 @@ __all__ = [
     "aqnm_quantize",
     "quantized_csi_covariance",
     "build_precoder",
-    "transmit_rescale",
-    "mrt_moments",
-    "estimate_moments_mc",
     "RankDeficientError",
     "SeReport",
     "mc_hardening_sinr",

@@ -18,11 +18,13 @@ line_search takes the objective either as a per-split evaluator or as the
 whole profile already computed.  The closed-form MRT search uses the
 latter (the closed form evaluates every split in one numpy pass), so its
 profile is always complete; a partial profile, cut short by an evaluator
-that raised, can only come from the Monte Carlo evaluator.
+that raised or returned a non-finite objective, can only come from the
+Monte Carlo evaluator.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -126,9 +128,10 @@ def line_search(
     improvement is required to move the incumbent, so ties resolve to the
     smallest B_H.  The full profile is retained for inspection.
 
-    If the evaluator raises after at least one candidate finished, the
-    partial profile is returned with failed=True; a failure on the very
-    first candidate propagates.
+    A non-finite objective counts as a failed candidate.  If a candidate
+    fails after at least one finished, the partial profile is returned
+    with failed=True; a failure on the very first candidate propagates
+    (a non-finite objective as ValueError).
     """
     if isinstance(budget, FronthaulBudget):
         if budget.b_bar is None:
@@ -151,12 +154,14 @@ def line_search(
         b_p = b_bar - b_h
         try:
             report = evaluate(b_h, b_p)
+            value = float(getattr(report, "sum_se", report))
+            if not math.isfinite(value):
+                raise ValueError(f"objective is {value!r}, not a finite number")
         except Exception as exc:
             if not profile:
                 raise
             failure = f"({b_h}, {b_p}): {type(exc).__name__}: {exc}"
             break
-        value = float(getattr(report, "sum_se", report))
         per_user = tuple(np.asarray(getattr(report, "se", ()), dtype=float).tolist())
         profile.append((b_h, b_p, value, per_user))
         if best is None or value > best[2]:

@@ -35,6 +35,8 @@ from .se import CSI_MODES, SeReport, _closed_form_mrt_profile, closed_form_mrt_s
 from .sysmodel import SystemConfig, _real
 
 EVALUATORS = ("mc", "closed-form")
+# Stage timers of a Monte Carlo cell (SeReport.stage_s), written per cell to the metadata
+STAGES = ("stats_s", "moments_s", "kxk_s")
 
 # Integer ExperimentSpec fields and the least value each accepts.  The
 # bit widths may be None, and their floors are checked with the splits.
@@ -309,8 +311,10 @@ def write_outputs(
 
     Failed cells contribute no CSV row or series point; they are listed
     under "failed_cells" in the metadata instead.  The metadata's "cells"
-    lists every cell in canonical order with its wall time and redraw
-    count (null where the cell returned no report or no timing).
+    lists every cell in canonical order with its wall time, its redraw
+    count and its stage timers stats_s, moments_s and kxk_s (SeReport;
+    0 for a closed-form cell), each null where the cell returned no
+    report or no timing.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -367,6 +371,7 @@ def write_outputs(
                 "b_p": cell.b_p,
                 "elapsed_s": None if oc.elapsed_s is None else round(oc.elapsed_s, 4),
                 "redraws": None if oc.report is None else oc.report.redraws,
+                **{s: None if oc.report is None else round(oc.report.stage_s.get(s, 0.0), 6) for s in STAGES},
             }
             for cell, oc in zip(cells, outcomes)
         ],

@@ -12,6 +12,21 @@ is a pure function of (seed, trial index), so results do not depend on
 batching or worker count, and sweeping quantizer resolutions reuses the
 same channel and unit noise draws in every cell (common random numbers).
 
+Every gain matrix is K x K arithmetic on the slot statistics of
+sysmodel._trial_stats.  With Hhat_q = sum_j Z_j E_j (channel._slot_scales),
+G its Gram, V_0 = Z_0^T Hhat_q^* (channel._slot_gram), the precoder
+P = s Hhat_q^* W (precoding._kxk_precoder), its quantized version
+P_q = (1 - eta_p) P + Z_3 Sigma_p and the transmit rescale alpha:
+
+    H^T P_q = (1 - eta_p) s D_beta^(1/2) V_0 W + D_beta^(1/2) R_0 Sigma_p
+    ||P_q||^2 = (1 - eta_p)^2 P_t + 2 (1 - eta_p) s Re tr(W^H T Sigma_p)
+                + sum_i sigma_p,i^2 ||Z_3[:, i]||^2,   T = sum_j E_j R_j
+    alpha^2 = P_t / ||P_q||^2.
+
+Perfect CSI is E = (beta^(1/2), 0, 0) with no precoder quantizer, so the
+gains are s G W.  Nothing M x K is formed after the statistics, and the
+statistics serve every cell of a run.
+
 For maximum ratio transmission the expectations are also available in
 closed form; the Monte Carlo and closed-form paths agree within the
 concentration error of the power normalization (a few percent at M = 64).
@@ -19,35 +34,20 @@ concentration error of the power normalization (a few percent at M = 64).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import _block_estimate, _csi_noise_std, _quantize_csi, quantized_estimate
-from .precoding import (
-    PRECODER_KINDS,
-    _mrt_normalization,
-    _precoder,
-    precoder_entry_var,
-    rank_deficient_mask,
-    transmit_rescale,
-)
+from . import sysmodel
+from .channel import _slot_gram, _slot_scales
+from .precoding import PRECODER_KINDS, _kxk_precoder, _mrt_normalization, precoder_entry_var, rank_deficient_mask
 from .quantization import aqnm_noise_var, eta_of_bits
-from .sysmodel import TRIAL_BLOCK, SystemConfig, trial_draws
+from .sysmodel import TRIAL_BLOCK, SystemConfig, _trial_stats
 
 CSI_MODES = ("quantized", "perfect")
 
 _MAX_REDRAWS = 8
-
-# Trials whose arithmetic mc_hardening_sinr runs together inside one draw
-# block (its default batch).  A chunk temporary is then 0.25 MB at M=128,
-# K=8, so a chunk's few live temporaries stay in cache and below glibc's
-# heap trim threshold, and the next chunk and cell reuse the same pages;
-# whole-block temporaries (1.6 MB at 100 trials) get trimmed after every
-# cell and faulted back in by the next.  32 trials measured as fast on 100-trial cells but slower
-# on fig2's 50-trial cells, whose smaller blocks leave glibc a lower trim
-# threshold.
-_CHUNK = 16
 
 
 @dataclass(frozen=True)
@@ -57,6 +57,10 @@ class SeReport:
     method names the evaluator ("monte_carlo" or "closed_form_mrt").
     trials is 0 for the closed form (nothing is sampled); seed and
     redraws describe the Monte Carlo run and stay None and 0 otherwise.
+    stage_s holds the Monte Carlo run's seconds per stage: "stats_s"
+    drawing and reducing slot statistics (0 when the memo held them),
+    "moments_s" the precoder moment prior and "kxk_s" the cell's own
+    K x K arithmetic; it is empty for the closed form.
     """
 
     sinr: np.ndarray
@@ -70,6 +74,7 @@ class SeReport:
     trials: int = 0
     seed: int | None = None
     redraws: int = 0
+    stage_s: dict = field(default_factory=dict)
 
 
 def se_from_sinr(sinr, tau_p: int, tau_c: int) -> np.ndarray:
@@ -92,7 +97,6 @@ def mc_hardening_sinr(
     csi_mode: str = "quantized",
     *,
     moment_trials: int = 500,
-    batch: int = _CHUNK,
 ) -> SeReport:
     """Monte Carlo estimate of the hardening-bound SINR and SE per user.
 
@@ -104,18 +108,17 @@ def mc_hardening_sinr(
 
     The precoder quantizer needs the population moments E|P[m, i]|^2
     (precoding.precoder_entry_var); moment_trials is read only for ZF/WF
-    with unequal gamma, where they are sampled.
+    with unequal gamma, where they are sampled.  Quantized CSI with every
+    gamma 0, or ZF/WF with any gamma 0 (zero pilot power), raises
+    ValueError before any draw: the Gram would be singular in every trial.
 
-    Realizations whose Gram matrix is numerically rank deficient are
-    redrawn from a fresh per-trial substream; the count is reported.
-
-    Unit draws and their channel estimates are fetched in TRIAL_BLOCK-
-    aligned blocks, the blocks the draw memo holds.  batch (>= 1) is the
-    number of trials whose arithmetic runs together within a block: CSI
-    quantization, the rank check, the precoder, its quantization, the
-    transmit rescale and the gains.  Every trial's gains are computed on
-    their own and reduced in canonical trial order, so batch changes only
-    speed and memory, never a bit of the result.
+    The arithmetic runs on slot statistics in TRIAL_BLOCK-aligned blocks
+    (module docstring).  Realizations whose Gram matrix is numerically
+    rank deficient are redrawn from a fresh per-trial substream, as a
+    block of their own after their block; the count is reported.  Every
+    trial's gains are computed on their own and reduced in canonical
+    trial order, so neither the block size nor the memo state moves a
+    bit of the result.
     """
     if csi_mode not in CSI_MODES:
         raise ValueError(f"csi_mode must be one of {CSI_MODES}")
@@ -123,49 +126,43 @@ def mc_hardening_sinr(
         raise ValueError(f"unknown precoder kind {kind!r}, expected one of {PRECODER_KINDS}")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if batch < 1:
-        raise ValueError("batch must be >= 1")
+    clock, stats_clock = time.perf_counter(), sysmodel._stats_seconds
     perfect = csi_mode == "perfect"
-    if not perfect:
+    sqrt_beta = np.sqrt(cfg.beta)
+    if perfect:
+        # the true channel, Z_0 D_beta^(1/2), and no precoder quantizer (alpha = 1)
+        scales, eta_p, prec_noise_std = np.outer([1.0, 0.0, 0.0], sqrt_beta), 0.0, np.zeros(cfg.K)
+    else:
         if b_h is None or b_p is None:
             raise ValueError("quantized mode needs b_h and b_p")
-        eta_h = eta_of_bits(b_h)
-        eta_p = eta_of_bits(b_p)
-        csi_noise_std = _csi_noise_std(cfg, eta_h)
+        eta_h, eta_p = eta_of_bits(b_h), eta_of_bits(b_p)
+        scales = _slot_scales(cfg, eta_h)
         entry_var = precoder_entry_var(cfg, kind, eta_h, moment_trials, seed)
         prec_noise_std = np.sqrt(aqnm_noise_var(eta_p, entry_var))
+    moments_s = time.perf_counter() - clock - (sysmodel._stats_seconds - stats_clock)
 
     gains = np.empty((trials, cfg.K, cfg.K), dtype=complex)
     attempt = np.zeros(trials, int)
-    # first attempts come in TRIAL_BLOCK-aligned draw blocks, the keys of the
-    # draw memo; each block's redraws follow as a block of their own
+    # first attempts come in TRIAL_BLOCK-aligned blocks, the keys of the
+    # stats memo; each block's redraws follow as a block of their own
     blocks = [np.arange(lo, min(lo + TRIAL_BLOCK, trials)) for lo in range(0, trials, TRIAL_BLOCK)]
     while blocks:
         ids = blocks.pop(0)
-        z = trial_draws(cfg, seed, ids, attempt[ids])
-        # H, Hhat and H^T come from the draw memo; a cell adds only its quantization
-        _, Hhat, H_up = _block_estimate(cfg, z)
-        bad = np.zeros(len(ids), bool)
-        for lo in range(0, len(ids), batch):
-            c = slice(lo, lo + batch)
-            rows, z_p, H_c = ids[c], z[c, 3], H_up[c]
-            H_d = H_c if perfect else _quantize_csi(z[c], Hhat[c], eta_h, csi_noise_std).swapaxes(-2, -1)
-            if kind != "mrt":
-                bad[c] = rank_deficient_mask(H_d)
-                if np.any(bad[c]):
-                    ok = ~bad[c]
-                    rows, z_p, H_d, H_c = rows[ok], z_p[ok], H_d[ok], H_c[ok]
-            if not rows.size:
-                continue
-            # the mask above is the rank check; build_precoder would repeat it
-            P = _precoder(H_d, kind, cfg)
-            if not perfect:
-                P *= 1.0 - eta_p
-                P += z_p * prec_noise_std
-            gain = H_c @ P
-            if not perfect:
-                gain *= transmit_rescale(P, cfg.total_power)[:, None, None]
-            gains[rows] = gain
+        S, nu = _trial_stats(cfg, seed, ids, attempt[ids])
+        G, V0 = _slot_gram(S, scales)
+        bad = rank_deficient_mask(G) if kind != "mrt" else np.zeros(len(ids), bool)
+        if np.any(bad):
+            S, nu, G, V0 = S[~bad], nu[~bad], G[~bad], V0[~bad]
+        W, s, _ = _kxk_precoder(G, kind, cfg)
+        s *= 1.0 - eta_p
+        # T Sigma_p, and Re tr(W^H T Sigma_p) = sum_ai conj(W_ai) (T Sigma_p)_ai
+        T = sum(scales[j][:, None] * S[:, j, :, 3] for j in range(3)) * prec_noise_std
+        cross = (np.diagonal(T, axis1=-2, axis2=-1) if W is None else np.sum(W.conj() * T, axis=-1)).real
+        norm_sq = (1.0 - eta_p) ** 2 * cfg.total_power + 2.0 * s * np.sum(cross, axis=-1)
+        norm_sq += np.sum(nu * prec_noise_std**2, axis=-1)
+        gain = sqrt_beta[:, None] * (V0 if W is None else V0 @ W) * s[:, None, None]
+        gain += sqrt_beta[:, None] * S[:, 0, :, 3] * prec_noise_std
+        gains[ids[~bad]] = gain * np.sqrt(cfg.total_power / norm_sq)[:, None, None]
 
         redo = ids[bad]
         attempt[redo] += 1
@@ -183,6 +180,7 @@ def mc_hardening_sinr(
     denom = np.sum(mean_power, axis=1) - desired + cfg.noise_var
     sinr = desired / denom
     se = se_from_sinr(sinr, cfg.tau_p, cfg.tau_c)
+    stats_s = sysmodel._stats_seconds - stats_clock
     return SeReport(
         sinr=sinr,
         se=se,
@@ -195,6 +193,11 @@ def mc_hardening_sinr(
         trials=trials,
         seed=seed,
         redraws=redraws,
+        stage_s={
+            "stats_s": stats_s,
+            "moments_s": moments_s,
+            "kxk_s": time.perf_counter() - clock - stats_s - moments_s,
+        },
     )
 
 
@@ -357,17 +360,18 @@ def mc_mrt_term_estimates(
     _, gtil, zeta_bar_sq = _mrt_normalization(cfg, eta_h)
     alpha_bar_sq = 1.0 / (1.0 - eta_p)
     prec_noise_std = np.sqrt(aqnm_noise_var(eta_p, zeta_bar_sq * gtil))
+    scales = _slot_scales(cfg, eta_h)
+    sqrt_beta = np.sqrt(cfg.beta)[:, None]
 
     inner = np.empty((trials, cfg.K, cfg.K), dtype=complex)
     qnoise = np.empty((trials, cfg.K))
     for start in range(0, trials, TRIAL_BLOCK):
         ids = np.arange(start, min(start + TRIAL_BLOCK, trials))
-        z = trial_draws(cfg, seed, ids)
-        H, Hhat_q = quantized_estimate(cfg, z, eta_h)
-        H_up = H.swapaxes(-2, -1)
-        # matched-filter direction without per-realization normalization
-        inner[ids] = H_up @ Hhat_q.conj()
-        qnoise[ids] = np.sum(np.abs(H_up @ (z[:, 3] * prec_noise_std)) ** 2, axis=-1)
+        S, _ = _trial_stats(cfg, seed, ids)
+        # matched-filter direction without per-realization normalization,
+        # H^T Hhat_q^*, and the precoder noise gains H^T Z_3 Sigma_p
+        inner[ids] = sqrt_beta * _slot_gram(S, scales)[1]
+        qnoise[ids] = np.sum(np.abs(sqrt_beta * S[:, 0, :, 3] * prec_noise_std) ** 2, axis=-1)
 
     scale = alpha_bar_sq * zeta_bar_sq * (1.0 - eta_p) ** 2
     mean_inner = np.mean(inner, axis=0)

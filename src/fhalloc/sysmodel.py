@@ -9,18 +9,21 @@ matter how trials are distributed over worker processes, and it is what
 lets a bit-split sweep reuse the same channel realizations in every grid
 cell (common random numbers).
 
-Since every cell of a sweep reads the same first-attempt unit draws,
-:func:`trial_draws` memoizes those blocks per process, and
-:func:`_block_derived` keeps arrays computed from a memoized block beside
-it (the channel and its MMSE estimate, which do not depend on the bit
-widths).  Everything the memo holds is read-only.  Blocks and derived
-arrays together stay within ``_DRAW_CACHE_BYTES``: room is made by
-dropping derived arrays first and then blocks, oldest first in each
-group, and a derived array never pushes out a block.
+No cell needs the M x K draws themselves.  Every array a cell forms is
+bilinear in the unit draws Z_0..Z_3, with beta, the pilot power and the
+quantizer distortions entering only as per-user scales, so a cell needs
+only the K x K slot statistics of :func:`_trial_stats`: Q_jl = Z_j^T Z_l^*
+and R_j = Z_j^T Z_3 for j, l in {0, 1, 2}, and the column norms of Z_3.
+They do not depend on the config, so one set serves every SNR, pilot
+power and bit width of a run.  Each block of trials is reduced to them
+in small chunks as it is drawn, so no whole draw block is ever held, and
+first-attempt blocks are memoized per process (read-only, oldest dropped
+first, at most ``_STATS_CACHE_BYTES``).
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,44 +39,36 @@ DOMAIN_TRIAL = 0
 DOMAIN_MOMENTS = 1
 
 # Trials drawn together by the Monte Carlo loops: a first-attempt block of
-# trial ids [k TRIAL_BLOCK, (k + 1) TRIAL_BLOCK) is one memo entry.  The
-# precoder-moment estimator also sums over whole blocks; the hardening loop
-# runs its arithmetic over smaller chunks of a block (se._CHUNK).
+# trial ids [k TRIAL_BLOCK, (k + 1) TRIAL_BLOCK) is one memo entry.
 TRIAL_BLOCK = 256
+# Trials drawn and reduced together inside a block, so a chunk's draws
+# (1 MB at M=128, K=8) stay small whatever the block size.
+_STATS_CHUNK = 16
 
-# Byte bound on the memo of first-attempt draw blocks and the arrays
-# derived from them.  It holds the four 256-trial blocks of a 1000-trial
-# sweep at M=128, K=8 (16.8 MB each) with their channel estimates
-# (12.6 MB each).
-_DRAW_CACHE_BYTES = 128 * 2**20
-# A block is keyed (M, K, seed, domain, trial ids); an array derived from
-# it is keyed (block key, tag).
-_draw_cache: dict[tuple, np.ndarray] = {}
-
-
-def _is_derived(key: tuple) -> bool:
-    return isinstance(key[0], tuple)
+# Byte bound on the memo of slot statistics: 12 KB per trial at K=8, so
+# a 1000-trial run takes 12.6 MB.
+_STATS_CACHE_BYTES = 128 * 2**20
+# (M, K, seed, domain, trial ids) -> (S, nu), as _trial_stats returns them
+_stats_cache: dict[tuple, tuple] = {}
+# Seconds spent drawing and reducing statistics in this process, so far
+_stats_seconds = 0.0
 
 
-def _memoize(key: tuple, value: np.ndarray) -> None:
-    """Store a read-only value under key if room can be made for it.
+def _nbytes(value: tuple) -> int:
+    return sum(a.nbytes for a in value)
 
-    Room comes from dropping entries, derived arrays before blocks and
-    oldest first within each group; a derived array may push out only
-    other derived arrays.  So no derived array outlives its block, and a
-    value that cannot fit drops nothing and is not stored.
+
+def _memoize(key: tuple, value: tuple) -> None:
+    """Store a read-only value under key, dropping the oldest entries for room.
+
+    A value larger than the whole bound drops nothing and is not stored.
     """
-    victims = [k for k in _draw_cache if _is_derived(k)]
-    if not _is_derived(key):
-        victims += [k for k in _draw_cache if not _is_derived(k)]
-    held = sum(v.nbytes for v in _draw_cache.values())
-    if held - sum(_draw_cache[k].nbytes for k in victims) + value.nbytes > _DRAW_CACHE_BYTES:
+    if _nbytes(value) > _STATS_CACHE_BYTES:
         return
-    for k in victims:
-        if held + value.nbytes <= _DRAW_CACHE_BYTES:
-            break
-        held -= _draw_cache.pop(k).nbytes
-    _draw_cache[key] = value
+    held = sum(_nbytes(v) for v in _stats_cache.values())
+    while held + _nbytes(value) > _STATS_CACHE_BYTES:
+        held -= _nbytes(_stats_cache.pop(next(iter(_stats_cache))))
+    _stats_cache[key] = value
 
 
 def _real(name: str, value):
@@ -201,7 +196,7 @@ class RngStream:
 
 
 def trial_draws(cfg: SystemConfig, seed: int, trial_ids, attempt=None, domain: int = DOMAIN_TRIAL) -> np.ndarray:
-    """Unit draws for a block of trials, shape (n, 4, M, K), read-only.
+    """Unit draws for a block of trials, shape (n, 4, M, K).
 
     Slot j of trial i holds a CN(0, 1) matrix: 0 channel, 1 pilot noise,
     2 CSI quantization noise, 3 precoder quantization noise.  Trial t
@@ -210,47 +205,59 @@ def trial_draws(cfg: SystemConfig, seed: int, trial_ids, attempt=None, domain: i
     trial_ids (0 for every trial when None) and selects the redraw.
     Scales are applied by the caller, so the same draws serve every
     (B_H, B_P) grid cell.
-
-    Blocks in which every attempt is 0 are memoized on (M, K, seed,
-    domain, trial_ids), so later cells of a sweep read the first cell's
-    block instead of drawing it again.  The memo holds at most
-    _DRAW_CACHE_BYTES (module docstring); a block with a redraw in it is
-    drawn afresh and never stored.
     """
-    ids = tuple(int(t) for t in trial_ids)
-    attempts = (0,) * len(ids) if attempt is None else tuple(int(a) for a in attempt)
-    key = (cfg.M, cfg.K, seed, domain, ids)
-    memoize = not any(attempts)
-    if memoize and key in _draw_cache:
-        return _draw_cache[key]
+    ids = [int(t) for t in trial_ids]
+    attempts = [0] * len(ids) if attempt is None else [int(a) for a in attempt]
     shape = (4, cfg.M, cfg.K)
     out = np.empty((len(ids), *shape), dtype=complex)
     for i, (t, a) in enumerate(zip(ids, attempts)):
         gen = RngStream(seed, (domain, t, a)).generator()
         out[i] = (gen.standard_normal(shape) + 1j * gen.standard_normal(shape)) / np.sqrt(2.0)
-    out.setflags(write=False)
-    if memoize:
-        _memoize(key, out)
     return out
 
 
-def _block_derived(z: np.ndarray, tag: tuple, build):
-    """build(z), memoized beside the draw block z under tag; read-only.
+def _trial_stats(cfg: SystemConfig, seed: int, trial_ids, attempt=None, domain: int = DOMAIN_TRIAL):
+    """Slot statistics (S, nu) of a block of trials, read-only.
 
-    tag must name every input of build other than z.  Only a block the
-    memo holds, the very array trial_draws returned, gets an entry; for
-    any other array (a redraw block, a slice, an array the caller made)
-    build runs on every call and nothing is stored.
+    S has shape (n, 3, K, 4, K): S[:, j, :, l] = Z_j^T Z_l^* for l < 3
+    and S[:, j, :, 3] = Z_j^T Z_3, with Z_j slot j of trial_draws.  nu,
+    shape (n, K), holds the squared column norms of Z_3.  The block is
+    drawn and reduced _STATS_CHUNK trials at a time, and every trial is
+    reduced on its own, so a trial's statistics do not depend on the
+    block or chunk it arrives in.
+
+    Blocks in which every attempt is 0 are memoized on (M, K, seed,
+    domain, trial ids), so later cells of a sweep, at any SNR or pilot
+    power, read the first cell's statistics; a block with a redraw in it
+    is reduced afresh and never stored.
     """
-    owner = next((k for k, v in _draw_cache.items() if v is z and not _is_derived(k)), None)
-    key = (owner, tag)
-    if owner is not None and key in _draw_cache:
-        return _draw_cache[key]
-    value = build(z)
-    value.setflags(write=False)
-    if owner is not None:
-        _memoize(key, value)
-    return value
+    global _stats_seconds
+    ids = tuple(int(t) for t in trial_ids)
+    attempts = (0,) * len(ids) if attempt is None else tuple(int(a) for a in attempt)
+    key = (cfg.M, cfg.K, seed, domain, ids)
+    memoize = not any(attempts)
+    if memoize and key in _stats_cache:
+        return _stats_cache[key]
+    t0 = time.perf_counter()
+    M, K = cfg.M, cfg.K
+    S = np.empty((len(ids), 3 * K, 4 * K), dtype=complex)
+    nu = np.empty((len(ids), K))
+    for lo in range(0, len(ids), _STATS_CHUNK):
+        c = slice(lo, lo + _STATS_CHUNK)
+        z = trial_draws(cfg, seed, ids[c], attempts[c], domain)
+        # [Z_0 Z_1 Z_2 Z_3] side by side, one M x 4K matrix per trial
+        Z = z.transpose(0, 2, 1, 3).reshape(-1, M, 4 * K)
+        right = np.concatenate([Z[..., : 3 * K].conj(), Z[..., 3 * K :]], axis=-1)
+        np.matmul(Z[..., : 3 * K].swapaxes(-2, -1), right, out=S[c])
+        # |Z_3|^2 with M as the contiguous last axis, summed one row at a time
+        nu[c] = np.sum(np.abs(z[:, 3].swapaxes(-2, -1), out=np.empty((len(z), K, M))) ** 2, axis=-1)
+    stats = (S.reshape(len(ids), 3, K, 4, K), nu)
+    for a in stats:
+        a.setflags(write=False)
+    _stats_seconds += time.perf_counter() - t0
+    if memoize:
+        _memoize(key, stats)
+    return stats
 
 
 def draw_complex_gaussian(rng, rows: int, cols: int, variance=1.0) -> np.ndarray:

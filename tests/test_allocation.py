@@ -154,6 +154,16 @@ class TestLineSearch:
         with pytest.raises(RuntimeError, match="dead on arrival"):
             line_search(6, evaluate)
 
+    @pytest.mark.parametrize("bad", (float("nan"), float("inf"), float("-inf")))
+    def test_non_finite_objective_is_a_failed_candidate(self, bad):
+        result = line_search(8, lambda b_h, b_p: bad if b_h == 3 else float(b_h))
+        assert result.failed
+        assert result.error == f"(3, 5): ValueError: objective is {bad!r}, not a finite number"
+        assert [row[0] for row in result.profile] == [1, 2]
+        assert result.best == BitSplit(b_h=2, b_p=6)
+        with pytest.raises(ValueError, match="not a finite number"):
+            line_search(8, lambda b_h, b_p: bad)
+
     def test_budget_object_input(self):
         budget = compute_budget(FronthaulBudget(c_fh=30720.0), M=128, K=8)
         result = line_search(budget, lambda b_h, b_p: float(-abs(b_h - 15)))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import fhalloc.sysmodel as sysmodel
-from fhalloc.channel import _block_estimate, gamma_coefficient, mmse_estimate, quantized_estimate
+from fhalloc.channel import _slot_gram, _slot_scales, gamma_coefficient, mmse_estimate, quantized_estimate
 from fhalloc.quantization import eta_of_bits
 from fhalloc.sysmodel import SystemConfig, trial_draws
 
@@ -138,7 +138,6 @@ class TestEstimateChannel:
     def test_deterministic_in_streams(self):
         cfg = cfg_small()
         a = quantized_estimate(cfg, trial_draws(cfg, 4, range(3)), 0.0)
-        sysmodel._draw_cache.clear()
         b = quantized_estimate(cfg, trial_draws(cfg, 4, range(3)), 0.0)
         for x, y in zip(a, b):
             np.testing.assert_array_equal(x, y)
@@ -183,82 +182,97 @@ class TestQuantizedEstimate:
         assert np.mean(np.abs(Hhat_q) ** 2) == pytest.approx((1.0 - eta) * gamma[0], rel=0.02)
 
 
+def gram_reference(cfg, z, eta_h):
+    """(G, H^T Hhat_q^*) from the M x K arrays of quantized_estimate."""
+    H, Hhat_q = quantized_estimate(cfg, z, eta_h)
+    return Hhat_q.swapaxes(-2, -1) @ Hhat_q.conj(), H.swapaxes(-2, -1) @ Hhat_q.conj()
+
+
 class TestEstimateMemo:
-    """The channel and its estimate are kept beside a memoized draw block."""
+    """The estimate's K x K products come from memoized, config-free slot statistics."""
 
     @pytest.fixture(autouse=True)
     def cold_cache(self, monkeypatch):
-        monkeypatch.setattr(sysmodel, "_draw_cache", {})
-
-    @staticmethod
-    def derived_keys():
-        return [key for key in sysmodel._draw_cache if sysmodel._is_derived(key)]
+        monkeypatch.setattr(sysmodel, "_stats_cache", {})
 
     ETAS = (0.0, eta_of_bits(1), eta_of_bits(3), eta_of_bits(8))
+
+    @staticmethod
+    def products(cfg, eta_h, ids=range(6), attempt=None):
+        S, _ = sysmodel._trial_stats(cfg, 3, ids, attempt)
+        G, V0 = _slot_gram(S, _slot_scales(cfg, eta_h))
+        return G, np.sqrt(cfg.beta)[:, None] * V0
+
+    def test_slot_products_match_the_m_space_estimate(self):
+        cfg = cfg_small(beta=[0.5, 2.0])
+        z = trial_draws(cfg, 3, range(6))
+        for eta in self.ETAS:
+            for got, want in zip(self.products(cfg, eta), gram_reference(cfg, z, eta)):
+                np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13 * np.max(np.abs(want)))
 
     def test_warm_cold_and_cleared_memo_agree(self):
         cfg = cfg_small(beta=[0.5, 2.0])
 
         def estimates():
-            z = trial_draws(cfg, 3, range(6))
-            return [quantized_estimate(cfg, z, eta) for eta in self.ETAS]
+            return [self.products(cfg, eta) for eta in self.ETAS]
 
         cold = estimates()
-        assert len(self.derived_keys()) == 1  # one entry serves every eta_h
-        H, _, H_up = _block_estimate(cfg, trial_draws(cfg, 3, range(6)))
-        assert H_up.flags.c_contiguous and np.array_equal(H_up, H.swapaxes(-2, -1))
+        assert len(sysmodel._stats_cache) == 1  # one entry serves every eta_h
+        held = sysmodel._stats_cache[(cfg.M, cfg.K, 3, sysmodel.DOMAIN_TRIAL, tuple(range(6)))]
         warm = estimates()
-        assert np.shares_memory(warm[0][0], cold[0][0])  # H came from the memo
-        sysmodel._draw_cache.clear()
+        assert sysmodel._trial_stats(cfg, 3, range(6)) is held  # served from the memo
+        sysmodel._stats_cache.clear()
         cleared = estimates()
-        assert not np.shares_memory(cleared[0][0], cold[0][0])
-        for (H, Hhat_q), (H_w, Hhat_w), (H_c, Hhat_c) in zip(cold, warm, cleared):
-            np.testing.assert_array_equal(H_w, H)
-            np.testing.assert_array_equal(H_c, H)
-            np.testing.assert_array_equal(Hhat_w, Hhat_q)
-            np.testing.assert_array_equal(Hhat_c, Hhat_q)
+        assert sysmodel._trial_stats(cfg, 3, range(6)) is not held
+        for c, w, r in zip(cold, warm, cleared):
+            for a, b, d in zip(c, w, r):
+                np.testing.assert_array_equal(b, a)
+                np.testing.assert_array_equal(d, a)
 
     def test_returned_arrays_cannot_corrupt_the_memo(self):
         cfg = cfg_small()
-        z = trial_draws(cfg, 3, range(4))
-        H, Hhat_q = quantized_estimate(cfg, z, eta_of_bits(2))
-        expected = (H.copy(), Hhat_q.copy())
-        with pytest.raises(ValueError):
-            H[0, 0, 0] = 1.0
-        Hhat_q[...] = 7.0  # the quantized estimate is the caller's own array
-        for array in sysmodel._draw_cache.values():
-            assert not array.flags.writeable
-            assert not np.shares_memory(array, Hhat_q)
-        again = quantized_estimate(cfg, z, eta_of_bits(2))
+        S, nu = sysmodel._trial_stats(cfg, 3, range(4))
+        for array in (S, nu):
+            with pytest.raises(ValueError):
+                array[0, 0] = 1.0
+        G, F = self.products(cfg, eta_of_bits(2), range(4))
+        expected = (G.copy(), F.copy())
+        G[...] = 7.0  # the products are the caller's own arrays
+        F[...] = 7.0
+        for value in sysmodel._stats_cache.values():
+            assert all(not a.flags.writeable and not np.shares_memory(a, G) for a in value)
+        again = self.products(cfg, eta_of_bits(2), range(4))
         np.testing.assert_array_equal(again[0], expected[0])
         np.testing.assert_array_equal(again[1], expected[1])
 
     def test_redraw_block_and_caller_array_leave_the_memo_alone(self):
         cfg = cfg_small()
-        z = trial_draws(cfg, 3, range(4))
-        memoized = quantized_estimate(cfg, z, 0.1)
-        held = dict(sysmodel._draw_cache)
-        for other in (trial_draws(cfg, 3, range(4), [0, 1, 0, 0]), np.array(z)):
-            H, Hhat_q = quantized_estimate(cfg, other, 0.1)
-            assert not any(np.shares_memory(H, array) for array in sysmodel._draw_cache.values())
-            assert sysmodel._draw_cache.keys() == held.keys()
-            assert all(sysmodel._draw_cache[key] is held[key] for key in held)
-        # the caller's copy holds the same draws, so it gives the same bits
-        np.testing.assert_array_equal(quantized_estimate(cfg, np.array(z), 0.1)[1], memoized[1])
+        first = self.products(cfg, 0.1, range(4))
+        held = dict(sysmodel._stats_cache)
+        redrawn = self.products(cfg, 0.1, range(4), [0, 1, 0, 0])
+        S, _ = sysmodel._trial_stats(cfg, 3, range(4))
+        own = _slot_gram(np.array(S), _slot_scales(cfg, 0.1))  # the caller's own copy of the statistics
+        assert sysmodel._stats_cache.keys() == held.keys()
+        assert all(sysmodel._stats_cache[key] is held[key] for key in held)
+        assert not any(np.shares_memory(a, b) for a in own for value in held.values() for b in value)
+        # the copy holds the same statistics, so it gives the same bits
+        np.testing.assert_array_equal(own[0], first[0])
+        # trial 1 of the redraw block comes from its second stream, the others from their first
+        for got, want in zip(redrawn, first):
+            np.testing.assert_array_equal(got[[0, 2, 3]], want[[0, 2, 3]])
+            assert not np.array_equal(got[1], want[1])
+        z = trial_draws(cfg, 3, range(4), [0, 1, 0, 0])
+        np.testing.assert_allclose(redrawn[0], gram_reference(cfg, z, 0.1)[0], rtol=1e-13, atol=1e-13)
 
-    @pytest.mark.parametrize(
-        "change",
-        ({"pilot_power": 0.5}, {"beta": [1.0, 1.5]}, {"tau_p": 4}, {"total_power": 4.0, "pilot_power": None}),
-    )
-    def test_estimation_parameters_miss_the_memo(self, change):
+    def test_estimation_parameters_share_the_memo(self):
         cfg = cfg_small()
-        other = cfg_small(**change)
-        z = trial_draws(cfg, 3, range(4))
-        quantized_estimate(cfg, z, 0.1)
-        warm = quantized_estimate(other, z, 0.1)
-        assert len(self.derived_keys()) == 2
-        sysmodel._draw_cache.clear()
-        cold = quantized_estimate(other, trial_draws(cfg, 3, range(4)), 0.1)
-        np.testing.assert_array_equal(warm[0], cold[0])
-        np.testing.assert_array_equal(warm[1], cold[1])
-        assert not np.array_equal(warm[1], quantized_estimate(cfg, z, 0.1)[1])
+        self.products(cfg, 0.1, range(4))
+        for change in ({"pilot_power": 0.5}, {"beta": [1.0, 1.5]}, {"tau_p": 4}, {"total_power": 4.0, "pilot_power": None}):
+            other = cfg_small(**change)
+            warm = self.products(other, 0.1, range(4))
+            assert len(sysmodel._stats_cache) == 1
+            sysmodel._stats_cache.clear()
+            cold = self.products(other, 0.1, range(4))
+            np.testing.assert_array_equal(warm[0], cold[0])
+            np.testing.assert_array_equal(warm[1], cold[1])
+            assert not np.array_equal(warm[0], self.products(cfg, 0.1, range(4))[0])

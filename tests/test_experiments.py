@@ -213,6 +213,23 @@ class TestRunSweep:
         ]
         assert all(c["elapsed_s"] >= 0 and c["redraws"] == 0 for c in cells)
 
+    def test_meta_stage_timers(self, tmp_path, monkeypatch):
+        """stats_s is spent on a memo miss only; the stage timers leave the data files alone."""
+        monkeypatch.setattr(sysmodel, "_stats_cache", {})
+        spec = small_spec(precoders=("zf", "mrt"), beta=[0.5, 1.0])
+        cold = run_sweep(spec, tmp_path / "cold")["cells"]
+        warm = run_sweep(spec, tmp_path / "warm")["cells"]
+        for cells in (cold, warm):
+            assert all(c["moments_s"] > 0 and c["kxk_s"] > 0 for c in cells)
+        # the first cell draws both the trial and the moment statistics
+        assert cold[0]["stats_s"] > 0 and all(c["stats_s"] == 0 for c in cold[1:] + warm)
+        names = sorted(p.name for p in (tmp_path / "cold").iterdir() if p.suffix in (".csv", ".dat"))
+        assert len(names) == 3
+        for name in names:
+            assert (tmp_path / "cold" / name).read_bytes() == (tmp_path / "warm" / name).read_bytes()
+        closed = run_sweep(small_spec(evaluator="closed-form"), tmp_path / "closed")["cells"]
+        assert all(c[stage] == 0 for c in closed for stage in experiments.STAGES)
+
     def test_spec_out_dir_fallback(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         run_sweep(small_spec(out_dir="from_spec"))
@@ -294,9 +311,9 @@ class TestPresets:
         assert meta["spec"]["name"] == "fig4"
 
     def test_outputs_do_not_depend_on_memo_state_or_workers(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(sysmodel, "_draw_cache", {})
+        monkeypatch.setattr(sysmodel, "_stats_cache", {})
         reproduce("fig4", tmp_path / "cold", M=16, K=2, trials=20)
-        assert any(sysmodel._is_derived(key) for key in sysmodel._draw_cache)
+        assert list(sysmodel._stats_cache) == [(16, 2, 1, sysmodel.DOMAIN_TRIAL, tuple(range(20)))]
         reproduce("fig4", tmp_path / "warm", M=16, K=2, trials=20)
         reproduce("fig4", tmp_path / "pool", M=16, K=2, trials=20, workers=2)
         names = sorted(p.name for p in (tmp_path / "cold").iterdir() if p.suffix in (".csv", ".dat"))
@@ -673,6 +690,27 @@ class TestCli:
         assert len(read_csv(tmp_path / f"{stem}.csv")) == 1 + rows
         meta = json.loads((tmp_path / f"{stem}_meta.json").read_text())
         assert len(meta["failed_cells"]) == failed
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        (
+            (["optimize", "--budget-bbar", "10"], 2),
+            (["optimize", "--budget-bbar", "10", "--evaluator", "mc", "--precoder", "zf"], 2),
+            (["sweep", "--budget-bbar", "4", "--evaluator", "closed-form"], 1),
+        ),
+        ids=("optimize-closed-form", "optimize-mc-zf", "sweep-closed-form"),
+    )
+    def test_zero_pilot_power_is_reported(self, tmp_path, capsys, argv, code):
+        """No CSI at all: optimize is a config error, a sweep reports its failed cells."""
+        small = ["--m", "16", "--k", "2", "--trials", "5", "--pilot-q", "0", "--out", str(tmp_path)]
+        assert main(argv + small) == code
+        captured = capsys.readouterr()
+        assert "gamma" in captured.err
+        assert "nan" not in captured.out
+        if argv[0] == "sweep":
+            meta = json.loads((tmp_path / "sweep_meta.json").read_text())
+            assert meta["rows"] == 0 and len(meta["failed_cells"]) == 3
+            assert read_csv(tmp_path / "sweep.csv") == [read_csv(tmp_path / "sweep.csv")[0]]
 
     def test_config_that_is_not_an_object(self, tmp_path, capsys):
         config = tmp_path / "spec.json"

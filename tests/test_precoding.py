@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fhalloc.channel import quantized_estimate
+from fhalloc.channel import gamma_coefficient, quantized_estimate
 import fhalloc.precoding as precoding
 from fhalloc.precoding import (
     RankDeficientError,
@@ -14,7 +14,7 @@ from fhalloc.precoding import (
     transmit_rescale,
 )
 from fhalloc.quantization import eta_of_bits
-from fhalloc.sysmodel import RngStream, SystemConfig, draw_complex_gaussian, trial_draws
+from fhalloc.sysmodel import DOMAIN_MOMENTS, RngStream, SystemConfig, draw_complex_gaussian, trial_draws
 
 KINDS = ("mrt", "zf", "wf")
 
@@ -138,7 +138,7 @@ class TestMrtMoments:
     def test_symmetric_config(self):
         cfg = make_cfg(M=64, K=4, total_power=10.0)
         mom = mrt_moments(cfg, eta_h=0.0)
-        assert mom.shape == (64, 4)
+        assert mom.shape == (4,)
         # gamma = 8/9 for every user, so zeta_bar^2 = P_t / (M K 8/9)
         expect = 10.0 / (64 * 4 * (8.0 / 9.0)) * (8.0 / 9.0)
         np.testing.assert_allclose(mom, expect, rtol=1e-12)
@@ -146,19 +146,19 @@ class TestMrtMoments:
     def test_total_power_exact(self):
         cfg = make_cfg(M=32, K=3, tau_p=8, total_power=7.0, beta=[0.2, 1.0, 3.5])
         mom = mrt_moments(cfg, eta_h=0.1175)
-        assert np.sum(mom) == pytest.approx(7.0, rel=1e-14)
+        assert cfg.M * np.sum(mom) == pytest.approx(7.0, rel=1e-14)
 
     def test_layout(self):
-        """One row per antenna, one column per user, the layout of P."""
+        """One number per user: every antenna of a column has the same moment."""
         cfg = make_cfg(M=8, K=2, beta=[0.5, 2.0])
         mom = mrt_moments(cfg, 0.0)
-        assert mom.shape == (8, 2)
-        np.testing.assert_array_equal(mom, np.broadcast_to(mom[0], (8, 2)))
+        assert mom.shape == (2,)
+        gamma = gamma_coefficient(cfg.pilot_power, cfg.tau_p, cfg.beta)
+        np.testing.assert_allclose(mom, cfg.total_power * gamma / (cfg.M * np.sum(gamma)), rtol=1e-14)
 
     def test_unequal_betas_order(self):
         cfg = make_cfg(beta=[0.1, 0.5, 1.0, 2.0])
-        trace = np.sum(mrt_moments(cfg, 0.0), axis=0)
-        assert np.all(np.diff(trace) > 0)
+        assert np.all(np.diff(mrt_moments(cfg, 0.0)) > 0)
 
 
 class TestEstimateMomentsMc:
@@ -166,13 +166,13 @@ class TestEstimateMomentsMc:
         cfg = make_cfg(M=32, K=4, total_power=2.0)
         ref = mrt_moments(cfg, 0.1175)
         mom = estimate_moments_mc(cfg, "mrt", 0.1175, trials=2000, seed=11)
-        np.testing.assert_allclose(np.sum(mom, axis=0), np.sum(ref, axis=0), rtol=0.03)
+        np.testing.assert_allclose(mom, ref, rtol=0.03)
 
     def test_total_power_preserved(self):
         cfg = make_cfg(M=16, K=2)
         mom = estimate_moments_mc(cfg, "wf", 0.1175, trials=200, seed=3)
-        assert mom.shape == (16, 2)
-        assert np.sum(mom) == pytest.approx(cfg.total_power, rel=1e-12)
+        assert mom.shape == (2,)
+        assert cfg.M * np.sum(mom) == pytest.approx(cfg.total_power, rel=1e-12)
 
     def test_deterministic(self):
         cfg = make_cfg(M=16, K=2)
@@ -205,10 +205,10 @@ class TestPrecoderEntryVar:
     def test_exact_moments_match_monte_carlo(self, kind):
         cfg = SystemConfig.from_snr(M=16, K=4, tau_c=200, tau_p=8, snr_db=0.0)
         exact = precoder_entry_var(cfg, kind, 0.1175, trials=100, seed=11)
-        np.testing.assert_array_equal(exact, np.full((16, 4), cfg.total_power / 64))
-        assert np.sum(exact) == pytest.approx(cfg.total_power, rel=1e-14)
+        np.testing.assert_array_equal(exact, np.full(4, cfg.total_power / 64))
+        assert cfg.M * np.sum(exact) == pytest.approx(cfg.total_power, rel=1e-14)
         mc = estimate_moments_mc(cfg, kind, 0.1175, trials=2000, seed=11)
-        np.testing.assert_allclose(np.sum(mc, axis=0), np.sum(exact, axis=0), rtol=0.03)
+        np.testing.assert_allclose(mc, exact, rtol=0.03)
 
     def test_monte_carlo_only_for_unequal_gamma(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -228,6 +228,37 @@ class TestPrecoderEntryVar:
         with pytest.raises(ValueError, match="unknown precoder kind"):
             precoder_entry_var(make_cfg(), "rzf", 0.0, trials=100, seed=0)
 
+    @pytest.mark.parametrize("kind", ("zf", "wf"))
+    def test_sampled_moments_are_the_antenna_average(self, kind):
+        """One number per user: the mean over antennas and trials of |P[m, i]|^2."""
+        cfg = SystemConfig.from_snr(M=12, K=3, tau_c=200, tau_p=3, snr_db=5.0, beta=[0.5, 1.0, 2.0])
+        eta_h = eta_of_bits(3)
+        _, Hhat_q = quantized_estimate(cfg, trial_draws(cfg, 4, range(150), domain=DOMAIN_MOMENTS), eta_h)
+        P = build_precoder(Hhat_q.swapaxes(-2, -1), kind, cfg)
+        want = np.mean(np.abs(P) ** 2, axis=(0, 1))
+        np.testing.assert_allclose(precoder_entry_var(cfg, kind, eta_h, trials=150, seed=4), want, rtol=1e-12)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_zero_pilot_power_is_refused(self, kind):
+        blind = SystemConfig.from_snr(M=16, K=2, tau_c=200, tau_p=8, snr_db=0.0, pilot_power=0.0)
+        with pytest.raises(ValueError, match="gamma"):
+            precoder_entry_var(blind, kind, 0.1, trials=100, seed=0)
+        one_blind = SystemConfig.from_snr(M=16, K=2, tau_c=200, tau_p=8, snr_db=0.0, pilot_power=[1.0, 0.0])
+        if kind == "mrt":
+            assert precoder_entry_var(one_blind, kind, 0.1, trials=100, seed=0)[1] == 0.0
+        else:
+            with pytest.raises(ValueError, match="gamma > 0 for every user"):
+                precoder_entry_var(one_blind, kind, 0.1, trials=100, seed=0)
+
+
+def test_moment_helpers_are_module_names_only():
+    """mrt_moments, estimate_moments_mc and transmit_rescale left the package namespace."""
+    import fhalloc
+
+    assert len(fhalloc.__all__) == 23
+    for name in ("mrt_moments", "estimate_moments_mc", "transmit_rescale"):
+        assert name not in fhalloc.__all__ and callable(getattr(precoding, name))
+
 
 @settings(max_examples=40, deadline=None)
 @given(
@@ -240,7 +271,7 @@ class TestPrecoderEntryVar:
     seed=st.integers(0, 2**32 - 1),
 )
 def test_entry_var_sums_to_total_power(kind, K, extra, snr_db, beta, b_h, seed):
-    """sum_{m,i} E|P[m, i]|^2 = P_t whichever case supplies the moments.
+    """M sum_i E|P[m, i]|^2 = P_t whichever case supplies the moments.
 
     beta=None gives every user the same gamma (exact ZF/WF moments); a
     list of per-user betas makes gamma unequal (sampled ZF/WF moments).
@@ -249,8 +280,8 @@ def test_entry_var_sums_to_total_power(kind, K, extra, snr_db, beta, b_h, seed):
         M=K + extra, K=K, tau_c=50, tau_p=K, snr_db=snr_db, beta=None if beta is None else beta[:K]
     )
     entry_var = precoder_entry_var(cfg, kind, eta_of_bits(b_h), trials=100, seed=seed)
-    assert entry_var.shape == (cfg.M, cfg.K)
-    assert np.sum(entry_var) == pytest.approx(cfg.total_power, rel=1e-12)
+    assert entry_var.shape == (cfg.K,)
+    assert cfg.M * np.sum(entry_var) == pytest.approx(cfg.total_power, rel=1e-12)
 
 
 @settings(max_examples=60, deadline=None)

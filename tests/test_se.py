@@ -1,5 +1,3 @@
-import inspect
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +6,10 @@ from hypothesis import strategies as st
 import fhalloc.precoding as precoding
 import fhalloc.se as se
 import fhalloc.sysmodel as sysmodel
+from fhalloc.channel import quantized_estimate
 from fhalloc.experiments import ExperimentSpec, optimize_split
+from fhalloc.precoding import precoder_entry_var, transmit_rescale
+from fhalloc.quantization import aqnm_noise_var, eta_of_bits
 from fhalloc.se import (
     closed_form_mrt_sinr,
     closed_form_mrt_terms,
@@ -179,88 +180,68 @@ class TestMcHardeningSinr:
 
     @pytest.mark.parametrize("kind", ("zf", "wf"))
     def test_one_rank_check_per_block(self, monkeypatch, kind):
-        """The Monte Carlo mask is the only rank check; the precoder is built unchecked."""
+        """The Monte Carlo mask on the K x K Grams is the only rank check."""
         checked = []
         real = precoding.rank_deficient_mask
 
-        def counted(H_d):
-            checked.append(H_d.shape[0])
-            return real(H_d)
+        def counted(G):
+            assert G.shape[1:] == (2, 2)
+            checked.append(G.shape[0])
+            return real(G)
 
         monkeypatch.setattr(se, "rank_deficient_mask", counted)
         monkeypatch.setattr(precoding, "rank_deficient_mask", counted)
-        mc_hardening_sinr(cfg_at(0.0, M=16, K=2), kind, 3, 3, trials=300, seed=1, batch=128)
-        assert checked == [128, 128, 44]
+        mc_hardening_sinr(cfg_at(0.0, M=16, K=2), kind, 3, 3, trials=300, seed=1)
+        assert checked == [256, 44]
 
-    def test_default_batch_checks_each_trial_once_in_small_chunks(self, monkeypatch):
-        """Each trial is rank-checked once, in canonical order, in chunks of at most _CHUNK."""
+    def test_each_trial_is_rank_checked_once_in_canonical_order(self, monkeypatch):
+        """Each trial's Gram is rank-checked once, block by block, in trial order."""
         cfg = cfg_at(0.0, M=16, K=2)
         seen = []
         real = se.rank_deficient_mask
 
-        def recorded(H_d):
-            seen.append(H_d[:, 0, 0].copy())
-            return real(H_d)
+        def recorded(G):
+            seen.append(G[:, 0, 0].real.copy())
+            return real(G)
 
         monkeypatch.setattr(se, "rank_deficient_mask", recorded)
         rep = mc_hardening_sinr(cfg, "zf", None, None, trials=300, seed=1, csi_mode="perfect")
         assert rep.redraws == 0
-        assert inspect.signature(mc_hardening_sinr).parameters["batch"].default == se._CHUNK
-        assert max(len(h) for h in seen) <= se._CHUNK
-        assert len(seen) == -(-256 // se._CHUNK) + -(-44 // se._CHUNK)
-        # perfect CSI: H_d[:, 0, 0] is the true channel entry of each trial
-        first = trial_draws(cfg, 1, range(300))[:, 0, 0, 0] * np.sqrt(cfg.beta[0])
-        np.testing.assert_array_equal(np.concatenate(seen), first)
+        assert [len(g) for g in seen] == [256, 44]
+        # perfect CSI: G[:, 0, 0] is beta_0 ||Z_0[:, 0]||^2 of each trial
+        first = cfg.beta[0] * np.sum(np.abs(trial_draws(cfg, 1, range(300))[:, 0, :, 0]) ** 2, axis=-1)
+        np.testing.assert_allclose(np.concatenate(seen), first, rtol=1e-13)
 
     def test_draw_memo_keeps_trial_blocks(self):
-        """A small batch chunks the arithmetic only; draws stay in TRIAL_BLOCK blocks."""
+        """The statistics memo holds one entry per TRIAL_BLOCK-aligned block of trial ids."""
         cfg = cfg_at(0.0, M=16, K=2)
-        sysmodel._draw_cache.clear()
-        mc_hardening_sinr(cfg, "zf", 3, 3, trials=300, seed=1, batch=7)
-        blocks = [
+        sysmodel._stats_cache.clear()
+        mc_hardening_sinr(cfg, "zf", 3, 3, trials=300, seed=1)
+        mc_hardening_sinr(cfg_at(-10.0, M=16, K=2), "wf", 5, 1, trials=300, seed=1)
+        assert list(sysmodel._stats_cache) == [
             (16, 2, 1, sysmodel.DOMAIN_TRIAL, tuple(range(0, 256))),
             (16, 2, 1, sysmodel.DOMAIN_TRIAL, tuple(range(256, 300))),
         ]
-        held = list(sysmodel._draw_cache)
-        assert [k for k in held if not sysmodel._is_derived(k)] == blocks
-        derived = [k for k in held if sysmodel._is_derived(k)]
-        assert [k[0] for k in derived] == blocks
-        assert all(k[1][0] == "estimate" for k in derived)
 
     @pytest.mark.parametrize("csi_mode", se.CSI_MODES)
     @pytest.mark.parametrize("kind", ("zf", "wf"))
     def test_redraws_do_not_depend_on_batch(self, monkeypatch, kind, csi_mode):
-        """Trials flagged by their content are redrawn to the same bits at any chunk size."""
+        """Trials flagged by their content are redrawn to the same bits at any block size."""
 
-        def flag_by_content(H_d):
-            return H_d[..., 0, 0].real > 0.8
+        def flag_by_content(G):
+            return G[..., 0, 0].real > 18.0
 
         monkeypatch.setattr(se, "rank_deficient_mask", flag_by_content)
         cfg = cfg_at(0.0, M=16, K=2)
-        runs = [
-            mc_hardening_sinr(cfg, kind, 3, 3, trials=300, seed=3, csi_mode=csi_mode, batch=batch)
-            for batch in (1, 7, 32, sysmodel.TRIAL_BLOCK)
-        ]
+        runs = []
+        for block in (1, 7, 32, sysmodel.TRIAL_BLOCK):
+            monkeypatch.setattr(se, "TRIAL_BLOCK", block)
+            sysmodel._stats_cache.clear()
+            runs.append(mc_hardening_sinr(cfg, kind, 3, 3, trials=300, seed=3, csi_mode=csi_mode))
         assert runs[0].redraws > 0
         for rep in runs[1:]:
             np.testing.assert_array_equal(rep.sinr, runs[0].sinr)
             assert rep.redraws == runs[0].redraws
-
-    @pytest.mark.parametrize("batch", (0, -3))
-    def test_batch_must_be_positive(self, monkeypatch, batch):
-        """A batch below 1 is refused before any draw, so the trial loop never starts."""
-        calls = []
-
-        def bounded(*args, **kwargs):
-            calls.append(args)
-            if len(calls) > 3:
-                raise AssertionError("trial loop did not stop")
-            return trial_draws(*args, **kwargs)
-
-        monkeypatch.setattr(se, "trial_draws", bounded)
-        with pytest.raises(ValueError, match="batch must be >= 1"):
-            mc_hardening_sinr(cfg_at(0.0, M=16, K=2), "mrt", 3, 3, trials=10, seed=1, batch=batch)
-        assert calls == []
 
     def test_deterministic(self):
         cfg = cfg_at(0.0, M=16, K=2)
@@ -275,7 +256,7 @@ class TestMcHardeningSinr:
         ids=lambda v: v if isinstance(v, str) else ("equal-beta" if v == 1.0 else "unequal-beta"),
     )
     def test_batch_size_invariance(self, monkeypatch, kind, csi_mode, beta):
-        """Chunking the trial loop differently must not move a single bit.
+        """Other trial blocks and reduction chunks must not move a single bit.
 
         Unequal beta makes gamma unequal, so the ZF case samples its
         precoder moments with estimate_moments_mc.
@@ -284,9 +265,14 @@ class TestMcHardeningSinr:
         real = precoding.estimate_moments_mc
         monkeypatch.setattr(precoding, "estimate_moments_mc", lambda *a, **k: sampled.append(a) or real(*a, **k))
         cfg = SystemConfig.from_snr(M=16, K=2, tau_c=200, tau_p=8, snr_db=0.0, beta=beta)
-        a = mc_hardening_sinr(cfg, kind, 3, 3, trials=50, seed=2, csi_mode=csi_mode, batch=7, moment_trials=100)
-        b = mc_hardening_sinr(cfg, kind, 3, 3, trials=50, seed=2, csi_mode=csi_mode, batch=64, moment_trials=100)
-        np.testing.assert_array_equal(a.sinr, b.sinr)
+        reports = []
+        for block, chunk in ((7, 3), (64, 16)):
+            for module in (se, precoding):
+                monkeypatch.setattr(module, "TRIAL_BLOCK", block)
+            monkeypatch.setattr(sysmodel, "_STATS_CHUNK", chunk)
+            sysmodel._stats_cache.clear()
+            reports.append(mc_hardening_sinr(cfg, kind, 3, 3, trials=150, seed=2, csi_mode=csi_mode, moment_trials=100))
+        np.testing.assert_array_equal(reports[0].sinr, reports[1].sinr)
         assert len(sampled) == (2 if beta != 1.0 else 0)
 
     @settings(max_examples=25, deadline=None)
@@ -298,16 +284,20 @@ class TestMcHardeningSinr:
         batches=st.tuples(st.integers(1, 64), st.integers(1, 64)),
     )
     def test_cache_state_and_batch_leave_sinr_unchanged(self, kind, csi_mode, beta, trials, batches):
-        """A cold draw cache, a warm one and another batch size give the same bits."""
+        """A cold stats memo, a warm one, a cleared one and another block size give the same bits."""
         cfg = SystemConfig.from_snr(M=16, K=2, tau_c=200, tau_p=8, snr_db=0.0, beta=beta)
 
-        def run(batch):
-            rep = mc_hardening_sinr(cfg, kind, 3, 2, trials, 6, csi_mode, batch=batch, moment_trials=100)
-            return rep.sinr
+        def run(block):
+            with pytest.MonkeyPatch.context() as mp:
+                for module in (se, precoding):
+                    mp.setattr(module, "TRIAL_BLOCK", block)
+                return mc_hardening_sinr(cfg, kind, 3, 2, trials, 6, csi_mode, moment_trials=100).sinr
 
-        sysmodel._draw_cache.clear()
+        sysmodel._stats_cache.clear()
         cold = run(batches[0])
         np.testing.assert_array_equal(run(batches[0]), cold)
+        np.testing.assert_array_equal(run(batches[1]), cold)
+        sysmodel._stats_cache.clear()
         np.testing.assert_array_equal(run(batches[1]), cold)
 
     def test_perfect_csi_ignores_bits(self):
@@ -361,6 +351,82 @@ class TestMcHardeningSinr:
             mc_hardening_sinr(cfg, "mrt", 4, 4, trials=10, seed=0, csi_mode="oracle")
 
 
+def m_space_sinr(cfg, kind, b_h, b_p, trials, seed, csi_mode, moment_trials):
+    """The hardening SINR written out on M x K arrays, one trial at a time.
+
+    Estimate and CSI quantization (quantized_estimate), the precoder
+    from an M x K solve, precoder quantization with the population
+    moments, transmit rescale, and the gains H^T P.
+    """
+    perfect = csi_mode == "perfect"
+    eta_h = 0.0 if perfect else eta_of_bits(b_h)
+    gains = []
+    for z in trial_draws(cfg, seed, range(trials)):
+        H, Hhat_q = quantized_estimate(cfg, z, eta_h)
+        H_d = (H if perfect else Hhat_q).T
+        U = H_d.conj().T
+        if kind != "mrt":
+            load = cfg.K * cfg.noise_var / cfg.total_power if kind == "wf" else 0.0
+            U = np.linalg.solve(H_d @ H_d.conj().T + load * np.eye(cfg.K), H_d).conj().T
+        P = U * np.sqrt(cfg.total_power / np.sum(np.abs(U) ** 2))
+        if not perfect:
+            eta_p = eta_of_bits(b_p)
+            entry_var = precoder_entry_var(cfg, kind, eta_h, moment_trials, seed)
+            P = (1.0 - eta_p) * P + z[3] * np.sqrt(aqnm_noise_var(eta_p, entry_var))
+            P = transmit_rescale(P, cfg.total_power) * P
+        gains.append(H.T @ P)
+    mean_gain = np.mean(gains, axis=0)
+    desired = np.abs(np.diagonal(mean_gain)) ** 2
+    return desired / (np.sum(np.mean(np.abs(gains) ** 2, axis=0), axis=1) - desired + cfg.noise_var)
+
+
+class TestKxKPipeline:
+    """mc_hardening_sinr's K x K algebra against the M x K pipeline it replaces."""
+
+    @pytest.mark.parametrize("snr_db", (10.0, -15.0))
+    @pytest.mark.parametrize("beta", (1.0, (0.5, 1.0, 1.5, 2.0)), ids=("equal-beta", "unequal-beta"))
+    @pytest.mark.parametrize("csi_mode", se.CSI_MODES)
+    @pytest.mark.parametrize("kind", ("mrt", "zf", "wf"))
+    def test_matches_the_m_space_reference(self, kind, csi_mode, beta, snr_db):
+        cfg = SystemConfig.from_snr(M=16, K=4, tau_c=200, tau_p=4, snr_db=snr_db, beta=beta)
+        rep = mc_hardening_sinr(cfg, kind, 3, 4, trials=40, seed=12, csi_mode=csi_mode, moment_trials=100)
+        assert rep.redraws == 0
+        want = m_space_sinr(cfg, kind, 3, 4, 40, 12, csi_mode, 100)
+        np.testing.assert_allclose(rep.sinr, want, rtol=1e-12)
+
+
+class TestZeroPilotPower:
+    """Zero pilot power leaves no CSI; the evaluators refuse instead of returning NaN."""
+
+    def test_closed_form_refuses_when_every_gamma_is_zero(self):
+        cfg = SystemConfig.from_snr(M=16, K=2, tau_c=200, tau_p=8, snr_db=10.0, pilot_power=0.0)
+        with pytest.raises(ValueError, match="gamma = 0"):
+            closed_form_mrt_terms(cfg, 4, 4)
+        with pytest.raises(ValueError, match="gamma = 0"):
+            closed_form_mrt_sinr(cfg, [1, 2], [2, 1])
+
+    @pytest.mark.parametrize(
+        "kind, pilot_power", [("mrt", 0.0), ("zf", 0.0), ("wf", 0.0), ("zf", [0.0, 1.0]), ("wf", [1.0, 0.0])]
+    )
+    def test_monte_carlo_refuses_before_any_draw(self, monkeypatch, kind, pilot_power):
+        def refuse(*args, **kwargs):
+            raise AssertionError("statistics drawn")
+
+        monkeypatch.setattr(se, "_trial_stats", refuse)
+        cfg = SystemConfig.from_snr(M=16, K=2, tau_c=200, tau_p=8, snr_db=10.0, pilot_power=pilot_power)
+        with pytest.raises(ValueError, match="gamma"):
+            mc_hardening_sinr(cfg, kind, 3, 3, trials=10, seed=1)
+
+    def test_what_still_runs(self):
+        """MRT with one user left without CSI, and perfect CSI, which reads no estimate."""
+        cfg = SystemConfig.from_snr(M=16, K=2, tau_c=200, tau_p=8, snr_db=10.0, pilot_power=[0.0, 1.0])
+        rep = mc_hardening_sinr(cfg, "mrt", 3, 3, trials=20, seed=1)
+        assert np.all(np.isfinite(rep.sinr)) and rep.sinr[0] == 0.0 and rep.sinr[1] > 0
+        blind = SystemConfig.from_snr(M=16, K=2, tau_c=200, tau_p=8, snr_db=10.0, pilot_power=0.0)
+        for kind in ("mrt", "zf", "wf"):
+            assert np.isfinite(mc_hardening_sinr(blind, kind, None, None, 20, 1, "perfect").sum_se)
+
+
 class TestRedraw:
     """Rank-deficient realizations are redrawn from the trial's next stream."""
 
@@ -369,9 +435,9 @@ class TestRedraw:
         seen = []
         real = se.rank_deficient_mask
 
-        def flag_once(H_d):
-            seen.append(H_d.copy())
-            bad = real(H_d)
+        def flag_once(G):
+            seen.append(G.copy())
+            bad = real(G)
             if len(seen) == 1:
                 bad[3] = True
             return bad
@@ -379,10 +445,11 @@ class TestRedraw:
         monkeypatch.setattr(se, "rank_deficient_mask", flag_once)
         rep = mc_hardening_sinr(cfg, "zf", None, None, trials=10, seed=4, csi_mode="perfect")
         assert rep.redraws == 1
-        assert [len(H_d) for H_d in seen] == [10, 1]
-        redrawn = trial_draws(cfg, 4, [3], [1])[0, 0] * np.sqrt(cfg.beta)
-        np.testing.assert_array_equal(seen[1][0], redrawn.T)
-        assert not np.array_equal(seen[1][0], seen[0][3])
+        assert [len(G) for G in seen] == [10, 1]
+        # perfect CSI: the Gram of the redrawn channel H, H^T H^*
+        H = trial_draws(cfg, 4, [3], [1])[0, 0] * np.sqrt(cfg.beta)
+        np.testing.assert_allclose(seen[1][0], H.T @ H.conj(), rtol=1e-13)
+        assert not np.allclose(seen[1][0], seen[0][3])
         monkeypatch.undo()
         base = mc_hardening_sinr(cfg, "zf", None, None, trials=10, seed=4, csi_mode="perfect")
         assert base.redraws == 0
@@ -392,9 +459,9 @@ class TestRedraw:
         cfg = cfg_at(0.0, M=16, K=2)
         calls = []
 
-        def flag_first(H_d):
-            calls.append(len(H_d))
-            bad = np.zeros(len(H_d), bool)
+        def flag_first(G):
+            calls.append(len(G))
+            bad = np.zeros(len(G), bool)
             bad[0] = True
             return bad
 

@@ -138,10 +138,20 @@ class TestComplexGaussian:
         assert z.dtype == complex
 
 
+def stats_reference(z):
+    """(S, nu) of sysmodel._trial_stats, written out from the unit draws."""
+    S = np.empty((len(z), 3, z.shape[-1], 4, z.shape[-1]), dtype=complex)
+    for j in range(3):
+        for l in range(3):
+            S[:, j, :, l] = z[:, j].swapaxes(-2, -1) @ z[:, l].conj()
+        S[:, j, :, 3] = z[:, j].swapaxes(-2, -1) @ z[:, 3]
+    return S, np.sum(np.abs(z[:, 3]) ** 2, axis=-2)
+
+
 class TestTrialDraws:
     @pytest.fixture(autouse=True)
     def cold_cache(self, monkeypatch):
-        monkeypatch.setattr(sysmodel, "_draw_cache", {})
+        monkeypatch.setattr(sysmodel, "_stats_cache", {})
 
     def test_block_rows_do_not_depend_on_the_block(self):
         cfg = make_cfg(M=6, K=2, tau_p=2)
@@ -164,22 +174,46 @@ class TestTrialDraws:
         assert np.mean(np.abs(z) ** 2) == pytest.approx(1.0, rel=0.02)
         assert abs(np.mean(z**2)) < 0.02  # circular symmetry
 
+    def test_stats_are_the_slot_products_of_the_draws(self):
+        cfg = make_cfg(M=6, K=2, tau_p=2)
+        S, nu = sysmodel._trial_stats(cfg, 5, range(20))
+        assert S.shape == (20, 3, 2, 4, 2) and nu.shape == (20, 2)
+        want_S, want_nu = stats_reference(trial_draws(cfg, 5, range(20)))
+        np.testing.assert_allclose(S, want_S, rtol=1e-13, atol=1e-14)
+        np.testing.assert_allclose(nu, want_nu, rtol=1e-13)
+
+    @pytest.mark.parametrize("chunk", (1, 3, 64))
+    def test_stats_rows_do_not_depend_on_block_or_chunk(self, monkeypatch, chunk):
+        cfg = make_cfg(M=6, K=2, tau_p=2)
+        S, nu = sysmodel._trial_stats(cfg, 5, range(40))
+        monkeypatch.setattr(sysmodel, "_STATS_CHUNK", chunk)
+        sysmodel._stats_cache.clear()
+        for t in (0, 17, 39):
+            S_t, nu_t = sysmodel._trial_stats(cfg, 5, [t])
+            np.testing.assert_array_equal(S_t[0], S[t])
+            np.testing.assert_array_equal(nu_t[0], nu[t])
+        S_re, nu_re = sysmodel._trial_stats(cfg, 5, range(40), [0] * 39 + [1])
+        np.testing.assert_array_equal(S_re[:39], S[:39])
+        np.testing.assert_array_equal(nu_re[:39], nu[:39])
+
     def test_returned_block_is_read_only(self):
         cfg = make_cfg(M=6, K=2, tau_p=2)
-        z = trial_draws(cfg, 5, [0, 1])
+        S, nu = stats = sysmodel._trial_stats(cfg, 5, [0, 1])
         with pytest.raises(ValueError):
-            z[0, 0, 0, 0] = 1.0
-        assert trial_draws(cfg, 5, [0, 1]) is z  # served from the cache
+            S[0, 0, 0, 0, 0] = 1.0
+        with pytest.raises(ValueError):
+            nu[0, 0] = 1.0
+        assert sysmodel._trial_stats(cfg, 5, [0, 1]) is stats  # served from the cache
 
     def test_redraw_block_bypasses_the_cache(self):
         cfg = make_cfg(M=6, K=2, tau_p=2)
-        cached = trial_draws(cfg, 5, [1, 2])
-        redrawn = trial_draws(cfg, 5, [1, 2], [0, 1])
+        cached = sysmodel._trial_stats(cfg, 5, [1, 2])
+        redrawn = sysmodel._trial_stats(cfg, 5, [1, 2], [0, 1])
         assert redrawn is not cached
-        np.testing.assert_array_equal(redrawn[0], cached[0])
-        assert not np.array_equal(redrawn[1], cached[1])
-        assert list(sysmodel._draw_cache.values()) == [cached]
-        assert trial_draws(cfg, 5, [1, 2], [0, 1]) is not redrawn
+        np.testing.assert_array_equal(redrawn[0][0], cached[0][0])
+        assert not np.array_equal(redrawn[0][1], cached[0][1])
+        assert list(sysmodel._stats_cache.values()) == [cached]
+        assert sysmodel._trial_stats(cfg, 5, [1, 2], [0, 1]) is not redrawn
 
     def test_cached_blocks_equal_cold_draws(self):
         # each call differs from the first in one part of the memo key
@@ -193,79 +227,38 @@ class TestTrialDraws:
             (make_cfg(M=6, K=3, tau_p=3), 8, (0, 1, 2), sysmodel.DOMAIN_TRIAL),
         ]
         for c, seed, ids, domain in calls:
-            trial_draws(c, seed, ids, domain=domain)
-        warm = [trial_draws(c, seed, ids, domain=domain) for c, seed, ids, domain in calls]
+            sysmodel._trial_stats(c, seed, ids, domain=domain)
+        assert len(sysmodel._stats_cache) == len(calls)
+        warm = [sysmodel._trial_stats(c, seed, ids, domain=domain) for c, seed, ids, domain in calls]
         for (c, seed, ids, domain), block in zip(calls, warm):
-            sysmodel._draw_cache.clear()
-            cold = trial_draws(c, seed, ids, domain=domain)
+            sysmodel._stats_cache.clear()
+            cold = sysmodel._trial_stats(c, seed, ids, domain=domain)
             assert cold is not block
-            np.testing.assert_array_equal(block, cold)
+            for a, b in zip(block, cold):
+                np.testing.assert_array_equal(a, b)
 
     def test_cache_stays_within_its_byte_bound(self, monkeypatch):
-        # the default bound holds the four blocks of a 1000-trial sweep at M=128, K=8
-        assert 4 * TRIAL_BLOCK * 4 * 128 * 8 * np.dtype(complex).itemsize <= sysmodel._DRAW_CACHE_BYTES
         cfg = make_cfg(M=6, K=2, tau_p=2)
-        block_bytes = trial_draws(cfg, 0, range(3)).nbytes
+        block_bytes = sum(a.nbytes for a in sysmodel._trial_stats(cfg, 0, range(3)))
         bound = 3 * block_bytes + block_bytes // 2
-        monkeypatch.setattr(sysmodel, "_DRAW_CACHE_BYTES", bound)
-        sysmodel._draw_cache.clear()
-        first = trial_draws(cfg, 0, range(3))
+        monkeypatch.setattr(sysmodel, "_STATS_CACHE_BYTES", bound)
+        sysmodel._stats_cache.clear()
+        first = sysmodel._trial_stats(cfg, 0, range(3))
         for seed in range(1, 10):
-            trial_draws(cfg, seed, range(3))
-            assert sum(b.nbytes for b in sysmodel._draw_cache.values()) <= bound
-            assert len(sysmodel._draw_cache) == min(seed + 1, 3)
-        assert trial_draws(cfg, 0, range(3)) is not first  # oldest block was dropped
-        held = list(sysmodel._draw_cache.values())
-        big = trial_draws(cfg, 0, range(12))  # larger than the bound: drawn, not stored
-        assert big.nbytes > bound and not big.flags.writeable
-        assert list(sysmodel._draw_cache.values()) == held
+            sysmodel._trial_stats(cfg, seed, range(3))
+            assert sum(sysmodel._nbytes(v) for v in sysmodel._stats_cache.values()) <= bound
+            assert len(sysmodel._stats_cache) == min(seed + 1, 3)
+        assert sysmodel._trial_stats(cfg, 0, range(3)) is not first  # oldest block was dropped
+        held = list(sysmodel._stats_cache.values())
+        big = sysmodel._trial_stats(cfg, 0, range(12))  # larger than the bound: reduced, not stored
+        assert sysmodel._nbytes(big) > bound and not big[0].flags.writeable
+        assert list(sysmodel._stats_cache.values()) == held
 
-    def test_derived_arrays_count_against_the_bound(self, monkeypatch):
-        cfg = make_cfg(M=6, K=2, tau_p=2)
-        block_bytes = trial_draws(cfg, 0, range(3)).nbytes
-        derived_bytes = sysmodel._block_derived(trial_draws(cfg, 0, range(3)), ("probe",), np.copy).nbytes
-        bound = 2 * block_bytes + derived_bytes + derived_bytes // 2
-        monkeypatch.setattr(sysmodel, "_DRAW_CACHE_BYTES", bound)
-        sysmodel._draw_cache.clear()
-
-        def held():
-            return sum(array.nbytes for array in sysmodel._draw_cache.values())
-
-        def holds(*arrays):
-            return [id(a) for a in sysmodel._draw_cache.values()] == [id(a) for a in arrays]
-
-        def owners_present():
-            derived = [key for key in sysmodel._draw_cache if sysmodel._is_derived(key)]
-            return all(key[0] in sysmodel._draw_cache for key in derived)
-
-        first, second = trial_draws(cfg, 0, range(3)), trial_draws(cfg, 1, range(3))
-        d_first = sysmodel._block_derived(first, ("copy",), np.copy)
-        assert not d_first.flags.writeable and held() <= bound
-        # a second derived array would overflow: it pushes out the first
-        # derived array, never a block
-        d_second = sysmodel._block_derived(second, ("copy",), np.copy)
-        np.testing.assert_array_equal(d_second, second)
-        assert held() <= bound and owners_present()
-        assert holds(first, second, d_second)
-        # a new block pushes out derived arrays before blocks, oldest first,
-        # and no derived array outlives its block
-        third = trial_draws(cfg, 2, range(3))
-        assert held() <= bound and owners_present()
-        assert holds(first, second, third)
-        fourth = trial_draws(cfg, 3, range(3))
-        assert held() <= bound and holds(second, third, fourth)
-        # a derived array that does not fit beside the blocks is built, not stored
-        big = sysmodel._block_derived(third, ("tile",), lambda z: np.concatenate([z, z, z]))
-        assert big.shape[0] == 9 and not big.flags.writeable
-        assert holds(second, third, fourth)
-
-    def test_thousand_trial_run_fits_with_its_estimates(self):
-        from fhalloc.channel import quantized_estimate
-
+    def test_thousand_trial_run_fits(self):
+        # 12 KB of statistics per trial at K = 8, whatever M is
         cfg = make_cfg(M=128, K=8, tau_p=8)
-        blocks = [trial_draws(cfg, 1, range(s, min(s + TRIAL_BLOCK, 1000))) for s in range(0, 1000, TRIAL_BLOCK)]
-        for z in blocks:
-            quantized_estimate(cfg, z, 0.0)
-        assert len(sysmodel._draw_cache) == 2 * len(blocks) == 8
-        assert sum(array.nbytes for array in sysmodel._draw_cache.values()) <= sysmodel._DRAW_CACHE_BYTES
-        assert all(any(array is z for array in sysmodel._draw_cache.values()) for z in blocks)
+        blocks = [sysmodel._trial_stats(cfg, 1, range(s, min(s + TRIAL_BLOCK, 1000))) for s in range(0, 1000, TRIAL_BLOCK)]
+        assert sum(sysmodel._nbytes(b) for b in blocks) == 1000 * (12 * 8 * 8 * 16 + 8 * 8)
+        assert sum(sysmodel._nbytes(b) for b in blocks) <= sysmodel._STATS_CACHE_BYTES / 10
+        assert len(sysmodel._stats_cache) == 4
+        assert all(any(value is b for value in sysmodel._stats_cache.values()) for b in blocks)
