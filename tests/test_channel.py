@@ -264,15 +264,19 @@ class TestEstimateMemo:
         z = trial_draws(cfg, 3, range(4), [0, 1, 0, 0])
         np.testing.assert_allclose(redrawn[0], gram_reference(cfg, z, 0.1)[0], rtol=1e-13, atol=1e-13)
 
-    def test_estimation_parameters_share_the_memo(self):
+    @pytest.mark.parametrize(
+        "change",
+        ({"pilot_power": 0.5}, {"beta": [1.0, 1.5]}, {"tau_p": 4}, {"total_power": 4.0, "pilot_power": None}),
+    )
+    def test_estimation_parameters_miss_the_memo(self, change):
+        # only the config-free statistics are memoized: each config rebuilds its own estimate products
         cfg = cfg_small()
+        other = cfg_small(**change)
         self.products(cfg, 0.1, range(4))
-        for change in ({"pilot_power": 0.5}, {"beta": [1.0, 1.5]}, {"tau_p": 4}, {"total_power": 4.0, "pilot_power": None}):
-            other = cfg_small(**change)
-            warm = self.products(other, 0.1, range(4))
-            assert len(sysmodel._stats_cache) == 1
-            sysmodel._stats_cache.clear()
-            cold = self.products(other, 0.1, range(4))
-            np.testing.assert_array_equal(warm[0], cold[0])
-            np.testing.assert_array_equal(warm[1], cold[1])
-            assert not np.array_equal(warm[0], self.products(cfg, 0.1, range(4))[0])
+        warm = self.products(other, 0.1, range(4))
+        assert len(sysmodel._stats_cache) == 1
+        sysmodel._stats_cache.clear()
+        cold = self.products(other, 0.1, range(4))
+        np.testing.assert_array_equal(warm[0], cold[0])
+        np.testing.assert_array_equal(warm[1], cold[1])
+        assert not np.array_equal(warm[0], self.products(cfg, 0.1, range(4))[0])
