@@ -11,29 +11,10 @@ for maximum ratio transmission), and the integer bit-split search itself.
 """
 
 from .sysmodel import SystemConfig, RngStream, draw_complex_gaussian
-from .channel import gamma_coefficient, mmse_estimate
-from .quantization import (
-    eta_of_bits,
-    AqnmQuantizer,
-    QuantizedMatrix,
-    aqnm_quantize,
-    quantized_csi_covariance,
-)
-from .precoding import build_precoder, RankDeficientError
-from .se import (
-    SeReport,
-    mc_hardening_sinr,
-    closed_form_mrt_sinr,
-    se_from_sinr,
-)
-from .allocation import (
-    FronthaulBudget,
-    BitSplit,
-    InfeasibleBudgetError,
-    compute_budget,
-    line_search,
-    AllocationResult,
-)
+from .channel import gamma_coefficient
+from .quantization import eta_of_bits, AqnmQuantizer, aqnm_quantize
+from .se import mc_hardening_sinr, closed_form_mrt_sinr
+from .allocation import FronthaulBudget, InfeasibleBudgetError, compute_budget, line_search
 
 __version__ = "0.1.0"
 
@@ -42,23 +23,14 @@ __all__ = [
     "RngStream",
     "draw_complex_gaussian",
     "gamma_coefficient",
-    "mmse_estimate",
     "eta_of_bits",
     "AqnmQuantizer",
-    "QuantizedMatrix",
     "aqnm_quantize",
-    "quantized_csi_covariance",
-    "build_precoder",
-    "RankDeficientError",
-    "SeReport",
     "mc_hardening_sinr",
     "closed_form_mrt_sinr",
-    "se_from_sinr",
     "FronthaulBudget",
-    "BitSplit",
     "InfeasibleBudgetError",
     "compute_budget",
     "line_search",
-    "AllocationResult",
     "__version__",
 ]

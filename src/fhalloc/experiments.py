@@ -1,12 +1,17 @@
 """Experiment harness: grids of operating points, persistence, presets.
 
 A run is described by an ExperimentSpec, expanded into a list of cells
-(one evaluated operating point each), executed either inline or across a
-process pool, and written out as a CSV table plus per-series gnuplot data
-files and a JSON metadata sidecar.  Cell results are a pure function of
-the spec and the master seed, and rows are emitted in the spec's canonical
-cell order, so output files are byte-identical no matter how many workers
-executed the run.
+(one evaluated operating point each), evaluated in groups, and written
+out as a CSV table plus per-series gnuplot data files and a JSON metadata
+sidecar.  A group is every Monte Carlo cell at one (SNR, CSI mode, B_H),
+which shares the slot statistics, the Gram and the rank mask (and per
+precoder, W and the moment prior) through se._mc_taps, or one closed-form
+series.  Groups run inline, or as one process-pool task each.  Cell
+results are a pure function of the spec and the master seed, and rows
+are emitted in the spec's canonical cell order, so output files are
+byte-identical no matter how many workers executed the run.  A run that
+takes longer than _PROGRESS_S seconds reports cells done and an ETA on
+stderr.
 
 CSV schema, one row per cell:
 
@@ -20,8 +25,9 @@ from __future__ import annotations
 
 import csv
 import json
+import sys
 import time
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
+from concurrent.futures import BrokenExecutor, ProcessPoolExecutor, as_completed
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -31,7 +37,7 @@ import numpy as np
 from . import __version__
 from .allocation import AllocationResult, FronthaulBudget, InfeasibleBudgetError, compute_budget, line_search
 from .precoding import PRECODER_KINDS
-from .se import CSI_MODES, SeReport, _closed_form_mrt_profile, closed_form_mrt_sinr, mc_hardening_sinr
+from .se import CSI_MODES, SeReport, _closed_form_mrt_profile, _mc_taps, closed_form_mrt_sinr, mc_hardening_sinr
 from .sysmodel import SystemConfig, _real
 
 EVALUATORS = ("mc", "closed-form")
@@ -179,6 +185,8 @@ def _expand_sweep(spec: ExperimentSpec) -> list[Cell]:
     """Cells for a plain sweep: (precoder, snr, b_h) in listed order."""
     b_bar = spec.resolve_b_bar()
     if spec.csi_mode == "perfect":
+        if spec.evaluator == "closed-form":
+            raise ValueError("the closed-form evaluator only covers quantized CSI")
         return [
             Cell(
                 series=f"{kind}_{_snr_tag(snr)}_perfect",
@@ -240,8 +248,9 @@ def _snr_tag(snr_db: float) -> str:
 class CellOutcome:
     """Result of evaluating one cell: a report, or the error that stopped it.
 
-    elapsed_s is the cell's wall time in the process that ran it; it is
-    None for a cell that a dead pool worker never returned.
+    elapsed_s is the cell's wall time in the process that ran it, with the
+    time its group shares charged to the group's first cell; it is None
+    for a cell that a dead pool worker never returned.
     """
 
     report: SeReport | None
@@ -249,53 +258,109 @@ class CellOutcome:
     elapsed_s: float | None = None
 
 
-def _eval_cell(spec_dict: dict, cell: Cell) -> SeReport:
-    spec = ExperimentSpec.from_dict(spec_dict)
-    cfg = spec.config_for(cell.snr_db)
-    if cell.method == "closed_form_mrt":
-        return closed_form_mrt_sinr(cfg, cell.b_h, cell.b_p)
+def _groups(cells: list[Cell]) -> list[list[int]]:
+    """Indices of the cells evaluated together, each group in canonical order.
+
+    A Monte Carlo group is every cell at one (SNR, CSI mode, B_H): its
+    cells differ only in precoder and B_P, so they share the statistics,
+    the Gram and (per precoder) the precoder itself.  Closed-form cells
+    are grouped by series.  Groups come in the order of their first cell.
+    """
+    groups: dict[tuple, list[int]] = {}
+    for i, cell in enumerate(cells):
+        key = (cell.series,) if cell.method == "closed_form_mrt" else (cell.snr_db, cell.csi_mode, cell.b_h)
+        groups.setdefault((cell.method, *key), []).append(i)
+    return list(groups.values())
+
+
+def _eval_group(spec: ExperimentSpec, cells: list[Cell]) -> list:
+    """One SeReport, or the exception that stopped it, per cell of one group."""
+    cfg = spec.config_for(cells[0].snr_db)
+    if cells[0].method == "closed_form_mrt":
+        return [closed_form_mrt_sinr(cfg, cell.b_h, cell.b_p) for cell in cells]
     # perfect CSI ignores the bit widths and moment_trials
-    return mc_hardening_sinr(
-        cfg, cell.precoder, cell.b_h, cell.b_p, spec.trials, spec.seed, cell.csi_mode,
-        moment_trials=spec.moment_trials,
-    )
+    taps = [(cell.precoder, cell.b_p) for cell in cells]
+    return _mc_taps(cfg, cells[0].b_h, taps, spec.trials, spec.seed, cells[0].csi_mode, spec.moment_trials)
 
 
 def _failed(exc: BaseException) -> CellOutcome:
     return CellOutcome(report=None, error=f"{type(exc).__name__}: {exc}")
 
 
-def _eval_cell_guarded(spec_dict: dict, cell: Cell) -> CellOutcome:
+def _eval_group_guarded(spec_dict: dict, cells: list[Cell]) -> list[CellOutcome]:
+    """_eval_group as CellOutcomes; an error outside every cell fails the whole group.
+
+    A cell's elapsed_s is its own stage time (SeReport.stage_s); the rest
+    of the group's wall time, the shared work, is charged to its first cell.
+    """
     t0 = time.perf_counter()
     try:
-        outcome = CellOutcome(report=_eval_cell(spec_dict, cell))
+        results = _eval_group(ExperimentSpec.from_dict(spec_dict), cells)
     except Exception as exc:
-        outcome = _failed(exc)
-    return replace(outcome, elapsed_s=time.perf_counter() - t0)
+        results = [exc] * len(cells)
+    own = [0.0 if isinstance(r, Exception) else sum(r.stage_s.values()) for r in results]
+    own[0] = time.perf_counter() - t0 - sum(own[1:])
+    return [
+        replace(_failed(r) if isinstance(r, Exception) else CellOutcome(report=r), elapsed_s=s)
+        for r, s in zip(results, own)
+    ]
+
+
+# A run reports progress on stderr once it has taken this long, and then
+# at most once per such interval (and when it ends).
+_PROGRESS_S = 2.0
+
+
+class _Progress:
+    """Cells done out of total, with an ETA, on stderr as groups finish."""
+
+    def __init__(self, total: int, clock=time.monotonic):
+        self.total, self.done, self.clock = total, 0, clock
+        self.start = self.last = clock()
+
+    def __call__(self, cells: int) -> None:
+        self.done += cells
+        now = self.clock()
+        if now - self.start >= _PROGRESS_S and (now - self.last >= _PROGRESS_S or self.done == self.total):
+            self.last = now
+            eta = (now - self.start) * (self.total - self.done) / self.done
+            print(f"{self.done}/{self.total} cells done, about {eta:.0f} s left", file=sys.stderr)
 
 
 def run_cells(spec: ExperimentSpec, cells: list[Cell]) -> list[CellOutcome]:
-    """Evaluate cells, inline or on a process pool, in canonical order.
+    """Evaluate cells in groups (_groups), inline or one pool task per group.
 
-    A failing cell does not stop the run; it comes back as a CellOutcome
-    with the error recorded and no report.  So does every cell left
-    unfinished or not yet queued when a pool worker dies
-    (BrokenProcessPool).
+    Outcomes come back in canonical cell order.  A failing cell does not
+    stop the run; it comes back as a CellOutcome with the error recorded
+    and no report.  So does every cell of a group left unfinished or not
+    yet queued when a pool worker dies (BrokenProcessPool).
     """
     spec_dict = spec.to_dict()
-    if spec.workers <= 1 or len(cells) <= 1:
-        return [_eval_cell_guarded(spec_dict, cell) for cell in cells]
-    futures, broken = [], None
+    groups = _groups(cells)
+    outcomes: list = [None] * len(cells)
+    progress = _Progress(len(cells))
+
+    def place(group, results):
+        for i, outcome in zip(group, results):
+            outcomes[i] = outcome
+        progress(len(group))
+
+    if spec.workers <= 1 or len(groups) <= 1:
+        for group in groups:
+            place(group, _eval_group_guarded(spec_dict, [cells[i] for i in group]))
+        return outcomes
+    futures = {}
     with ProcessPoolExecutor(max_workers=spec.workers) as pool:
-        for cell in cells:
+        for group in groups:
             try:
-                futures.append(pool.submit(_eval_cell_guarded, spec_dict, cell))
+                futures[pool.submit(_eval_group_guarded, spec_dict, [cells[i] for i in group])] = group
             except BrokenExecutor as exc:
-                # a worker died before this cell was queued; it and the rest fail
-                broken = _failed(exc)
-                break
-    outcomes = [_failed(f.exception()) if f.exception() else f.result() for f in futures]
-    return outcomes + [broken] * (len(cells) - len(futures))
+                # a worker died before this group was queued; it and the rest fail
+                place(group, [_failed(exc)] * len(group))
+        for future in as_completed(futures):
+            group = futures[future]
+            place(group, [_failed(future.exception())] * len(group) if future.exception() else future.result())
+    return outcomes
 
 
 def write_outputs(
@@ -314,7 +379,8 @@ def write_outputs(
     lists every cell in canonical order with its wall time, its redraw
     count and its stage timers stats_s, moments_s and kxk_s (SeReport;
     0 for a closed-form cell), each null where the cell returned no
-    report or no timing.
+    report or no timing.  What a group shares is charged to its first
+    cell (CellOutcome).
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -412,8 +478,11 @@ def optimize_split(spec: ExperimentSpec, precoder: str | None = None) -> Allocat
     The evaluator follows spec.evaluator: the closed form (mrt), which
     evaluates every split in one pass, or the Monte Carlo pipeline with
     the spec's first (or given) precoder, one split at a time.  One SNR
-    point is used; pass a spec with a single snr_db entry.
+    point is used; pass a spec with a single snr_db entry.  A perfect-CSI
+    spec is refused: no bits cross the fronthaul, so there is no split.
     """
+    if spec.csi_mode != "quantized":
+        raise ValueError("under perfect CSI no bits cross the fronthaul, so there is no split to optimize")
     if len(spec.snr_db) != 1:
         raise ValueError("optimize expects exactly one snr_db value")
     b_bar = spec.resolve_b_bar()

@@ -27,6 +27,13 @@ Perfect CSI is E = (beta^(1/2), 0, 0) with no precoder quantizer, so the
 gains are s G W.  Nothing M x K is formed after the statistics, and the
 statistics serve every cell of a run.
 
+Of these, G, V_0, T and the rank mask depend on the statistics and B_H
+alone, and W and s on B_H and the precoder kind, but none on B_P.  So
+_mc_taps evaluates every (kind, B_P) tap at one B_H in one block loop,
+forming them once and running only the precoder-quantizer tail (eta_p,
+Sigma_p, ||P_q||^2, alpha and the gains) per tap; mc_hardening_sinr is
+its one-tap case.
+
 For maximum ratio transmission the expectations are also available in
 closed form; the Monte Carlo and closed-form paths agree within the
 concentration error of the power normalization (a few percent at M = 64).
@@ -118,87 +125,142 @@ def mc_hardening_sinr(
     block of their own after their block; the count is reported.  Every
     trial's gains are computed on their own and reduced in canonical
     trial order, so neither the block size nor the memo state moves a
-    bit of the result.
+    bit of the result.  This is the one-tap case of _mc_taps, which
+    evaluates every (kind, b_p) at one b_h bit-identically in one pass.
+    """
+    (report,) = _mc_taps(cfg, b_h, [(kind, b_p)], trials, seed, csi_mode, moment_trials)
+    if isinstance(report, Exception):
+        raise report
+    return report
+
+
+def _mc_taps(cfg: SystemConfig, b_h, taps, trials: int, seed: int, csi_mode="quantized", moment_trials=500) -> list:
+    """mc_hardening_sinr for every (kind, b_p) in taps at one b_h, in one pass over the trials.
+
+    Returns, per tap, its SeReport or the exception that stopped that tap
+    alone: an unknown kind, a missing b_p, a moment prior that refuses
+    (zero pilot power), a zero-norm precoder, or redraws exhausted.  A bad
+    csi_mode, trial count or b_h raises.
+
+    Each block's statistics, G, V_0, T = sum_j E_j R_j and rank mask are
+    formed once; W, s and the moment prior once per kind; only the
+    precoder-quantizer tail (eta_p, Sigma_p, the norm, alpha and the
+    gains) runs per tap, with the operations a lone tap runs, so every
+    report is bit-identical to the tap's own mc_hardening_sinr.  ZF/WF
+    taps share the rank mask and the redraw blocks; MRT taps read the
+    first-attempt rows only.  Each tap's stage_s holds its own moment
+    prior and tail; the statistics and the shared arithmetic are charged
+    to the first tap.
     """
     if csi_mode not in CSI_MODES:
         raise ValueError(f"csi_mode must be one of {CSI_MODES}")
-    if kind not in PRECODER_KINDS:
-        raise ValueError(f"unknown precoder kind {kind!r}, expected one of {PRECODER_KINDS}")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    clock, stats_clock = time.perf_counter(), sysmodel._stats_seconds
     perfect = csi_mode == "perfect"
+    if not perfect and b_h is None:
+        raise ValueError("quantized mode needs b_h and b_p")
+    clock, stats_clock = time.perf_counter(), sysmodel._stats_seconds
     sqrt_beta = np.sqrt(cfg.beta)
-    if perfect:
-        # the true channel, Z_0 D_beta^(1/2), and no precoder quantizer (alpha = 1)
-        scales, eta_p, prec_noise_std = np.outer([1.0, 0.0, 0.0], sqrt_beta), 0.0, np.zeros(cfg.K)
-    else:
-        if b_h is None or b_p is None:
-            raise ValueError("quantized mode needs b_h and b_p")
-        eta_h, eta_p = eta_of_bits(b_h), eta_of_bits(b_p)
-        scales = _slot_scales(cfg, eta_h)
-        entry_var = precoder_entry_var(cfg, kind, eta_h, moment_trials, seed)
-        prec_noise_std = np.sqrt(aqnm_noise_var(eta_p, entry_var))
-    moments_s = time.perf_counter() - clock - (sysmodel._stats_seconds - stats_clock)
+    # the true channel, Z_0 D_beta^(1/2), or the quantized estimate
+    scales = np.outer([1.0, 0.0, 0.0], sqrt_beta) if perfect else _slot_scales(cfg, eta_of_bits(b_h))
+    out: list = [None] * len(taps)
+    moments_s, kxk_s = [0.0] * len(taps), [0.0] * len(taps)
+    # (eta_p, Sigma_p) of every tap still running, and the moment prior per kind
+    quantizer, priors = {}, {}
+    for n, (kind, b_p) in enumerate(taps):
+        t0, s0 = time.perf_counter(), sysmodel._stats_seconds
+        try:
+            if kind not in PRECODER_KINDS:
+                raise ValueError(f"unknown precoder kind {kind!r}, expected one of {PRECODER_KINDS}")
+            if not perfect and b_p is None:
+                raise ValueError("quantized mode needs b_h and b_p")
+            if not (perfect or kind in priors):
+                priors[kind] = precoder_entry_var(cfg, kind, eta_of_bits(b_h), moment_trials, seed)
+            # perfect CSI has no precoder quantizer (alpha = 1)
+            eta_p = 0.0 if perfect else eta_of_bits(b_p)
+            quantizer[n] = (eta_p, np.zeros(cfg.K) if perfect else np.sqrt(aqnm_noise_var(eta_p, priors[kind])))
+        except (ValueError, np.linalg.LinAlgError) as exc:
+            out[n] = exc
+        moments_s[n] = time.perf_counter() - t0 - (sysmodel._stats_seconds - s0)
 
-    gains = np.empty((trials, cfg.K, cfg.K), dtype=complex)
+    def fail(kinds, exc):
+        for n in [n for n in quantizer if taps[n][0] in kinds]:
+            out[n] = exc
+            del quantizer[n]
+
+    gains = {n: np.empty((trials, cfg.K, cfg.K), dtype=complex) for n in quantizer}
     attempt = np.zeros(trials, int)
     # first attempts come in TRIAL_BLOCK-aligned blocks, the keys of the
     # stats memo; each block's redraws follow as a block of their own
     blocks = [np.arange(lo, min(lo + TRIAL_BLOCK, trials)) for lo in range(0, trials, TRIAL_BLOCK)]
     while blocks:
         ids = blocks.pop(0)
+        # a redraw block serves the ZF/WF taps only
+        live = [n for n in quantizer if taps[n][0] != "mrt" or not attempt[ids[0]]]
+        if not live:
+            continue
         S, nu = _trial_stats(cfg, seed, ids, attempt[ids])
         G, V0 = _slot_gram(S, scales)
-        bad = rank_deficient_mask(G) if kind != "mrt" else np.zeros(len(ids), bool)
-        if np.any(bad):
-            S, nu, G, V0 = S[~bad], nu[~bad], G[~bad], V0[~bad]
-        W, s, _ = _kxk_precoder(G, kind, cfg)
-        s *= 1.0 - eta_p
-        # T Sigma_p, and Re tr(W^H T Sigma_p) = sum_ai conj(W_ai) (T Sigma_p)_ai
-        T = sum(scales[j][:, None] * S[:, j, :, 3] for j in range(3)) * prec_noise_std
-        cross = (np.diagonal(T, axis1=-2, axis2=-1) if W is None else np.sum(W.conj() * T, axis=-1)).real
-        norm_sq = (1.0 - eta_p) ** 2 * cfg.total_power + 2.0 * s * np.sum(cross, axis=-1)
-        norm_sq += np.sum(nu * prec_noise_std**2, axis=-1)
-        gain = sqrt_beta[:, None] * (V0 if W is None else V0 @ W) * s[:, None, None]
-        gain += sqrt_beta[:, None] * S[:, 0, :, 3] * prec_noise_std
-        gains[ids[~bad]] = gain * np.sqrt(cfg.total_power / norm_sq)[:, None, None]
+        T = sum(scales[j][:, None] * S[:, j, :, 3] for j in range(3))
+        # per kind, the rows it keeps: (ids, G, V_0, T, D_beta^(1/2) R_0, nu)
+        rows = {"mrt": (ids, G, V0, T, sqrt_beta[:, None] * S[:, 0, :, 3], nu)}
+        bad = rank_deficient_mask(G) if any(taps[n][0] != "mrt" for n in live) else np.zeros(len(ids), bool)
+        rows["zf"] = rows["wf"] = tuple(a[~bad] for a in rows["mrt"]) if np.any(bad) else rows["mrt"]
+        for kind in dict.fromkeys(taps[n][0] for n in live):
+            kept, G_k, V0_k, T_k, R0_k, nu_k = rows[kind]
+            try:
+                W, s_k, _ = _kxk_precoder(G_k, kind, cfg)
+            except np.linalg.LinAlgError as exc:  # RankDeficientError: a zero-norm precoder
+                fail({kind}, exc)
+                continue
+            # per kind: D_beta^(1/2) V_0 W, and the conj(W) of Re tr(W^H T Sigma_p)
+            VW = sqrt_beta[:, None] * (V0_k if W is None else V0_k @ W)
+            W_conj = None if W is None else W.conj()
+            for n in [n for n in live if taps[n][0] == kind]:
+                t0 = time.perf_counter()
+                eta_p, std = quantizer[n]
+                s = s_k * (1.0 - eta_p)
+                # T Sigma_p, and Re tr(W^H T Sigma_p) = sum_ai conj(W_ai) (T Sigma_p)_ai
+                TS = T_k * std
+                cross = (np.diagonal(TS, axis1=-2, axis2=-1) if W is None else np.sum(W_conj * TS, axis=-1)).real
+                norm_sq = (1.0 - eta_p) ** 2 * cfg.total_power + 2.0 * s * np.sum(cross, axis=-1)
+                norm_sq += np.sum(nu_k * std**2, axis=-1)
+                gain = VW * s[:, None, None]
+                gain += R0_k * std
+                gains[n][kept] = gain * np.sqrt(cfg.total_power / norm_sq)[:, None, None]
+                kxk_s[n] += time.perf_counter() - t0
 
         redo = ids[bad]
         attempt[redo] += 1
         if np.any(attempt[redo] > _MAX_REDRAWS):
             t = redo[np.argmax(attempt[redo])]
-            raise RuntimeError(f"trial {t} stayed rank deficient after {_MAX_REDRAWS} redraws")
-        if redo.size:
+            fail({"zf", "wf"}, RuntimeError(f"trial {t} stayed rank deficient after {_MAX_REDRAWS} redraws"))
+        elif redo.size:
             blocks.append(redo)
     redraws = int(np.sum(attempt))
 
-    # hardening bound from the per-trial gain matrices, canonical trial order
-    mean_gain = np.mean(gains, axis=0)
-    mean_power = np.mean(np.abs(gains) ** 2, axis=0)
-    desired = np.abs(np.diagonal(mean_gain)) ** 2
-    denom = np.sum(mean_power, axis=1) - desired + cfg.noise_var
-    sinr = desired / denom
-    se = se_from_sinr(sinr, cfg.tau_p, cfg.tau_c)
     stats_s = sysmodel._stats_seconds - stats_clock
-    return SeReport(
-        sinr=sinr,
-        se=se,
-        sum_se=float(np.sum(se)),
-        method="monte_carlo",
-        csi_mode=csi_mode,
-        kind=kind,
-        b_h=None if perfect else b_h,
-        b_p=None if perfect else b_p,
-        trials=trials,
-        seed=seed,
-        redraws=redraws,
-        stage_s={
-            "stats_s": stats_s,
-            "moments_s": moments_s,
-            "kxk_s": time.perf_counter() - clock - stats_s - moments_s,
-        },
-    )
+    for n in quantizer:
+        t0 = time.perf_counter()
+        kind, b_p = taps[n]
+        # hardening bound from the per-trial gain matrices, canonical trial order
+        mean_gain = np.mean(gains[n], axis=0)
+        mean_power = np.mean(np.abs(gains[n]) ** 2, axis=0)
+        desired = np.abs(np.diagonal(mean_gain)) ** 2
+        sinr = desired / (np.sum(mean_power, axis=1) - desired + cfg.noise_var)
+        se = se_from_sinr(sinr, cfg.tau_p, cfg.tau_c)
+        kxk_s[n] += time.perf_counter() - t0
+        out[n] = SeReport(
+            sinr=sinr, se=se, sum_se=float(np.sum(se)), method="monte_carlo", csi_mode=csi_mode, kind=kind,
+            b_h=None if perfect else b_h, b_p=None if perfect else b_p, trials=trials, seed=seed,
+            redraws=0 if kind == "mrt" else redraws,
+            stage_s={"stats_s": 0.0, "moments_s": moments_s[n], "kxk_s": kxk_s[n]},
+        )
+    if 0 in quantizer:
+        # the statistics and the shared arithmetic are the first tap's
+        shared = time.perf_counter() - clock - stats_s - sum(moments_s) - sum(kxk_s)
+        out[0].stage_s.update(stats_s=stats_s, kxk_s=kxk_s[0] + shared)
+    return out
 
 
 def _eta(bits):

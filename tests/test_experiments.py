@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import functools
 import json
 import multiprocessing
@@ -11,6 +12,7 @@ import pytest
 
 import fhalloc.cli as cli
 import fhalloc.experiments as experiments
+import fhalloc.se as se
 import fhalloc.sysmodel as sysmodel
 from fhalloc.allocation import AllocationResult, BitSplit, FronthaulBudget
 from fhalloc.cli import main
@@ -23,6 +25,7 @@ from fhalloc.experiments import (
     reproduce,
     run_sweep,
 )
+from fhalloc.se import mc_hardening_sinr
 
 
 def small_spec(**over):
@@ -185,14 +188,13 @@ class TestRunSweep:
             assert row[7] == str(spec.seed)
 
     def test_failed_cell_is_reported_not_fatal(self, tmp_path, monkeypatch):
-        real = experiments._eval_cell
+        real = experiments._eval_group
 
-        def flaky(spec_dict, cell):
-            if cell.b_h == 2:
-                raise RuntimeError("synthetic failure")
-            return real(spec_dict, cell)
+        def flaky(spec, cells):
+            failure = RuntimeError("synthetic failure")
+            return [failure if cell.b_h == 2 else r for cell, r in zip(cells, real(spec, cells))]
 
-        monkeypatch.setattr(experiments, "_eval_cell", flaky)
+        monkeypatch.setattr(experiments, "_eval_group", flaky)
         meta = run_sweep(small_spec(), tmp_path)
         assert meta["rows"] == 2
         assert len(meta["failed_cells"]) == 1
@@ -480,10 +482,10 @@ class TestCli:
 
     @pytest.mark.parametrize("command", ("sweep", "reproduce"))
     def test_bad_config_value_exits_before_any_cell(self, tmp_path, capsys, monkeypatch, command):
-        def refuse(spec_dict, cell):
+        def refuse(spec, cells):
             raise AssertionError("a cell ran")
 
-        monkeypatch.setattr(experiments, "_eval_cell", refuse)
+        monkeypatch.setattr(experiments, "_eval_group", refuse)
         if command == "sweep":
             config = tmp_path / "spec.json"
             config.write_text(json.dumps({"M": "abc"}))
@@ -517,14 +519,18 @@ class TestCli:
             ("sweep", {"noise_var": "1"}),
             ("optimize", {"noise_var": "1"}),
             ("sweep", {"noise_var": True}),
+            # the closed form covers quantized MRT only, and perfect CSI sends no bits to split
+            ("sweep", {"csi_mode": "perfect", "evaluator": "closed-form"}),
+            ("optimize", {"csi_mode": "perfect"}),
+            ("optimize", {"csi_mode": "perfect", "evaluator": "mc"}),
         ],
         ids=lambda v: v if isinstance(v, str) else "-".join(f"{k}={v[k]}" for k in v),
     )
     def test_bad_enumerated_or_list_field_exits_two(self, tmp_path, capsys, monkeypatch, command, config):
-        def refuse(spec_dict, cell):
+        def refuse(spec, cells):
             raise AssertionError("a cell ran")
 
-        monkeypatch.setattr(experiments, "_eval_cell", refuse)
+        monkeypatch.setattr(experiments, "_eval_group", refuse)
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(config))
         argv = [command, "--config", str(path), "--budget-bbar", "3", "--m", "16", "--k", "2"]
@@ -549,10 +555,10 @@ class TestCli:
         ids=lambda c: "-".join(f"{k}={c[k]}" for k in c),
     )
     def test_non_integer_bit_width_exits_two(self, tmp_path, capsys, monkeypatch, command, config):
-        def refuse(spec_dict, cell):
+        def refuse(spec, cells):
             raise AssertionError("a cell ran")
 
-        monkeypatch.setattr(experiments, "_eval_cell", refuse)
+        monkeypatch.setattr(experiments, "_eval_group", refuse)
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(config))
         argv = [command, "--config", str(path), "--m", "16", "--k", "2", "--evaluator", "closed-form"]
@@ -568,10 +574,10 @@ class TestCli:
     )
     def test_non_integer_length_exits_two(self, tmp_path, capsys, monkeypatch, command, config):
         """Pilot and block lengths and the user count are integers, never bools."""
-        def refuse(spec_dict, cell):
+        def refuse(spec, cells):
             raise AssertionError("a cell ran")
 
-        monkeypatch.setattr(experiments, "_eval_cell", refuse)
+        monkeypatch.setattr(experiments, "_eval_group", refuse)
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(config))
         argv = [command, "--config", str(path), "--m", "16", "--budget-bbar", "4", "--evaluator", "closed-form"]
@@ -601,10 +607,10 @@ class TestCli:
         ids=lambda argv: f"{argv[0]}{argv[-2]}={argv[-1]}",
     )
     def test_bad_count_flag_exits_two(self, tmp_path, capsys, monkeypatch, argv):
-        def refuse(spec_dict, cell):
+        def refuse(spec, cells):
             raise AssertionError("a cell ran")
 
-        monkeypatch.setattr(experiments, "_eval_cell", refuse)
+        monkeypatch.setattr(experiments, "_eval_group", refuse)
         code = main(argv + ["--out", str(tmp_path / "out")])
         assert code == 2
         assert f"{argv[-2].lstrip('-')} must be an integer >=" in capsys.readouterr().err
@@ -615,17 +621,18 @@ class TestCli:
         reason="the patched cell reaches the workers only when they are forked",
     )
     def test_dead_pool_worker_becomes_failed_cells(self, tmp_path, capsys, monkeypatch):
-        real = experiments._eval_cell
+        real = experiments._eval_group
 
-        def die(spec_dict, cell):
-            if cell.b_h == 2:
+        def die(spec, cells):
+            if any(cell.b_h == 2 for cell in cells):
                 os._exit(1)
-            return real(spec_dict, cell)
+            return real(spec, cells)
 
-        monkeypatch.setattr(experiments, "_eval_cell", die)
+        monkeypatch.setattr(experiments, "_eval_group", die)
         fork = multiprocessing.get_context("fork")
         monkeypatch.setattr(experiments, "ProcessPoolExecutor", functools.partial(ProcessPoolExecutor, mp_context=fork))
-        argv = ["sweep", "--m", "16", "--k", "2", "--budget-bbar", "4", "--evaluator", "closed-form", "--workers", "2"]
+        # Monte Carlo MRT puts each B_H in a group of its own, so the run has three pool tasks
+        argv = ["sweep", "--m", "16", "--k", "2", "--budget-bbar", "4", "--trials", "5", "--workers", "2"]
         code = main(argv + ["--out", str(tmp_path)])
         assert code == 1
         assert "BrokenProcessPool" in capsys.readouterr().err
@@ -658,7 +665,8 @@ class TestCli:
                 return future
 
         monkeypatch.setattr(experiments, "ProcessPoolExecutor", BreaksAfterFirstSubmit)
-        spec = small_spec(evaluator="closed-form", workers=2)
+        # one Monte Carlo group per B_H: three pool tasks (a single closed-form series runs inline)
+        spec = small_spec(workers=2, trials=5)
         outcomes = experiments.run_cells(spec, _expand_sweep(spec))
         assert len(outcomes) == 3
         assert outcomes[0].report is not None
@@ -667,14 +675,13 @@ class TestCli:
 
     @pytest.mark.parametrize("command", ("sweep", "reproduce"))
     def test_failed_cell_exits_one_after_writing(self, tmp_path, capsys, monkeypatch, command):
-        real = experiments._eval_cell
+        real = experiments._eval_group
 
-        def flaky(spec_dict, cell):
-            if cell.b_h == 2:
-                raise RuntimeError("synthetic failure")
-            return real(spec_dict, cell)
+        def flaky(spec, cells):
+            failure = RuntimeError("synthetic failure")
+            return [failure if cell.b_h == 2 else r for cell, r in zip(cells, real(spec, cells))]
 
-        monkeypatch.setattr(experiments, "_eval_cell", flaky)
+        monkeypatch.setattr(experiments, "_eval_group", flaky)
         small = ["--m", "16", "--k", "2", "--trials", "5"]
         if command == "sweep":
             argv = ["sweep", *small, "--budget-bbar", "4", "--evaluator", "closed-form"]
@@ -727,3 +734,124 @@ class TestCli:
         code = main(["sweep", "--config", str(config), "--out", str(tmp_path)])
         assert code == 2
         assert "c_fh" in capsys.readouterr().err
+
+
+class TestGroups:
+    """Cells sharing (SNR, CSI mode, B_H) run as one group, one pool task per group."""
+
+    def test_fig2_groups(self):
+        cells = preset_cells("fig2", preset_spec("fig2"))
+        groups = experiments._groups(cells)
+        assert sorted(i for g in groups for i in g) == list(range(len(cells)))
+        assert all(g == sorted(g) for g in groups)
+        assert [g[0] for g in groups] == sorted(g[0] for g in groups)
+        assert [len(g) for g in groups] == [3] + [6] * 29 + [29, 29]
+        for g in groups[1:30]:
+            assert len({(cells[i].b_h, cells[i].csi_mode, cells[i].method) for i in g}) == 1
+            taps = {(cells[i].precoder, cells[i].b_p) for i in g}
+            assert taps == {(kind, b_p) for kind in ("wf", "zf", "mrt") for b_p in (20, 2)}
+        assert {cells[i].series for i in groups[-1]} == {"mrt_closed_bp2"}
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="the patched mask reaches the workers only when they are forked",
+    )
+    def test_forced_redraws_match_one_tap_at_any_worker_count(self, tmp_path, monkeypatch):
+        """Grouped cells equal one-tap mc_hardening_sinr, with redraws and a small TRIAL_BLOCK, at 1 to 3 workers."""
+
+        def flag_by_content(G):
+            return G[..., 0, 0].real > 18.0
+
+        monkeypatch.setattr(se, "rank_deficient_mask", flag_by_content)
+        monkeypatch.setattr(se, "TRIAL_BLOCK", 16)
+        fork = multiprocessing.get_context("fork")
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", functools.partial(ProcessPoolExecutor, mp_context=fork))
+        spec = small_spec(precoders=("wf", "zf", "mrt"), snr_db=(0.0, 10.0), trials=50)
+        for workers in (1, 2, 3):
+            meta = run_sweep(dataclasses.replace(spec, workers=workers), tmp_path / f"w{workers}")
+            assert meta["failed_cells"] == [] and meta["total_redraws"] > 0
+        names = sorted(p.name for p in (tmp_path / "w1").iterdir() if p.suffix in (".csv", ".dat"))
+        for workers in (2, 3):
+            for name in names:
+                assert (tmp_path / f"w{workers}" / name).read_bytes() == (tmp_path / "w1" / name).read_bytes()
+        rows = read_csv(tmp_path / "w1" / "sweep.csv")[1:]
+        for row, cell in zip(rows, _expand_sweep(spec)):
+            alone = mc_hardening_sinr(spec.config_for(cell.snr_db), cell.precoder, cell.b_h, cell.b_p, 50, spec.seed)
+            assert float(row[8]) == alone.sum_se and [float(v) for v in row[9:]] == alone.se.tolist()
+
+    @pytest.mark.parametrize("failure", ("redraws", "gamma"))
+    def test_zf_wf_failure_leaves_the_mrt_cell(self, tmp_path, capsys, monkeypatch, failure):
+        """Exhausted redraws or gamma = 0 fail the ZF/WF cells of a group; its MRT cell is written."""
+        config = {"M": 16, "K": 2, "precoders": ["wf", "zf", "mrt"], "b_bar": 4, "trials": 10}
+        if failure == "redraws":
+
+            def flag_first(G):
+                bad = np.zeros(len(G), bool)
+                bad[0] = True
+                return bad
+
+            monkeypatch.setattr(se, "rank_deficient_mask", flag_first)
+        else:
+            config["pilot_q"] = [0.0, 1.0]
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(config))
+        assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert ("stayed rank deficient" if failure == "redraws" else "gamma") in capsys.readouterr().err
+        meta = json.loads((tmp_path / "out" / "sweep_meta.json").read_text())
+        assert [(f["series"][:2], f["b_h"]) for f in meta["failed_cells"]] == [
+            (kind, b_h) for kind in ("wf", "zf") for b_h in (1, 2, 3)
+        ]
+        rows = read_csv(tmp_path / "out" / "sweep.csv")[1:]
+        assert [(row[0], int(row[3])) for row in rows] == [("mrt", 1), ("mrt", 2), ("mrt", 3)]
+
+    def test_group_time_is_charged_to_its_first_cell(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(sysmodel, "_stats_cache", {})
+        spec = small_spec(precoders=("zf", "mrt"))
+        cells = run_sweep(spec, tmp_path)["cells"]
+        # groups by B_H: cells (0, 3), (1, 4), (2, 5)
+        assert cells[0]["stats_s"] > 0 and all(c["stats_s"] == 0 for c in cells[1:])
+        for c in cells[3:]:
+            own = c["stats_s"] + c["moments_s"] + c["kxk_s"]
+            assert c["elapsed_s"] == pytest.approx(own, abs=1e-4)
+
+    def test_spec_is_parsed_once_per_group(self, monkeypatch):
+        parsed = []
+        real = ExperimentSpec.from_dict.__func__
+
+        monkeypatch.setattr(ExperimentSpec, "from_dict", classmethod(lambda cls, d: parsed.append(1) or real(cls, d)))
+        spec = preset_spec("fig4", M=16, K=2, trials=5)
+        cells = preset_cells("fig4", spec)
+        experiments.run_cells(spec, cells)
+        assert len(parsed) == len(experiments._groups(cells)) == 9 + 1
+
+
+class TestProgress:
+    def test_progress_goes_to_stderr_only(self, tmp_path, capsys, monkeypatch):
+        argv = ["reproduce", "fig4", "--m", "16", "--k", "2", "--trials", "5"]
+        monkeypatch.setattr(experiments, "_PROGRESS_S", float("inf"))
+        assert main(argv + ["--out", str(tmp_path / "quiet")]) == 0
+        quiet = capsys.readouterr()
+        assert quiet.err == ""
+        monkeypatch.setattr(experiments, "_PROGRESS_S", 0.0)
+        assert main(argv + ["--out", str(tmp_path / "loud")]) == 0
+        loud = capsys.readouterr()
+        assert loud.out.replace("loud", "quiet") == quiet.out
+        lines = loud.err.splitlines()
+        assert len(lines) == 10  # one line per group: 9 Monte Carlo B_H groups and the closed-form series
+        assert lines[0].startswith("3/36 cells done, about ") and lines[0].endswith(" s left")
+        assert lines[-1] == "36/36 cells done, about 0 s left"
+        for p in (tmp_path / "quiet").iterdir():
+            if p.suffix in (".csv", ".dat"):
+                assert (tmp_path / "loud" / p.name).read_bytes() == p.read_bytes()
+
+    def test_reports_once_per_interval(self, capsys):
+        now = [0.0]
+        progress = experiments._Progress(10, clock=lambda: now[0])
+        for t, cells in ((1.0, 2), (2.5, 2), (3.0, 2), (5.0, 2), (5.5, 2)):
+            now[0] = t
+            progress(cells)
+        assert capsys.readouterr().err.splitlines() == [
+            "4/10 cells done, about 4 s left",
+            "8/10 cells done, about 1 s left",
+            "10/10 cells done, about 0 s left",
+        ]

@@ -255,9 +255,30 @@ def test_moment_helpers_are_module_names_only():
     """mrt_moments, estimate_moments_mc and transmit_rescale left the package namespace."""
     import fhalloc
 
-    assert len(fhalloc.__all__) == 23
+    assert len(fhalloc.__all__) == 14
     for name in ("mrt_moments", "estimate_moments_mc", "transmit_rescale"):
         assert name not in fhalloc.__all__ and callable(getattr(precoding, name))
+
+
+def test_unit_level_names_live_in_their_modules():
+    """Names that only unit tests read are module attributes, not package names."""
+    import importlib
+
+    import fhalloc
+
+    homes = {
+        "quantization": ("QuantizedMatrix", "quantized_csi_covariance"),
+        "channel": ("mmse_estimate",),
+        "precoding": ("RankDeficientError", "build_precoder"),
+        "se": ("se_from_sinr", "SeReport"),
+        "allocation": ("BitSplit", "AllocationResult"),
+    }
+    for module, names in homes.items():
+        for name in names:
+            assert name not in fhalloc.__all__ and not hasattr(fhalloc, name)
+            assert getattr(importlib.import_module(f"fhalloc.{module}"), name) is not None
+    assert sorted(fhalloc.__all__) == sorted(set(fhalloc.__all__))
+    assert all(hasattr(fhalloc, name) for name in fhalloc.__all__)
 
 
 @settings(max_examples=40, deadline=None)

@@ -479,3 +479,91 @@ class TestTermEstimates:
         assert set(est) == set(ref)
         for name in ref:
             np.testing.assert_allclose(est[name], ref[name], rtol=0.05)
+
+
+class TestGroupedTaps:
+    """se._mc_taps evaluates every (kind, b_p) at one b_h in one pass, bit for bit as mc_hardening_sinr."""
+
+    TAPS = [(kind, b_p) for b_p in (2, 5, 20) for kind in ("wf", "zf", "mrt")]
+
+    @staticmethod
+    def assert_same(grouped, alone):
+        assert not isinstance(grouped, Exception), grouped
+        np.testing.assert_array_equal(grouped.sinr, alone.sinr)
+        np.testing.assert_array_equal(grouped.se, alone.se)
+        assert (grouped.sum_se, grouped.redraws, grouped.kind) == (alone.sum_se, alone.redraws, alone.kind)
+        assert (grouped.b_h, grouped.b_p, grouped.csi_mode) == (alone.b_h, alone.b_p, alone.csi_mode)
+
+    @pytest.mark.parametrize("beta", (1.0, (0.5, 1.0, 1.5, 2.0)), ids=("equal-beta", "unequal-beta"))
+    @pytest.mark.parametrize("csi_mode", se.CSI_MODES)
+    def test_grouped_equals_one_tap(self, csi_mode, beta):
+        cfg = SystemConfig.from_snr(M=16, K=4, tau_c=200, tau_p=4, snr_db=0.0, beta=beta)
+        sysmodel._stats_cache.clear()
+        grouped = se._mc_taps(cfg, 3, self.TAPS, 70, 5, csi_mode, 100)
+        for (kind, b_p), rep in zip(self.TAPS, grouped):
+            self.assert_same(rep, mc_hardening_sinr(cfg, kind, 3, b_p, 70, 5, csi_mode, moment_trials=100))
+
+    @pytest.mark.parametrize("block", (1, 7, sysmodel.TRIAL_BLOCK))
+    @pytest.mark.parametrize("csi_mode", se.CSI_MODES)
+    def test_forced_redraws_are_shared_by_zf_and_wf(self, monkeypatch, csi_mode, block):
+        """A content-predicate mask redraws the same trials for ZF and WF; MRT keeps its first attempts."""
+        checked = []
+
+        def flag_by_content(G):
+            checked.append(len(G))
+            return G[..., 0, 0].real > 18.0
+
+        monkeypatch.setattr(se, "rank_deficient_mask", flag_by_content)
+        monkeypatch.setattr(se, "TRIAL_BLOCK", block)
+        cfg = cfg_at(0.0, M=16, K=2)
+        grouped = se._mc_taps(cfg, 3, self.TAPS, 60, 3, csi_mode)
+        shared = list(checked)
+        assert sum(shared[: -(-60 // block)]) == 60  # one mask per block, shared by every ZF/WF tap
+        for (kind, b_p), rep in zip(self.TAPS, grouped):
+            self.assert_same(rep, mc_hardening_sinr(cfg, kind, 3, b_p, 60, 3, csi_mode))
+            assert (rep.redraws > 0) == (kind != "mrt")
+        checked.clear()
+        mc_hardening_sinr(cfg, "zf", 3, 2, 60, 3, csi_mode)
+        assert checked == shared
+
+    def test_exhausted_redraws_fail_only_zf_and_wf(self, monkeypatch):
+        def flag_first(G):
+            bad = np.zeros(len(G), bool)
+            bad[0] = True
+            return bad
+
+        monkeypatch.setattr(se, "rank_deficient_mask", flag_first)
+        cfg = cfg_at(0.0, M=16, K=2)
+        grouped = se._mc_taps(cfg, 3, self.TAPS, 10, 4)
+        for (kind, b_p), rep in zip(self.TAPS, grouped):
+            if kind == "mrt":
+                self.assert_same(rep, mc_hardening_sinr(cfg, kind, 3, b_p, 10, 4))
+            else:
+                assert isinstance(rep, RuntimeError) and "stayed rank deficient" in str(rep)
+
+    def test_zero_pilot_power_fails_only_zf_and_wf(self):
+        cfg = SystemConfig.from_snr(M=16, K=2, tau_c=200, tau_p=8, snr_db=10.0, pilot_power=[0.0, 1.0])
+        taps = self.TAPS + [("mmse", 4)]
+        grouped = se._mc_taps(cfg, 3, taps, 20, 1)
+        for (kind, b_p), rep in zip(taps, grouped):
+            if kind == "mrt":
+                self.assert_same(rep, mc_hardening_sinr(cfg, kind, 3, b_p, 20, 1))
+            else:
+                assert isinstance(rep, ValueError)
+                assert ("gamma" if kind != "mmse" else "unknown precoder kind") in str(rep)
+
+    def test_group_level_errors_raise(self):
+        cfg = cfg_at(0.0, M=16, K=2)
+        for args in ((None, 10, "quantized"), (3, 0, "quantized"), (3, 10, "oracle")):
+            b_h, trials, csi_mode = args
+            with pytest.raises(ValueError):
+                se._mc_taps(cfg, b_h, self.TAPS, trials, 1, csi_mode)
+        (missing,) = se._mc_taps(cfg, 3, [("zf", None)], 10, 1)
+        assert isinstance(missing, ValueError) and "needs b_h and b_p" in str(missing)
+
+    def test_shared_time_is_the_first_taps(self):
+        sysmodel._stats_cache.clear()
+        grouped = se._mc_taps(cfg_at(0.0, M=16, K=2), 3, self.TAPS, 40, 8)
+        assert grouped[0].stage_s["stats_s"] > 0
+        assert all(rep.stage_s["stats_s"] == 0 for rep in grouped[1:])
+        assert all(rep.stage_s["kxk_s"] > 0 and rep.stage_s["moments_s"] > 0 for rep in grouped)
