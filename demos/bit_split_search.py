@@ -22,7 +22,7 @@ print(f"per-entry budget b_bar = {budget.b_bar}\n")
 
 for snr in (-15.0, 10.0):
     cfg = SystemConfig.from_snr(M=M, K=K, tau_c=200, tau_p=8, snr_db=snr)
-    result = line_search(budget, lambda b_h, b_p: closed_form_mrt_sinr(cfg, b_h, b_p))
+    result = line_search(budget.b_bar, lambda b_h, b_p: closed_form_mrt_sinr(cfg, b_h, b_p))
     print(f"SNR {snr:+.0f} dB")
     print("  b_h  b_p   sum_se")
     for b_h, b_p, value, _ in result.profile:

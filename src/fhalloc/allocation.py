@@ -9,30 +9,40 @@ total per-entry bits are
     B_bar = floor((C_FH - (Bs_ul T_u + Bs_dl T_d) K) / (K M)),
 
 to be split as B_H + B_P = B_bar with both parts at least 1 bit.  A budget
-below 2 is infeasible, and a non-finite capacity or control rate is an
-error.  The split is chosen by evaluating the sum spectral efficiency at
-every candidate (B_H, B_P) and keeping the best; the candidate count is
-B_bar - 1, so exhaustive scan is the right tool.
+below 2 is infeasible (split_range, the one place that rule lives), and
+a non-finite capacity or control rate is an error.  The split is chosen
+by evaluating the sum spectral efficiency at every candidate (B_H, B_P)
+and keeping the best; the candidate count is B_bar - 1, so exhaustive
+scan is the right tool.
 
-line_search takes the objective either as a per-split evaluator or as the
-whole profile already computed.  The closed-form MRT search uses the
-latter (the closed form evaluates every split in one numpy pass), so its
-profile is always complete; a partial profile, cut short by an evaluator
-that raised or returned a non-finite objective, can only come from the
-Monte Carlo evaluator.
+line_search takes the integer budget and a per-split evaluator.  The
+closed-form MRT search computes the whole profile in one numpy pass and
+hands line_search a lookup into it, so its profile is always complete; a
+partial profile, cut short by an evaluator that raised or returned a
+non-finite objective, can only come from the Monte Carlo evaluator.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 
 class InfeasibleBudgetError(ValueError):
     """The fronthaul budget cannot fund at least one bit on each transfer."""
+
+
+def split_range(b_bar: int) -> range:
+    """The B_H of every split B_H + B_P = b_bar with a bit on each transfer.
+
+    Raises InfeasibleBudgetError when b_bar is below 2.
+    """
+    if b_bar < 2:
+        raise InfeasibleBudgetError(f"b_bar = {b_bar}, need at least 2 (one bit per transfer)")
+    return range(1, b_bar)
 
 
 @dataclass(frozen=True)
@@ -69,10 +79,7 @@ def compute_budget(budget: FronthaulBudget, M: int, K: int) -> FronthaulBudget:
         raise ValueError("c_fh must be nonnegative")
     remaining = budget.c_fh - budget.payload_bits(K)
     b_bar = int(np.floor(remaining / (K * M)))
-    if b_bar < 2:
-        raise InfeasibleBudgetError(
-            f"budget funds {b_bar} bits per entry, need at least 2 (one per transfer)"
-        )
+    split_range(b_bar)  # refuses a b_bar below 2
     return replace(budget, b_bar=b_bar)
 
 
@@ -114,43 +121,24 @@ class AllocationResult:
         return self.best.b_h + self.best.b_p
 
 
-def line_search(
-    budget: FronthaulBudget | int, evaluate: Callable[[int, int], object] | Sequence
-) -> AllocationResult:
+def line_search(b_bar: int, evaluate: Callable[[int, int], object]) -> AllocationResult:
     """Exhaustive scan of B_H = 1..B_bar-1 with B_P = B_bar - B_H.
 
-    `budget` is either a FronthaulBudget with b_bar filled in or the bare
-    integer budget.  `evaluate` gives the objective of each candidate:
-    either a callable evaluate(b_h, b_p), or a sequence of the B_bar - 1
-    objectives in scan order, from an evaluator that computes the whole
-    profile in one pass.  An objective is anything with a sum_se
-    attribute (and optionally per-user se), or a plain number.  Strict
-    improvement is required to move the incumbent, so ties resolve to the
-    smallest B_H.  The full profile is retained for inspection.
+    evaluate(b_h, b_p) gives the objective of each candidate: anything
+    with a sum_se attribute (and optionally per-user se), or a plain
+    number.  Strict improvement is required to move the incumbent, so
+    ties resolve to the smallest B_H.  The full profile is retained for
+    inspection.
 
     A non-finite objective counts as a failed candidate.  If a candidate
     fails after at least one finished, the partial profile is returned
     with failed=True; a failure on the very first candidate propagates
     (a non-finite objective as ValueError).
     """
-    if isinstance(budget, FronthaulBudget):
-        if budget.b_bar is None:
-            raise ValueError("budget has no b_bar; pass it through compute_budget first")
-        b_bar = int(budget.b_bar)
-    else:
-        b_bar = int(budget)
-    if b_bar < 2:
-        raise InfeasibleBudgetError(f"b_bar = {b_bar} leaves no feasible split")
-    if not callable(evaluate):
-        rows = evaluate
-        if len(rows) != b_bar - 1:
-            raise ValueError(f"{len(rows)} objectives given for the {b_bar - 1} splits of b_bar = {b_bar}")
-        evaluate = lambda b_h, b_p: rows[b_h - 1]
-
     best = None
     profile = []
     failure = None
-    for b_h in range(1, b_bar):
+    for b_h in split_range(b_bar):
         b_p = b_bar - b_h
         try:
             report = evaluate(b_h, b_p)

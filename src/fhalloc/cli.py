@@ -19,78 +19,75 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 
-from .allocation import FronthaulBudget, InfeasibleBudgetError, compute_budget
+from .allocation import FronthaulBudget, InfeasibleBudgetError, compute_budget, split_range
 from .experiments import ExperimentSpec, optimize_split, reproduce, run_sweep
 from .quantization import eta_of_bits
+
+# Every flag that sets an ExperimentSpec field stores to that field's name
+# (its argparse dest), and the capacity flags to FronthaulBudget's names.
+_SPEC_FIELDS = {f.name for f in fields(ExperimentSpec)}
+
+
+def _add_run_flags(p: argparse.ArgumentParser):
+    p.add_argument("--m", dest="M", type=int, help="base-station antennas")
+    p.add_argument("--k", dest="K", type=int, help="users")
+    p.add_argument("--trials", type=int, help="Monte Carlo trials per cell")
+    p.add_argument("--seed", type=int, help="master seed")
+    p.add_argument("--workers", type=int, help="worker processes for grid cells")
+    p.add_argument("--out", dest="out_dir", default="out", help="output directory")
 
 
 def _add_system_flags(p: argparse.ArgumentParser):
     p.add_argument("--config", help="JSON file with ExperimentSpec fields; flags override it")
-    p.add_argument("--m", type=int, help="base-station antennas")
-    p.add_argument("--k", type=int, help="users")
+    _add_run_flags(p)
     p.add_argument("--tau-c", type=int, help="coherence block length in symbols")
     p.add_argument("--tau-p", type=int, help="pilot symbols per block")
     p.add_argument("--snr-db", type=float, action="append", help="downlink SNR in dB, repeatable")
     p.add_argument("--pilot-q", type=float, help="uplink pilot power; default P_t/sigma^2")
     p.add_argument(
         "--precoder",
+        dest="precoders",
         action="append",
         choices=["mrt", "zf", "wf"],
         help="precoder kind, repeatable",
     )
-    p.add_argument("--csi", choices=["quantized", "perfect"], help="CSI mode")
+    p.add_argument("--csi", dest="csi_mode", choices=["quantized", "perfect"], help="CSI mode")
     p.add_argument("--evaluator", choices=["mc", "closed-form"], help="SE evaluator")
-    p.add_argument("--trials", type=int, help="Monte Carlo trials per cell")
-    p.add_argument("--seed", type=int, help="master seed")
-    p.add_argument("--workers", type=int, help="worker processes for grid cells")
-    p.add_argument("--out", default="out", help="output directory")
 
 
 def _add_budget_flags(p: argparse.ArgumentParser):
-    p.add_argument("--budget-bbar", type=int, help="total per-entry bits B_H + B_P directly")
-    p.add_argument("--cfh", type=float, help="fronthaul bits per coherence block")
+    p.add_argument("--budget-bbar", dest="b_bar", type=int, help="total per-entry bits B_H + B_P directly")
+    p.add_argument("--cfh", dest="c_fh", type=float, help="fronthaul bits per coherence block")
     p.add_argument("--bs-ul", type=float, default=0.0, help="control bits per uplink symbol")
     p.add_argument("--bs-dl", type=float, default=0.0, help="control bits per downlink symbol")
-    p.add_argument("--tu", type=int, default=0, help="uplink payload symbols per block")
-    p.add_argument("--td", type=int, default=0, help="downlink payload symbols per block")
+    p.add_argument("--tu", dest="t_u", type=int, default=0, help="uplink payload symbols per block")
+    p.add_argument("--td", dest="t_d", type=int, default=0, help="downlink payload symbols per block")
 
 
-def _spec_from_args(args, defaults: dict | None = None) -> ExperimentSpec:
-    fields: dict = dict(defaults or {})
-    if getattr(args, "config", None):
+def _budget(args) -> FronthaulBudget:
+    return FronthaulBudget(c_fh=args.c_fh, bs_ul=args.bs_ul, bs_dl=args.bs_dl, t_u=args.t_u, t_d=args.t_d)
+
+
+def _spec_flags(args) -> dict:
+    """The spec fields set on the command line."""
+    return {key: value for key, value in vars(args).items() if key in _SPEC_FIELDS and value is not None}
+
+
+def _spec_from_args(args, defaults: dict) -> ExperimentSpec:
+    """The defaults, then --config, then the flags; --cfh counts only without --budget-bbar."""
+    spec = dict(defaults)
+    if args.config:
         with open(args.config) as fh:
             config = json.load(fh)
         if not isinstance(config, dict):
             raise ValueError(f"--config must hold a JSON object, got {type(config).__name__}")
-        fields.update(config)
-    direct = {
-        "M": args.m,
-        "K": args.k,
-        "tau_c": args.tau_c,
-        "tau_p": args.tau_p,
-        "pilot_q": args.pilot_q,
-        "csi_mode": args.csi,
-        "evaluator": args.evaluator,
-        "trials": args.trials,
-        "seed": args.seed,
-        "workers": args.workers,
-        "out_dir": getattr(args, "out", None),
-    }
-    if args.snr_db:
-        direct["snr_db"] = tuple(args.snr_db)
-    if args.precoder:
-        direct["precoders"] = tuple(args.precoder)
-    if getattr(args, "budget_bbar", None) is not None:
-        direct["b_bar"] = args.budget_bbar
-    elif getattr(args, "cfh", None) is not None:
-        direct["budget"] = FronthaulBudget(
-            c_fh=args.cfh, bs_ul=args.bs_ul, bs_dl=args.bs_dl, t_u=args.tu, t_d=args.td
-        )
-    if getattr(args, "b_p_fixed", None) is not None:
-        direct["b_p_fixed"] = args.b_p_fixed
-    fields.update({k: v for k, v in direct.items() if v is not None})
-    return ExperimentSpec.from_dict(fields)
+        spec.update(config)
+    spec.update(_spec_flags(args))
+    if args.b_bar is None and args.c_fh is not None:
+        spec["budget"] = _budget(args)
+    return ExperimentSpec.from_dict(spec)
 
 
 def _cmd_eta(args) -> int:
@@ -99,20 +96,16 @@ def _cmd_eta(args) -> int:
 
 
 def _cmd_budget(args) -> int:
-    if args.budget_bbar is not None:
-        b_bar = args.budget_bbar
-        if b_bar < 2:
-            raise InfeasibleBudgetError(f"b_bar = {b_bar}, need at least 2")
+    if args.b_bar is not None:
+        b_bar = args.b_bar
+    elif args.c_fh is not None:
+        b_bar = compute_budget(_budget(args), args.M, args.K).b_bar
     else:
-        if args.cfh is None:
-            print("budget: provide --budget-bbar or --cfh", file=sys.stderr)
-            return 2
-        budget = FronthaulBudget(
-            c_fh=args.cfh, bs_ul=args.bs_ul, bs_dl=args.bs_dl, t_u=args.tu, t_d=args.td
-        )
-        b_bar = compute_budget(budget, args.m, args.k).b_bar
+        print("budget: provide --budget-bbar or --cfh", file=sys.stderr)
+        return 2
+    splits = split_range(b_bar)
     print(f"b_bar {b_bar}")
-    print(f"splits {b_bar - 1}")
+    print(f"splits {len(splits)}")
     return 0
 
 
@@ -126,7 +119,7 @@ def _report_run(meta: dict, csv_path: str) -> int:
 
 def _cmd_sweep(args) -> int:
     spec = _spec_from_args(args, defaults={"name": "sweep"})
-    return _report_run(run_sweep(spec, args.out), f"{args.out}/sweep.csv")
+    return _report_run(run_sweep(spec, args.out_dir), f"{args.out_dir}/sweep.csv")
 
 
 def _cmd_optimize(args) -> int:
@@ -152,9 +145,7 @@ def _cmd_optimize(args) -> int:
 
 
 def _cmd_reproduce(args) -> int:
-    flags = {"trials": args.trials, "seed": args.seed, "workers": args.workers, "M": args.m, "K": args.k}
-    overrides = {key: value for key, value in flags.items() if value is not None}
-    return _report_run(reproduce(args.figure, args.out, **overrides), f"{args.out}/{args.figure}.csv")
+    return _report_run(reproduce(args.figure, **_spec_flags(args)), f"{args.out_dir}/{args.figure}.csv")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -169,8 +160,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_eta.set_defaults(func=_cmd_eta)
 
     p_budget = sub.add_parser("budget", help="per-entry bit budget from fronthaul capacity")
-    p_budget.add_argument("--m", type=int, default=128)
-    p_budget.add_argument("--k", type=int, default=8)
+    p_budget.add_argument("--m", dest="M", type=int, default=128)
+    p_budget.add_argument("--k", dest="K", type=int, default=8)
     _add_budget_flags(p_budget)
     p_budget.set_defaults(func=_cmd_budget)
 
@@ -188,12 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_rep = sub.add_parser("reproduce", help="run a canned study")
     p_rep.add_argument("figure", choices=["fig2", "fig3", "fig4"])
-    p_rep.add_argument("--trials", type=int)
-    p_rep.add_argument("--seed", type=int)
-    p_rep.add_argument("--workers", type=int)
-    p_rep.add_argument("--m", type=int)
-    p_rep.add_argument("--k", type=int)
-    p_rep.add_argument("--out", default="out")
+    _add_run_flags(p_rep)
     p_rep.set_defaults(func=_cmd_reproduce)
 
     return parser

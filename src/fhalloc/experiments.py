@@ -35,7 +35,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import __version__
-from .allocation import AllocationResult, FronthaulBudget, InfeasibleBudgetError, compute_budget, line_search
+from .allocation import AllocationResult, FronthaulBudget, compute_budget, line_search, split_range
 from .precoding import PRECODER_KINDS
 from .se import CSI_MODES, SeReport, _closed_form_mrt_profile, _mc_taps, closed_form_mrt_sinr, mc_hardening_sinr
 from .sysmodel import SystemConfig, _real
@@ -99,7 +99,7 @@ class ExperimentSpec:
     out_dir: str | None = None
 
     def __post_init__(self):
-        """Reject bad counts, bit widths and SNRs, unknown enumerated values and non-list grids.
+        """Reject bad counts, bit widths and SNRs, unknown enumerated values and empty or non-list grids.
 
         Counts and bit widths are stored as Python ints and grids as
         tuples; an SNR must be a real, non-boolean number.  A bit width
@@ -119,8 +119,8 @@ class ExperimentSpec:
             value = getattr(self, key)
             if value is None and key == "b_h_values":
                 continue
-            if not isinstance(value, (list, tuple)):
-                raise ValueError(f"{key} must be a list, got {type(value).__name__}")
+            if not isinstance(value, (list, tuple)) or not value:
+                raise ValueError(f"{key} must be a non-empty list, got {value!r}")
             if key == "b_h_values":
                 value = [_integer("b_h_values entry", v) for v in value]
             elif key == "snr_db":
@@ -182,7 +182,17 @@ class Cell:
 
 
 def _expand_sweep(spec: ExperimentSpec) -> list[Cell]:
-    """Cells for a plain sweep: (precoder, snr, b_h) in listed order."""
+    """Cells for a plain sweep: (precoder, snr, b_h) in listed order.
+
+    SNRs whose series tags collide are refused, since their cells would
+    share a series and so a closed-form group and a .dat file.
+    """
+    tags = {}
+    for snr in spec.snr_db:
+        tag = _snr_tag(snr)
+        if tag in tags:
+            raise ValueError(f"snr_db entries {tags[tag]!r} and {snr!r} share the series tag {tag}")
+        tags[tag] = snr
     b_bar = spec.resolve_b_bar()
     if spec.csi_mode == "perfect":
         if spec.evaluator == "closed-form":
@@ -203,9 +213,7 @@ def _expand_sweep(spec: ExperimentSpec) -> list[Cell]:
     if spec.b_h_values is not None:
         b_h_values = spec.b_h_values
     elif b_bar is not None:
-        if b_bar < 2:
-            raise InfeasibleBudgetError(f"b_bar = {b_bar} leaves no feasible split")
-        b_h_values = range(1, b_bar)
+        b_h_values = split_range(b_bar)
     else:
         raise ValueError("sweep needs b_h_values, b_bar, or a budget")
     method = "closed_form_mrt" if spec.evaluator == "closed-form" else "monte_carlo"
@@ -287,7 +295,7 @@ def _failed(exc: BaseException) -> CellOutcome:
     return CellOutcome(report=None, error=f"{type(exc).__name__}: {exc}")
 
 
-def _eval_group_guarded(spec_dict: dict, cells: list[Cell]) -> list[CellOutcome]:
+def _eval_group_guarded(spec: ExperimentSpec, cells: list[Cell]) -> list[CellOutcome]:
     """_eval_group as CellOutcomes; an error outside every cell fails the whole group.
 
     A cell's elapsed_s is its own stage time (SeReport.stage_s); the rest
@@ -295,7 +303,7 @@ def _eval_group_guarded(spec_dict: dict, cells: list[Cell]) -> list[CellOutcome]
     """
     t0 = time.perf_counter()
     try:
-        results = _eval_group(ExperimentSpec.from_dict(spec_dict), cells)
+        results = _eval_group(spec, cells)
     except Exception as exc:
         results = [exc] * len(cells)
     own = [0.0 if isinstance(r, Exception) else sum(r.stage_s.values()) for r in results]
@@ -335,7 +343,6 @@ def run_cells(spec: ExperimentSpec, cells: list[Cell]) -> list[CellOutcome]:
     and no report.  So does every cell of a group left unfinished or not
     yet queued when a pool worker dies (BrokenProcessPool).
     """
-    spec_dict = spec.to_dict()
     groups = _groups(cells)
     outcomes: list = [None] * len(cells)
     progress = _Progress(len(cells))
@@ -347,13 +354,13 @@ def run_cells(spec: ExperimentSpec, cells: list[Cell]) -> list[CellOutcome]:
 
     if spec.workers <= 1 or len(groups) <= 1:
         for group in groups:
-            place(group, _eval_group_guarded(spec_dict, [cells[i] for i in group]))
+            place(group, _eval_group_guarded(spec, [cells[i] for i in group]))
         return outcomes
     futures = {}
     with ProcessPoolExecutor(max_workers=spec.workers) as pool:
         for group in groups:
             try:
-                futures[pool.submit(_eval_group_guarded, spec_dict, [cells[i] for i in group])] = group
+                futures[pool.submit(_eval_group_guarded, spec, [cells[i] for i in group])] = group
             except BrokenExecutor as exc:
                 # a worker died before this group was queued; it and the rest fail
                 place(group, [_failed(exc)] * len(group))
@@ -493,9 +500,10 @@ def optimize_split(spec: ExperimentSpec, precoder: str | None = None) -> Allocat
     if spec.evaluator == "closed-form":
         if kind != "mrt":
             raise ValueError("the closed-form evaluator only covers mrt")
-        splits = range(1, b_bar)
+        splits = split_range(b_bar)
         _, se, sum_se = _closed_form_mrt_profile(cfg, splits, [b_bar - b_h for b_h in splits])
-        evaluate = [SimpleNamespace(sum_se=v, se=row) for v, row in zip(sum_se.tolist(), se)]
+        rows = [SimpleNamespace(sum_se=v, se=row) for v, row in zip(sum_se.tolist(), se)]
+        evaluate = lambda b_h, b_p: rows[b_h - 1]
     else:
         evaluate = lambda b_h, b_p: mc_hardening_sinr(
             cfg, kind, b_h, b_p, spec.trials, spec.seed, moment_trials=spec.moment_trials
@@ -505,7 +513,10 @@ def optimize_split(spec: ExperimentSpec, precoder: str | None = None) -> Allocat
 
 # --- figure-style presets ---------------------------------------------------
 
-_BASE = dict(M=128, K=8, tau_c=200, tau_p=8)
+_PRESET_KINDS = ("wf", "zf", "mrt")
+_BASE = dict(M=128, K=8, tau_c=200, tau_p=8, precoders=_PRESET_KINDS)
+# (SNR in dB, b_bar) of each preset
+_PRESETS = {"fig2": (10.0, 30), "fig3": (-15.0, 10), "fig4": (10.0, 10)}
 
 
 def preset_cells(figure: str, spec: ExperimentSpec) -> list[Cell]:
@@ -518,54 +529,31 @@ def preset_cells(figure: str, spec: ExperimentSpec) -> list[Cell]:
     fig3: shared budget B_bar = 10 at SNR -15 dB, B_P = B_bar - B_H.
     fig4: shared budget B_bar = 10 at SNR +10 dB, B_P = B_bar - B_H.
     """
+    snr = spec.snr_db[0]
     if figure == "fig2":
-        snr = spec.snr_db[0]
-        cells = [
-            Cell(f"{kind}_perfect", kind, snr, "perfect", "monte_carlo", 0, 0)
-            for kind in ("wf", "zf", "mrt")
+        curves = [(kind, "mc", "monte_carlo", b_p) for b_p in (20, 2) for kind in _PRESET_KINDS]
+        curves += [("mrt", "closed", "closed_form_mrt", b_p) for b_p in (20, 2)]
+        return [Cell(f"{kind}_perfect", kind, snr, "perfect", "monte_carlo", 0, 0) for kind in _PRESET_KINDS] + [
+            Cell(f"{kind}_{label}_bp{b_p}", kind, snr, "quantized", method, b_h, b_p)
+            for kind, label, method, b_p in curves
+            for b_h in range(1, 30)
         ]
-        for b_p in (20, 2):
-            for kind in ("wf", "zf", "mrt"):
-                cells += [
-                    Cell(f"{kind}_mc_bp{b_p}", kind, snr, "quantized", "monte_carlo", b_h, b_p)
-                    for b_h in range(1, 30)
-                ]
-        for b_p in (20, 2):
-            cells += [
-                Cell(f"mrt_closed_bp{b_p}", "mrt", snr, "quantized", "closed_form_mrt", b_h, b_p)
-                for b_h in range(1, 30)
-            ]
-        return cells
     if figure in ("fig3", "fig4"):
-        snr = spec.snr_db[0]
         b_bar = spec.resolve_b_bar()
-        cells = []
-        for kind in ("wf", "zf", "mrt"):
-            cells += [
-                Cell(f"{kind}_mc_bbar{b_bar}", kind, snr, "quantized", "monte_carlo", b_h, b_bar - b_h)
-                for b_h in range(1, b_bar)
-            ]
-        cells += [
-            Cell(f"mrt_closed_bbar{b_bar}", "mrt", snr, "quantized", "closed_form_mrt", b_h, b_bar - b_h)
-            for b_h in range(1, b_bar)
+        curves = [(kind, "mc", "monte_carlo") for kind in _PRESET_KINDS] + [("mrt", "closed", "closed_form_mrt")]
+        return [
+            Cell(f"{kind}_{label}_bbar{b_bar}", kind, snr, "quantized", method, b_h, b_bar - b_h)
+            for kind, label, method in curves
+            for b_h in split_range(b_bar)
         ]
-        return cells
     raise ValueError(f"unknown figure preset {figure!r}")
 
 
 def preset_spec(figure: str, **overrides) -> ExperimentSpec:
-    base = dict(_BASE)
-    if figure == "fig2":
-        base.update(name="fig2", snr_db=(10.0,), b_bar=30)
-    elif figure == "fig3":
-        base.update(name="fig3", snr_db=(-15.0,), b_bar=10)
-    elif figure == "fig4":
-        base.update(name="fig4", snr_db=(10.0,), b_bar=10)
-    else:
+    if figure not in _PRESETS:
         raise ValueError(f"unknown figure preset {figure!r}")
-    base.update(precoders=("wf", "zf", "mrt"))
-    base.update(overrides)
-    return ExperimentSpec(**base)
+    snr, b_bar = _PRESETS[figure]
+    return ExperimentSpec(**{**_BASE, "name": figure, "snr_db": (snr,), "b_bar": b_bar, **overrides})
 
 
 def reproduce(figure: str, out_dir=None, **overrides) -> dict:

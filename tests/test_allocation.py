@@ -10,6 +10,7 @@ from fhalloc.allocation import (
     InfeasibleBudgetError,
     compute_budget,
     line_search,
+    split_range,
 )
 
 
@@ -38,7 +39,7 @@ class TestComputeBudget:
             compute_budget(budget, M=16, K=1)
 
     def test_one_bit_total_is_infeasible(self):
-        with pytest.raises(InfeasibleBudgetError):
+        with pytest.raises(InfeasibleBudgetError, match=r"^b_bar = 1, need at least 2"):
             compute_budget(FronthaulBudget(c_fh=100.0), M=16, K=4)
 
     def test_two_bits_is_feasible(self):
@@ -84,6 +85,18 @@ class TestComputeBudget:
                 compute_budget(budget, M=M, K=K)
         else:
             assert compute_budget(budget, M=M, K=K).b_bar == expected
+
+
+class TestSplitRange:
+    @pytest.mark.parametrize("b_bar", [2, 3, 30])
+    def test_every_split_with_a_bit_each(self, b_bar):
+        assert split_range(b_bar) == range(1, b_bar)
+        assert all(b_h >= 1 and b_bar - b_h >= 1 for b_h in split_range(b_bar))
+
+    @pytest.mark.parametrize("b_bar", [1, 0, -3])
+    def test_below_two_is_infeasible(self, b_bar):
+        with pytest.raises(InfeasibleBudgetError, match=rf"^b_bar = {b_bar}, need at least 2"):
+            split_range(b_bar)
 
 
 class TestLineSearch:
@@ -164,37 +177,9 @@ class TestLineSearch:
         with pytest.raises(ValueError, match="not a finite number"):
             line_search(8, lambda b_h, b_p: bad)
 
-    def test_budget_object_input(self):
-        budget = compute_budget(FronthaulBudget(c_fh=30720.0), M=128, K=8)
-        result = line_search(budget, lambda b_h, b_p: float(-abs(b_h - 15)))
-        assert result.b_h == 15
-        assert len(result.profile) == 29
-
-    def test_budget_without_b_bar_rejected(self):
-        with pytest.raises(ValueError, match="compute_budget"):
-            line_search(FronthaulBudget(c_fh=30720.0), lambda b_h, b_p: 1.0)
-
     def test_infeasible_integer_budget(self):
-        with pytest.raises(InfeasibleBudgetError):
+        with pytest.raises(InfeasibleBudgetError, match=r"^b_bar = 1, need at least 2"):
             line_search(1, lambda b_h, b_p: 1.0)
-
-    def test_precomputed_objectives(self):
-        class Report:
-            def __init__(self, sum_se, se):
-                self.sum_se = sum_se
-                self.se = se
-
-        values = [1.0, 3.0, 2.0, 3.0]
-        rows = [Report(v, np.array([v / 2, v / 2])) for v in values]
-        result = line_search(5, rows)
-        assert result.best == BitSplit(b_h=2, b_p=3)  # the tie at B_H = 4 goes to the smaller B_H
-        assert result.profile == line_search(5, lambda b_h, b_p: rows[b_h - 1]).profile
-        assert result.profile[1] == (2, 3, 3.0, (1.5, 1.5))
-        assert line_search(3, [4.0, 5.0]).best == BitSplit(b_h=2, b_p=1)
-
-    def test_precomputed_objectives_must_cover_every_split(self):
-        with pytest.raises(ValueError, match="3 objectives given for the 4 splits"):
-            line_search(5, [1.0, 2.0, 3.0])
 
     def test_result_is_immutable(self):
         result = line_search(3, lambda b_h, b_p: 1.0)

@@ -523,6 +523,11 @@ class TestCli:
             ("sweep", {"csi_mode": "perfect", "evaluator": "closed-form"}),
             ("optimize", {"csi_mode": "perfect"}),
             ("optimize", {"csi_mode": "perfect", "evaluator": "mc"}),
+            # an empty grid would write a header-only CSV
+            ("sweep", {"precoders": []}),
+            ("optimize", {"precoders": []}),
+            ("sweep", {"snr_db": []}),
+            ("sweep", {"b_h_values": []}),
         ],
         ids=lambda v: v if isinstance(v, str) else "-".join(f"{k}={v[k]}" for k in v),
     )
@@ -537,6 +542,27 @@ class TestCli:
         code = main(argv + ["--out", str(tmp_path / "out")])
         assert code == 2
         assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "snr_db, flags, named",
+        [
+            ([0.1234561, 0.1234564], [], (0.1234561, 0.1234564)),
+            ([0.0], ["--snr-db", "2", "--snr-db", "2.0"], (2.0, 2.0)),
+        ],
+        ids=("same-6-digits", "duplicate-flag"),
+    )
+    def test_snr_values_sharing_a_series_tag_exit_two(self, tmp_path, capsys, monkeypatch, snr_db, flags, named):
+        """Their closed-form cells would share one group, and so the first SNR's values."""
+        def refuse(spec, cells):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr(experiments, "_eval_group", refuse)
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"snr_db": snr_db, "precoders": ["mrt"], "evaluator": "closed-form", "b_bar": 4}))
+        argv = ["sweep", "--config", str(path), "--m", "16", "--k", "2", *flags, "--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        assert "snr_db entries {!r} and {!r} share the series tag snrp".format(*named) in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["sweep", "optimize"])
@@ -736,6 +762,90 @@ class TestCli:
         assert "c_fh" in capsys.readouterr().err
 
 
+class TestFlagBinding:
+    """Each flag stores to the spec field of its name and overrides --config, which overrides the defaults."""
+
+    CONFIG = {
+        "name": "from-config", "M": 64, "K": 8, "tau_c": 100, "tau_p": 8, "snr_db": [0.0], "pilot_q": 2.0,
+        "precoders": ["zf"], "csi_mode": "perfect", "evaluator": "mc", "trials": 50, "seed": 9, "workers": 1,
+        "b_bar": 12, "budget": {"c_fh": 1e6}, "out_dir": "elsewhere", "moment_trials": 200,
+    }
+    SYSTEM = [
+        "--m", "16", "--k", "2", "--tau-c", "60", "--tau-p", "4", "--snr-db", "5", "--pilot-q", "0.5",
+        "--precoder", "wf", "--precoder", "mrt", "--csi", "quantized", "--evaluator", "closed-form",
+        "--trials", "7", "--seed", "5", "--workers", "3",
+    ]
+    CAPACITY = ["--cfh", "16640", "--bs-ul", "10", "--bs-dl", "20", "--tu", "40", "--td", "30"]
+    FLAGGED = {
+        "M": 16, "K": 2, "tau_c": 60, "tau_p": 4, "snr_db": (5.0,), "pilot_q": 0.5, "precoders": ("wf", "mrt"),
+        "csi_mode": "quantized", "evaluator": "closed-form", "trials": 7, "seed": 5, "workers": 3,
+    }
+
+    def spec_from(self, tmp_path, monkeypatch, command, budget_flags):
+        seen = []
+        if command == "sweep":
+            monkeypatch.setattr(cli, "run_sweep", lambda spec, out_dir: seen.append((spec, out_dir)) or {"rows": 0, "failed_cells": []})
+            extra = ["--b-p-fixed", "3"]
+        else:
+            result = AllocationResult(best=BitSplit(1, 5), best_sum_se=1.0, profile=((1, 5, 1.0, (0.5, 0.5)),))
+            monkeypatch.setattr(cli, "optimize_split", lambda spec: seen.append((spec, None)) or result)
+            extra = ["--profile-out", str(tmp_path / "profile.csv")]
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({**self.CONFIG, "b_p_fixed": 1}))
+        out = str(tmp_path / "out")
+        argv = [command, "--config", str(path), *self.SYSTEM, *budget_flags, *extra, "--out", out]
+        assert main(argv) == 0
+        [(spec, out_dir)] = seen
+        assert {key: getattr(spec, key) for key in self.FLAGGED} == self.FLAGGED
+        assert (spec.name, spec.moment_trials, spec.out_dir) == ("from-config", 200, out)
+        assert out_dir in (None, out)
+        assert spec.b_p_fixed == (3 if command == "sweep" else 1)
+        return spec
+
+    @pytest.mark.parametrize("command", ["sweep", "optimize"])
+    def test_every_flag_reaches_its_field(self, tmp_path, capsys, monkeypatch, command):
+        spec = self.spec_from(tmp_path, monkeypatch, command, ["--budget-bbar", "6", *self.CAPACITY])
+        assert spec.b_bar == 6
+        assert spec.budget == FronthaulBudget(c_fh=1e6)  # --cfh counts only without --budget-bbar
+
+    @pytest.mark.parametrize("command", ["sweep", "optimize"])
+    def test_capacity_flags_reach_the_budget(self, tmp_path, capsys, monkeypatch, command):
+        spec = self.spec_from(tmp_path, monkeypatch, command, self.CAPACITY)
+        assert spec.budget == FronthaulBudget(c_fh=16640.0, bs_ul=10.0, bs_dl=20.0, t_u=40, t_d=30)
+        assert spec.b_bar == 12
+
+    def test_defaults_under_the_config(self, tmp_path, capsys, monkeypatch):
+        seen = []
+
+        def stop(spec):
+            seen.append(spec)
+            raise ValueError("stop")
+
+        monkeypatch.setattr(cli, "optimize_split", stop)
+        assert main(["optimize", "--budget-bbar", "4"]) == 2
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"evaluator": "mc"}))
+        assert main(["optimize", "--config", str(path), "--budget-bbar", "4"]) == 2
+        assert [(s.name, s.evaluator, s.out_dir) for s in seen] == [("optimize", "closed-form", "out"), ("optimize", "mc", "out")]
+
+    def test_reproduce_flags_reach_preset_spec(self, tmp_path, capsys, monkeypatch):
+        seen = []
+
+        def record(figure, **overrides):
+            seen.append((figure, overrides))
+            raise ValueError("recorded")
+
+        monkeypatch.setattr(experiments, "preset_spec", record)
+        out = str(tmp_path / "out")
+        argv = ["--m", "16", "--k", "2", "--trials", "7", "--seed", "5", "--workers", "3", "--out", out]
+        assert main(["reproduce", "fig3", *argv]) == 2
+        assert main(["reproduce", "fig2"]) == 2
+        assert seen == [
+            ("fig3", {"M": 16, "K": 2, "trials": 7, "seed": 5, "workers": 3, "out_dir": out}),
+            ("fig2", {"out_dir": "out"}),
+        ]
+
+
 class TestGroups:
     """Cells sharing (SNR, CSI mode, B_H) run as one group, one pool task per group."""
 
@@ -815,14 +925,22 @@ class TestGroups:
             assert c["elapsed_s"] == pytest.approx(own, abs=1e-4)
 
     def test_spec_is_parsed_once_per_group(self, monkeypatch):
+        """The caller parses the spec once; groups get it as it is, inline or as pool tasks."""
         parsed = []
-        real = ExperimentSpec.from_dict.__func__
 
-        monkeypatch.setattr(ExperimentSpec, "from_dict", classmethod(lambda cls, d: parsed.append(1) or real(cls, d)))
-        spec = preset_spec("fig4", M=16, K=2, trials=5)
-        cells = preset_cells("fig4", spec)
-        experiments.run_cells(spec, cells)
-        assert len(parsed) == len(experiments._groups(cells)) == 9 + 1
+        def refuse(cls, d):
+            parsed.append(d)
+            raise AssertionError("a group parsed the spec again")
+
+        monkeypatch.setattr(ExperimentSpec, "from_dict", classmethod(refuse))
+        if "fork" in multiprocessing.get_all_start_methods():  # the patch reaches forked workers only
+            fork = multiprocessing.get_context("fork")
+            monkeypatch.setattr(experiments, "ProcessPoolExecutor", functools.partial(ProcessPoolExecutor, mp_context=fork))
+        for workers in (1, 2):
+            spec = preset_spec("fig4", M=16, K=2, trials=5, workers=workers)
+            outcomes = experiments.run_cells(spec, preset_cells("fig4", spec))
+            assert [o.error for o in outcomes] == [None] * 36
+        assert parsed == []
 
 
 class TestProgress:
