@@ -19,7 +19,10 @@ line_search takes the integer budget and a per-split evaluator.  The
 closed-form MRT search computes the whole profile in one numpy pass and
 hands line_search a lookup into it, so its profile is always complete; a
 partial profile, cut short by an evaluator that raised or returned a
-non-finite objective, can only come from the Monte Carlo evaluator.
+non-finite objective, can only come from the Monte Carlo evaluator.  The
+lookup's per-user rows are lists of Python floats, made by one tolist of
+the whole profile, which line_search keeps as they stand: no candidate
+costs an array round trip.
 """
 
 from __future__ import annotations
@@ -128,7 +131,10 @@ def line_search(b_bar: int, evaluate: Callable[[int, int], object]) -> Allocatio
     with a sum_se attribute (and optionally per-user se), or a plain
     number.  Strict improvement is required to move the incumbent, so
     ties resolve to the smallest B_H.  The full profile is retained for
-    inspection.
+    inspection.  A per-user se that is a list is taken as it stands, so
+    it should hold floats (optimize_split hands over lists of Python
+    floats); any other per-user se, such as a SeReport's array, is
+    converted to floats with numpy.
 
     A non-finite objective counts as a failed candidate.  If a candidate
     fails after at least one finished, the partial profile is returned
@@ -150,7 +156,8 @@ def line_search(b_bar: int, evaluate: Callable[[int, int], object]) -> Allocatio
                 raise
             failure = f"({b_h}, {b_p}): {type(exc).__name__}: {exc}"
             break
-        per_user = tuple(np.asarray(getattr(report, "se", ()), dtype=float).tolist())
+        se = getattr(report, "se", ())
+        per_user = tuple(se if isinstance(se, list) else np.asarray(se, dtype=float).tolist())
         profile.append((b_h, b_p, value, per_user))
         if best is None or value > best[2]:
             best = profile[-1]

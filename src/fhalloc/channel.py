@@ -48,6 +48,11 @@ def gamma_coefficient(q, tau_p: int, beta) -> np.ndarray:
     beta = np.asarray(beta, dtype=float)
     if np.any(q < 0) or np.any(beta < 0) or tau_p < 1:
         raise ValueError("q, beta must be nonnegative and tau_p >= 1")
+    return _gamma(q, tau_p, beta)
+
+
+def _gamma(q, tau_p: int, beta):
+    """gamma_coefficient without its checks, for a SystemConfig's own checked arrays."""
     snr_eff = q * tau_p * beta
     return snr_eff * beta / (snr_eff + 1.0)
 
@@ -73,7 +78,7 @@ def _mmse_coef(cfg: SystemConfig) -> np.ndarray:
 
 def _csi_noise_std(cfg: SystemConfig, eta_h: float) -> np.ndarray:
     """Per-user standard deviation, shape (K,), of the CSI quantizer's AQNM noise N_Q."""
-    return np.sqrt(aqnm_noise_var(eta_h, gamma_coefficient(cfg.pilot_power, cfg.tau_p, cfg.beta)))
+    return np.sqrt(aqnm_noise_var(eta_h, _gamma(cfg.pilot_power, cfg.tau_p, cfg.beta)))
 
 
 def estimate_channel(cfg: SystemConfig, rng_channel, rng_noise) -> tuple[np.ndarray, np.ndarray]:

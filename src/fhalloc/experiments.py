@@ -502,7 +502,7 @@ def optimize_split(spec: ExperimentSpec, precoder: str | None = None) -> Allocat
             raise ValueError("the closed-form evaluator only covers mrt")
         splits = split_range(b_bar)
         _, se, sum_se = _closed_form_mrt_profile(cfg, splits, [b_bar - b_h for b_h in splits])
-        rows = [SimpleNamespace(sum_se=v, se=row) for v, row in zip(sum_se.tolist(), se)]
+        rows = [SimpleNamespace(sum_se=v, se=row) for v, row in zip(sum_se.tolist(), se.tolist())]
         evaluate = lambda b_h, b_p: rows[b_h - 1]
     else:
         evaluate = lambda b_h, b_p: mc_hardening_sinr(

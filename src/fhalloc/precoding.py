@@ -41,8 +41,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .channel import _slot_gram, _slot_scales, gamma_coefficient
-from .quantization import quantized_csi_covariance
+from .channel import _gamma, _slot_gram, _slot_scales
 from .sysmodel import DOMAIN_MOMENTS, TRIAL_BLOCK, SystemConfig, _trial_stats
 
 PRECODER_KINDS = ("mrt", "zf", "wf")
@@ -141,20 +140,26 @@ def transmit_rescale(P_q: np.ndarray, total_power: float):
 
 
 def _mrt_normalization(cfg: SystemConfig, eta_h):
-    """Estimate quality gamma, gtil = (1 - eta_h) gamma and zeta_bar^2.
+    """Estimate quality gamma, gtil = (1 - eta_h) gamma, sum_i gtil_i and zeta_bar^2.
 
     zeta_bar^2 = P_t / (M sum_i gtil_i) is the deterministic MRT
     normalization: E|P[m, i]|^2 = zeta_bar^2 gtil_i for the quantized-CSI
     matched filter.  eta_h may be an (S, 1) column of distortion factors;
-    gtil is then (S, K) and zeta_bar^2 (S, 1), else (K,) and (1,).
-    Raises ValueError when every gamma is 0.
+    gtil is then (S, K) and the sum and zeta_bar^2 (S, 1), else (K,) and
+    (1,).  Raises ValueError when every gamma is 0.
+
+    The config's arrays were checked when it was built and are read-only,
+    and eta_h comes from eta_of_bits, so gamma and gtil skip the checks of
+    gamma_coefficient and quantization.quantized_csi_covariance and run
+    only their arithmetic.
     """
-    gamma = gamma_coefficient(cfg.pilot_power, cfg.tau_p, cfg.beta)
+    gamma = _gamma(cfg.pilot_power, cfg.tau_p, cfg.beta)
     # a list test costs a tenth of gamma.any() on the closed-form search path
     if not any(gamma.tolist()):
         raise ValueError("every user has estimate quality gamma = 0 (zero pilot power), so there is no CSI to precode with")
-    gtil = quantized_csi_covariance(gamma, eta_h)
-    return gamma, gtil, cfg.total_power / (cfg.M * np.sum(gtil, axis=-1, keepdims=True))
+    gtil = (1.0 - eta_h) * gamma
+    gtil_sum = gtil.sum(axis=-1, keepdims=True)
+    return gamma, gtil, gtil_sum, cfg.total_power / (cfg.M * gtil_sum)
 
 
 def mrt_moments(cfg: SystemConfig, eta_h: float) -> np.ndarray:
@@ -164,7 +169,7 @@ def mrt_moments(cfg: SystemConfig, eta_h: float) -> np.ndarray:
     so E|P[m, i]|^2 = zeta_bar^2 (1 - eta_h) gamma_i on every antenna m.
     M times the sum is P_t exactly.
     """
-    _, gtil, zeta_bar_sq = _mrt_normalization(cfg, eta_h)
+    _, gtil, _, zeta_bar_sq = _mrt_normalization(cfg, eta_h)
     return zeta_bar_sq * gtil
 
 
@@ -206,7 +211,7 @@ def precoder_entry_var(cfg: SystemConfig, kind: str, eta_h: float, trials: int, 
         raise ValueError(f"unknown precoder kind {kind!r}, expected one of {PRECODER_KINDS}")
     if kind == "mrt":
         return mrt_moments(cfg, eta_h)
-    gamma = gamma_coefficient(cfg.pilot_power, cfg.tau_p, cfg.beta)
+    gamma = _gamma(cfg.pilot_power, cfg.tau_p, cfg.beta)
     if not np.all(gamma):
         raise ValueError(f"{kind} needs estimate quality gamma > 0 for every user (pilot power > 0)")
     if np.all(gamma == gamma[0]):

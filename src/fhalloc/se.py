@@ -37,6 +37,13 @@ its one-tap case.
 For maximum ratio transmission the expectations are also available in
 closed form; the Monte Carlo and closed-form paths agree within the
 concentration error of the power normalization (a few percent at M = 64).
+A closed-form split search evaluates every split in one numpy pass
+(closed_form_mrt_terms over sequences of bit widths), and that pass runs
+only its arithmetic: eta comes from a table of eta_of_bits values, gamma
+from the config's checked, read-only arrays without checking them again,
+and the SE without the SINR check, since every term is nonnegative.  Each
+row keeps the per-element operations of evaluating its split alone, so
+it is bit-identical to closed_form_mrt_sinr of that split.
 """
 
 from __future__ import annotations
@@ -87,10 +94,15 @@ class SeReport:
 def se_from_sinr(sinr, tau_p: int, tau_c: int) -> np.ndarray:
     """Net spectral efficiency: pilot-overhead prefactor times log2(1+SINR)."""
     sinr = np.asarray(sinr, dtype=float)
-    if np.any(sinr < 0):
+    if (sinr < 0).any():
         raise ValueError("SINR must be nonnegative")
     if not (1 <= tau_p <= tau_c):
         raise ValueError("need 1 <= tau_p <= tau_c")
+    return _se(sinr, tau_p, tau_c)
+
+
+def _se(sinr: np.ndarray, tau_p: int, tau_c: int) -> np.ndarray:
+    """se_from_sinr without its checks: for a nonnegative SINR array and a SystemConfig's tau_p, tau_c."""
     return (1.0 - tau_p / tau_c) * np.log2(1.0 + sinr)
 
 
@@ -263,14 +275,25 @@ def _mc_taps(cfg: SystemConfig, b_h, taps, trials: int, seed: int, csi_mode="qua
     return out
 
 
+# eta_of_bits of every width up to 32 bits, and 0 for an unquantized transfer
+_ETA_LOOKUP = {None: 0.0, **{b: eta_of_bits(b) for b in range(1, 33)}}
+
+
 def _eta(bits):
     """eta_of_bits of one bit width, or an (S, 1) column of them for a sequence.
 
-    None stands for an unquantized transfer (eta = 0).
+    None stands for an unquantized transfer (eta = 0).  A Python int the
+    table covers is looked up; any other width (numpy integers, widths
+    past the table, and every bad width, a float among them, which
+    raises) goes to eta_of_bits, so the values and the errors are
+    eta_of_bits' own.
     """
-    if bits is None or isinstance(bits, (int, np.integer)):
-        return 0.0 if bits is None else eta_of_bits(bits)
-    return np.array([0.0 if b is None else eta_of_bits(b) for b in bits]).reshape(-1, 1)
+    one = bits is None or isinstance(bits, (int, float, np.number))
+    etas = [
+        _ETA_LOOKUP[b] if b is None or (type(b) is int and b in _ETA_LOOKUP) else eta_of_bits(b)
+        for b in ((bits,) if one else bits)
+    ]
+    return etas[0] if one else np.array(etas).reshape(-1, 1)
 
 
 def closed_form_mrt_terms(cfg: SystemConfig, b_h, b_p) -> dict[str, np.ndarray]:
@@ -351,13 +374,14 @@ def closed_form_mrt_terms(cfg: SystemConfig, b_h, b_p) -> dict[str, np.ndarray]:
     """
     eta_h = _eta(b_h)
     eta_p = _eta(b_p)
-    gamma, gtil, zeta_bar_sq = _mrt_normalization(cfg, eta_h)
-    alpha_bar_sq = 1.0 / (1.0 - eta_p)
+    gamma, _, gtil_sum, zeta_bar_sq = _mrt_normalization(cfg, eta_h)
+    keep_p = 1.0 - eta_p
+    alpha_bar_sq = 1.0 / keep_p
 
-    common = alpha_bar_sq * zeta_bar_sq * (1.0 - eta_p) ** 2
+    common = alpha_bar_sq * zeta_bar_sq * keep_p**2
     signal = common * (1.0 - eta_h) ** 2 * cfg.M**2 * gamma**2
-    variation = common * cfg.M * cfg.beta * np.sum(gtil, axis=-1, keepdims=True)
-    prec_noise = alpha_bar_sq * eta_p * (1.0 - eta_p) * cfg.beta * cfg.total_power
+    variation = common * cfg.M * cfg.beta * gtil_sum
+    prec_noise = alpha_bar_sq * eta_p * keep_p * cfg.beta * cfg.total_power
     return {
         "signal": signal,
         "variation": variation,
@@ -371,12 +395,13 @@ def _closed_form_mrt_profile(cfg: SystemConfig, b_h, b_p):
 
     Returns (sinr, se, sum_se): (K,), (K,) and a 0-d array for one
     split; (S, K), (S, K) and (S,) when b_h or b_p is a sequence of S
-    splits.
+    splits.  Every term is nonnegative and sigma^2 > 0, so the SINR needs
+    no check before its SE.
     """
     terms = closed_form_mrt_terms(cfg, b_h, b_p)
     sinr = terms["signal"] / (terms["variation"] + terms["precoder_noise"] + terms["noise"])
-    se = se_from_sinr(sinr, cfg.tau_p, cfg.tau_c)
-    return sinr, se, np.sum(se, axis=-1)
+    se = _se(sinr, cfg.tau_p, cfg.tau_c)
+    return sinr, se, se.sum(axis=-1)
 
 
 def closed_form_mrt_sinr(cfg: SystemConfig, b_h: int | None, b_p: int | None) -> SeReport:
@@ -419,7 +444,7 @@ def mc_mrt_term_estimates(
     """
     eta_h = eta_of_bits(b_h)
     eta_p = eta_of_bits(b_p)
-    _, gtil, zeta_bar_sq = _mrt_normalization(cfg, eta_h)
+    _, gtil, _, zeta_bar_sq = _mrt_normalization(cfg, eta_h)
     alpha_bar_sq = 1.0 / (1.0 - eta_p)
     prec_noise_std = np.sqrt(aqnm_noise_var(eta_p, zeta_bar_sq * gtil))
     scales = _slot_scales(cfg, eta_h)

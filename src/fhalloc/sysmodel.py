@@ -23,6 +23,7 @@ first, at most ``_STATS_CACHE_BYTES``).
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -79,16 +80,26 @@ def _real(name: str, value):
 
 
 def _as_user_vector(value, K: int, name: str, allow_zero: bool = False) -> np.ndarray:
-    """Broadcast a scalar to length K, or validate a length-K vector."""
-    arr = np.asarray(value, dtype=float)
-    if arr.ndim == 0:
-        arr = np.full(K, float(arr))
-    if arr.shape != (K,):
-        raise ConfigError(f"{name} must be a scalar or length-{K} vector, got shape {arr.shape}")
-    floor_ok = np.all(arr >= 0) if allow_zero else np.all(arr > 0)
-    if not np.all(np.isfinite(arr)) or not floor_ok:
-        kind = "nonnegative" if allow_zero else "positive"
-        raise ConfigError(f"{name} entries must be finite and {kind}")
+    """A read-only length-K copy of a scalar broadcast to K, or of a checked length-K vector.
+
+    The copy is never the caller's array, so writing into that array
+    later cannot change a checked config.
+    """
+    if isinstance(value, (int, float, np.integer, np.floating)):
+        v = float(value)
+        ok = math.isfinite(v) and (v >= 0.0 if allow_zero else v > 0.0)
+        arr = np.empty(K)
+        arr.fill(v)  # np.full's Python wrapper costs twice these two calls
+    else:
+        arr = np.array(value, dtype=float)
+        if arr.ndim == 0:
+            arr = np.full(K, float(arr))
+        if arr.shape != (K,):
+            raise ConfigError(f"{name} must be a scalar or length-{K} vector, got shape {arr.shape}")
+        ok = np.all(np.isfinite(arr)) and np.all(arr >= 0 if allow_zero else arr > 0)
+    if not ok:
+        raise ConfigError(f"{name} entries must be finite and {'nonnegative' if allow_zero else 'positive'}")
+    arr.setflags(write=False)
     return arr
 
 
@@ -105,7 +116,10 @@ class SystemConfig:
     beta            large-scale fading coefficient per user, shape (K,)
     pilot_power     uplink pilot power per user q_k >= 0, shape (K,)
 
-    The arrays are treated as immutable; do not write into them.
+    beta and pilot_power are stored as read-only copies: writing into
+    them raises, and writing into the array a caller passed in leaves the
+    config as it was checked.  Code that reads a config can therefore
+    skip checking it again.
     """
 
     M: int
@@ -127,7 +141,7 @@ class SystemConfig:
             raise ConfigError("need K < M and K <= tau_p <= tau_c")
         for name in ("total_power", "noise_var"):
             value = _real(name, getattr(self, name))
-            if not (np.isfinite(value) and value > 0):
+            if not (math.isfinite(value) and value > 0):
                 raise ConfigError(f"{name} must be finite and positive")
         beta = _as_user_vector(1.0 if self.beta is None else self.beta, self.K, "beta")
         # default pilot power: match the downlink SNR, q_k = P_t / sigma^2
@@ -152,8 +166,12 @@ class SystemConfig:
         """Build a config with P_t set from a downlink SNR in dB.
 
         SNR is defined as P_t / sigma^2, so P_t = sigma^2 * 10^(snr_db/10).
+        An snr_db whose P_t overflows a float raises ConfigError.
         """
-        p_t = _real("noise_var", noise_var) * 10.0 ** (_real("snr_db", snr_db) / 10.0)
+        try:
+            p_t = _real("noise_var", noise_var) * 10.0 ** (_real("snr_db", snr_db) / 10.0)
+        except OverflowError:
+            raise ConfigError(f"P_t = sigma^2 10^(snr_db/10) is beyond floating-point range at snr_db = {snr_db!r}") from None
         return cls(
             M=M,
             K=K,

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -143,6 +145,14 @@ class TestLineSearch:
         result = line_search(4, lambda b_h, b_p: Report(float(b_h), [0.5 * b_h, 0.5 * b_h]))
         assert result.best_sum_se == 3.0
         assert result.profile[0] == (1, 3, 1.0, (0.5, 0.5))
+
+    def test_per_user_arrays_become_floats_and_lists_stand(self):
+        as_array = line_search(3, lambda b_h, b_p: SimpleNamespace(sum_se=1.0, se=np.array([b_h, 2], np.int32)))
+        assert [row[3] for row in as_array.profile] == [(1.0, 2.0), (2.0, 2.0)]
+        assert all(type(v) is float for row in as_array.profile for v in row[3])
+        rows = [[0.25, 0.5], [0.75, 1.0]]
+        as_list = line_search(3, lambda b_h, b_p: SimpleNamespace(sum_se=1.0, se=rows[b_h - 1]))
+        assert [row[3] for row in as_list.profile] == [(0.25, 0.5), (0.75, 1.0)]
 
     def test_bare_float_evaluator_leaves_per_user_empty(self):
         result = line_search(4, lambda b_h, b_p: float(b_h))

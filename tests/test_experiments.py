@@ -612,6 +612,14 @@ class TestCli:
         assert "config error" in err and "integer" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", [["optimize"], ["sweep", "--evaluator", "closed-form"]], ids=("optimize", "sweep"))
+    def test_snr_beyond_float_range_exits_two(self, tmp_path, capsys, command):
+        """10^(snr_db/10) overflows a float at 4000 dB; that is a config error, not a traceback."""
+        argv = [*command, "--budget-bbar", "10", "--snr-db", "4000", "--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        assert "config error: P_t = sigma^2 10^(snr_db/10) is beyond floating-point range" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("command", ["sweep", "optimize"])
     @pytest.mark.parametrize("b_bar", [1, 0])
     def test_integer_b_bar_below_two_exits_three(self, tmp_path, capsys, command, b_bar):

@@ -150,6 +150,63 @@ class TestClosedFormProfile:
         assert result.b_h == values.index(max(values)) + 1  # ties go to the smallest B_H
         assert not result.failed
 
+    @pytest.mark.parametrize("M, K", [(32, 2), (32, 16), (256, 2), (256, 16)])
+    @pytest.mark.parametrize("snr_db", [-20.0, 20.0])
+    @pytest.mark.parametrize("users", ["equal", "unequal-beta", "zero-pilots"])
+    def test_profile_equals_each_split_alone(self, M, K, snr_db, users):
+        """Every row of a closed-form search is closed_form_mrt_sinr of its split, compared with ==.
+
+        b_bar = 70 takes both bit widths past the eta lookup table.
+        """
+        extra = {
+            "equal": {},
+            "unequal-beta": {"beta": [0.25 + 0.5 * k for k in range(K)]},
+            "zero-pilots": {"pilot_q": [0.0 if k % 2 else 0.5 + k for k in range(K)]},
+        }[users]
+        for b_bar in (2, 10, 33, 70):
+            spec = ExperimentSpec(
+                name="search", M=M, K=K, tau_c=200, tau_p=K, snr_db=(snr_db,), evaluator="closed-form",
+                b_bar=b_bar, **extra,
+            )
+            cfg = spec.config_for(snr_db)
+            result = optimize_split(spec)
+            assert len(result.profile) == b_bar - 1
+            for (b_h, b_p, sum_se, per_user), alone in zip(
+                result.profile, (closed_form_mrt_sinr(cfg, b_h, b_bar - b_h) for b_h in range(1, b_bar))
+            ):
+                assert (b_h, b_p) == (alone.b_h, alone.b_p)
+                assert sum_se == alone.sum_se
+                assert len(per_user) == K
+                assert all(v == w for v, w in zip(per_user, alone.se))
+
+    def test_eta_lookup_is_eta_of_bits(self):
+        widths = [1, np.int64(3), None, 5, 6, np.int32(7), 32, 33, np.int64(40), 70, None]
+        col = se._eta(widths)
+        assert col.shape == (len(widths), 1)
+        for width, got in zip(widths, col[:, 0]):
+            want = 0.0 if width is None else eta_of_bits(width)
+            assert got == want
+            assert se._eta(width) == want
+
+    @pytest.mark.parametrize("width", [0, -3, np.int64(0), 2.0, 3.5, "4"])
+    def test_bad_widths_raise_the_eta_of_bits_error(self, width):
+        with pytest.raises(ValueError) as want:
+            eta_of_bits(width)
+        for given in (width, [4, width], (width, None)):
+            with pytest.raises(ValueError) as got:
+                se._eta(given)
+            assert str(got.value) == str(want.value)
+        cfg = cfg_at(0.0)
+        with pytest.raises(ValueError, match=str(want.value)):
+            closed_form_mrt_sinr(cfg, width, 4)
+        with pytest.raises(ValueError, match=str(want.value)):
+            closed_form_mrt_terms(cfg, [3, 4], [width, 4])
+
+    def test_zero_pilot_power_search_raises(self):
+        spec = ExperimentSpec(name="search", M=32, K=2, tau_p=2, pilot_q=0.0, evaluator="closed-form", b_bar=10)
+        with pytest.raises(ValueError, match="every user has estimate quality gamma = 0"):
+            optimize_split(spec)
+
     @settings(max_examples=80, deadline=None)
     @given(spec=closed_form_searches())
     def test_profile_mirrors(self, spec):

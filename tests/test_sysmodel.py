@@ -83,8 +83,53 @@ class TestSystemConfig:
             with pytest.raises(ConfigError, match="must be a real number"):
                 SystemConfig.from_snr(M=16, K=4, tau_c=50, tau_p=4, **kw)
 
+    def test_from_snr_overflow_is_a_config_error(self):
+        with pytest.raises(ConfigError, match="beyond floating-point range at snr_db = 4000"):
+            SystemConfig.from_snr(M=16, K=4, tau_c=50, tau_p=4, snr_db=4000)
+        # a numpy SNR overflows to inf instead, which the power check refuses
+        with pytest.raises(ConfigError, match="total_power must be finite and positive"):
+            with pytest.warns(RuntimeWarning, match="overflow"):
+                SystemConfig.from_snr(M=16, K=4, tau_c=50, tau_p=4, snr_db=np.float64(4000.0))
+        with pytest.raises(ConfigError, match="total_power must be finite and positive"):
+            SystemConfig.from_snr(M=16, K=4, tau_c=50, tau_p=4, snr_db=-4000.0)
+
     def test_pilot_overhead(self):
         assert make_cfg(tau_p=5).pilot_overhead == pytest.approx(0.1)
+
+    @pytest.mark.parametrize("name", ["beta", "pilot_power"])
+    def test_arrays_are_read_only_copies(self, name):
+        """Writing into the caller's array after construction leaves the checked config as it was."""
+        given = np.array([1.0, 2.0, 0.5, 1.5])
+        cfg = SystemConfig.from_snr(M=16, K=4, tau_c=50, tau_p=4, snr_db=0.0, **{name: given})
+        stored = getattr(cfg, name)
+        assert stored is not given and not np.shares_memory(stored, given)
+        assert given.flags.writeable
+        given[0] = -7.0
+        np.testing.assert_array_equal(stored, [1.0, 2.0, 0.5, 1.5])
+        with pytest.raises(ValueError, match="read-only"):
+            stored[0] = 3.0
+        # a scalar is broadcast into a read-only array too
+        assert not getattr(make_cfg(**{name: 2.0}), name).flags.writeable
+
+    @pytest.mark.parametrize(
+        "over, message",
+        [
+            ({"beta": -1.0}, "beta entries must be finite and positive"),
+            ({"beta": 0}, "beta entries must be finite and positive"),
+            ({"beta": np.float64("nan")}, "beta entries must be finite and positive"),
+            ({"beta": [1.0, np.inf, 1.0, 1.0]}, "beta entries must be finite and positive"),
+            ({"beta": np.zeros(4)}, "beta entries must be finite and positive"),
+            ({"beta": [1.0, 2.0]}, "beta must be a scalar or length-4 vector, got shape (2,)"),
+            ({"pilot_power": -1}, "pilot_power entries must be finite and nonnegative"),
+            ({"pilot_power": float("inf")}, "pilot_power entries must be finite and nonnegative"),
+            ({"pilot_power": [0.0, -1.0, 1.0, 1.0]}, "pilot_power entries must be finite and nonnegative"),
+            ({"pilot_power": np.ones((2, 2))}, "pilot_power must be a scalar or length-4 vector, got shape (2, 2)"),
+        ],
+    )
+    def test_user_vector_messages(self, over, message):
+        with pytest.raises(ConfigError) as info:
+            make_cfg(**over)
+        assert str(info.value) == message
 
 
 class TestRngStream:
