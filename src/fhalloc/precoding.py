@@ -49,6 +49,9 @@ PRECODER_KINDS = ("mrt", "zf", "wf")
 # Relative eigenvalue floor below which the Gram matrix counts as rank
 # deficient and the realization should be redrawn.
 _RANK_RTOL = 1e-12
+# Relative floor of rank_deficient_mask's Cholesky certificate: a
+# thousand times _RANK_RTOL, far above the rounding of either test.
+_CERT_RTOL = 1e-9
 
 
 class RankDeficientError(np.linalg.LinAlgError):
@@ -70,9 +73,40 @@ def _frob_sq(X: np.ndarray) -> np.ndarray:
 
 
 def rank_deficient_mask(G: np.ndarray) -> np.ndarray:
-    """Boolean mask (over leading batch dims) of numerically singular Gram matrices G."""
-    ev = np.linalg.eigvalsh(G)
-    return ev[..., 0] <= ev[..., -1] * _RANK_RTOL
+    """Boolean mask (over leading batch dims) of numerically singular Gram matrices G.
+
+    A Gram is singular when eigvalsh gives lambda_min <= _RANK_RTOL
+    lambda_max.  Most are settled without an eigendecomposition:
+    G - _CERT_RTOL tr(G) I has a Cholesky factor only when lambda_min >
+    _CERT_RTOL tr G >= _CERT_RTOL lambda_max, which proves full rank with
+    room for the rounding of either test.  eigvalsh decides the Grams the
+    certificate leaves open, so the mask is eigvalsh's.
+    """
+    flat = G.reshape(-1, *G.shape[-2:])
+    unsettled = ~_cholesky_certified(flat)
+    mask = np.zeros(len(flat), bool)
+    if np.any(unsettled):
+        ev = np.linalg.eigvalsh(flat[unsettled])
+        mask[unsettled] = ev[:, 0] <= ev[:, -1] * _RANK_RTOL
+    return mask.reshape(G.shape[:-2])
+
+
+def _cholesky_certified(G: np.ndarray) -> np.ndarray:
+    """Per Gram of the stack G, shape (n, K, K): True when G - _CERT_RTOL tr(G) I has a Cholesky factor.
+
+    Like eigvalsh, the factorization reads the lower triangle and the
+    real diagonal.  The stack is factored in one call; a stack that fails
+    is halved until each failing Gram stands alone.
+    """
+    tr = np.trace(G, axis1=-2, axis2=-1).real
+    try:
+        np.linalg.cholesky(G - (_CERT_RTOL * tr)[:, None, None] * np.eye(G.shape[-1]))
+    except np.linalg.LinAlgError:
+        if len(G) == 1:
+            return np.zeros(1, bool)
+        half = len(G) // 2
+        return np.concatenate([_cholesky_certified(G[:half]), _cholesky_certified(G[half:])])
+    return np.ones(len(G), bool)
 
 
 def build_precoder(H_d: np.ndarray, kind: str, cfg: SystemConfig) -> np.ndarray:

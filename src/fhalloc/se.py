@@ -72,9 +72,10 @@ class SeReport:
     trials is 0 for the closed form (nothing is sampled); seed and
     redraws describe the Monte Carlo run and stay None and 0 otherwise.
     stage_s holds the Monte Carlo run's seconds per stage: "stats_s"
-    drawing and reducing slot statistics (0 when the memo held them),
-    "moments_s" the precoder moment prior and "kxk_s" the cell's own
-    K x K arithmetic; it is empty for the closed form.
+    drawing the slot statistics from each trial's Bartlett factor (0 when
+    the memo held them), "moments_s" the precoder moment prior and
+    "kxk_s" the cell's own K x K arithmetic; it is empty for the closed
+    form.
     """
 
     sinr: np.ndarray

@@ -1,24 +1,27 @@
 """System-level configuration and reproducible random number streams.
 
-Every Monte Carlo draw (channel, pilot noise, CSI and precoder
-quantization noise) comes from :func:`trial_draws`, which reads trial t's
-unit draws from the :class:`RngStream` ``(master_seed, (domain, t,
-attempt))`` alone.  A trial's draws are therefore a pure function of the
-seed and its index.  That is what makes Monte Carlo runs bit-identical no
-matter how trials are distributed over worker processes, and it is what
+Every Monte Carlo trial t draws from the :class:`RngStream` ``(master_seed,
+(domain, t, attempt))`` alone, so a trial's numbers are a pure function of
+the seed and its index.  That is what makes Monte Carlo runs bit-identical
+no matter how trials are distributed over worker processes, and it is what
 lets a bit-split sweep reuse the same channel realizations in every grid
 cell (common random numbers).
 
-No cell needs the M x K draws themselves.  Every array a cell forms is
-bilinear in the unit draws Z_0..Z_3, with beta, the pilot power and the
-quantizer distortions entering only as per-user scales, so a cell needs
-only the K x K slot statistics of :func:`_trial_stats`: Q_jl = Z_j^T Z_l^*
-and R_j = Z_j^T Z_3 for j, l in {0, 1, 2}, and the column norms of Z_3.
-They do not depend on the config, so one set serves every SNR, pilot
-power and bit width of a run.  Each block of trials is reduced to them
-in small chunks as it is drawn, so no whole draw block is ever held, and
-first-attempt blocks are memoized per process (read-only, oldest dropped
-first, at most ``_STATS_CACHE_BYTES``).
+The model of a trial is four M x K unit draws Z_0..Z_3 (:func:`trial_draws`):
+channel, pilot noise, CSI and precoder quantization noise.  No cell needs
+them.  Every array a cell forms is bilinear in them, with beta, the pilot
+power and the quantizer distortions entering only as per-user scales, so a
+cell needs only the K x K slot statistics of :func:`_trial_stats`:
+Q_jl = Z_j^T Z_l^* and R_j = Z_j^T Z_3 for j, l in {0, 1, 2}, and the
+column norms of Z_3.  Those are blocks of the 4K x 4K Gram X^T X^* of
+X = [Z_0 Z_1 Z_2 conj(Z_3)], a complex Wishart matrix with M degrees of
+freedom, so each trial draws that Gram from its Bartlett factor
+(:func:`_draw_stats`): about 8 K^2 complex entries instead of the 4 M K
+of the Z_j, so the draw cost does not grow with the antenna count.
+The statistics do not depend on the config, so one set serves every SNR,
+pilot power and bit width of a run.  First-attempt blocks are memoized
+per process (read-only, oldest dropped first, at most
+``_STATS_CACHE_BYTES``).
 """
 
 from __future__ import annotations
@@ -42,8 +45,9 @@ DOMAIN_MOMENTS = 1
 # Trials drawn together by the Monte Carlo loops: a first-attempt block of
 # trial ids [k TRIAL_BLOCK, (k + 1) TRIAL_BLOCK) is one memo entry.
 TRIAL_BLOCK = 256
-# Trials drawn and reduced together inside a block, so a chunk's draws
-# (1 MB at M=128, K=8) stay small whatever the block size.
+# Trials whose Bartlett factors are held and reduced together inside a
+# block, so the factors held at once (256 KB at K=8) stay small whatever
+# the block size.
 _STATS_CHUNK = 16
 
 # Byte bound on the memo of slot statistics: 12 KB per trial at K=8, so
@@ -51,7 +55,7 @@ _STATS_CHUNK = 16
 _STATS_CACHE_BYTES = 128 * 2**20
 # (M, K, seed, domain, trial ids) -> (S, nu), as _trial_stats returns them
 _stats_cache: dict[tuple, tuple] = {}
-# Seconds spent drawing and reducing statistics in this process, so far
+# Seconds spent drawing statistics in this process, so far
 _stats_seconds = 0.0
 
 
@@ -73,9 +77,17 @@ def _memoize(key: tuple, value: tuple) -> None:
 
 
 def _real(name: str, value):
-    """value itself if it is a real, non-boolean number, else ConfigError."""
+    """value itself if it is a real, non-boolean number within float range, else ConfigError.
+
+    A Python int past the float range is refused by name; its digits are
+    not printed, since str() of a long enough int raises.
+    """
     if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
         raise ConfigError(f"{name} must be a real number, got {value!r}")
+    try:
+        float(value)
+    except OverflowError:
+        raise ConfigError(f"{name} is an integer beyond floating-point range") from None
     return value
 
 
@@ -85,18 +97,21 @@ def _as_user_vector(value, K: int, name: str, allow_zero: bool = False) -> np.nd
     The copy is never the caller's array, so writing into that array
     later cannot change a checked config.
     """
-    if isinstance(value, (int, float, np.integer, np.floating)):
-        v = float(value)
-        ok = math.isfinite(v) and (v >= 0.0 if allow_zero else v > 0.0)
-        arr = np.empty(K)
-        arr.fill(v)  # np.full's Python wrapper costs twice these two calls
-    else:
-        arr = np.array(value, dtype=float)
-        if arr.ndim == 0:
-            arr = np.full(K, float(arr))
-        if arr.shape != (K,):
-            raise ConfigError(f"{name} must be a scalar or length-{K} vector, got shape {arr.shape}")
-        ok = np.all(np.isfinite(arr)) and np.all(arr >= 0 if allow_zero else arr > 0)
+    try:
+        if isinstance(value, (int, float, np.integer, np.floating)):
+            v = float(value)
+            ok = math.isfinite(v) and (v >= 0.0 if allow_zero else v > 0.0)
+            arr = np.empty(K)
+            arr.fill(v)  # np.full's Python wrapper costs twice these two calls
+        else:
+            arr = np.array(value, dtype=float)
+            if arr.ndim == 0:
+                arr = np.full(K, float(arr))
+            if arr.shape != (K,):
+                raise ConfigError(f"{name} must be a scalar or length-{K} vector, got shape {arr.shape}")
+            ok = np.all(np.isfinite(arr)) and np.all(arr >= 0 if allow_zero else arr > 0)
+    except OverflowError:
+        raise ConfigError(f"{name} holds an integer beyond floating-point range") from None
     if not ok:
         raise ConfigError(f"{name} entries must be finite and {'nonnegative' if allow_zero else 'positive'}")
     arr.setflags(write=False)
@@ -137,6 +152,7 @@ class SystemConfig:
             # a bool is an int to Python, but never a count
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
                 raise ConfigError(f"{name} must be a positive integer, got {value!r}")
+            _real(name, value)  # counts enter float arithmetic too
         if not (self.K < self.M and self.K <= self.tau_p <= self.tau_c):
             raise ConfigError("need K < M and K <= tau_p <= tau_c")
         for name in ("total_power", "noise_var"):
@@ -166,10 +182,13 @@ class SystemConfig:
         """Build a config with P_t set from a downlink SNR in dB.
 
         SNR is defined as P_t / sigma^2, so P_t = sigma^2 * 10^(snr_db/10).
-        An snr_db whose P_t overflows a float raises ConfigError.
+        An snr_db whose P_t overflows a float raises ConfigError, and so
+        does a noise_var or snr_db that is itself beyond float range, by
+        its own name.
         """
+        sigma2 = _real("noise_var", noise_var)
         try:
-            p_t = _real("noise_var", noise_var) * 10.0 ** (_real("snr_db", snr_db) / 10.0)
+            p_t = sigma2 * 10.0 ** (_real("snr_db", snr_db) / 10.0)
         except OverflowError:
             raise ConfigError(f"P_t = sigma^2 10^(snr_db/10) is beyond floating-point range at snr_db = {snr_db!r}") from None
         return cls(
@@ -221,8 +240,9 @@ def trial_draws(cfg: SystemConfig, seed: int, trial_ids, attempt=None, domain: i
     draws from stream (domain, t, attempt) alone, so a trial's draws do
     not depend on the block it arrives in; attempt is aligned with
     trial_ids (0 for every trial when None) and selects the redraw.
-    Scales are applied by the caller, so the same draws serve every
-    (B_H, B_P) grid cell.
+    This is the M x K model of a trial, which channel.quantized_estimate
+    reads; the Monte Carlo loops draw its K x K slot statistics in law
+    instead (_trial_stats).
     """
     ids = [int(t) for t in trial_ids]
     attempts = [0] * len(ids) if attempt is None else [int(a) for a in attempt]
@@ -238,16 +258,16 @@ def _trial_stats(cfg: SystemConfig, seed: int, trial_ids, attempt=None, domain: 
     """Slot statistics (S, nu) of a block of trials, read-only.
 
     S has shape (n, 3, K, 4, K): S[:, j, :, l] = Z_j^T Z_l^* for l < 3
-    and S[:, j, :, 3] = Z_j^T Z_3, with Z_j slot j of trial_draws.  nu,
-    shape (n, K), holds the squared column norms of Z_3.  The block is
-    drawn and reduced _STATS_CHUNK trials at a time, and every trial is
-    reduced on its own, so a trial's statistics do not depend on the
-    block or chunk it arrives in.
+    and S[:, j, :, 3] = Z_j^T Z_3, with Z_j slot j of the trial model of
+    trial_draws.  nu, shape (n, K), holds the squared column norms of
+    Z_3.  They are drawn in law from each trial's own stream by
+    _draw_stats (not reduced from trial_draws), so a trial's statistics
+    do not depend on the block or chunk it arrives in.
 
     Blocks in which every attempt is 0 are memoized on (M, K, seed,
     domain, trial ids), so later cells of a sweep, at any SNR or pilot
     power, read the first cell's statistics; a block with a redraw in it
-    is reduced afresh and never stored.
+    is drawn afresh and never stored.
     """
     global _stats_seconds
     ids = tuple(int(t) for t in trial_ids)
@@ -257,25 +277,53 @@ def _trial_stats(cfg: SystemConfig, seed: int, trial_ids, attempt=None, domain: 
     if memoize and key in _stats_cache:
         return _stats_cache[key]
     t0 = time.perf_counter()
-    M, K = cfg.M, cfg.K
-    S = np.empty((len(ids), 3 * K, 4 * K), dtype=complex)
-    nu = np.empty((len(ids), K))
-    for lo in range(0, len(ids), _STATS_CHUNK):
-        c = slice(lo, lo + _STATS_CHUNK)
-        z = trial_draws(cfg, seed, ids[c], attempts[c], domain)
-        # [Z_0 Z_1 Z_2 Z_3] side by side, one M x 4K matrix per trial
-        Z = z.transpose(0, 2, 1, 3).reshape(-1, M, 4 * K)
-        right = np.concatenate([Z[..., : 3 * K].conj(), Z[..., 3 * K :]], axis=-1)
-        np.matmul(Z[..., : 3 * K].swapaxes(-2, -1), right, out=S[c])
-        # |Z_3|^2 with M as the contiguous last axis, summed one row at a time
-        nu[c] = np.sum(np.abs(z[:, 3].swapaxes(-2, -1), out=np.empty((len(z), K, M))) ** 2, axis=-1)
-    stats = (S.reshape(len(ids), 3, K, 4, K), nu)
+    S, nu = _draw_stats(cfg, seed, ids, attempts, domain)
+    stats = (S.reshape(len(ids), 3, cfg.K, 4, cfg.K), nu)
     for a in stats:
         a.setflags(write=False)
     _stats_seconds += time.perf_counter() - t0
     if memoize:
         _memoize(key, stats)
     return stats
+
+
+def _draw_stats(cfg: SystemConfig, seed: int, ids: tuple, attempts: tuple, domain: int):
+    """The first 3K rows S, shape (n, 3K, 4K), and the last K diagonal entries nu of each trial's slot Gram.
+
+    The slot Gram X^T X^* of X = [Z_0 Z_1 Z_2 conj(Z_3)], M x 4K with
+    i.i.d. CN(0, 1) entries, is complex Wishart with M degrees of
+    freedom.  By its Bartlett decomposition (Goodman 1963) it has the
+    law of R^T R^*, where R is min(M, 4K) x 4K upper trapezoidal with
+    independent entries: CN(0, 1) above the diagonal and
+    sqrt(Gamma(M - i, 1)) at (i, i).  Trial t draws its R from stream
+    (domain, t, attempt) alone, the CN(0, 1) entries first, and every
+    trial is reduced on its own, _STATS_CHUNK factors at a time.
+    """
+    M, K = cfg.M, cfg.K
+    cols, rows = 4 * K, min(M, 4 * K)
+    # positions of the entries above and on the diagonal in a flattened R
+    upper = np.flatnonzero(np.triu(np.ones((rows, cols), bool), 1))
+    diag = np.arange(rows) * (cols + 1)
+    dof = M - np.arange(rows)
+    S = np.empty((len(ids), 3 * K, cols), dtype=complex)
+    nu = np.empty((len(ids), K))
+    R = np.zeros((min(_STATS_CHUNK, len(ids)), rows, cols), dtype=complex)
+    flat = R.reshape(len(R), rows * cols)
+    for lo in range(0, len(ids), _STATS_CHUNK):
+        c = slice(lo, lo + _STATS_CHUNK)
+        for i, (t, a) in enumerate(zip(ids[c], attempts[c])):
+            gen = RngStream(seed, (domain, t, a)).generator()
+            flat[i, upper] = gen.standard_normal(2 * upper.size).view(complex) * np.sqrt(0.5)
+            flat[i, diag] = np.sqrt(gen.standard_gamma(dof))
+        r = R[: len(ids[c])]
+        # the first 3K columns of R are zero below row 3K
+        top = r[:, : 3 * K]
+        np.matmul(top[..., : 3 * K].swapaxes(-2, -1), top.conj(), out=S[c])
+        # squared norms of R's last K columns, with the rows on the contiguous last axis
+        sq = np.abs(r[..., 3 * K :].swapaxes(-2, -1), out=np.empty((len(r), K, rows)))
+        sq *= sq
+        nu[c] = np.sum(sq, axis=-1)
+    return S, nu
 
 
 def draw_complex_gaussian(rng, rows: int, cols: int, variance=1.0) -> np.ndarray:

@@ -203,7 +203,7 @@ class TestEstimateMemo:
         G, V0 = _slot_gram(S, _slot_scales(cfg, eta_h))
         return G, np.sqrt(cfg.beta)[:, None] * V0
 
-    def test_slot_products_match_the_m_space_estimate(self):
+    def test_slot_products_match_the_m_space_estimate(self, m_space_stats):
         cfg = cfg_small(beta=[0.5, 2.0])
         z = trial_draws(cfg, 3, range(6))
         for eta in self.ETAS:
@@ -245,7 +245,7 @@ class TestEstimateMemo:
         np.testing.assert_array_equal(again[0], expected[0])
         np.testing.assert_array_equal(again[1], expected[1])
 
-    def test_redraw_block_and_caller_array_leave_the_memo_alone(self):
+    def test_redraw_block_and_caller_array_leave_the_memo_alone(self, m_space_stats):
         cfg = cfg_small()
         first = self.products(cfg, 0.1, range(4))
         held = dict(sysmodel._stats_cache)

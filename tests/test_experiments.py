@@ -620,6 +620,17 @@ class TestCli:
         assert "config error: P_t = sigma^2 10^(snr_db/10) is beyond floating-point range" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("field", ["beta", "noise_var", "M"])
+    @pytest.mark.parametrize("command", [["optimize"], ["sweep", "--evaluator", "closed-form"]], ids=("optimize", "sweep"))
+    def test_config_integer_beyond_float_range_exits_two(self, tmp_path, capsys, command, field):
+        """A 400-digit JSON integer is a config error naming its field, not an OverflowError traceback."""
+        path = tmp_path / "spec.json"
+        path.write_text(f'{{"{field}": {10**400}}}')
+        argv = [*command, "--config", str(path), "--budget-bbar", "10", "--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        assert f"config error: {field} " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("command", ["sweep", "optimize"])
     @pytest.mark.parametrize("b_bar", [1, 0])
     def test_integer_b_bar_below_two_exits_three(self, tmp_path, capsys, command, b_bar):

@@ -14,6 +14,7 @@ from fhalloc.precoding import (
     transmit_rescale,
 )
 from fhalloc.quantization import eta_of_bits
+from fhalloc.se import mc_hardening_sinr
 from fhalloc.sysmodel import DOMAIN_MOMENTS, RngStream, SystemConfig, draw_complex_gaussian, trial_draws
 
 KINDS = ("mrt", "zf", "wf")
@@ -110,6 +111,67 @@ class TestBuildPrecoder:
         cfg = make_cfg()
         with pytest.raises(ValueError):
             build_precoder(draw_hd(cfg, 8).T, "mrt", cfg)
+
+
+def eigvalsh_mask(G):
+    """The rank rule written out on eigvalsh alone."""
+    ev = np.linalg.eigvalsh(G)
+    return ev[..., 0] <= ev[..., -1] * precoding._RANK_RTOL
+
+
+def grams_with_spectra(seed, n, K, ratios):
+    """n random K x K Grams per ratio lambda_min / lambda_max, random eigenvectors and a random overall scale."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for ratio in ratios:
+        X = rng.standard_normal((n, K, K)) + 1j * rng.standard_normal((n, K, K))
+        U, _ = np.linalg.qr(X)
+        ev = np.sort(rng.uniform(ratio, 1.0, (n, K)), axis=-1)
+        ev[:, 0], ev[:, -1] = ratio, 1.0
+        ev *= 10.0 ** rng.uniform(-3, 3, (n, 1))
+        out.append((U * ev[:, None, :]) @ U.conj().swapaxes(-2, -1))
+    return np.concatenate(out)
+
+
+class TestRankDeficientMask:
+    """The Cholesky certificate settles most Grams; every decision stays eigvalsh's."""
+
+    @pytest.mark.parametrize("K", (2, 8))
+    def test_mask_is_the_eigvalsh_rule(self, K):
+        # spectra on both sides of _RANK_RTOL, of _CERT_RTOL and between them, singular ones included
+        G = grams_with_spectra(3, 40, K, (0.0, 1e-16, 1e-13, 1e-12, 1e-11, 1e-10, 1e-9, 1e-8, 1e-3, 0.5))
+        G[5] = 0.0
+        G[7, :, 1] = G[7, :, 0]  # two equal columns
+        G[7, 1] = G[7, 0]
+        want = eigvalsh_mask(G)
+        assert 0 < np.sum(want) < len(G)
+        np.testing.assert_array_equal(precoding.rank_deficient_mask(G), want)
+        for g, w in zip(G[::37], want[::37]):  # one matrix at a time, and with leading dims
+            assert precoding.rank_deficient_mask(g) == w
+        np.testing.assert_array_equal(precoding.rank_deficient_mask(G.reshape(20, -1, K, K)), want.reshape(20, -1))
+
+    def test_eigvalsh_runs_only_on_the_open_grams(self, monkeypatch):
+        calls = []
+        real = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda G: calls.append(len(G)) or real(G))
+        G = grams_with_spectra(4, 64, 4, (1e-3,))
+        assert not np.any(precoding.rank_deficient_mask(G)) and calls == []
+        G[[9, 40]] = grams_with_spectra(5, 2, 4, (1e-14,))
+        np.testing.assert_array_equal(np.flatnonzero(precoding.rank_deficient_mask(G)), [9, 40])
+        assert calls == [2]
+
+    @pytest.mark.parametrize("kind", ("zf", "wf"))
+    def test_forced_fallback_gives_the_same_bits(self, monkeypatch, kind):
+        """With the certificate settling nothing, eigvalsh decides every Gram and no output bit moves."""
+        cfg = SystemConfig.from_snr(M=12, K=4, tau_c=200, tau_p=4, snr_db=5.0, beta=[0.5, 1.0, 1.5, 2.0])
+        runs = []
+        for certify in (precoding._cholesky_certified, lambda G: np.zeros(len(G), bool)):
+            monkeypatch.setattr(precoding, "_cholesky_certified", certify)
+            runs.append(mc_hardening_sinr(cfg, kind, 3, 3, trials=300, seed=2, moment_trials=100))
+            runs.append(estimate_moments_mc(cfg, kind, eta_of_bits(3), trials=300, seed=2))
+        np.testing.assert_array_equal(runs[0].sinr, runs[2].sinr)
+        assert runs[0].redraws == runs[2].redraws
+        np.testing.assert_array_equal(runs[1], runs[3])
 
 
 class TestTransmitRescale:
@@ -229,7 +291,7 @@ class TestPrecoderEntryVar:
             precoder_entry_var(make_cfg(), "rzf", 0.0, trials=100, seed=0)
 
     @pytest.mark.parametrize("kind", ("zf", "wf"))
-    def test_sampled_moments_are_the_antenna_average(self, kind):
+    def test_sampled_moments_are_the_antenna_average(self, kind, m_space_stats):
         """One number per user: the mean over antennas and trials of |P[m, i]|^2."""
         cfg = SystemConfig.from_snr(M=12, K=3, tau_c=200, tau_p=3, snr_db=5.0, beta=[0.5, 1.0, 2.0])
         eta_h = eta_of_bits(3)

@@ -251,7 +251,7 @@ class TestMcHardeningSinr:
         mc_hardening_sinr(cfg_at(0.0, M=16, K=2), kind, 3, 3, trials=300, seed=1)
         assert checked == [256, 44]
 
-    def test_each_trial_is_rank_checked_once_in_canonical_order(self, monkeypatch):
+    def test_each_trial_is_rank_checked_once_in_canonical_order(self, monkeypatch, m_space_stats):
         """Each trial's Gram is rank-checked once, block by block, in trial order."""
         cfg = cfg_at(0.0, M=16, K=2)
         seen = []
@@ -437,8 +437,9 @@ def m_space_sinr(cfg, kind, b_h, b_p, trials, seed, csi_mode, moment_trials):
     return desired / (np.sum(np.mean(np.abs(gains) ** 2, axis=0), axis=1) - desired + cfg.noise_var)
 
 
+@pytest.mark.usefixtures("m_space_stats")
 class TestKxKPipeline:
-    """mc_hardening_sinr's K x K algebra against the M x K pipeline it replaces."""
+    """mc_hardening_sinr's K x K algebra against the M x K pipeline it replaces, on the same unit draws."""
 
     @pytest.mark.parametrize("snr_db", (10.0, -15.0))
     @pytest.mark.parametrize("beta", (1.0, (0.5, 1.0, 1.5, 2.0)), ids=("equal-beta", "unequal-beta"))
@@ -487,7 +488,7 @@ class TestZeroPilotPower:
 class TestRedraw:
     """Rank-deficient realizations are redrawn from the trial's next stream."""
 
-    def test_flagged_trial_is_redrawn_from_next_attempt(self, monkeypatch):
+    def test_flagged_trial_is_redrawn_from_next_attempt(self, monkeypatch, m_space_stats):
         cfg = cfg_at(0.0, M=16, K=2)
         seen = []
         real = se.rank_deficient_mask
@@ -507,7 +508,7 @@ class TestRedraw:
         H = trial_draws(cfg, 4, [3], [1])[0, 0] * np.sqrt(cfg.beta)
         np.testing.assert_allclose(seen[1][0], H.T @ H.conj(), rtol=1e-13)
         assert not np.allclose(seen[1][0], seen[0][3])
-        monkeypatch.undo()
+        monkeypatch.setattr(se, "rank_deficient_mask", real)
         base = mc_hardening_sinr(cfg, "zf", None, None, trials=10, seed=4, csi_mode="perfect")
         assert base.redraws == 0
         assert not np.array_equal(base.sinr, rep.sinr)  # trial 3 entered with its redrawn channel

@@ -93,6 +93,29 @@ class TestSystemConfig:
         with pytest.raises(ConfigError, match="total_power must be finite and positive"):
             SystemConfig.from_snr(M=16, K=4, tau_c=50, tau_p=4, snr_db=-4000.0)
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("total_power", 10**400, "total_power is an integer beyond"),
+            ("noise_var", 10**400, "noise_var is an integer beyond"),
+            ("beta", 10**400, "beta holds an integer beyond"),
+            ("beta", [1.0, 10**400, 1.0, 1.0], "beta holds an integer beyond"),
+            ("pilot_power", 10**400, "pilot_power holds an integer beyond"),
+            ("pilot_power", [10**400, 1, 1, 1], "pilot_power holds an integer beyond"),
+            ("M", 10**400, "M is an integer beyond"),
+            ("tau_c", 10**400, "tau_c is an integer beyond"),
+        ],
+    )
+    def test_integer_beyond_float_range_is_a_config_error(self, field, value, message):
+        with pytest.raises(ConfigError, match=message):
+            make_cfg(**{field: value})
+
+    @pytest.mark.parametrize("field", ["noise_var", "snr_db", "beta", "pilot_power"])
+    def test_from_snr_names_the_integer_beyond_float_range(self, field):
+        kw = {"snr_db": 0.0, field: 10**400}
+        with pytest.raises(ConfigError, match=f"^{field} (is|holds) an integer beyond floating-point range"):
+            SystemConfig.from_snr(M=16, K=4, tau_c=50, tau_p=4, **kw)
+
     def test_pilot_overhead(self):
         assert make_cfg(tau_p=5).pilot_overhead == pytest.approx(0.1)
 
@@ -219,7 +242,8 @@ class TestTrialDraws:
         assert np.mean(np.abs(z) ** 2) == pytest.approx(1.0, rel=0.02)
         assert abs(np.mean(z**2)) < 0.02  # circular symmetry
 
-    def test_stats_are_the_slot_products_of_the_draws(self):
+    def test_stats_are_the_slot_products_of_the_draws(self, m_space_stats):
+        """_trial_stats lays the draw step's rows out as the blocks Q_jl and R_j, and nu as |Z_3|^2."""
         cfg = make_cfg(M=6, K=2, tau_p=2)
         S, nu = sysmodel._trial_stats(cfg, 5, range(20))
         assert S.shape == (20, 3, 2, 4, 2) and nu.shape == (20, 2)
@@ -307,3 +331,65 @@ class TestTrialDraws:
         assert sum(sysmodel._nbytes(b) for b in blocks) <= sysmodel._STATS_CACHE_BYTES / 10
         assert len(sysmodel._stats_cache) == 4
         assert all(any(value is b for value in sysmodel._stats_cache.values()) for b in blocks)
+
+
+class TestBartlettStats:
+    """The slot statistics drawn from each trial's Bartlett factor against the law of the M x K reduction."""
+
+    CASES = pytest.mark.parametrize("M, K", ((128, 8), (16, 2), (32, 16)), ids=("128x8", "16x2", "32x16-trapezoidal"))
+    # a sample mean may sit this many standard errors from its expectation
+    Z_BOUND = 4.5
+
+    @pytest.fixture(autouse=True)
+    def cold_cache(self, monkeypatch):
+        monkeypatch.setattr(sysmodel, "_stats_cache", {})
+
+    @staticmethod
+    def per_trial_moments(S, nu, M, K):
+        """Per trial, shape (n,): mean Q_jj,aa, mean (Q_jj,aa - M)^2, mean |off-diagonal entry|^2 and mean nu."""
+        S = S.reshape(len(S), 3 * K, 4 * K)
+        diag = np.diagonal(S[..., : 3 * K], axis1=-2, axis2=-1)
+        off = np.abs(S) ** 2
+        off[:, np.arange(3 * K), np.arange(3 * K)] = 0.0
+        return {
+            "E Q_jj,aa": np.mean(diag.real, axis=-1),
+            "Var Q_jj,aa": np.mean((diag.real - M) ** 2, axis=-1),
+            "E |Q_jl,ab|^2": np.sum(off, axis=(-2, -1)) / (3 * K * 4 * K - 3 * K),
+            "E nu": np.mean(nu, axis=-1),
+        }
+
+    @CASES
+    def test_moments_are_the_wishart_moments_of_the_reduction(self, M, K, m_space_reduction):
+        """E Q_jj = M I, Var Q_jj,aa = M, E|Q_jl,ab|^2 = M off the diagonal and E nu = M, for both samplers."""
+        cfg = make_cfg(M=M, K=K, tau_c=50, tau_p=K)
+        ids = tuple(range(800))
+        zero = (0,) * len(ids)
+        drawn = self.per_trial_moments(*sysmodel._draw_stats(cfg, 11, ids, zero, sysmodel.DOMAIN_TRIAL), M, K)
+        reduced = self.per_trial_moments(*m_space_reduction(cfg, 11, ids, zero, sysmodel.DOMAIN_TRIAL), M, K)
+        for name in drawn:
+            means = [np.mean(x[name]) for x in (drawn, reduced)]
+            errs = [np.std(x[name]) / np.sqrt(len(ids)) for x in (drawn, reduced)]
+            for mean, err in zip(means, errs):
+                assert abs(mean - M) < self.Z_BOUND * err, (name, mean, err)
+            assert abs(means[0] - means[1]) < self.Z_BOUND * np.hypot(*errs), (name, means, errs)
+
+    @CASES
+    def test_rank_is_that_of_m_antennas(self, M, K, m_space_reduction):
+        """The first 3K rows of the slot Gram have rank min(M, 3K), as the reduction's do: M when M < 4K."""
+        cfg = make_cfg(M=M, K=K, tau_c=50, tau_p=K)
+        for S, _ in (sysmodel._trial_stats(cfg, 2, range(5)), m_space_reduction(cfg, 2, range(5), (0,) * 5, sysmodel.DOMAIN_TRIAL)):
+            ranks = np.linalg.matrix_rank(np.reshape(S, (5, 3 * K, 4 * K)))
+            np.testing.assert_array_equal(ranks, min(M, 3 * K))
+
+    @CASES
+    def test_bits_do_not_depend_on_block_chunk_or_memo(self, monkeypatch, M, K):
+        cfg = make_cfg(M=M, K=K, tau_c=50, tau_p=K)
+        whole = sysmodel._trial_stats(cfg, 4, range(300))
+        assert sysmodel._trial_stats(cfg, 4, range(300)) is whole  # warm
+        for block in (1, 7, TRIAL_BLOCK):
+            for chunk in (1, 3, sysmodel._STATS_CHUNK):
+                monkeypatch.setattr(sysmodel, "_STATS_CHUNK", chunk)
+                sysmodel._stats_cache.clear()
+                parts = [sysmodel._trial_stats(cfg, 4, range(lo, min(lo + block, 300))) for lo in range(0, 300, block)]
+                for a, b in zip(whole, zip(*parts)):
+                    np.testing.assert_array_equal(np.concatenate(b), a)
