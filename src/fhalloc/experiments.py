@@ -42,7 +42,7 @@ from .sysmodel import SystemConfig, _real
 
 EVALUATORS = ("mc", "closed-form")
 # Stage timers of a Monte Carlo cell (SeReport.stage_s), written per cell to the metadata
-STAGES = ("stats_s", "moments_s", "kxk_s")
+STAGES = ("import_s", "stats_s", "moments_s", "kxk_s")
 
 # Integer ExperimentSpec fields and the least value each accepts.  The
 # bit widths may be None, and their floors are checked with the splits.
@@ -384,10 +384,10 @@ def write_outputs(
     Failed cells contribute no CSV row or series point; they are listed
     under "failed_cells" in the metadata instead.  The metadata's "cells"
     lists every cell in canonical order with its wall time, its redraw
-    count and its stage timers stats_s, moments_s and kxk_s (SeReport;
-    0 for a closed-form cell), each null where the cell returned no
-    report or no timing.  What a group shares is charged to its first
-    cell (CellOutcome).
+    count and its stage timers import_s, stats_s, moments_s and kxk_s
+    (SeReport; 0 for a closed-form cell), each null where the cell
+    returned no report or no timing.  What a group shares is charged to
+    its first cell (CellOutcome).
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

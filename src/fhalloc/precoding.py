@@ -173,27 +173,30 @@ def transmit_rescale(P_q: np.ndarray, total_power: float):
     return float(alpha) if alpha.ndim == 0 else alpha
 
 
-def _mrt_normalization(cfg: SystemConfig, eta_h):
-    """Estimate quality gamma, gtil = (1 - eta_h) gamma, sum_i gtil_i and zeta_bar^2.
+def _mrt_gamma(cfg: SystemConfig) -> tuple[np.ndarray, float]:
+    """Estimate quality gamma, shape (K,), and sum_i gamma_i; ValueError when every gamma is 0.
+
+    The config's arrays were checked when it was built and are read-only,
+    so gamma skips the checks of gamma_coefficient and runs only its
+    arithmetic.
+    """
+    gamma = _gamma(cfg.pilot_power, cfg.tau_p, cfg.beta)
+    # a Python sum of K floats costs a quarter of gamma.sum() on the closed-form search path
+    total = sum(gamma.tolist())
+    if not total:
+        raise ValueError("every user has estimate quality gamma = 0 (zero pilot power), so there is no CSI to precode with")
+    return gamma, total
+
+
+def _mrt_normalization(cfg: SystemConfig, eta_h: float):
+    """gtil = (1 - eta_h) gamma, shape (K,), and zeta_bar^2, shape (1,).
 
     zeta_bar^2 = P_t / (M sum_i gtil_i) is the deterministic MRT
     normalization: E|P[m, i]|^2 = zeta_bar^2 gtil_i for the quantized-CSI
-    matched filter.  eta_h may be an (S, 1) column of distortion factors;
-    gtil is then (S, K) and the sum and zeta_bar^2 (S, 1), else (K,) and
-    (1,).  Raises ValueError when every gamma is 0.
-
-    The config's arrays were checked when it was built and are read-only,
-    and eta_h comes from eta_of_bits, so gamma and gtil skip the checks of
-    gamma_coefficient and quantization.quantized_csi_covariance and run
-    only their arithmetic.
+    matched filter.  Raises ValueError when every gamma is 0.
     """
-    gamma = _gamma(cfg.pilot_power, cfg.tau_p, cfg.beta)
-    # a list test costs a tenth of gamma.any() on the closed-form search path
-    if not any(gamma.tolist()):
-        raise ValueError("every user has estimate quality gamma = 0 (zero pilot power), so there is no CSI to precode with")
-    gtil = (1.0 - eta_h) * gamma
-    gtil_sum = gtil.sum(axis=-1, keepdims=True)
-    return gamma, gtil, gtil_sum, cfg.total_power / (cfg.M * gtil_sum)
+    gtil = (1.0 - eta_h) * _mrt_gamma(cfg)[0]
+    return gtil, cfg.total_power / (cfg.M * gtil.sum(axis=-1, keepdims=True))
 
 
 def mrt_moments(cfg: SystemConfig, eta_h: float) -> np.ndarray:
@@ -203,7 +206,7 @@ def mrt_moments(cfg: SystemConfig, eta_h: float) -> np.ndarray:
     so E|P[m, i]|^2 = zeta_bar^2 (1 - eta_h) gamma_i on every antenna m.
     M times the sum is P_t exactly.
     """
-    _, gtil, _, zeta_bar_sq = _mrt_normalization(cfg, eta_h)
+    gtil, zeta_bar_sq = _mrt_normalization(cfg, eta_h)
     return zeta_bar_sq * gtil
 
 

@@ -35,15 +35,26 @@ Sigma_p, ||P_q||^2, alpha and the gains) per tap; mc_hardening_sinr is
 its one-tap case.
 
 For maximum ratio transmission the expectations are also available in
-closed form; the Monte Carlo and closed-form paths agree within the
-concentration error of the power normalization (a few percent at M = 64).
-A closed-form split search evaluates every split in one numpy pass
-(closed_form_mrt_terms over sequences of bit widths), and that pass runs
-only its arithmetic: eta comes from a table of eta_of_bits values, gamma
-from the config's checked, read-only arrays without checking them again,
-and the SE without the SINR check, since every term is nonnegative.  Each
-row keeps the per-element operations of evaluating its split alone, so
-it is bit-identical to closed_form_mrt_sinr of that split.
+closed form, with the deterministic normalization zeta_bar in place of
+each realization's ||P||_F^2 = P_t.  The Monte Carlo SINR sits above it
+by a gap that does not shrink with M: the per-realization normalization
+partly cancels each user's own beam-gain fluctuation, which takes about
+c gamma P_t / K^2 off the variation term (c below), so the gap is
+O(1/K^2).  With equal beta, B_H = B_P = 5 and 1000 trials, Monte Carlo
+over closed-form SINR is about 1.001 at -15 dB and 1.017 at +10 dB for
+K = 8, at M = 64 and M = 512 alike; at M = 512 and +10 dB it is about
+1.19 for K = 2 and 1.004 for K = 16.
+
+The closed form is Gamma_k = c A_k (closed_form_mrt_terms): the split
+enters only through c = (1-eta_h)(1-eta_p), and A_k depends on the config
+alone.  A closed-form split search (_closed_form_mrt_profile over
+sequences of bit widths) forms A once per config and then one product
+c A per split, and runs only arithmetic: eta comes from a table of
+eta_of_bits values, gamma from the config's checked, read-only arrays
+without checking them again, and the SE without the SINR check, since
+c A is nonnegative.  Each row is elementwise on the same A, so it is
+bit-identical to closed_form_mrt_sinr of that split, and a split and
+its mirror give the same row.
 """
 
 from __future__ import annotations
@@ -55,7 +66,7 @@ import numpy as np
 
 from . import sysmodel
 from .channel import _slot_gram, _slot_scales
-from .precoding import PRECODER_KINDS, _kxk_precoder, _mrt_normalization, precoder_entry_var, rank_deficient_mask
+from .precoding import PRECODER_KINDS, _kxk_precoder, _mrt_gamma, _mrt_normalization, precoder_entry_var, rank_deficient_mask
 from .quantization import aqnm_noise_var, eta_of_bits
 from .sysmodel import TRIAL_BLOCK, SystemConfig, _trial_stats
 
@@ -71,11 +82,12 @@ class SeReport:
     method names the evaluator ("monte_carlo" or "closed_form_mrt").
     trials is 0 for the closed form (nothing is sampled); seed and
     redraws describe the Monte Carlo run and stay None and 0 otherwise.
-    stage_s holds the Monte Carlo run's seconds per stage: "stats_s"
-    drawing the slot statistics from each trial's Bartlett factor (0 when
-    the memo held them), "moments_s" the precoder moment prior and
-    "kxk_s" the cell's own K x K arithmetic; it is empty for the closed
-    form.
+    stage_s holds the Monte Carlo run's seconds per stage: "import_s"
+    loading numpy.random (sysmodel._import_random; 0 once a process has
+    it), "stats_s" drawing the slot statistics from each trial's Bartlett
+    factor (0 when the memo held them), "moments_s" the precoder moment
+    prior and "kxk_s" the cell's own K x K arithmetic; it is empty for
+    the closed form.
     """
 
     sinr: np.ndarray
@@ -162,8 +174,8 @@ def _mc_taps(cfg: SystemConfig, b_h, taps, trials: int, seed: int, csi_mode="qua
     report is bit-identical to the tap's own mc_hardening_sinr.  ZF/WF
     taps share the rank mask and the redraw blocks; MRT taps read the
     first-attempt rows only.  Each tap's stage_s holds its own moment
-    prior and tail; the statistics and the shared arithmetic are charged
-    to the first tap.
+    prior and tail; the numpy.random import, the statistics and the
+    shared arithmetic are charged to the first tap.
     """
     if csi_mode not in CSI_MODES:
         raise ValueError(f"csi_mode must be one of {CSI_MODES}")
@@ -172,6 +184,8 @@ def _mc_taps(cfg: SystemConfig, b_h, taps, trials: int, seed: int, csi_mode="qua
     perfect = csi_mode == "perfect"
     if not perfect and b_h is None:
         raise ValueError("quantized mode needs b_h and b_p")
+    # numpy.random loads before the clocks start, so no stage is charged for it
+    import_s = sysmodel._import_random()
     clock, stats_clock = time.perf_counter(), sysmodel._stats_seconds
     sqrt_beta = np.sqrt(cfg.beta)
     # the true channel, Z_0 D_beta^(1/2), or the quantized estimate
@@ -267,12 +281,12 @@ def _mc_taps(cfg: SystemConfig, b_h, taps, trials: int, seed: int, csi_mode="qua
             sinr=sinr, se=se, sum_se=float(np.sum(se)), method="monte_carlo", csi_mode=csi_mode, kind=kind,
             b_h=None if perfect else b_h, b_p=None if perfect else b_p, trials=trials, seed=seed,
             redraws=0 if kind == "mrt" else redraws,
-            stage_s={"stats_s": 0.0, "moments_s": moments_s[n], "kxk_s": kxk_s[n]},
+            stage_s={"import_s": 0.0, "stats_s": 0.0, "moments_s": moments_s[n], "kxk_s": kxk_s[n]},
         )
     if 0 in quantizer:
-        # the statistics and the shared arithmetic are the first tap's
+        # the import, the statistics and the shared arithmetic are the first tap's
         shared = time.perf_counter() - clock - stats_s - sum(moments_s) - sum(kxk_s)
-        out[0].stage_s.update(stats_s=stats_s, kxk_s=kxk_s[0] + shared)
+        out[0].stage_s.update(import_s=import_s, stats_s=stats_s, kxk_s=kxk_s[0] + shared)
     return out
 
 
@@ -303,49 +317,51 @@ def closed_form_mrt_terms(cfg: SystemConfig, b_h, b_p) -> dict[str, np.ndarray]:
     b_h and b_p are bit widths, None turning that quantizer off.  Either
     may also be a sequence of bit widths, one per split (both of length S
     when both are sequences); every term then has shape (S, K), row s
-    holding split s.  All splits are evaluated in one numpy pass with the
-    arithmetic of a single split, so each row is bit-identical to
+    holding split s.  Every term is an elementwise product of per-split
+    factors and per-config user vectors, so each row is bit-identical to
     evaluating its split alone.
 
     With gamma_i the estimate quality, eta_h/eta_p the two distortion
-    factors, zeta_bar the deterministic MRT normalization and
-    alpha_bar = 1/sqrt(1 - eta_p):
+    factors and c = (1-eta_h)(1-eta_p):
 
-        signal_k    = alpha_bar^2 zeta_bar^2 (1-eta_p)^2 (1-eta_h)^2 M^2 gamma_k^2
-        variation_k = alpha_bar^2 zeta_bar^2 (1-eta_p)^2 (1-eta_h) M beta_k sum_i gamma_i
-        prec_noise_k = alpha_bar^2 eta_p (1-eta_p) beta_k P_t
-        noise_k     = sigma^2
+        signal_k     = c P_t M gamma_k^2 / sum_i gamma_i
+        variation_k  = (1-eta_p) P_t beta_k
+        prec_noise_k = eta_p P_t beta_k
+        noise_k      = sigma^2
 
-    and Gamma_k = signal / (variation + prec_noise + noise).  The coherent
-    part of the user's own beam is excluded from variation_k.  Keeping it
-    instead, as the raw second-moment-minus-squared-mean bracket of the
-    aligned gain written out per matrix trace, would add
-    M gamma_k^2 - M^2 gamma_k^2 to variation_k.  That term is negative for
-    M > 1 and drives the whole denominator negative at scale (M = 128,
-    K = 8, +10 dB, B_H = B_P = 5), so that bookkeeping was rejected.
+    and Gamma_k = signal / (variation + prec_noise + noise).  These follow
+    from the AQNM gains, the deterministic MRT normalization zeta_bar^2 =
+    P_t / (M (1-eta_h) sum_i gamma_i) and the power restore alpha_bar^2 =
+    1/(1-eta_p): the beam of user k has coherent gain
+    alpha_bar zeta_bar (1-eta_p)(1-eta_h) M gamma_k, the matched-filter
+    fluctuation and the interference of the other beams add up to
+    alpha_bar^2 zeta_bar^2 (1-eta_p)^2 (1-eta_h) M beta_k sum_i gamma_i, and
+    the precoder quantizer's noise to alpha_bar^2 eta_p (1-eta_p) P_t beta_k.
+    The coherent part of the user's own beam is excluded from
+    variation_k.  Keeping it instead, as the raw
+    second-moment-minus-squared-mean bracket of the aligned gain written
+    out per matrix trace, would add M gamma_k^2 - M^2 gamma_k^2 to
+    variation_k.  That term is negative for M > 1 and drives the whole
+    denominator negative at scale (M = 128, K = 8, +10 dB, B_H = B_P = 5),
+    so that bookkeeping was rejected.
 
-    Split symmetry.  With alpha_bar^2 = 1/(1-eta_p) and zeta_bar^2 =
-    P_t / (M (1-eta_h) sum_i gamma_i), the AQNM gains and the power
-    restore make
+    Split symmetry.  variation_k + prec_noise_k = P_t beta_k for every
+    (B_H, B_P), so
 
-        variation_k + prec_noise_k = (1-eta_p) P_t beta_k + eta_p P_t beta_k
-                                   = P_t beta_k
+        Gamma_k = c A_k,   A_k = P_t M gamma_k^2 / (sum_i gamma_i (P_t beta_k + sigma^2)),
 
-    for every (B_H, B_P), so
-
-        Gamma_k = (1-eta_h)(1-eta_p) P_t M gamma_k^2
-                  / (sum_i gamma_i (P_t beta_k + sigma^2)).
-
-    The split enters only through the product (1-eta_h)(1-eta_p).  Every
-    shared-budget profile B_H -> b_bar - B_H is its own mirror image, and
-    the balanced split is optimal at every SNR, M, K, beta and pilot power
-    (tests/test_se.py::test_distortion_symmetry pins the mirror).  The
-    Monte Carlo ZF/WF profiles are mirror-symmetric as well: imperfect-CSI
-    ZF with the same quantizers has SINR
-    c (rho g (M-K)/K) / (rho (beta - c g) + 1) with c = (1-eta_h)(1-eta_p)
-    and g = gamma to first order.  A convention that only rescales P_t,
-    the pilot power, M, K or the SE (per-antenna SNR, decoupled pilot
-    power, per-user SE) therefore cannot move the optimum either.
+    which is how _closed_form_mrt_profile evaluates it: A once per config
+    (_mrt_gains), c once per split.  The split enters only through c, and
+    c commutes, so every shared-budget profile B_H -> b_bar - B_H is
+    exactly its own mirror image and the balanced split is optimal at
+    every SNR, M, K, beta and pilot power; an odd b_bar ties its two
+    middle splits, and line_search keeps the smaller B_H.  The Monte
+    Carlo ZF/WF profiles are mirror-symmetric as well: imperfect-CSI ZF
+    with the same quantizers has SINR c (rho g (M-K)/K) / (rho (beta -
+    c g) + 1) with g = gamma to first order.  A convention that only
+    rescales P_t, the pilot power, M, K or the SE (per-antenna SNR,
+    decoupled pilot power, per-user SE) therefore cannot move the optimum
+    either.
 
     The source abstract says the relative importance of CSI and precoder
     bits varies with SNR; this model cannot show that, and the abstract
@@ -373,34 +389,44 @@ def closed_form_mrt_terms(cfg: SystemConfig, b_h, b_p) -> dict[str, np.ndarray]:
     would need about eta(2)/eta(8) = 2830 times the weight of precoder
     distortion.
     """
-    eta_h = _eta(b_h)
-    eta_p = _eta(b_p)
-    gamma, _, gtil_sum, zeta_bar_sq = _mrt_normalization(cfg, eta_h)
-    keep_p = 1.0 - eta_p
-    alpha_bar_sq = 1.0 / keep_p
-
-    common = alpha_bar_sq * zeta_bar_sq * keep_p**2
-    signal = common * (1.0 - eta_h) ** 2 * cfg.M**2 * gamma**2
-    variation = common * cfg.M * cfg.beta * gtil_sum
-    prec_noise = alpha_bar_sq * eta_p * keep_p * cfg.beta * cfg.total_power
+    eta_h, eta_p = np.broadcast_arrays(_eta(b_h), _eta(b_p))
+    array_gain, _ = _mrt_gains(cfg)
+    p_beta = cfg.total_power * cfg.beta
+    signal = (1.0 - eta_h) * (1.0 - eta_p) * cfg.total_power * array_gain
     return {
         "signal": signal,
-        "variation": variation,
-        "precoder_noise": prec_noise,
+        "variation": (1.0 - eta_p) * p_beta,
+        "precoder_noise": eta_p * p_beta,
         "noise": np.full(signal.shape, cfg.noise_var),
     }
 
 
-def _closed_form_mrt_profile(cfg: SystemConfig, b_h, b_p):
-    """SINR, SE and sum SE from closed_form_mrt_terms, with its broadcasting.
+def _mrt_gains(cfg: SystemConfig) -> tuple[np.ndarray, np.ndarray]:
+    """(M gamma_k^2 / sum_i gamma_i, A_k), each shape (K,): the split-free user vectors of the MRT closed form.
 
-    Returns (sinr, se, sum_se): (K,), (K,) and a 0-d array for one
-    split; (S, K), (S, K) and (S,) when b_h or b_p is a sequence of S
-    splits.  Every term is nonnegative and sigma^2 > 0, so the SINR needs
+    A_k = Gamma_k / c (closed_form_mrt_terms) is formed as
+    M gamma_k (gamma_k / sum_i gamma_i) / (beta_k + sigma^2 / P_t): the
+    share is at most 1, the denominator at least beta_k, and P_t enters
+    only through sigma^2 / P_t, so A_k is finite wherever gamma is.
+    Raises ValueError when every gamma is 0.
+    """
+    gamma, total = _mrt_gamma(cfg)
+    array_gain = cfg.M * gamma * (gamma / total)
+    return array_gain, array_gain / (cfg.beta + cfg.noise_var / cfg.total_power)
+
+
+def _closed_form_mrt_profile(cfg: SystemConfig, b_h, b_p):
+    """SINR c A, SE and sum SE of the MRT closed form, with closed_form_mrt_terms' broadcasting.
+
+    A comes once from the config (_mrt_gains) and c once per split, so a
+    split costs one product.  Every operation is elementwise, so each row
+    is bit-identical to its split alone, and c commutes, so a split and
+    its mirror get the same row.  Returns (sinr, se, sum_se): (K,), (K,)
+    and a 0-d array for one split; (S, K), (S, K) and (S,) when b_h or
+    b_p is a sequence of S splits.  c A is nonnegative, so the SINR needs
     no check before its SE.
     """
-    terms = closed_form_mrt_terms(cfg, b_h, b_p)
-    sinr = terms["signal"] / (terms["variation"] + terms["precoder_noise"] + terms["noise"])
+    sinr = (1.0 - _eta(b_h)) * (1.0 - _eta(b_p)) * _mrt_gains(cfg)[1]
     se = _se(sinr, cfg.tau_p, cfg.tau_c)
     return sinr, se, se.sum(axis=-1)
 
@@ -445,7 +471,7 @@ def mc_mrt_term_estimates(
     """
     eta_h = eta_of_bits(b_h)
     eta_p = eta_of_bits(b_p)
-    _, gtil, _, zeta_bar_sq = _mrt_normalization(cfg, eta_h)
+    gtil, zeta_bar_sq = _mrt_normalization(cfg, eta_h)
     alpha_bar_sq = 1.0 / (1.0 - eta_p)
     prec_noise_std = np.sqrt(aqnm_noise_var(eta_p, zeta_bar_sq * gtil))
     scales = _slot_scales(cfg, eta_h)

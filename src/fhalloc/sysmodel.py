@@ -27,6 +27,7 @@ per process (read-only, oldest dropped first, at most
 from __future__ import annotations
 
 import math
+import sys
 import time
 from dataclasses import dataclass, field
 
@@ -57,6 +58,21 @@ _STATS_CACHE_BYTES = 128 * 2**20
 _stats_cache: dict[tuple, tuple] = {}
 # Seconds spent drawing statistics in this process, so far
 _stats_seconds = 0.0
+
+
+def _import_random() -> float:
+    """Load numpy.random, which every draw needs; the seconds that took, 0.0 once it is loaded.
+
+    numpy loads numpy.random on first use, which takes 12 to 17 ms on a
+    2 vCPU machine.  A Monte Carlo run loads it here, before its stage
+    timers start, so the first cell's stats_s holds draws alone.  Nothing
+    imports it at module load: a closed-form search never draws.
+    """
+    if "numpy.random" in sys.modules:
+        return 0.0
+    t0 = time.perf_counter()
+    import numpy.random  # noqa: F401
+    return time.perf_counter() - t0
 
 
 def _nbytes(value: tuple) -> int:
@@ -155,13 +171,16 @@ class SystemConfig:
             _real(name, value)  # counts enter float arithmetic too
         if not (self.K < self.M and self.K <= self.tau_p <= self.tau_c):
             raise ConfigError("need K < M and K <= tau_p <= tau_c")
-        for name in ("total_power", "noise_var"):
+        # noise_var first: from_snr derives total_power from it
+        for name in ("noise_var", "total_power"):
             value = _real(name, getattr(self, name))
             if not (math.isfinite(value) and value > 0):
                 raise ConfigError(f"{name} must be finite and positive")
         beta = _as_user_vector(1.0 if self.beta is None else self.beta, self.K, "beta")
         # default pilot power: match the downlink SNR, q_k = P_t / sigma^2
         q = self.total_power / self.noise_var if self.pilot_power is None else self.pilot_power
+        if self.pilot_power is None and q == math.inf:
+            raise ConfigError("the default pilot_power total_power / noise_var is beyond floating-point range")
         q = _as_user_vector(q, self.K, "pilot_power", allow_zero=True)
         object.__setattr__(self, "beta", beta)
         object.__setattr__(self, "pilot_power", q)
@@ -183,8 +202,8 @@ class SystemConfig:
 
         SNR is defined as P_t / sigma^2, so P_t = sigma^2 * 10^(snr_db/10).
         An snr_db whose P_t overflows a float raises ConfigError, and so
-        does a noise_var or snr_db that is itself beyond float range, by
-        its own name.
+        does a noise_var or snr_db that is itself beyond float range, or a
+        noise_var that is not finite and positive, by its own name.
         """
         sigma2 = _real("noise_var", noise_var)
         try:

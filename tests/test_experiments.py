@@ -4,12 +4,17 @@ import functools
 import json
 import multiprocessing
 import os
+import subprocess
+import sys
+import time
 from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fhalloc
 import fhalloc.cli as cli
 import fhalloc.experiments as experiments
 import fhalloc.se as se
@@ -631,6 +636,15 @@ class TestCli:
         assert f"config error: {field} " in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", [["optimize"], ["sweep", "--evaluator", "closed-form"]], ids=("optimize", "sweep"))
+    def test_infinite_noise_var_is_named(self, tmp_path, capsys, command):
+        """An infinite noise_var exits 2 naming noise_var, not the total_power derived from it."""
+        path = tmp_path / "spec.json"
+        path.write_text('{"noise_var": Infinity}')
+        argv = [*command, "--config", str(path), "--budget-bbar", "10", "--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        assert "config error: noise_var must be finite and positive" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["sweep", "optimize"])
     @pytest.mark.parametrize("b_bar", [1, 0])
     def test_integer_b_bar_below_two_exits_three(self, tmp_path, capsys, command, b_bar):
@@ -932,6 +946,37 @@ class TestGroups:
         ]
         rows = read_csv(tmp_path / "out" / "sweep.csv")[1:]
         assert [(row[0], int(row[3])) for row in rows] == [("mrt", 1), ("mrt", 2), ("mrt", 3)]
+
+    def test_numpy_random_import_is_a_stage_of_its_own(self, tmp_path, monkeypatch):
+        """The first draw's numpy.random import stays out of stats_s and kxk_s, and in elapsed_s."""
+        monkeypatch.setattr(sysmodel, "_stats_cache", {})
+
+        def slow_import():
+            time.sleep(0.25)
+            return 0.25
+
+        monkeypatch.setattr(sysmodel, "_import_random", slow_import)
+        cells = run_sweep(small_spec(precoders=("zf", "mrt")), tmp_path)["cells"]
+        first = cells[0]
+        assert first["import_s"] == 0.25 and first["elapsed_s"] >= 0.25
+        assert first["stats_s"] < 0.25 and first["kxk_s"] < 0.25 and first["moments_s"] < 0.25
+        # the stub costs every group (the real import returns 0 once loaded), charged to the group's first cell
+        assert all(c["import_s"] == 0.25 for c in cells[:3]) and all(c["import_s"] == 0 for c in cells[3:])
+
+    def test_closed_form_search_leaves_numpy_random_unloaded(self):
+        """A fresh interpreter that imports fhalloc and runs a closed-form search never loads numpy.random."""
+        code = (
+            "import sys, fhalloc\n"
+            "from fhalloc.experiments import ExperimentSpec, optimize_split\n"
+            "spec = ExperimentSpec(M=32, K=4, tau_p=4, evaluator='closed-form', b_bar=12)\n"
+            "assert optimize_split(spec).b_h == 6\n"
+            "print('numpy.random' in sys.modules)\n"
+        )
+        src = str(Path(fhalloc.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "False"
 
     def test_group_time_is_charged_to_its_first_cell(self, tmp_path, monkeypatch):
         monkeypatch.setattr(sysmodel, "_stats_cache", {})

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +8,7 @@ from hypothesis import strategies as st
 import fhalloc.precoding as precoding
 import fhalloc.se as se
 import fhalloc.sysmodel as sysmodel
-from fhalloc.channel import quantized_estimate
+from fhalloc.channel import gamma_coefficient, quantized_estimate
 from fhalloc.experiments import ExperimentSpec, optimize_split
 from fhalloc.precoding import precoder_entry_var, transmit_rescale
 from fhalloc.quantization import aqnm_noise_var, eta_of_bits
@@ -17,7 +19,7 @@ from fhalloc.se import (
     mc_mrt_term_estimates,
     se_from_sinr,
 )
-from fhalloc.sysmodel import SystemConfig, trial_draws
+from fhalloc.sysmodel import ConfigError, SystemConfig, trial_draws
 
 
 def cfg_at(snr_db, *, M=32, K=4, tau_c=200, tau_p=8):
@@ -210,14 +212,107 @@ class TestClosedFormProfile:
     @settings(max_examples=80, deadline=None)
     @given(spec=closed_form_searches())
     def test_profile_mirrors(self, spec):
-        """B_H <-> b_bar - B_H leaves every SE unchanged (closed_form_mrt_terms docstring)."""
+        """B_H <-> b_bar - B_H leaves every SE unchanged bit for bit: c = (1-eta_h)(1-eta_p) commutes."""
         profile = optimize_split(spec).profile
-        np.testing.assert_allclose(
-            [row[2] for row in profile], [row[2] for row in reversed(profile)], rtol=1e-12
+        for row, mirror in zip(profile, reversed(profile)):
+            assert (row[2], row[3]) == (mirror[2], mirror[3])
+
+    @settings(max_examples=80, deadline=None)
+    @given(spec=closed_form_searches(), half=st.integers(1, 12))
+    def test_odd_budget_takes_the_smaller_middle_split(self, spec, half):
+        """The two middle splits of an odd b_bar tie exactly, and line_search keeps the smaller B_H.
+
+        b_bar up to 25 keeps c at the middle at least 4e-7 above its
+        neighbours, which log2(1 + SINR) resolves at every drawn SNR.
+        """
+        result = optimize_split(dataclasses.replace(spec, b_bar=2 * half + 1))
+        assert (result.b_h, result.b_p) == (half, half + 1)
+        assert result.profile[half - 1][2:] == result.profile[half][2:]
+
+    def test_odd_budget_tie_at_a_search_of_the_benchmark_stream(self):
+        """Seed 1 of the split-search stream: (4, 3) once rounded 4e-15 above (3, 4)."""
+        spec = ExperimentSpec(
+            name="search", M=256, K=3, tau_c=200, tau_p=3, snr_db=(19.72293657062776,),
+            evaluator="closed-form", b_bar=7,
         )
-        np.testing.assert_allclose(
-            [row[3] for row in profile], [row[3] for row in reversed(profile)], rtol=1e-12
-        )
+        result = optimize_split(spec)
+        assert (result.b_h, result.b_p) == (3, 4)
+        assert result.profile[2][2:] == result.profile[3][2:]
+
+    @pytest.mark.parametrize("snr_db", [-30.0, 0.0, 30.0])
+    @pytest.mark.parametrize("users", ["equal", "unequal-beta", "zero-pilots"])
+    def test_sinr_is_the_ratio_of_the_terms(self, snr_db, users):
+        """c A, as the search evaluates it, is signal / (variation + precoder noise + noise)."""
+        K = 6
+        extra = {
+            "equal": {},
+            "unequal-beta": {"beta": [0.05, 0.3, 1.0, 2.0, 4.5, 10.0]},
+            "zero-pilots": {"beta": [0.5, 1.0, 2.0, 0.5, 1.0, 2.0], "pilot_power": [0.0, 3.0, 0.0, 0.2, 40.0, 0.0]},
+        }[users]
+        cfg = SystemConfig.from_snr(M=64, K=K, tau_c=200, tau_p=K, snr_db=snr_db, **extra)
+        b_h, b_p = [1, 2, 5, 9, 33, None, 4], [None, 1, 6, 33, 2, 3, 40]
+        terms = closed_form_mrt_terms(cfg, b_h, b_p)
+        ratio = terms["signal"] / (terms["variation"] + terms["precoder_noise"] + terms["noise"])
+        sinr, _, _ = se._closed_form_mrt_profile(cfg, b_h, b_p)
+        np.testing.assert_allclose(sinr, ratio, rtol=1e-13, atol=0.0)
+        if users == "zero-pilots":
+            assert np.all(sinr[:, [0, 2, 5]] == 0.0) and np.all(sinr[:, [1, 3, 4]] > 0.0)
+
+
+def four_term_sinr(cfg, b_h, b_p):
+    """The MRT closed form evaluated term by term through zeta_bar and alpha_bar, as a reference.
+
+    signal = alpha_bar^2 zeta_bar^2 (1-eta_p)^2 (1-eta_h)^2 M^2 gamma_k^2,
+    variation = alpha_bar^2 zeta_bar^2 (1-eta_p)^2 (1-eta_h) M beta_k
+    sum_i gamma_i, precoder noise = alpha_bar^2 eta_p (1-eta_p) P_t beta_k,
+    with zeta_bar^2 = P_t / (M (1-eta_h) sum_i gamma_i) and alpha_bar^2 =
+    1/(1-eta_p).
+    """
+    eta_h, eta_p = eta_of_bits(b_h), eta_of_bits(b_p)
+    gamma = gamma_coefficient(cfg.pilot_power, cfg.tau_p, cfg.beta)
+    with np.errstate(all="ignore"):
+        gtil_sum = np.sum((1.0 - eta_h) * gamma)
+        zeta_sq = cfg.total_power / (cfg.M * gtil_sum)
+        alpha_sq = 1.0 / (1.0 - eta_p)
+        common = alpha_sq * zeta_sq * (1.0 - eta_p) ** 2
+        signal = common * (1.0 - eta_h) ** 2 * cfg.M**2 * gamma**2
+        variation = common * cfg.M * cfg.beta * gtil_sum
+        prec_noise = alpha_sq * eta_p * (1.0 - eta_p) * cfg.beta * cfg.total_power
+        return signal / (variation + prec_noise + cfg.noise_var)
+
+
+class TestClosedFormRange:
+    """The c A form stays finite wherever the four-term form is."""
+
+    @pytest.mark.parametrize("noise_var", [1e-100, 1.0, 1e250])
+    @pytest.mark.parametrize("users", ["equal", "unequal-beta", "zero-pilots"])
+    def test_finite_wherever_the_four_term_form_is(self, noise_var, users):
+        """SNR -300 to +300 dB; P_t = sigma^2 10^(SNR/10) reaches 1e280, and beta 1e20 squares past the float range."""
+        extra = {
+            "equal": {},
+            "unequal-beta": {"beta": [1e-3, 0.5, 2.0, 1e20]},
+            "zero-pilots": {"beta": [0.5, 1.0, 2.0, 4.0], "pilot_power": [0.0, 1e-20, 1.0, 1e20]},
+        }[users]
+        splits = [(1, 1), (3, 7), (16, 16), (40, 2)]
+        finite = 0
+        for snr_db in np.arange(-300.0, 301.0, 10.0):
+            try:
+                cfg = SystemConfig.from_snr(M=64, K=4, tau_c=200, tau_p=4, snr_db=snr_db, noise_var=noise_var, **extra)
+            except ConfigError:  # P_t or the default pilot power past the float range
+                continue
+            sinr, se_k, sum_se = se._closed_form_mrt_profile(cfg, [b for b, _ in splits], [b for _, b in splits])
+            assert np.all(sinr >= 0.0)
+            for row, (b_h, b_p) in enumerate(splits):
+                ref = four_term_sinr(cfg, b_h, b_p)
+                kept = np.isfinite(ref)
+                finite += np.count_nonzero(kept)
+                assert np.all(np.isfinite(sinr[row][kept]) & np.isfinite(se_k[row][kept]))
+                if kept.all():
+                    assert np.isfinite(sum_se[row])
+                # wherever both are normal numbers they agree to rounding
+                normal = kept & (ref > 1e-300) & (sinr[row] > 1e-300)
+                np.testing.assert_allclose(sinr[row][normal], ref[normal], rtol=1e-12)
+        assert finite > 0
 
 
 class TestMcHardeningSinr:

@@ -93,6 +93,22 @@ class TestSystemConfig:
         with pytest.raises(ConfigError, match="total_power must be finite and positive"):
             SystemConfig.from_snr(M=16, K=4, tau_c=50, tau_p=4, snr_db=-4000.0)
 
+    @pytest.mark.parametrize("noise_var", [float("inf"), float("nan"), 0.0, -1.0, np.float64("inf")])
+    def test_from_snr_names_a_bad_noise_var(self, noise_var):
+        """A bad noise_var is refused by its own name, not as the total_power derived from it."""
+        with pytest.raises(ConfigError) as info:
+            SystemConfig.from_snr(M=16, K=2, tau_c=50, tau_p=4, snr_db=0.0, noise_var=noise_var)
+        assert str(info.value) == "noise_var must be finite and positive"
+
+    def test_default_pilot_power_overflow_names_its_source(self):
+        """The default pilot power total_power / noise_var overflowing is not blamed on a pilot_power nobody gave."""
+        with pytest.raises(ConfigError) as info:
+            SystemConfig(M=16, K=2, tau_c=50, tau_p=4, total_power=1e308, noise_var=1e-10)
+        assert str(info.value) == "the default pilot_power total_power / noise_var is beyond floating-point range"
+        # a pilot power that is given is used as it is
+        cfg = SystemConfig(M=16, K=2, tau_c=50, tau_p=4, total_power=1e308, noise_var=1e-10, pilot_power=1.0)
+        assert cfg.pilot_power.tolist() == [1.0, 1.0]
+
     @pytest.mark.parametrize(
         "field, value, message",
         [
