@@ -22,16 +22,22 @@ variance beta_k - gamma_k (orthogonality of the linear MMSE estimator).
 Downlink channels follow from TDD reciprocity, H_down = H^T.
 
 Both the estimate and its CSI-quantized version are the unit draws with
-per-user scales, Hhat_q = Z_0 E_0 + Z_1 E_1 + Z_2 E_2 with E_j diagonal
-(_slot_scales), which is what lets the Monte Carlo loop work on the
-K x K slot statistics of sysmodel._trial_stats instead of the M x K
-arrays.
+per-user scales, Hhat_q = Z_0 E_0 + Z_1 E_1 + Z_2 E_2 with E_j diagonal,
+which is what lets the Monte Carlo loop work on the K x K slot
+statistics of sysmodel._trial_stats instead of the M x K arrays.  The
+CSI quantizer enters E only through u = 1 - eta_h and
+v = sqrt(eta_h (1 - eta_h)), so the K x K products split into pieces
+free of the bit split (_slot_pieces), and each B_H costs one weighted
+sum of them (_estimate_products).
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
+from . import sysmodel
 from .quantization import aqnm_noise_var
 from .sysmodel import SystemConfig, draw_complex_gaussian
 
@@ -94,29 +100,75 @@ def estimate_channel(cfg: SystemConfig, rng_channel, rng_noise) -> tuple[np.ndar
     return H, mmse_estimate(Y, cfg)
 
 
-def _slot_scales(cfg: SystemConfig, eta_h: float) -> np.ndarray:
-    """Per-user scales E, shape (3, K), with Hhat_q = sum_j Z_j diag(E[j]).
+def _slot_pieces(cfg: SystemConfig, S: np.ndarray, perfect: bool = False, block=None) -> tuple:
+    """The split-free pieces (G_uu, G_uv, G_vv, A_0, B_0, T_u, T_v) of the estimate's K x K products.
 
-    Z_j is slot j of the unit draws.  The MMSE coefficient c_k acts on
-    y_k = sqrt(q_k tau_p beta_k) z_0k + z_1k; the CSI quantizer keeps
-    (1 - eta_h) of it and adds z_2k at its AQNM noise standard deviation.
+    S is the (n, 3, K, 4, K) array of sysmodel._trial_stats, with
+    Q_jl = S[:, j, :, l] and R_j = S[:, j, :, 3].  With u = 1 - eta_h and
+    v = sqrt(eta_h (1 - eta_h)), the slot scales of the quantized estimate
+    are E_0 = u a, E_1 = u b and E_2 = v sqrt(gamma), where a and b are the
+    MMSE coefficient's eta-free scales on the channel draw and on the
+    pilot noise.  So its Gram G = sum_jl E_j Q_jl E_l, the channel's
+    matched products V_0 = sum_l Q_0l E_l (H^T Hhat_q^* = D_beta^(1/2) V_0)
+    and T = sum_j E_j R_j are
+
+        G = u^2 G_uu + u v G_uv + v^2 G_vv,   V_0 = u A_0 + v B_0,   T = u T_u + v T_v
+
+    (_estimate_products), and the pieces depend on the statistics, beta,
+    the pilot power and tau_p, but not on B_H.  Perfect CSI is
+    a = sqrt(beta), b = 0 and v = 0; its v pieces are None.  Each piece
+    is (n, K, K).
+
+    block, the (seed, trial ids, domain) of a first-attempt block, memoizes
+    the pieces, read-only, under that block's statistics key plus beta,
+    the pilot power and tau_p (sysmodel._pieces_cache), so every B_H and
+    every SNR at one pilot power reads them; without it (a redraw block,
+    or statistics the caller holds) they are formed and never stored.
     """
-    gain = (1.0 - eta_h) * _mmse_coef(cfg)
-    return np.array([gain * np.sqrt(cfg.pilot_power * cfg.tau_p * cfg.beta), gain, _csi_noise_std(cfg, eta_h)])
+    key = None
+    if block is not None:
+        config = (None,) if perfect else (tuple(cfg.pilot_power.tolist()), cfg.tau_p)
+        key = (*sysmodel._stats_key(cfg, *block), tuple(cfg.beta.tolist()), *config)
+        if key in sysmodel._pieces_cache:
+            return sysmodel._pieces_cache[key]
+    R = S[:, :, :, 3]
+    if perfect:
+        a = np.sqrt(cfg.beta)
+        A0 = S[:, 0, :, 0] * a
+        pieces = (a[:, None] * A0, None, None, A0, None, a[:, None] * R[:, 0], None)
+    else:
+        b = _mmse_coef(cfg)
+        a = b * np.sqrt(cfg.pilot_power * cfg.tau_p * cfg.beta)
+        c = np.sqrt(_gamma(cfg.pilot_power, cfg.tau_p, cfg.beta))
+        # the u and v parts of V_j = Z_j^T Hhat_q^* = sum_l Q_jl E_l
+        Vu = [S[:, j, :, 0] * a + S[:, j, :, 1] * b for j in range(3)]
+        Vv = [S[:, j, :, 2] * c for j in range(3)]
+        a, b, c = a[:, None], b[:, None], c[:, None]
+        G_uv = a * Vv[0] + b * Vv[1] + c * Vu[2]
+        pieces = (a * Vu[0] + b * Vu[1], G_uv, c * Vv[2], Vu[0], Vv[0], a * R[:, 0] + b * R[:, 1], c * R[:, 2])
+    if key is not None:
+        for piece in [piece for piece in pieces if piece is not None]:
+            piece.setflags(write=False)
+        sysmodel._memoize(sysmodel._pieces_cache, key, pieces)
+    return pieces
 
 
-def _slot_gram(S: np.ndarray, scales: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(G, V_0) of the estimate Hhat_q = sum_j Z_j diag(scales[j]), from slot statistics.
+def _estimate_products(pieces: tuple, eta_h: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(G, V_0, T) at CSI distortion eta_h from the pieces of _slot_pieces, each a new (n, K, K) array.
 
-    S is the (n, 3, K, 4, K) array of sysmodel._trial_stats.  With
-    V_j = Z_j^T Hhat_q^* = sum_l Q_jl diag(scales[l]), the Gram is
-    G = Hhat_q^T Hhat_q^* = sum_j diag(scales[j]) V_j, and V_0 gives the
-    channel's matched products, H^T Hhat_q^* = diag(sqrt(beta)) V_0.
-    Slots whose scales are all zero are skipped.  Both are (n, K, K).
+    The v terms pass through one scratch array: fresh temporaries of this
+    size can cost more in the allocator than the arithmetic.
     """
-    slots = [j for j in range(3) if np.any(scales[j])]
-    V = {j: sum(S[:, j, :, l] * scales[l] for l in slots) for j in {0, *slots}}
-    return sum(scales[j][:, None] * V[j] for j in slots), V[0]
+    G_uu, G_uv, G_vv, A0, B0, T_u, T_v = pieces
+    u, v = 1.0 - eta_h, math.sqrt(eta_h * (1.0 - eta_h))
+    G, V0, T = G_uu * (u * u), A0 * u, T_u * u
+    if v:
+        tmp = np.multiply(G_uv, u * v)
+        G += tmp
+        G += np.multiply(G_vv, v * v, out=tmp)
+        V0 += np.multiply(B0, v, out=tmp)
+        T += np.multiply(T_v, v, out=tmp)
+    return G, V0, T
 
 
 def quantized_estimate(cfg: SystemConfig, z: np.ndarray, eta_h: float) -> tuple[np.ndarray, np.ndarray]:

@@ -13,9 +13,12 @@ respective kinds (G = H_d H_d^H).
 
 The Monte Carlo loop never forms P.  With Hhat_q = H_d^T the quantized
 estimate, every kind is P = s Hhat_q^* W for a K x K matrix W (I for
-MRT, G^(-1) for ZF, (G + (K sigma^2 / P_t) I)^(-1) for WF, G = H_d H_d^H),
-so ||P[:, i]||^2 = s^2 (W^H G W)_ii and s^2 = P_t / tr(W^H G W) follow
-from the Gram alone (_kxk_precoder).
+MRT, G^(-1) for ZF, (G + lambda I)^(-1) with lambda = K sigma^2 / P_t
+for WF, G = H_d H_d^H), so ||P[:, i]||^2 = s^2 (W^H G W)_ii and
+s^2 = P_t / tr(W^H G W) follow from the Gram alone (_kxk_precoder).
+The ZF and WF column norms come from the inverse itself, with no G W
+product: W^H G W = W for ZF, and G W = I - lambda W for WF, so
+(W^H G W)_ii = Re W_ii - lambda sum_a |W_ai|^2.
 
 When the precoder itself crosses the fronthaul it is quantized entrywise,
 and the AQNM noise variance eta_p (1 - eta_p) E|P[m, i]|^2 needs the
@@ -41,7 +44,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .channel import _gamma, _slot_gram, _slot_scales
+from .channel import _estimate_products, _gamma, _slot_pieces
 from .sysmodel import DOMAIN_MOMENTS, TRIAL_BLOCK, SystemConfig, _trial_stats
 
 PRECODER_KINDS = ("mrt", "zf", "wf")
@@ -133,22 +136,30 @@ def build_precoder(H_d: np.ndarray, kind: str, cfg: SystemConfig) -> np.ndarray:
 def _kxk_precoder(G: np.ndarray, kind: str, cfg: SystemConfig):
     """The K x K side of P = s Hhat_q^* W from Grams G, shape (..., K, K): (W, s, col).
 
-    W is None for MRT (the identity) and (G + load I)^(-1) for ZF/WF;
-    s, shape (...), sets ||P||_F^2 = P_t; col, shape (..., K), holds
-    ||P[:, i]||^2 = s^2 (W^H G W)_ii.  The caller has masked out singular
-    ZF/WF Grams (rank_deficient_mask); a zero-norm precoder raises
-    RankDeficientError.  Every reduction runs within one trial, so a
-    trial's numbers do not depend on the others in G.
+    W is None for MRT (the identity), G^(-1) for ZF and
+    (G + lambda I)^(-1) for WF, lambda = K sigma^2 / P_t; s, shape (...),
+    sets ||P||_F^2 = P_t; col, shape (..., K), holds
+    ||P[:, i]||^2 = s^2 (W^H G W)_ii.  The diagonal comes from W with no
+    G W product: (W^H G W)_ii is G_ii for MRT, Re W_ii for ZF
+    (W^H G W = W) and Re W_ii - lambda sum_a |W_ai|^2 for WF
+    (G W = I - lambda W).  The WF difference gives up about
+    log10(lambda / G_ii) of its digits to cancellation, which leaves
+    rounding-level error at the presets' SNRs.  The caller has masked
+    out singular ZF/WF Grams (rank_deficient_mask); a zero-norm precoder
+    raises RankDeficientError.  Every reduction runs within one trial, so
+    a trial's numbers do not depend on the others in G.
     """
     W = None
     if kind == "mrt":
         col = np.diagonal(G, axis1=-2, axis2=-1).real
     else:
-        A = G + cfg.K * cfg.noise_var / cfg.total_power * np.eye(cfg.K) if kind == "wf" else G
-        W = np.linalg.inv(A)
-        # (W^H G W)_ii = sum_a conj(W_ai) (G W)_ai, with a on the contiguous last axis
-        prod = np.multiply(W.conj().swapaxes(-2, -1), (G @ W).swapaxes(-2, -1), out=np.empty(G.shape, complex))
-        col = np.sum(prod.real, axis=-1)
+        load = cfg.K * cfg.noise_var / cfg.total_power
+        W = np.linalg.inv(G + load * np.eye(cfg.K) if kind == "wf" else G)
+        col = np.diagonal(W, axis1=-2, axis2=-1).real
+        if kind == "wf":
+            sq = np.abs(W)
+            sq *= sq
+            col = col - load * np.sum(sq, axis=-2)
     norm_sq = np.sum(col, axis=-1)
     if np.any(norm_sq == 0.0):
         raise RankDeficientError("precoder has zero norm")
@@ -223,11 +234,11 @@ def estimate_moments_mc(cfg: SystemConfig, kind: str, eta_h: float, trials: int,
         raise ValueError("trials must be >= 100")
     if kind not in PRECODER_KINDS:
         raise ValueError(f"unknown precoder kind {kind!r}, expected one of {PRECODER_KINDS}")
-    scales = _slot_scales(cfg, eta_h)
     col = np.empty((trials, cfg.K))
     for start in range(0, trials, TRIAL_BLOCK):
-        ids = range(start, min(start + TRIAL_BLOCK, trials))
-        G, _ = _slot_gram(_trial_stats(cfg, seed, ids, domain=DOMAIN_MOMENTS)[0], scales)
+        ids = tuple(range(start, min(start + TRIAL_BLOCK, trials)))
+        S = _trial_stats(cfg, seed, ids, domain=DOMAIN_MOMENTS)[0]
+        G = _estimate_products(_slot_pieces(cfg, S, block=(seed, ids, DOMAIN_MOMENTS)), eta_h)[0]
         if kind != "mrt" and np.any(rank_deficient_mask(G)):
             raise RankDeficientError("estimated channel Gram matrix is numerically singular")
         col[start : start + len(ids)] = _kxk_precoder(G, kind, cfg)[2]

@@ -13,9 +13,9 @@ batching or worker count, and sweeping quantizer resolutions reuses the
 same channel and unit noise draws in every cell (common random numbers).
 
 Every gain matrix is K x K arithmetic on the slot statistics of
-sysmodel._trial_stats.  With Hhat_q = sum_j Z_j E_j (channel._slot_scales),
-G its Gram, V_0 = Z_0^T Hhat_q^* (channel._slot_gram), the precoder
-P = s Hhat_q^* W (precoding._kxk_precoder), its quantized version
+sysmodel._trial_stats.  With Hhat_q = sum_j Z_j E_j, G its Gram,
+V_0 = Z_0^T Hhat_q^*, the precoder P = s Hhat_q^* W
+(precoding._kxk_precoder), its quantized version
 P_q = (1 - eta_p) P + Z_3 Sigma_p and the transmit rescale alpha:
 
     H^T P_q = (1 - eta_p) s D_beta^(1/2) V_0 W + D_beta^(1/2) R_0 Sigma_p
@@ -23,16 +23,32 @@ P_q = (1 - eta_p) P + Z_3 Sigma_p and the transmit rescale alpha:
                 + sum_i sigma_p,i^2 ||Z_3[:, i]||^2,   T = sum_j E_j R_j
     alpha^2 = P_t / ||P_q||^2.
 
-Perfect CSI is E = (beta^(1/2), 0, 0) with no precoder quantizer, so the
-gains are s G W.  Nothing M x K is formed after the statistics, and the
-statistics serve every cell of a run.
+The CSI quantizer enters E only through u = 1 - eta_h and
+v = sqrt(eta_h (1 - eta_h)): E_0 = u a, E_1 = u b and E_2 = v gamma^(1/2),
+with a and b the MMSE scales.  So
+
+    G = u^2 G_uu + u v G_uv + v^2 G_vv,   V_0 = u A_0 + v B_0,   T = u T_u + v T_v
+
+from seven pieces that depend on the statistics, beta, the pilot power
+and tau_p but not on B_H (channel._slot_pieces).  A first-attempt
+block's pieces are memoized beside its statistics, so each further B_H
+of a config costs three weighted sums (channel._estimate_products); a
+redraw block forms its own.  Perfect CSI is a = beta^(1/2), b = 0 and
+v = 0 with no precoder quantizer, so the gains are s G W.  Nothing M x K
+is formed after the statistics, and the statistics serve every cell of
+a run.
 
 Of these, G, V_0, T and the rank mask depend on the statistics and B_H
 alone, and W and s on B_H and the precoder kind, but none on B_P.  So
 _mc_taps evaluates every (kind, B_P) tap at one B_H in one block loop,
-forming them once and running only the precoder-quantizer tail (eta_p,
-Sigma_p, ||P_q||^2, alpha and the gains) per tap; mc_hardening_sinr is
-its one-tap case.
+forming them once, and Re sum_a conj(W_ai) T_ai once per kind, and runs
+only the precoder-quantizer tail (eta_p, Sigma_p, ||P_q||^2, alpha and
+the gains) per tap; mc_hardening_sinr is its one-tap case.  The
+hardening bound reads only E g_kk and sum_i E|g_ki|^2, so a tap keeps
+per trial its diagonal gains and its row powers sum_i |g_ki|^2, alpha
+applied, as two (trials, K) arrays and no stack of K x K gains.  Both
+are averaged over the trials in canonical order, so a tap is
+bit-identical in any group and at any block size.
 
 For maximum ratio transmission the expectations are also available in
 closed form, with the deterministic normalization zeta_bar in place of
@@ -59,16 +75,17 @@ its mirror give the same row.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import sysmodel
-from .channel import _slot_gram, _slot_scales
+from .channel import _estimate_products, _slot_pieces
 from .precoding import PRECODER_KINDS, _kxk_precoder, _mrt_gamma, _mrt_normalization, precoder_entry_var, rank_deficient_mask
 from .quantization import aqnm_noise_var, eta_of_bits
-from .sysmodel import TRIAL_BLOCK, SystemConfig, _trial_stats
+from .sysmodel import DOMAIN_TRIAL, TRIAL_BLOCK, SystemConfig, _trial_stats
 
 CSI_MODES = ("quantized", "perfect")
 
@@ -115,8 +132,13 @@ def se_from_sinr(sinr, tau_p: int, tau_c: int) -> np.ndarray:
 
 
 def _se(sinr: np.ndarray, tau_p: int, tau_c: int) -> np.ndarray:
-    """se_from_sinr without its checks: for a nonnegative SINR array and a SystemConfig's tau_p, tau_c."""
-    return (1.0 - tau_p / tau_c) * np.log2(1.0 + sinr)
+    """se_from_sinr without its checks: for a nonnegative SINR array and a SystemConfig's tau_p, tau_c.
+
+    log1p keeps the SINR's low digits that 1 + SINR would round away, so
+    splits whose SINRs differ below double rounding of 1 + SINR still
+    get different SEs.
+    """
+    return np.log1p(sinr) * ((1.0 - tau_p / tau_c) / math.log(2.0))
 
 
 def mc_hardening_sinr(
@@ -167,11 +189,13 @@ def _mc_taps(cfg: SystemConfig, b_h, taps, trials: int, seed: int, csi_mode="qua
     (zero pilot power), a zero-norm precoder, or redraws exhausted.  A bad
     csi_mode, trial count or b_h raises.
 
-    Each block's statistics, G, V_0, T = sum_j E_j R_j and rank mask are
-    formed once; W, s and the moment prior once per kind; only the
-    precoder-quantizer tail (eta_p, Sigma_p, the norm, alpha and the
-    gains) runs per tap, with the operations a lone tap runs, so every
-    report is bit-identical to the tap's own mc_hardening_sinr.  ZF/WF
+    Each block's statistics, G, V_0, T = sum_j E_j R_j (from the
+    memoized split-free pieces) and rank mask are formed once; W, s, the
+    moment prior and the kind's share of the cross term once per kind;
+    only the precoder-quantizer tail (eta_p, Sigma_p, the norm, alpha,
+    and the diagonal gains and row powers) runs per tap, with the
+    operations a lone tap runs, so every report is bit-identical to the
+    tap's own mc_hardening_sinr.  ZF/WF
     taps share the rank mask and the redraw blocks; MRT taps read the
     first-attempt rows only.  Each tap's stage_s holds its own moment
     prior and tail; the numpy.random import, the statistics and the
@@ -188,8 +212,8 @@ def _mc_taps(cfg: SystemConfig, b_h, taps, trials: int, seed: int, csi_mode="qua
     import_s = sysmodel._import_random()
     clock, stats_clock = time.perf_counter(), sysmodel._stats_seconds
     sqrt_beta = np.sqrt(cfg.beta)
-    # the true channel, Z_0 D_beta^(1/2), or the quantized estimate
-    scales = np.outer([1.0, 0.0, 0.0], sqrt_beta) if perfect else _slot_scales(cfg, eta_of_bits(b_h))
+    # the true channel, Z_0 D_beta^(1/2), is the estimate at eta_h = 0 with a = sqrt(beta), b = 0
+    eta_h = 0.0 if perfect else eta_of_bits(b_h)
     out: list = [None] * len(taps)
     moments_s, kxk_s = [0.0] * len(taps), [0.0] * len(taps)
     # (eta_p, Sigma_p) of every tap still running, and the moment prior per kind
@@ -215,7 +239,9 @@ def _mc_taps(cfg: SystemConfig, b_h, taps, trials: int, seed: int, csi_mode="qua
             out[n] = exc
             del quantizer[n]
 
-    gains = {n: np.empty((trials, cfg.K, cfg.K), dtype=complex) for n in quantizer}
+    # per tap and trial: the diagonal gains g_kk and the row powers sum_i |g_ki|^2
+    diag = {n: np.empty((trials, cfg.K), dtype=complex) for n in quantizer}
+    power = {n: np.empty((trials, cfg.K)) for n in quantizer}
     attempt = np.zeros(trials, int)
     # first attempts come in TRIAL_BLOCK-aligned blocks, the keys of the
     # stats memo; each block's redraws follow as a block of their own
@@ -227,8 +253,9 @@ def _mc_taps(cfg: SystemConfig, b_h, taps, trials: int, seed: int, csi_mode="qua
         if not live:
             continue
         S, nu = _trial_stats(cfg, seed, ids, attempt[ids])
-        G, V0 = _slot_gram(S, scales)
-        T = sum(scales[j][:, None] * S[:, j, :, 3] for j in range(3))
+        # a first-attempt block's split-free pieces are memoized; a redraw block's are not
+        block = None if np.any(attempt[ids]) else (seed, tuple(ids.tolist()), DOMAIN_TRIAL)
+        G, V0, T = _estimate_products(_slot_pieces(cfg, S, perfect, block), eta_h)
         # per kind, the rows it keeps: (ids, G, V_0, T, D_beta^(1/2) R_0, nu)
         rows = {"mrt": (ids, G, V0, T, sqrt_beta[:, None] * S[:, 0, :, 3], nu)}
         bad = rank_deficient_mask(G) if any(taps[n][0] != "mrt" for n in live) else np.zeros(len(ids), bool)
@@ -240,21 +267,26 @@ def _mc_taps(cfg: SystemConfig, b_h, taps, trials: int, seed: int, csi_mode="qua
             except np.linalg.LinAlgError as exc:  # RankDeficientError: a zero-norm precoder
                 fail({kind}, exc)
                 continue
-            # per kind: D_beta^(1/2) V_0 W, and the conj(W) of Re tr(W^H T Sigma_p)
+            # per kind: D_beta^(1/2) V_0 W, and Re sum_a conj(W_ai) T_ai, so that each
+            # tap's Re tr(W^H T Sigma_p) is one sum over i
             VW = sqrt_beta[:, None] * (V0_k if W is None else V0_k @ W)
-            W_conj = None if W is None else W.conj()
+            WT = (np.diagonal(T_k, axis1=-2, axis2=-1) if W is None else np.sum(W.conj() * T_k, axis=-2)).real
+            # the kind's taps reuse two gain-sized arrays
+            gain, noise = np.empty_like(VW), np.empty_like(VW)
             for n in [n for n in live if taps[n][0] == kind]:
                 t0 = time.perf_counter()
                 eta_p, std = quantizer[n]
                 s = s_k * (1.0 - eta_p)
-                # T Sigma_p, and Re tr(W^H T Sigma_p) = sum_ai conj(W_ai) (T Sigma_p)_ai
-                TS = T_k * std
-                cross = (np.diagonal(TS, axis1=-2, axis2=-1) if W is None else np.sum(W_conj * TS, axis=-1)).real
-                norm_sq = (1.0 - eta_p) ** 2 * cfg.total_power + 2.0 * s * np.sum(cross, axis=-1)
+                norm_sq = (1.0 - eta_p) ** 2 * cfg.total_power + 2.0 * s * np.sum(WT * std, axis=-1)
                 norm_sq += np.sum(nu_k * std**2, axis=-1)
-                gain = VW * s[:, None, None]
-                gain += R0_k * std
-                gains[n][kept] = gain * np.sqrt(cfg.total_power / norm_sq)[:, None, None]
+                alpha_sq = cfg.total_power / norm_sq
+                np.multiply(VW, s[:, None, None], out=gain)
+                gain += np.multiply(R0_k, std, out=noise)
+                diag[n][kept] = np.diagonal(gain, axis1=-2, axis2=-1) * np.sqrt(alpha_sq)[:, None]
+                # sum_i |g_ki|^2 as one sum of squares over the real view of row k
+                sq = gain.view(float)
+                sq *= sq
+                power[n][kept] = np.sum(sq, axis=-1) * alpha_sq[:, None]
                 kxk_s[n] += time.perf_counter() - t0
 
         redo = ids[bad]
@@ -270,11 +302,9 @@ def _mc_taps(cfg: SystemConfig, b_h, taps, trials: int, seed: int, csi_mode="qua
     for n in quantizer:
         t0 = time.perf_counter()
         kind, b_p = taps[n]
-        # hardening bound from the per-trial gain matrices, canonical trial order
-        mean_gain = np.mean(gains[n], axis=0)
-        mean_power = np.mean(np.abs(gains[n]) ** 2, axis=0)
-        desired = np.abs(np.diagonal(mean_gain)) ** 2
-        sinr = desired / (np.sum(mean_power, axis=1) - desired + cfg.noise_var)
+        # hardening bound from the per-trial diagonal gains and row powers, canonical trial order
+        desired = np.abs(np.mean(diag[n], axis=0)) ** 2
+        sinr = desired / (np.mean(power[n], axis=0) - desired + cfg.noise_var)
         se = se_from_sinr(sinr, cfg.tau_p, cfg.tau_c)
         kxk_s[n] += time.perf_counter() - t0
         out[n] = SeReport(
@@ -474,18 +504,18 @@ def mc_mrt_term_estimates(
     gtil, zeta_bar_sq = _mrt_normalization(cfg, eta_h)
     alpha_bar_sq = 1.0 / (1.0 - eta_p)
     prec_noise_std = np.sqrt(aqnm_noise_var(eta_p, zeta_bar_sq * gtil))
-    scales = _slot_scales(cfg, eta_h)
     sqrt_beta = np.sqrt(cfg.beta)[:, None]
 
     inner = np.empty((trials, cfg.K, cfg.K), dtype=complex)
     qnoise = np.empty((trials, cfg.K))
     for start in range(0, trials, TRIAL_BLOCK):
-        ids = np.arange(start, min(start + TRIAL_BLOCK, trials))
+        ids = tuple(range(start, min(start + TRIAL_BLOCK, trials)))
         S, _ = _trial_stats(cfg, seed, ids)
         # matched-filter direction without per-realization normalization,
         # H^T Hhat_q^*, and the precoder noise gains H^T Z_3 Sigma_p
-        inner[ids] = sqrt_beta * _slot_gram(S, scales)[1]
-        qnoise[ids] = np.sum(np.abs(sqrt_beta * S[:, 0, :, 3] * prec_noise_std) ** 2, axis=-1)
+        pieces = _slot_pieces(cfg, S, block=(seed, ids, DOMAIN_TRIAL))
+        inner[start : start + len(ids)] = sqrt_beta * _estimate_products(pieces, eta_h)[1]
+        qnoise[start : start + len(ids)] = np.sum(np.abs(sqrt_beta * S[:, 0, :, 3] * prec_noise_std) ** 2, axis=-1)
 
     scale = alpha_bar_sq * zeta_bar_sq * (1.0 - eta_p) ** 2
     mean_inner = np.mean(inner, axis=0)

@@ -21,7 +21,8 @@ of the Z_j, so the draw cost does not grow with the antenna count.
 The statistics do not depend on the config, so one set serves every SNR,
 pilot power and bit width of a run.  First-attempt blocks are memoized
 per process (read-only, oldest dropped first, at most
-``_STATS_CACHE_BYTES``).
+``_STATS_CACHE_BYTES``), and so are the split-free estimate pieces that
+channel._slot_pieces derives from them, under the same bound.
 """
 
 from __future__ import annotations
@@ -51,11 +52,14 @@ TRIAL_BLOCK = 256
 # the block size.
 _STATS_CHUNK = 16
 
-# Byte bound on the memo of slot statistics: 12 KB per trial at K=8, so
-# a 1000-trial run takes 12.6 MB.
+# Byte bound on the memos of slot statistics and of the estimate pieces
+# derived from them: 12 KB of statistics per trial at K=8, so a 1000-trial
+# run takes 12.6 MB, plus 7 KB of pieces per trial and estimation config.
 _STATS_CACHE_BYTES = 128 * 2**20
 # (M, K, seed, domain, trial ids) -> (S, nu), as _trial_stats returns them
 _stats_cache: dict[tuple, tuple] = {}
+# a _stats_cache key plus the estimation parameters -> the pieces of channel._slot_pieces
+_pieces_cache: dict[tuple, tuple] = {}
 # Seconds spent drawing statistics in this process, so far
 _stats_seconds = 0.0
 
@@ -76,20 +80,28 @@ def _import_random() -> float:
 
 
 def _nbytes(value: tuple) -> int:
-    return sum(a.nbytes for a in value)
+    return sum(a.nbytes for a in value if a is not None)
 
 
-def _memoize(key: tuple, value: tuple) -> None:
-    """Store a read-only value under key, dropping the oldest entries for room.
+def _stats_key(cfg: SystemConfig, seed: int, ids: tuple, domain: int) -> tuple:
+    """The _stats_cache key of a first-attempt block of trial ids."""
+    return (cfg.M, cfg.K, seed, domain, ids)
 
-    A value larger than the whole bound drops nothing and is not stored.
+
+def _memoize(cache: dict, key: tuple, value: tuple) -> None:
+    """Store a read-only value under key in cache, one of the two memos, dropping old entries for room.
+
+    _stats_cache and _pieces_cache share the one bound.  The pieces, which
+    are derived from the statistics, are dropped first, oldest first.  A
+    value larger than the whole bound drops nothing and is not stored.
     """
     if _nbytes(value) > _STATS_CACHE_BYTES:
         return
-    held = sum(_nbytes(v) for v in _stats_cache.values())
-    while held + _nbytes(value) > _STATS_CACHE_BYTES:
-        held -= _nbytes(_stats_cache.pop(next(iter(_stats_cache))))
-    _stats_cache[key] = value
+    held = sum(_nbytes(v) for c in (_pieces_cache, _stats_cache) for v in c.values())
+    for c in (_pieces_cache, _stats_cache):
+        while c and held + _nbytes(value) > _STATS_CACHE_BYTES:
+            held -= _nbytes(c.pop(next(iter(c))))
+    cache[key] = value
 
 
 def _real(name: str, value):
@@ -291,7 +303,7 @@ def _trial_stats(cfg: SystemConfig, seed: int, trial_ids, attempt=None, domain: 
     global _stats_seconds
     ids = tuple(int(t) for t in trial_ids)
     attempts = (0,) * len(ids) if attempt is None else tuple(int(a) for a in attempt)
-    key = (cfg.M, cfg.K, seed, domain, ids)
+    key = _stats_key(cfg, seed, ids, domain)
     memoize = not any(attempts)
     if memoize and key in _stats_cache:
         return _stats_cache[key]
@@ -302,7 +314,7 @@ def _trial_stats(cfg: SystemConfig, seed: int, trial_ids, attempt=None, domain: 
         a.setflags(write=False)
     _stats_seconds += time.perf_counter() - t0
     if memoize:
-        _memoize(key, stats)
+        _memoize(_stats_cache, key, stats)
     return stats
 
 

@@ -51,8 +51,10 @@ def m_space_stats(monkeypatch, m_space_reduction):
     """Draw the slot statistics by reducing trial_draws, so K x K results can be checked against M x K references.
 
     Only the draw step under sysmodel._trial_stats is replaced: its memo,
-    layout and redraw rule stay under test.  The memo starts empty and is
+    layout and redraw rule stay under test.  The memo, and the memo of the
+    estimate pieces derived from its statistics, start empty and are
     restored afterwards, so no reduced statistics reach later tests.
     """
     monkeypatch.setattr(sysmodel, "_stats_cache", {})
+    monkeypatch.setattr(sysmodel, "_pieces_cache", {})
     monkeypatch.setattr(sysmodel, "_draw_stats", m_space_reduction)

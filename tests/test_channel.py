@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import fhalloc.sysmodel as sysmodel
-from fhalloc.channel import _slot_gram, _slot_scales, gamma_coefficient, mmse_estimate, quantized_estimate
+from fhalloc.channel import _estimate_products, _slot_pieces, gamma_coefficient, mmse_estimate, quantized_estimate
 from fhalloc.quantization import eta_of_bits
 from fhalloc.sysmodel import SystemConfig, trial_draws
 
@@ -183,32 +183,90 @@ class TestQuantizedEstimate:
 
 
 def gram_reference(cfg, z, eta_h):
-    """(G, H^T Hhat_q^*) from the M x K arrays of quantized_estimate."""
+    """(G, H^T Hhat_q^*, Hhat_q^T Z_3) from the M x K arrays of quantized_estimate."""
     H, Hhat_q = quantized_estimate(cfg, z, eta_h)
-    return Hhat_q.swapaxes(-2, -1) @ Hhat_q.conj(), H.swapaxes(-2, -1) @ Hhat_q.conj()
+    return Hhat_q.swapaxes(-2, -1) @ Hhat_q.conj(), H.swapaxes(-2, -1) @ Hhat_q.conj(), Hhat_q.swapaxes(-2, -1) @ z[:, 3]
+
+
+def slot_scales(cfg, eta_h, perfect=False):
+    """E_0, E_1, E_2 with Hhat_q = sum_j Z_j diag(E_j), written from the model.
+
+    The MMSE coefficient acts on y_k = sqrt(q_k tau_p beta_k) z_0k + z_1k,
+    the CSI quantizer keeps 1 - eta_h of it and adds z_2k at the AQNM
+    noise variance eta_h (1 - eta_h) gamma_k.  Perfect CSI is the channel
+    itself, Z_0 D_beta^(1/2).
+    """
+    if perfect:
+        return [np.sqrt(cfg.beta), np.zeros(cfg.K), np.zeros(cfg.K)]
+    q_tau, beta = cfg.pilot_power * cfg.tau_p, cfg.beta
+    coef = (1.0 - eta_h) * np.sqrt(q_tau) * beta / (q_tau * beta + 1.0)
+    gamma = gamma_coefficient(cfg.pilot_power, cfg.tau_p, beta)
+    return [coef * np.sqrt(q_tau * beta), coef, np.sqrt(eta_h * (1.0 - eta_h) * gamma)]
+
+
+def assert_close(got, want):
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13 * np.max(np.abs(want)))
+
+
+class TestSlotPieces:
+    """The split-free pieces recombine, at any eta_h, to the K x K products of the slot scales."""
+
+    ETAS = (0.0, eta_of_bits(1), eta_of_bits(3), eta_of_bits(8))
+
+    @pytest.mark.parametrize(
+        "config, perfect",
+        [
+            ({"beta": [0.5, 2.0, 1.0]}, False),
+            ({"beta": [0.5, 2.0, 1.0], "pilot_power": [0.0, 1.0, 3.0]}, False),
+            ({"beta": [0.5, 2.0, 1.0], "pilot_power": 0.2, "tau_p": 3}, False),
+            ({"beta": [0.5, 2.0, 1.0]}, True),
+        ],
+        ids=("unequal-beta", "zero-pilot-user", "low-pilot", "perfect"),
+    )
+    def test_pieces_recombine_to_the_scaled_sums(self, config, perfect):
+        cfg = cfg_small(K=3, **config)
+        S, _ = sysmodel._trial_stats(cfg, 4, range(5))
+        Q = lambda j, l: S[:, j, :, l]  # noqa: E731
+        pieces = _slot_pieces(cfg, S, perfect)
+        for eta in (0.0,) if perfect else self.ETAS:
+            E = slot_scales(cfg, eta, perfect)
+            G, V0, T = _estimate_products(pieces, eta)
+            assert_close(G, sum(E[j][:, None] * Q(j, l) * E[l] for j in range(3) for l in range(3)))
+            assert_close(V0, sum(Q(0, l) * E[l] for l in range(3)))
+            assert_close(T, sum(E[j][:, None] * Q(j, 3) for j in range(3)))
+
+    def test_zero_pilot_user_has_no_estimate(self):
+        cfg = cfg_small(K=3, pilot_power=[1.0, 0.0, 2.0])
+        G, V0, T = _estimate_products(_slot_pieces(cfg, sysmodel._trial_stats(cfg, 4, range(5))[0]), eta_of_bits(2))
+        for product in (G[:, 1, :], G[:, :, 1], V0[:, :, 1], T[:, 1, :]):
+            assert not np.any(product)
 
 
 class TestEstimateMemo:
-    """The estimate's K x K products come from memoized, config-free slot statistics."""
+    """The estimate's K x K products come from memoized, config-free slot statistics and memoized split-free pieces."""
 
     @pytest.fixture(autouse=True)
     def cold_cache(self, monkeypatch):
         monkeypatch.setattr(sysmodel, "_stats_cache", {})
+        monkeypatch.setattr(sysmodel, "_pieces_cache", {})
 
-    ETAS = (0.0, eta_of_bits(1), eta_of_bits(3), eta_of_bits(8))
+    ETAS = TestSlotPieces.ETAS
 
     @staticmethod
     def products(cfg, eta_h, ids=range(6), attempt=None):
+        """(G, H^T Hhat_q^*, T) of a block, its pieces memoized unless the block holds a redraw."""
+        ids = tuple(ids)
         S, _ = sysmodel._trial_stats(cfg, 3, ids, attempt)
-        G, V0 = _slot_gram(S, _slot_scales(cfg, eta_h))
-        return G, np.sqrt(cfg.beta)[:, None] * V0
+        block = None if attempt is not None and any(attempt) else (3, ids, sysmodel.DOMAIN_TRIAL)
+        G, V0, T = _estimate_products(_slot_pieces(cfg, S, block=block), eta_h)
+        return G, np.sqrt(cfg.beta)[:, None] * V0, T
 
     def test_slot_products_match_the_m_space_estimate(self, m_space_stats):
         cfg = cfg_small(beta=[0.5, 2.0])
         z = trial_draws(cfg, 3, range(6))
         for eta in self.ETAS:
             for got, want in zip(self.products(cfg, eta), gram_reference(cfg, z, eta)):
-                np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13 * np.max(np.abs(want)))
+                assert_close(got, want)
 
     def test_warm_cold_and_cleared_memo_agree(self):
         cfg = cfg_small(beta=[0.5, 2.0])
@@ -217,13 +275,18 @@ class TestEstimateMemo:
             return [self.products(cfg, eta) for eta in self.ETAS]
 
         cold = estimates()
-        assert len(sysmodel._stats_cache) == 1  # one entry serves every eta_h
+        # one entry of statistics and one of pieces serve every eta_h
+        assert len(sysmodel._stats_cache) == 1 and len(sysmodel._pieces_cache) == 1
         held = sysmodel._stats_cache[(cfg.M, cfg.K, 3, sysmodel.DOMAIN_TRIAL, tuple(range(6)))]
+        (pieces,) = sysmodel._pieces_cache.values()
         warm = estimates()
         assert sysmodel._trial_stats(cfg, 3, range(6)) is held  # served from the memo
+        assert _slot_pieces(cfg, held, block=(3, tuple(range(6)), sysmodel.DOMAIN_TRIAL)) is pieces
         sysmodel._stats_cache.clear()
+        sysmodel._pieces_cache.clear()
         cleared = estimates()
         assert sysmodel._trial_stats(cfg, 3, range(6)) is not held
+        assert next(iter(sysmodel._pieces_cache.values())) is not pieces
         for c, w, r in zip(cold, warm, cleared):
             for a, b, d in zip(c, w, r):
                 np.testing.assert_array_equal(b, a)
@@ -235,26 +298,32 @@ class TestEstimateMemo:
         for array in (S, nu):
             with pytest.raises(ValueError):
                 array[0, 0] = 1.0
-        G, F = self.products(cfg, eta_of_bits(2), range(4))
-        expected = (G.copy(), F.copy())
-        G[...] = 7.0  # the products are the caller's own arrays
-        F[...] = 7.0
-        for value in sysmodel._stats_cache.values():
-            assert all(not a.flags.writeable and not np.shares_memory(a, G) for a in value)
-        again = self.products(cfg, eta_of_bits(2), range(4))
-        np.testing.assert_array_equal(again[0], expected[0])
-        np.testing.assert_array_equal(again[1], expected[1])
+        products = self.products(cfg, eta_of_bits(2), range(4))
+        expected = [a.copy() for a in products]
+        for a in products:
+            a[...] = 7.0  # the products are the caller's own arrays
+        (pieces,) = sysmodel._pieces_cache.values()
+        assert len(pieces) == 7
+        for piece in pieces:
+            with pytest.raises(ValueError):
+                piece[0, 0, 0] = 1.0
+        for value in [*sysmodel._stats_cache.values(), pieces]:
+            assert all(not a.flags.writeable and not np.shares_memory(a, b) for a in value for b in products)
+        for got, want in zip(self.products(cfg, eta_of_bits(2), range(4)), expected):
+            np.testing.assert_array_equal(got, want)
 
     def test_redraw_block_and_caller_array_leave_the_memo_alone(self, m_space_stats):
         cfg = cfg_small()
         first = self.products(cfg, 0.1, range(4))
         held = dict(sysmodel._stats_cache)
+        held_pieces = dict(sysmodel._pieces_cache)
         redrawn = self.products(cfg, 0.1, range(4), [0, 1, 0, 0])
         S, _ = sysmodel._trial_stats(cfg, 3, range(4))
-        own = _slot_gram(np.array(S), _slot_scales(cfg, 0.1))  # the caller's own copy of the statistics
-        assert sysmodel._stats_cache.keys() == held.keys()
-        assert all(sysmodel._stats_cache[key] is held[key] for key in held)
-        assert not any(np.shares_memory(a, b) for a in own for value in held.values() for b in value)
+        own = _estimate_products(_slot_pieces(cfg, np.array(S)), 0.1)  # the caller's own copy of the statistics
+        for memo, before in ((sysmodel._stats_cache, held), (sysmodel._pieces_cache, held_pieces)):
+            assert memo.keys() == before.keys()
+            assert all(memo[key] is before[key] for key in before)
+            assert not any(np.shares_memory(a, b) for a in own for value in before.values() for b in value if b is not None)
         # the copy holds the same statistics, so it gives the same bits
         np.testing.assert_array_equal(own[0], first[0])
         # trial 1 of the redraw block comes from its second stream, the others from their first
@@ -269,14 +338,38 @@ class TestEstimateMemo:
         ({"pilot_power": 0.5}, {"beta": [1.0, 1.5]}, {"tau_p": 4}, {"total_power": 4.0, "pilot_power": None}),
     )
     def test_estimation_parameters_miss_the_memo(self, change):
-        # only the config-free statistics are memoized: each config rebuilds its own estimate products
+        # the statistics are config-free; the pieces are not, so each config forms its own
         cfg = cfg_small()
         other = cfg_small(**change)
         self.products(cfg, 0.1, range(4))
         warm = self.products(other, 0.1, range(4))
         assert len(sysmodel._stats_cache) == 1
+        assert len(sysmodel._pieces_cache) == 2
         sysmodel._stats_cache.clear()
+        sysmodel._pieces_cache.clear()
         cold = self.products(other, 0.1, range(4))
-        np.testing.assert_array_equal(warm[0], cold[0])
-        np.testing.assert_array_equal(warm[1], cold[1])
+        for w, c in zip(warm, cold):
+            np.testing.assert_array_equal(w, c)
         assert not np.array_equal(warm[0], self.products(cfg, 0.1, range(4))[0])
+
+    def test_snr_misses_only_through_the_default_pilot_power(self):
+        """The pieces hold no P_t or sigma^2: an SNR change misses the memo only when it moves the pilot power."""
+        at = lambda snr_db, **kw: SystemConfig.from_snr(M=8, K=2, tau_c=50, tau_p=8, snr_db=snr_db, **kw)  # noqa: E731
+        for snr_db in (0.0, 10.0):
+            self.products(at(snr_db), 0.1, range(4))
+        assert len(sysmodel._pieces_cache) == 2
+        sysmodel._pieces_cache.clear()
+        for snr_db in (0.0, 10.0):
+            self.products(at(snr_db, pilot_power=1.0), 0.1, range(4))
+        assert len(sysmodel._pieces_cache) == 1
+
+    def test_memos_share_one_byte_bound(self, monkeypatch):
+        cfg = cfg_small()
+        stats_bytes = sysmodel._nbytes(sysmodel._trial_stats(cfg, 3, range(4)))
+        self.products(cfg, 0.1, range(4))
+        (pieces,) = sysmodel._pieces_cache.values()
+        # room for the statistics and one set of pieces, not two
+        monkeypatch.setattr(sysmodel, "_STATS_CACHE_BYTES", stats_bytes + sysmodel._nbytes(pieces) * 3 // 2)
+        self.products(cfg_small(pilot_power=0.5), 0.1, range(4))
+        assert len(sysmodel._stats_cache) == 1 and len(sysmodel._pieces_cache) == 1  # the older pieces went first
+        assert next(iter(sysmodel._pieces_cache.values())) is not pieces

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fhalloc.channel import gamma_coefficient, quantized_estimate
+from fhalloc import sysmodel
+from fhalloc.channel import _estimate_products, _slot_pieces, gamma_coefficient, quantized_estimate
 import fhalloc.precoding as precoding
 from fhalloc.precoding import (
     RankDeficientError,
@@ -172,6 +173,36 @@ class TestRankDeficientMask:
         np.testing.assert_array_equal(runs[0].sinr, runs[2].sinr)
         assert runs[0].redraws == runs[2].redraws
         np.testing.assert_array_equal(runs[1], runs[3])
+
+
+class TestKxKPrecoderColumns:
+    """_kxk_precoder reads ZF/WF column norms off the inverse; they equal s^2 (W^H G W)_ii written out with G W."""
+
+    @staticmethod
+    def assert_columns(G, kind, cfg):
+        W, s, col = precoding._kxk_precoder(G, kind, cfg)
+        want = np.sum((W.conj().swapaxes(-2, -1) @ G @ W).real * np.eye(cfg.K), axis=-1) * (s * s)[:, None]
+        np.testing.assert_allclose(col, want, rtol=1e-12)
+        np.testing.assert_allclose(np.sum(col, axis=-1), cfg.total_power, rtol=1e-13)
+
+    @pytest.mark.parametrize("snr_db", (-15.0, 0.0, 10.0))
+    @pytest.mark.parametrize("kind", ("zf", "wf"))
+    def test_estimate_grams(self, kind, snr_db):
+        cfg = SystemConfig.from_snr(M=128, K=8, tau_c=200, tau_p=8, snr_db=snr_db)
+        S, _ = sysmodel._trial_stats(cfg, 1, range(200))
+        for b_h in (1, 5, 9):
+            self.assert_columns(_estimate_products(_slot_pieces(cfg, S), eta_of_bits(b_h))[0], kind, cfg)
+
+    @pytest.mark.parametrize("kind", ("zf", "wf"))
+    def test_grams_with_condition_number_near_1e8(self, kind):
+        """Users whose gains span eight decades: G = D C D with C a Wishart Gram, at the +10 dB WF load."""
+        cfg = SystemConfig.from_snr(M=32, K=8, tau_c=200, tau_p=8, snr_db=10.0)
+        Z = draw_hd(cfg, 11, (300,))
+        d = np.sqrt(np.geomspace(1e-4, 1e4, cfg.K))
+        G = d[:, None] * (Z @ Z.conj().swapaxes(-2, -1)) * d
+        cond = np.linalg.cond(G)
+        assert 1e7 < np.median(cond) < 1e9
+        self.assert_columns(G, kind, cfg)
 
 
 class TestTransmitRescale:

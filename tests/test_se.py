@@ -239,6 +239,28 @@ class TestClosedFormProfile:
         assert (result.b_h, result.b_p) == (3, 4)
         assert result.profile[2][2:] == result.profile[3][2:]
 
+    def test_small_sinr_keeps_the_split_gap(self):
+        """At an SINR near 1e-7, 1 + SINR rounds away the c gap between splits; log1p keeps it.
+
+        The balanced split (19, 20) then beats every split but its mirror;
+        log2(1 + SINR) made B_H = 16 tie it bit for bit and win the line
+        search.
+        """
+        spec = ExperimentSpec(
+            M=2, K=1, tau_p=1, beta=0.05, pilot_q=0.01, snr_db=(-30.0,), b_bar=39, evaluator="closed-form"
+        )
+        result = optimize_split(spec)
+        assert (result.b_h, result.b_p) == (19, 20)
+        # only its mirror (20, 19) ties it
+        assert result.best_sum_se > max(row[2] for row in result.profile if row[0] not in (19, 20))
+
+    def test_se_is_the_prelog_times_log2(self):
+        sinr = np.array([0.0, 1e-300, 1e-12, 1e-7, 0.5, 1.0, 7.0, 1e6, 1e300])
+        # in extended precision where the platform has it
+        wide = np.log1p(sinr.astype(np.longdouble)) / np.log(np.longdouble(2.0))
+        want = (0.96 * wide).astype(float)
+        np.testing.assert_allclose(se._se(sinr, 8, 200), want, rtol=1e-15, atol=0)
+
     @pytest.mark.parametrize("snr_db", [-30.0, 0.0, 30.0])
     @pytest.mark.parametrize("users", ["equal", "unequal-beta", "zero-pilots"])
     def test_sinr_is_the_ratio_of_the_terms(self, snr_db, users):
@@ -713,6 +735,25 @@ class TestGroupedTaps:
                 se._mc_taps(cfg, b_h, self.TAPS, trials, 1, csi_mode)
         (missing,) = se._mc_taps(cfg, 3, [("zf", None)], 10, 1)
         assert isinstance(missing, ValueError) and "needs b_h and b_p" in str(missing)
+
+    def test_pieces_memo_holds_first_attempts_and_moves_no_bit(self, monkeypatch):
+        """Cold, warm and cleared memos of the split-free pieces give the same bits; redraw blocks are never stored."""
+        monkeypatch.setattr(sysmodel, "_stats_cache", {})
+        monkeypatch.setattr(sysmodel, "_pieces_cache", {})
+        monkeypatch.setattr(se, "rank_deficient_mask", lambda G: G[..., 0, 0].real > 18.0)
+        cfg = cfg_at(0.0, M=16, K=2)
+        runs = []
+        for clear in (False, False, True):
+            if clear:
+                sysmodel._stats_cache.clear()
+                sysmodel._pieces_cache.clear()
+            runs.append(se._mc_taps(cfg, 3, self.TAPS, 300, 3))
+        assert all(rep.redraws > 0 for rep in runs[0] if rep.kind != "mrt")
+        first = [(3, tuple(range(lo, min(lo + sysmodel.TRIAL_BLOCK, 300))), sysmodel.DOMAIN_TRIAL) for lo in (0, 256)]
+        assert [key[:5] for key in sysmodel._pieces_cache] == [sysmodel._stats_key(cfg, *block) for block in first]
+        for again in runs[1:]:
+            for rep, want in zip(again, runs[0]):
+                self.assert_same(rep, want)
 
     def test_shared_time_is_the_first_taps(self):
         sysmodel._stats_cache.clear()
