@@ -33,6 +33,8 @@ from typing import Callable
 
 import numpy as np
 
+from .sysmodel import _real
+
 
 class InfeasibleBudgetError(ValueError):
     """The fronthaul budget cannot fund at least one bit on each transfer."""
@@ -72,15 +74,22 @@ class FronthaulBudget:
 
 
 def compute_budget(budget: FronthaulBudget, M: int, K: int) -> FronthaulBudget:
-    """Fill in the per-entry bit budget B_bar; raises if it lands below 2."""
+    """Fill in the per-entry bit budget B_bar; raises if it lands below 2.
+
+    Every field must be a finite, real, non-boolean number
+    (sysmodel._real), and so must the control payload and the capacity
+    left after it; anything else is a ValueError.
+    """
     if M < 1 or K < 1:
         raise ValueError("M and K must be positive")
-    for key in ("c_fh", "bs_ul", "bs_dl"):
-        if not np.isfinite(getattr(budget, key)):
+    for key in ("c_fh", "bs_ul", "bs_dl", "t_u", "t_d"):
+        if not math.isfinite(_real(key, getattr(budget, key))):
             raise ValueError(f"{key} must be finite, got {getattr(budget, key)!r}")
     if budget.c_fh < 0:
         raise ValueError("c_fh must be nonnegative")
     remaining = budget.c_fh - budget.payload_bits(K)
+    if not math.isfinite(remaining):
+        raise ValueError(f"control payload must be finite, and so must c_fh minus it; got c_fh - (bs_ul t_u + bs_dl t_d) K = {remaining!r}")
     b_bar = int(np.floor(remaining / (K * M)))
     split_range(b_bar)  # refuses a b_bar below 2
     return replace(budget, b_bar=b_bar)

@@ -119,11 +119,11 @@ def _slot_pieces(cfg: SystemConfig, S: np.ndarray, perfect: bool = False, block=
     a = sqrt(beta), b = 0 and v = 0; its v pieces are None.  Each piece
     is (n, K, K).
 
-    block, the (seed, trial ids, domain) of a first-attempt block, memoizes
-    the pieces, read-only, under that block's statistics key plus beta,
-    the pilot power and tau_p (sysmodel._pieces_cache), so every B_H and
-    every SNR at one pilot power reads them; without it (a redraw block,
-    or statistics the caller holds) they are formed and never stored.
+    block, the (seed, trial ids, domain) of the statistics, memoizes the
+    pieces, read-only, under that block's statistics key plus beta, the
+    pilot power and tau_p (sysmodel._pieces_cache), so every B_H and every
+    SNR at one pilot power reads them; without it (statistics the caller
+    holds) they are formed and never stored.
     """
     key = None
     if block is not None:

@@ -103,9 +103,10 @@ def _cmd_budget(args) -> int:
     else:
         print("budget: provide --budget-bbar or --cfh", file=sys.stderr)
         return 2
-    splits = split_range(b_bar)
+    split_range(b_bar)  # refuses a b_bar below 2
     print(f"b_bar {b_bar}")
-    print(f"splits {len(splits)}")
+    # b_bar - 1 splits; len() of a range past the C index range would overflow
+    print(f"splits {b_bar - 1}")
     return 0
 
 

@@ -383,11 +383,11 @@ def write_outputs(
 
     Failed cells contribute no CSV row or series point; they are listed
     under "failed_cells" in the metadata instead.  The metadata's "cells"
-    lists every cell in canonical order with its wall time, its redraw
-    count and its stage timers import_s, stats_s, moments_s and kxk_s
-    (SeReport; 0 for a closed-form cell), each null where the cell
-    returned no report or no timing.  What a group shares is charged to
-    its first cell (CellOutcome).
+    lists every cell in canonical order with its wall time and its stage
+    timers import_s, stats_s, moments_s and kxk_s (SeReport; 0 for a
+    closed-form cell), each null where the cell returned no report or no
+    timing.  What a group shares is charged to its first cell
+    (CellOutcome).
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -436,14 +436,12 @@ def write_outputs(
         "library_version": __version__,
         "rows": len(done),
         "failed_cells": failed,
-        "total_redraws": int(sum(rep.redraws for _, rep in done)),
         "cells": [
             {
                 "series": cell.series,
                 "b_h": cell.b_h,
                 "b_p": cell.b_p,
                 "elapsed_s": None if oc.elapsed_s is None else round(oc.elapsed_s, 4),
-                "redraws": None if oc.report is None else oc.report.redraws,
                 **{s: None if oc.report is None else round(oc.report.stage_s.get(s, 0.0), 6) for s in STAGES},
             }
             for cell, oc in zip(cells, outcomes)

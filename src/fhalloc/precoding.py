@@ -50,7 +50,7 @@ from .sysmodel import DOMAIN_MOMENTS, TRIAL_BLOCK, SystemConfig, _trial_stats
 PRECODER_KINDS = ("mrt", "zf", "wf")
 
 # Relative eigenvalue floor below which the Gram matrix counts as rank
-# deficient and the realization should be redrawn.
+# deficient, and no ZF/WF precoder is formed from it.
 _RANK_RTOL = 1e-12
 # Relative floor of rank_deficient_mask's Cholesky certificate: a
 # thousand times _RANK_RTOL, far above the rounding of either test.
@@ -79,37 +79,32 @@ def rank_deficient_mask(G: np.ndarray) -> np.ndarray:
     """Boolean mask (over leading batch dims) of numerically singular Gram matrices G.
 
     A Gram is singular when eigvalsh gives lambda_min <= _RANK_RTOL
-    lambda_max.  Most are settled without an eigendecomposition:
-    G - _CERT_RTOL tr(G) I has a Cholesky factor only when lambda_min >
-    _CERT_RTOL tr G >= _CERT_RTOL lambda_max, which proves full rank with
-    room for the rounding of either test.  eigvalsh decides the Grams the
-    certificate leaves open, so the mask is eigvalsh's.
+    lambda_max.  A stack the Cholesky certificate settles
+    (_cholesky_certified) has no singular Gram and needs no
+    eigendecomposition; otherwise eigvalsh decides the whole stack, so the
+    mask is eigvalsh's.
     """
     flat = G.reshape(-1, *G.shape[-2:])
-    unsettled = ~_cholesky_certified(flat)
-    mask = np.zeros(len(flat), bool)
-    if np.any(unsettled):
-        ev = np.linalg.eigvalsh(flat[unsettled])
-        mask[unsettled] = ev[:, 0] <= ev[:, -1] * _RANK_RTOL
-    return mask.reshape(G.shape[:-2])
+    if _cholesky_certified(flat):
+        return np.zeros(G.shape[:-2], bool)
+    ev = np.linalg.eigvalsh(flat)
+    return (ev[:, 0] <= ev[:, -1] * _RANK_RTOL).reshape(G.shape[:-2])
 
 
-def _cholesky_certified(G: np.ndarray) -> np.ndarray:
-    """Per Gram of the stack G, shape (n, K, K): True when G - _CERT_RTOL tr(G) I has a Cholesky factor.
+def _cholesky_certified(G: np.ndarray) -> bool:
+    """True when G - _CERT_RTOL tr(G) I has a Cholesky factor for every Gram of the stack G, shape (n, K, K).
 
-    Like eigvalsh, the factorization reads the lower triangle and the
-    real diagonal.  The stack is factored in one call; a stack that fails
-    is halved until each failing Gram stands alone.
+    A factor needs lambda_min > _CERT_RTOL tr G >= _CERT_RTOL lambda_max,
+    which proves full rank with room for the rounding of either test.
+    Like eigvalsh, the factorization reads the lower triangle and the real
+    diagonal.  The stack is factored in one call.
     """
     tr = np.trace(G, axis1=-2, axis2=-1).real
     try:
         np.linalg.cholesky(G - (_CERT_RTOL * tr)[:, None, None] * np.eye(G.shape[-1]))
     except np.linalg.LinAlgError:
-        if len(G) == 1:
-            return np.zeros(1, bool)
-        half = len(G) // 2
-        return np.concatenate([_cholesky_certified(G[:half]), _cholesky_certified(G[half:])])
-    return np.ones(len(G), bool)
+        return False
+    return True
 
 
 def build_precoder(H_d: np.ndarray, kind: str, cfg: SystemConfig) -> np.ndarray:
@@ -144,8 +139,8 @@ def _kxk_precoder(G: np.ndarray, kind: str, cfg: SystemConfig):
     (W^H G W = W) and Re W_ii - lambda sum_a |W_ai|^2 for WF
     (G W = I - lambda W).  The WF difference gives up about
     log10(lambda / G_ii) of its digits to cancellation, which leaves
-    rounding-level error at the presets' SNRs.  The caller has masked
-    out singular ZF/WF Grams (rank_deficient_mask); a zero-norm precoder
+    rounding-level error at the presets' SNRs.  The caller has refused
+    singular ZF/WF Grams (rank_deficient_mask); a zero-norm precoder
     raises RankDeficientError.  Every reduction runs within one trial, so
     a trial's numbers do not depend on the others in G.
     """

@@ -30,13 +30,12 @@ with a and b the MMSE scales.  So
     G = u^2 G_uu + u v G_uv + v^2 G_vv,   V_0 = u A_0 + v B_0,   T = u T_u + v T_v
 
 from seven pieces that depend on the statistics, beta, the pilot power
-and tau_p but not on B_H (channel._slot_pieces).  A first-attempt
-block's pieces are memoized beside its statistics, so each further B_H
-of a config costs three weighted sums (channel._estimate_products); a
-redraw block forms its own.  Perfect CSI is a = beta^(1/2), b = 0 and
-v = 0 with no precoder quantizer, so the gains are s G W.  Nothing M x K
-is formed after the statistics, and the statistics serve every cell of
-a run.
+and tau_p but not on B_H (channel._slot_pieces).  A block's pieces are
+memoized beside its statistics, so each further B_H of a config costs
+three weighted sums (channel._estimate_products).  Perfect CSI is
+a = beta^(1/2), b = 0 and v = 0 with no precoder quantizer, so the gains
+are s G W.  Nothing M x K is formed after the statistics, and the
+statistics serve every cell of a run.
 
 Of these, G, V_0, T and the rank mask depend on the statistics and B_H
 alone, and W and s on B_H and the precoder kind, but none on B_P.  So
@@ -83,13 +82,11 @@ import numpy as np
 
 from . import sysmodel
 from .channel import _estimate_products, _slot_pieces
-from .precoding import PRECODER_KINDS, _kxk_precoder, _mrt_gamma, _mrt_normalization, precoder_entry_var, rank_deficient_mask
+from .precoding import PRECODER_KINDS, RankDeficientError, _kxk_precoder, _mrt_gamma, _mrt_normalization, precoder_entry_var, rank_deficient_mask
 from .quantization import aqnm_noise_var, eta_of_bits
 from .sysmodel import DOMAIN_TRIAL, TRIAL_BLOCK, SystemConfig, _trial_stats
 
 CSI_MODES = ("quantized", "perfect")
-
-_MAX_REDRAWS = 8
 
 
 @dataclass(frozen=True)
@@ -97,8 +94,8 @@ class SeReport:
     """Per-user SINR/SE figures for one evaluated operating point.
 
     method names the evaluator ("monte_carlo" or "closed_form_mrt").
-    trials is 0 for the closed form (nothing is sampled); seed and
-    redraws describe the Monte Carlo run and stay None and 0 otherwise.
+    trials is 0 for the closed form (nothing is sampled); seed describes
+    the Monte Carlo run and stays None otherwise.
     stage_s holds the Monte Carlo run's seconds per stage: "import_s"
     loading numpy.random (sysmodel._import_random; 0 once a process has
     it), "stats_s" drawing the slot statistics from each trial's Bartlett
@@ -117,7 +114,6 @@ class SeReport:
     b_p: int | None
     trials: int = 0
     seed: int | None = None
-    redraws: int = 0
     stage_s: dict = field(default_factory=dict)
 
 
@@ -165,15 +161,16 @@ def mc_hardening_sinr(
     with unequal gamma, where they are sampled.  Quantized CSI with every
     gamma 0, or ZF/WF with any gamma 0 (zero pilot power), raises
     ValueError before any draw: the Gram would be singular in every trial.
+    ZF/WF raise RankDeficientError when the Gram of any one trial is
+    numerically singular, as build_precoder does: that precoder does not
+    exist, and neither does the expectation over trials.
 
     The arithmetic runs on slot statistics in TRIAL_BLOCK-aligned blocks
-    (module docstring).  Realizations whose Gram matrix is numerically
-    rank deficient are redrawn from a fresh per-trial substream, as a
-    block of their own after their block; the count is reported.  Every
-    trial's gains are computed on their own and reduced in canonical
-    trial order, so neither the block size nor the memo state moves a
-    bit of the result.  This is the one-tap case of _mc_taps, which
-    evaluates every (kind, b_p) at one b_h bit-identically in one pass.
+    (module docstring).  Every trial's gains are computed on their own
+    and reduced in canonical trial order, so neither the block size nor
+    the memo state moves a bit of the result.  This is the one-tap case
+    of _mc_taps, which evaluates every (kind, b_p) at one b_h
+    bit-identically in one pass.
     """
     (report,) = _mc_taps(cfg, b_h, [(kind, b_p)], trials, seed, csi_mode, moment_trials)
     if isinstance(report, Exception):
@@ -186,20 +183,21 @@ def _mc_taps(cfg: SystemConfig, b_h, taps, trials: int, seed: int, csi_mode="qua
 
     Returns, per tap, its SeReport or the exception that stopped that tap
     alone: an unknown kind, a missing b_p, a moment prior that refuses
-    (zero pilot power), a zero-norm precoder, or redraws exhausted.  A bad
-    csi_mode, trial count or b_h raises.
+    (zero pilot power), a zero-norm precoder, or, for ZF and WF alike, a
+    singular Gram in any trial.  A bad csi_mode, trial count or b_h
+    raises.
 
     Each block's statistics, G, V_0, T = sum_j E_j R_j (from the
-    memoized split-free pieces) and rank mask are formed once; W, s, the
+    memoized split-free pieces) and rank check are formed once; W, s, the
     moment prior and the kind's share of the cross term once per kind;
     only the precoder-quantizer tail (eta_p, Sigma_p, the norm, alpha,
     and the diagonal gains and row powers) runs per tap, with the
     operations a lone tap runs, so every report is bit-identical to the
-    tap's own mc_hardening_sinr.  ZF/WF
-    taps share the rank mask and the redraw blocks; MRT taps read the
-    first-attempt rows only.  Each tap's stage_s holds its own moment
-    prior and tail; the numpy.random import, the statistics and the
-    shared arithmetic are charged to the first tap.
+    tap's own mc_hardening_sinr.  ZF/WF taps share the rank check, which
+    runs while any of them is left; MRT taps never need it.  Each tap's
+    stage_s holds its own moment prior and tail; the numpy.random import,
+    the statistics and the shared arithmetic are charged to the first
+    tap.
     """
     if csi_mode not in CSI_MODES:
         raise ValueError(f"csi_mode must be one of {CSI_MODES}")
@@ -242,61 +240,43 @@ def _mc_taps(cfg: SystemConfig, b_h, taps, trials: int, seed: int, csi_mode="qua
     # per tap and trial: the diagonal gains g_kk and the row powers sum_i |g_ki|^2
     diag = {n: np.empty((trials, cfg.K), dtype=complex) for n in quantizer}
     power = {n: np.empty((trials, cfg.K)) for n in quantizer}
-    attempt = np.zeros(trials, int)
-    # first attempts come in TRIAL_BLOCK-aligned blocks, the keys of the
-    # stats memo; each block's redraws follow as a block of their own
-    blocks = [np.arange(lo, min(lo + TRIAL_BLOCK, trials)) for lo in range(0, trials, TRIAL_BLOCK)]
-    while blocks:
-        ids = blocks.pop(0)
-        # a redraw block serves the ZF/WF taps only
-        live = [n for n in quantizer if taps[n][0] != "mrt" or not attempt[ids[0]]]
-        if not live:
-            continue
-        S, nu = _trial_stats(cfg, seed, ids, attempt[ids])
-        # a first-attempt block's split-free pieces are memoized; a redraw block's are not
-        block = None if np.any(attempt[ids]) else (seed, tuple(ids.tolist()), DOMAIN_TRIAL)
-        G, V0, T = _estimate_products(_slot_pieces(cfg, S, perfect, block), eta_h)
-        # per kind, the rows it keeps: (ids, G, V_0, T, D_beta^(1/2) R_0, nu)
-        rows = {"mrt": (ids, G, V0, T, sqrt_beta[:, None] * S[:, 0, :, 3], nu)}
-        bad = rank_deficient_mask(G) if any(taps[n][0] != "mrt" for n in live) else np.zeros(len(ids), bool)
-        rows["zf"] = rows["wf"] = tuple(a[~bad] for a in rows["mrt"]) if np.any(bad) else rows["mrt"]
-        for kind in dict.fromkeys(taps[n][0] for n in live):
-            kept, G_k, V0_k, T_k, R0_k, nu_k = rows[kind]
+    # TRIAL_BLOCK-aligned blocks, the keys of the statistics and pieces memos
+    for lo in range(0, trials, TRIAL_BLOCK):
+        if not quantizer:
+            break
+        ids = tuple(range(lo, min(lo + TRIAL_BLOCK, trials)))
+        S, nu = _trial_stats(cfg, seed, ids)
+        G, V0, T = _estimate_products(_slot_pieces(cfg, S, perfect, (seed, ids, DOMAIN_TRIAL)), eta_h)
+        R0 = sqrt_beta[:, None] * S[:, 0, :, 3]
+        if any(taps[n][0] != "mrt" for n in quantizer) and np.any(rank_deficient_mask(G)):
+            fail({"zf", "wf"}, RankDeficientError("estimated channel Gram matrix is numerically singular"))
+        for kind in dict.fromkeys(taps[n][0] for n in quantizer):
             try:
-                W, s_k, _ = _kxk_precoder(G_k, kind, cfg)
+                W, s_k, _ = _kxk_precoder(G, kind, cfg)
             except np.linalg.LinAlgError as exc:  # RankDeficientError: a zero-norm precoder
                 fail({kind}, exc)
                 continue
             # per kind: D_beta^(1/2) V_0 W, and Re sum_a conj(W_ai) T_ai, so that each
             # tap's Re tr(W^H T Sigma_p) is one sum over i
-            VW = sqrt_beta[:, None] * (V0_k if W is None else V0_k @ W)
-            WT = (np.diagonal(T_k, axis1=-2, axis2=-1) if W is None else np.sum(W.conj() * T_k, axis=-2)).real
+            VW = sqrt_beta[:, None] * (V0 if W is None else V0 @ W)
+            WT = (np.diagonal(T, axis1=-2, axis2=-1) if W is None else np.sum(W.conj() * T, axis=-2)).real
             # the kind's taps reuse two gain-sized arrays
             gain, noise = np.empty_like(VW), np.empty_like(VW)
-            for n in [n for n in live if taps[n][0] == kind]:
+            for n in [n for n in quantizer if taps[n][0] == kind]:
                 t0 = time.perf_counter()
                 eta_p, std = quantizer[n]
                 s = s_k * (1.0 - eta_p)
                 norm_sq = (1.0 - eta_p) ** 2 * cfg.total_power + 2.0 * s * np.sum(WT * std, axis=-1)
-                norm_sq += np.sum(nu_k * std**2, axis=-1)
+                norm_sq += np.sum(nu * std**2, axis=-1)
                 alpha_sq = cfg.total_power / norm_sq
                 np.multiply(VW, s[:, None, None], out=gain)
-                gain += np.multiply(R0_k, std, out=noise)
-                diag[n][kept] = np.diagonal(gain, axis1=-2, axis2=-1) * np.sqrt(alpha_sq)[:, None]
+                gain += np.multiply(R0, std, out=noise)
+                diag[n][lo : lo + len(ids)] = np.diagonal(gain, axis1=-2, axis2=-1) * np.sqrt(alpha_sq)[:, None]
                 # sum_i |g_ki|^2 as one sum of squares over the real view of row k
                 sq = gain.view(float)
                 sq *= sq
-                power[n][kept] = np.sum(sq, axis=-1) * alpha_sq[:, None]
+                power[n][lo : lo + len(ids)] = np.sum(sq, axis=-1) * alpha_sq[:, None]
                 kxk_s[n] += time.perf_counter() - t0
-
-        redo = ids[bad]
-        attempt[redo] += 1
-        if np.any(attempt[redo] > _MAX_REDRAWS):
-            t = redo[np.argmax(attempt[redo])]
-            fail({"zf", "wf"}, RuntimeError(f"trial {t} stayed rank deficient after {_MAX_REDRAWS} redraws"))
-        elif redo.size:
-            blocks.append(redo)
-    redraws = int(np.sum(attempt))
 
     stats_s = sysmodel._stats_seconds - stats_clock
     for n in quantizer:
@@ -310,7 +290,6 @@ def _mc_taps(cfg: SystemConfig, b_h, taps, trials: int, seed: int, csi_mode="qua
         out[n] = SeReport(
             sinr=sinr, se=se, sum_se=float(np.sum(se)), method="monte_carlo", csi_mode=csi_mode, kind=kind,
             b_h=None if perfect else b_h, b_p=None if perfect else b_p, trials=trials, seed=seed,
-            redraws=0 if kind == "mrt" else redraws,
             stage_s={"import_s": 0.0, "stats_s": 0.0, "moments_s": moments_s[n], "kxk_s": kxk_s[n]},
         )
     if 0 in quantizer:

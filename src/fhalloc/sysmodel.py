@@ -1,7 +1,7 @@
 """System-level configuration and reproducible random number streams.
 
 Every Monte Carlo trial t draws from the :class:`RngStream` ``(master_seed,
-(domain, t, attempt))`` alone, so a trial's numbers are a pure function of
+(domain, t, 0))`` alone, so a trial's numbers are a pure function of
 the seed and its index.  That is what makes Monte Carlo runs bit-identical
 no matter how trials are distributed over worker processes, and it is what
 lets a bit-split sweep reuse the same channel realizations in every grid
@@ -19,10 +19,10 @@ freedom, so each trial draws that Gram from its Bartlett factor
 (:func:`_draw_stats`): about 8 K^2 complex entries instead of the 4 M K
 of the Z_j, so the draw cost does not grow with the antenna count.
 The statistics do not depend on the config, so one set serves every SNR,
-pilot power and bit width of a run.  First-attempt blocks are memoized
-per process (read-only, oldest dropped first, at most
-``_STATS_CACHE_BYTES``), and so are the split-free estimate pieces that
-channel._slot_pieces derives from them, under the same bound.
+pilot power and bit width of a run.  Blocks are memoized per process
+(read-only, oldest dropped first, at most ``_STATS_CACHE_BYTES``), and so
+are the split-free estimate pieces that channel._slot_pieces derives from
+them, under the same bound.
 """
 
 from __future__ import annotations
@@ -44,8 +44,8 @@ class ConfigError(ValueError):
 DOMAIN_TRIAL = 0
 DOMAIN_MOMENTS = 1
 
-# Trials drawn together by the Monte Carlo loops: a first-attempt block of
-# trial ids [k TRIAL_BLOCK, (k + 1) TRIAL_BLOCK) is one memo entry.
+# Trials drawn together by the Monte Carlo loops: a block of trial ids
+# [k TRIAL_BLOCK, (k + 1) TRIAL_BLOCK) is one memo entry.
 TRIAL_BLOCK = 256
 # Trials whose Bartlett factors are held and reduced together inside a
 # block, so the factors held at once (256 KB at K=8) stay small whatever
@@ -84,7 +84,7 @@ def _nbytes(value: tuple) -> int:
 
 
 def _stats_key(cfg: SystemConfig, seed: int, ids: tuple, domain: int) -> tuple:
-    """The _stats_cache key of a first-attempt block of trial ids."""
+    """The _stats_cache key of a block of trial ids."""
     return (cfg.M, cfg.K, seed, domain, ids)
 
 
@@ -110,7 +110,7 @@ def _real(name: str, value):
     A Python int past the float range is refused by name; its digits are
     not printed, since str() of a long enough int raises.
     """
-    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+    if not _is_real(value):
         raise ConfigError(f"{name} must be a real number, got {value!r}")
     try:
         float(value)
@@ -119,25 +119,34 @@ def _real(name: str, value):
     return value
 
 
+def _is_real(value) -> bool:
+    # a bool is an int to Python, but never a real field
+    return not isinstance(value, bool) and isinstance(value, (int, float, np.integer, np.floating))
+
+
 def _as_user_vector(value, K: int, name: str, allow_zero: bool = False) -> np.ndarray:
     """A read-only length-K copy of a scalar broadcast to K, or of a checked length-K vector.
 
-    The copy is never the caller's array, so writing into that array
-    later cannot change a checked config.
+    Every entry must be a real, non-boolean number (_is_real), checked as
+    the Python object it is: a cast would hide a boolean or a string
+    (np.asarray([1, True]) is an int array).  The copy is never the
+    caller's array, so writing into that array later cannot change a
+    checked config.
     """
+    entries = np.array(value.tolist() if isinstance(value, np.ndarray) else value, dtype=object)
+    if entries.shape not in ((), (K,)):
+        raise ConfigError(f"{name} must be a scalar or length-{K} vector, got shape {entries.shape}")
+    if not all(map(_is_real, entries.flat)):
+        raise ConfigError(f"{name} entries must be real, non-boolean numbers")
     try:
-        if isinstance(value, (int, float, np.integer, np.floating)):
+        if entries.ndim:
+            arr = entries.astype(float)
+            ok = np.all(np.isfinite(arr)) and np.all(arr >= 0 if allow_zero else arr > 0)
+        else:
             v = float(value)
             ok = math.isfinite(v) and (v >= 0.0 if allow_zero else v > 0.0)
             arr = np.empty(K)
             arr.fill(v)  # np.full's Python wrapper costs twice these two calls
-        else:
-            arr = np.array(value, dtype=float)
-            if arr.ndim == 0:
-                arr = np.full(K, float(arr))
-            if arr.shape != (K,):
-                raise ConfigError(f"{name} must be a scalar or length-{K} vector, got shape {arr.shape}")
-            ok = np.all(np.isfinite(arr)) and np.all(arr >= 0 if allow_zero else arr > 0)
     except OverflowError:
         raise ConfigError(f"{name} holds an integer beyond floating-point range") from None
     if not ok:
@@ -250,8 +259,7 @@ class RngStream:
     The generator produced for a given (master_seed, stream_id) pair is
     always the same object state, independent of how many other streams
     exist or which process asks for it.  stream_id may be an int or a
-    tuple of ints; trial_draws uses the tuple (domain, trial, attempt), so
-    every trial and every redraw attempt gets a stream of its own.
+    tuple of ints; every trial draws from its own (_trial_generator).
     """
 
     master_seed: int
@@ -263,29 +271,32 @@ class RngStream:
         return np.random.Generator(np.random.PCG64(ss))
 
 
-def trial_draws(cfg: SystemConfig, seed: int, trial_ids, attempt=None, domain: int = DOMAIN_TRIAL) -> np.ndarray:
+def _trial_generator(seed: int, domain: int, t: int) -> np.random.Generator:
+    """The generator of trial t's stream in a domain, the only randomness that trial reads."""
+    # the trailing 0 (a redraw attempt once) keeps every Monte Carlo bit; dropping it would move every number
+    return RngStream(seed, (domain, t, 0)).generator()
+
+
+def trial_draws(cfg: SystemConfig, seed: int, trial_ids, domain: int = DOMAIN_TRIAL) -> np.ndarray:
     """Unit draws for a block of trials, shape (n, 4, M, K).
 
-    Slot j of trial i holds a CN(0, 1) matrix: 0 channel, 1 pilot noise,
-    2 CSI quantization noise, 3 precoder quantization noise.  Trial t
-    draws from stream (domain, t, attempt) alone, so a trial's draws do
-    not depend on the block it arrives in; attempt is aligned with
-    trial_ids (0 for every trial when None) and selects the redraw.
-    This is the M x K model of a trial, which channel.quantized_estimate
-    reads; the Monte Carlo loops draw its K x K slot statistics in law
-    instead (_trial_stats).
+    trial_ids is a sequence of ints.  Slot j of trial i holds a CN(0, 1)
+    matrix: 0 channel, 1 pilot noise, 2 CSI quantization noise, 3
+    precoder quantization noise.  Trial t draws from its own stream alone
+    (_trial_generator), so a trial's draws do not depend on the block it
+    arrives in.  This is the M x K model of a trial, which
+    channel.quantized_estimate reads; the Monte Carlo loops draw its
+    K x K slot statistics in law instead (_trial_stats).
     """
-    ids = [int(t) for t in trial_ids]
-    attempts = [0] * len(ids) if attempt is None else [int(a) for a in attempt]
     shape = (4, cfg.M, cfg.K)
-    out = np.empty((len(ids), *shape), dtype=complex)
-    for i, (t, a) in enumerate(zip(ids, attempts)):
-        gen = RngStream(seed, (domain, t, a)).generator()
+    out = np.empty((len(trial_ids), *shape), dtype=complex)
+    for i, t in enumerate(trial_ids):
+        gen = _trial_generator(seed, domain, t)
         out[i] = (gen.standard_normal(shape) + 1j * gen.standard_normal(shape)) / np.sqrt(2.0)
     return out
 
 
-def _trial_stats(cfg: SystemConfig, seed: int, trial_ids, attempt=None, domain: int = DOMAIN_TRIAL):
+def _trial_stats(cfg: SystemConfig, seed: int, trial_ids, domain: int = DOMAIN_TRIAL):
     """Slot statistics (S, nu) of a block of trials, read-only.
 
     S has shape (n, 3, K, 4, K): S[:, j, :, l] = Z_j^T Z_l^* for l < 3
@@ -295,30 +306,26 @@ def _trial_stats(cfg: SystemConfig, seed: int, trial_ids, attempt=None, domain: 
     _draw_stats (not reduced from trial_draws), so a trial's statistics
     do not depend on the block or chunk it arrives in.
 
-    Blocks in which every attempt is 0 are memoized on (M, K, seed,
-    domain, trial ids), so later cells of a sweep, at any SNR or pilot
-    power, read the first cell's statistics; a block with a redraw in it
-    is drawn afresh and never stored.
+    Blocks are memoized on (M, K, seed, domain, trial ids), so later
+    cells of a sweep, at any SNR or pilot power, read the first cell's
+    statistics.
     """
     global _stats_seconds
     ids = tuple(int(t) for t in trial_ids)
-    attempts = (0,) * len(ids) if attempt is None else tuple(int(a) for a in attempt)
     key = _stats_key(cfg, seed, ids, domain)
-    memoize = not any(attempts)
-    if memoize and key in _stats_cache:
+    if key in _stats_cache:
         return _stats_cache[key]
     t0 = time.perf_counter()
-    S, nu = _draw_stats(cfg, seed, ids, attempts, domain)
+    S, nu = _draw_stats(cfg, seed, ids, domain)
     stats = (S.reshape(len(ids), 3, cfg.K, 4, cfg.K), nu)
     for a in stats:
         a.setflags(write=False)
     _stats_seconds += time.perf_counter() - t0
-    if memoize:
-        _memoize(_stats_cache, key, stats)
+    _memoize(_stats_cache, key, stats)
     return stats
 
 
-def _draw_stats(cfg: SystemConfig, seed: int, ids: tuple, attempts: tuple, domain: int):
+def _draw_stats(cfg: SystemConfig, seed: int, ids: tuple, domain: int):
     """The first 3K rows S, shape (n, 3K, 4K), and the last K diagonal entries nu of each trial's slot Gram.
 
     The slot Gram X^T X^* of X = [Z_0 Z_1 Z_2 conj(Z_3)], M x 4K with
@@ -326,8 +333,8 @@ def _draw_stats(cfg: SystemConfig, seed: int, ids: tuple, attempts: tuple, domai
     freedom.  By its Bartlett decomposition (Goodman 1963) it has the
     law of R^T R^*, where R is min(M, 4K) x 4K upper trapezoidal with
     independent entries: CN(0, 1) above the diagonal and
-    sqrt(Gamma(M - i, 1)) at (i, i).  Trial t draws its R from stream
-    (domain, t, attempt) alone, the CN(0, 1) entries first, and every
+    sqrt(Gamma(M - i, 1)) at (i, i).  Trial t draws its R from its own
+    stream alone (_trial_generator), the CN(0, 1) entries first, and every
     trial is reduced on its own, _STATS_CHUNK factors at a time.
     """
     M, K = cfg.M, cfg.K
@@ -342,8 +349,8 @@ def _draw_stats(cfg: SystemConfig, seed: int, ids: tuple, attempts: tuple, domai
     flat = R.reshape(len(R), rows * cols)
     for lo in range(0, len(ids), _STATS_CHUNK):
         c = slice(lo, lo + _STATS_CHUNK)
-        for i, (t, a) in enumerate(zip(ids[c], attempts[c])):
-            gen = RngStream(seed, (domain, t, a)).generator()
+        for i, t in enumerate(ids[c]):
+            gen = _trial_generator(seed, domain, t)
             flat[i, upper] = gen.standard_normal(2 * upper.size).view(complex) * np.sqrt(0.5)
             flat[i, diag] = np.sqrt(gen.standard_gamma(dof))
         r = R[: len(ids[c])]

@@ -25,14 +25,14 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.write_line(line)
 
 
-def reduce_trial_draws(cfg, seed, ids, attempts, domain):
+def reduce_trial_draws(cfg, seed, ids, domain):
     """sysmodel._draw_stats written as the reduction of trial_draws: (S, nu), S of shape (n, 3K, 4K).
 
     S[:, :, l K:(l + 1) K] holds Z_j^T Z_l^* for l < 3 and Z_j^T Z_3 for
     l = 3, row block j, and nu the squared column norms of Z_3, of the
     M x K unit draws that the M-space references read.
     """
-    z = sysmodel.trial_draws(cfg, seed, ids, attempts, domain)
+    z = sysmodel.trial_draws(cfg, seed, ids, domain)
     # [Z_0 Z_1 Z_2 Z_3] side by side, one M x 4K matrix per trial
     Z = z.transpose(0, 2, 1, 3).reshape(len(z), cfg.M, 4 * cfg.K)
     K3 = 3 * cfg.K
@@ -51,7 +51,7 @@ def m_space_stats(monkeypatch, m_space_reduction):
     """Draw the slot statistics by reducing trial_draws, so K x K results can be checked against M x K references.
 
     Only the draw step under sysmodel._trial_stats is replaced: its memo,
-    layout and redraw rule stay under test.  The memo, and the memo of the
+    layout and block keys stay under test.  The memo, and the memo of the
     estimate pieces derived from its statistics, start empty and are
     restored afterwards, so no reduced statistics reach later tests.
     """

@@ -208,7 +208,7 @@ class TestRunSweep:
         assert "RuntimeError: synthetic failure" in failed["error"]
         assert len(read_csv(tmp_path / "sweep.csv")) == 1 + 2
         timed = meta["cells"][1]
-        assert timed["b_h"] == 2 and timed["redraws"] is None and timed["elapsed_s"] >= 0
+        assert timed["b_h"] == 2 and timed["kxk_s"] is None and timed["elapsed_s"] >= 0
 
     @pytest.mark.parametrize("workers", (1, 2))
     def test_meta_times_every_cell_in_order(self, tmp_path, workers):
@@ -218,7 +218,7 @@ class TestRunSweep:
         assert [(c["series"], c["b_h"], c["b_p"]) for c in cells] == [
             (c.series, c.b_h, c.b_p) for c in _expand_sweep(spec)
         ]
-        assert all(c["elapsed_s"] >= 0 and c["redraws"] == 0 for c in cells)
+        assert all(c["elapsed_s"] >= 0 for c in cells)
 
     def test_meta_stage_timers(self, tmp_path, monkeypatch):
         """stats_s is spent on a memo miss only; the stage timers leave the data files alone."""
@@ -358,6 +358,10 @@ class TestCli:
         assert code == 0
         out = capsys.readouterr().out.splitlines()
         assert out == ["b_bar 10", "splits 9"]
+        # a b_bar past the C index range, which len() of its split range cannot count
+        assert main(["budget", "--cfh", "1e308", "--m", "1", "--k", "1"]) == 0
+        b_bar, splits = capsys.readouterr().out.split()[1::2]
+        assert int(splits) == int(b_bar) - 1 == int(1e308) - 1
 
     def test_budget_infeasible_exit_code(self, capsys):
         assert main(["budget", "--cfh", "100"]) == 3
@@ -374,6 +378,7 @@ class TestCli:
             (["budget", "--cfh=-inf"], "c_fh"),
             (["budget", "--cfh", "16640", "--bs-ul", "inf", "--tu", "40"], "bs_ul"),
             (["budget", "--cfh", "16640", "--bs-dl", "nan", "--td", "40"], "bs_dl"),
+            (["budget", "--cfh", "1e6", "--bs-ul", "1e308", "--tu", "2"], "control payload"),
             (["optimize", "--cfh", "inf"], "c_fh"),
             (["optimize", "--cfh", "nan"], "c_fh"),
         ],
@@ -524,6 +529,19 @@ class TestCli:
             ("sweep", {"noise_var": "1"}),
             ("optimize", {"noise_var": "1"}),
             ("sweep", {"noise_var": True}),
+            # budget fields, read only without --budget-bbar
+            ("sweep", {"budget": {"c_fh": "1e6"}}),
+            ("sweep", {"budget": {"c_fh": 1e6, "bs_ul": "x"}}),
+            ("sweep", {"budget": {"c_fh": 1e6, "t_u": "3"}}),
+            ("optimize", {"budget": {"c_fh": 1e6, "bs_dl": True, "t_d": 1}}),
+            # per-user fields, entry by entry
+            ("sweep", {"beta": True}),
+            ("sweep", {"beta": "1"}),
+            ("sweep", {"beta": [1, "2"]}),
+            ("sweep", {"beta": [1, True]}),
+            ("optimize", {"beta": [1, True]}),
+            ("sweep", {"pilot_q": [True, False]}),
+            ("sweep", {"pilot_q": "0"}),
             # the closed form covers quantized MRT only, and perfect CSI sends no bits to split
             ("sweep", {"csi_mode": "perfect", "evaluator": "closed-form"}),
             ("optimize", {"csi_mode": "perfect"}),
@@ -543,7 +561,8 @@ class TestCli:
         monkeypatch.setattr(experiments, "_eval_group", refuse)
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(config))
-        argv = [command, "--config", str(path), "--budget-bbar", "3", "--m", "16", "--k", "2"]
+        argv = [command, "--config", str(path), "--m", "16", "--k", "2"]
+        argv += [] if "budget" in config else ["--budget-bbar", "3"]
         code = main(argv + ["--out", str(tmp_path / "out")])
         assert code == 2
         assert "config error" in capsys.readouterr().err
@@ -897,22 +916,17 @@ class TestGroups:
 
     @pytest.mark.skipif(
         "fork" not in multiprocessing.get_all_start_methods(),
-        reason="the patched mask reaches the workers only when they are forked",
+        reason="the patched TRIAL_BLOCK reaches the workers only when they are forked",
     )
-    def test_forced_redraws_match_one_tap_at_any_worker_count(self, tmp_path, monkeypatch):
-        """Grouped cells equal one-tap mc_hardening_sinr, with redraws and a small TRIAL_BLOCK, at 1 to 3 workers."""
-
-        def flag_by_content(G):
-            return G[..., 0, 0].real > 18.0
-
-        monkeypatch.setattr(se, "rank_deficient_mask", flag_by_content)
+    def test_grouped_cells_match_one_tap_at_any_worker_count(self, tmp_path, monkeypatch):
+        """Grouped cells equal one-tap mc_hardening_sinr, with a small TRIAL_BLOCK, at 1 to 3 workers."""
         monkeypatch.setattr(se, "TRIAL_BLOCK", 16)
         fork = multiprocessing.get_context("fork")
         monkeypatch.setattr(experiments, "ProcessPoolExecutor", functools.partial(ProcessPoolExecutor, mp_context=fork))
         spec = small_spec(precoders=("wf", "zf", "mrt"), snr_db=(0.0, 10.0), trials=50)
         for workers in (1, 2, 3):
             meta = run_sweep(dataclasses.replace(spec, workers=workers), tmp_path / f"w{workers}")
-            assert meta["failed_cells"] == [] and meta["total_redraws"] > 0
+            assert meta["failed_cells"] == []
         names = sorted(p.name for p in (tmp_path / "w1").iterdir() if p.suffix in (".csv", ".dat"))
         for workers in (2, 3):
             for name in names:
@@ -922,24 +936,24 @@ class TestGroups:
             alone = mc_hardening_sinr(spec.config_for(cell.snr_db), cell.precoder, cell.b_h, cell.b_p, 50, spec.seed)
             assert float(row[8]) == alone.sum_se and [float(v) for v in row[9:]] == alone.se.tolist()
 
-    @pytest.mark.parametrize("failure", ("redraws", "gamma"))
+    @pytest.mark.parametrize("failure", ("singular", "gamma"))
     def test_zf_wf_failure_leaves_the_mrt_cell(self, tmp_path, capsys, monkeypatch, failure):
-        """Exhausted redraws or gamma = 0 fail the ZF/WF cells of a group; its MRT cell is written."""
+        """One singular Gram or gamma = 0 fails the ZF/WF cells of a group; its MRT cell is written."""
         config = {"M": 16, "K": 2, "precoders": ["wf", "zf", "mrt"], "b_bar": 4, "trials": 10}
-        if failure == "redraws":
+        if failure == "singular":
 
-            def flag_first(G):
+            def flag_one(G):
                 bad = np.zeros(len(G), bool)
-                bad[0] = True
+                bad[6] = True
                 return bad
 
-            monkeypatch.setattr(se, "rank_deficient_mask", flag_first)
+            monkeypatch.setattr(se, "rank_deficient_mask", flag_one)
         else:
             config["pilot_q"] = [0.0, 1.0]
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(config))
         assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
-        assert ("stayed rank deficient" if failure == "redraws" else "gamma") in capsys.readouterr().err
+        assert ("RankDeficientError" if failure == "singular" else "gamma") in capsys.readouterr().err
         meta = json.loads((tmp_path / "out" / "sweep_meta.json").read_text())
         assert [(f["series"][:2], f["b_h"]) for f in meta["failed_cells"]] == [
             (kind, b_h) for kind in ("wf", "zf") for b_h in (1, 2, 3)

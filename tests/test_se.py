@@ -344,7 +344,6 @@ class TestMcHardeningSinr:
         assert rep.sinr.shape == (2,)
         assert rep.trials == 64
         assert rep.seed == 1
-        assert rep.redraws == 0
         assert rep.method == "monte_carlo"
         np.testing.assert_array_equal(rep.se, se_from_sinr(rep.sinr, 8, 200))
 
@@ -380,7 +379,6 @@ class TestMcHardeningSinr:
 
         monkeypatch.setattr(se, "rank_deficient_mask", recorded)
         rep = mc_hardening_sinr(cfg, "zf", None, None, trials=300, seed=1, csi_mode="perfect")
-        assert rep.redraws == 0
         assert [len(g) for g in seen] == [256, 44]
         # perfect CSI: G[:, 0, 0] is beta_0 ||Z_0[:, 0]||^2 of each trial
         first = cfg.beta[0] * np.sum(np.abs(trial_draws(cfg, 1, range(300))[:, 0, :, 0]) ** 2, axis=-1)
@@ -396,26 +394,6 @@ class TestMcHardeningSinr:
             (16, 2, 1, sysmodel.DOMAIN_TRIAL, tuple(range(0, 256))),
             (16, 2, 1, sysmodel.DOMAIN_TRIAL, tuple(range(256, 300))),
         ]
-
-    @pytest.mark.parametrize("csi_mode", se.CSI_MODES)
-    @pytest.mark.parametrize("kind", ("zf", "wf"))
-    def test_redraws_do_not_depend_on_batch(self, monkeypatch, kind, csi_mode):
-        """Trials flagged by their content are redrawn to the same bits at any block size."""
-
-        def flag_by_content(G):
-            return G[..., 0, 0].real > 18.0
-
-        monkeypatch.setattr(se, "rank_deficient_mask", flag_by_content)
-        cfg = cfg_at(0.0, M=16, K=2)
-        runs = []
-        for block in (1, 7, 32, sysmodel.TRIAL_BLOCK):
-            monkeypatch.setattr(se, "TRIAL_BLOCK", block)
-            sysmodel._stats_cache.clear()
-            runs.append(mc_hardening_sinr(cfg, kind, 3, 3, trials=300, seed=3, csi_mode=csi_mode))
-        assert runs[0].redraws > 0
-        for rep in runs[1:]:
-            np.testing.assert_array_equal(rep.sinr, runs[0].sinr)
-            assert rep.redraws == runs[0].redraws
 
     def test_deterministic(self):
         cfg = cfg_at(0.0, M=16, K=2)
@@ -565,7 +543,6 @@ class TestKxKPipeline:
     def test_matches_the_m_space_reference(self, kind, csi_mode, beta, snr_db):
         cfg = SystemConfig.from_snr(M=16, K=4, tau_c=200, tau_p=4, snr_db=snr_db, beta=beta)
         rep = mc_hardening_sinr(cfg, kind, 3, 4, trials=40, seed=12, csi_mode=csi_mode, moment_trials=100)
-        assert rep.redraws == 0
         want = m_space_sinr(cfg, kind, 3, 4, 40, 12, csi_mode, 100)
         np.testing.assert_allclose(rep.sinr, want, rtol=1e-12)
 
@@ -602,50 +579,6 @@ class TestZeroPilotPower:
             assert np.isfinite(mc_hardening_sinr(blind, kind, None, None, 20, 1, "perfect").sum_se)
 
 
-class TestRedraw:
-    """Rank-deficient realizations are redrawn from the trial's next stream."""
-
-    def test_flagged_trial_is_redrawn_from_next_attempt(self, monkeypatch, m_space_stats):
-        cfg = cfg_at(0.0, M=16, K=2)
-        seen = []
-        real = se.rank_deficient_mask
-
-        def flag_once(G):
-            seen.append(G.copy())
-            bad = real(G)
-            if len(seen) == 1:
-                bad[3] = True
-            return bad
-
-        monkeypatch.setattr(se, "rank_deficient_mask", flag_once)
-        rep = mc_hardening_sinr(cfg, "zf", None, None, trials=10, seed=4, csi_mode="perfect")
-        assert rep.redraws == 1
-        assert [len(G) for G in seen] == [10, 1]
-        # perfect CSI: the Gram of the redrawn channel H, H^T H^*
-        H = trial_draws(cfg, 4, [3], [1])[0, 0] * np.sqrt(cfg.beta)
-        np.testing.assert_allclose(seen[1][0], H.T @ H.conj(), rtol=1e-13)
-        assert not np.allclose(seen[1][0], seen[0][3])
-        monkeypatch.setattr(se, "rank_deficient_mask", real)
-        base = mc_hardening_sinr(cfg, "zf", None, None, trials=10, seed=4, csi_mode="perfect")
-        assert base.redraws == 0
-        assert not np.array_equal(base.sinr, rep.sinr)  # trial 3 entered with its redrawn channel
-
-    def test_trial_flagged_on_every_attempt_raises(self, monkeypatch):
-        cfg = cfg_at(0.0, M=16, K=2)
-        calls = []
-
-        def flag_first(G):
-            calls.append(len(G))
-            bad = np.zeros(len(G), bool)
-            bad[0] = True
-            return bad
-
-        monkeypatch.setattr(se, "rank_deficient_mask", flag_first)
-        with pytest.raises(RuntimeError, match=f"trial 0 stayed rank deficient after {se._MAX_REDRAWS} redraws"):
-            mc_hardening_sinr(cfg, "zf", 3, 3, trials=10, seed=4)
-        assert calls == [10] + [1] * se._MAX_REDRAWS
-
-
 class TestTermEstimates:
     def test_every_term_matches_closed_form(self):
         cfg = cfg_at(0.0, M=16, K=2)
@@ -666,7 +599,7 @@ class TestGroupedTaps:
         assert not isinstance(grouped, Exception), grouped
         np.testing.assert_array_equal(grouped.sinr, alone.sinr)
         np.testing.assert_array_equal(grouped.se, alone.se)
-        assert (grouped.sum_se, grouped.redraws, grouped.kind) == (alone.sum_se, alone.redraws, alone.kind)
+        assert (grouped.sum_se, grouped.trials, grouped.kind) == (alone.sum_se, alone.trials, alone.kind)
         assert (grouped.b_h, grouped.b_p, grouped.csi_mode) == (alone.b_h, alone.b_p, alone.csi_mode)
 
     @pytest.mark.parametrize("beta", (1.0, (0.5, 1.0, 1.5, 2.0)), ids=("equal-beta", "unequal-beta"))
@@ -678,43 +611,29 @@ class TestGroupedTaps:
         for (kind, b_p), rep in zip(self.TAPS, grouped):
             self.assert_same(rep, mc_hardening_sinr(cfg, kind, 3, b_p, 70, 5, csi_mode, moment_trials=100))
 
-    @pytest.mark.parametrize("block", (1, 7, sysmodel.TRIAL_BLOCK))
-    @pytest.mark.parametrize("csi_mode", se.CSI_MODES)
-    def test_forced_redraws_are_shared_by_zf_and_wf(self, monkeypatch, csi_mode, block):
-        """A content-predicate mask redraws the same trials for ZF and WF; MRT keeps its first attempts."""
+    def test_singular_gram_fails_only_zf_and_wf(self, monkeypatch):
+        """One singular Gram fails every ZF/WF tap; the MRT taps report, bit for bit, and the rank check stops."""
         checked = []
 
-        def flag_by_content(G):
+        def flag_in_second_block(G):
             checked.append(len(G))
-            return G[..., 0, 0].real > 18.0
-
-        monkeypatch.setattr(se, "rank_deficient_mask", flag_by_content)
-        monkeypatch.setattr(se, "TRIAL_BLOCK", block)
-        cfg = cfg_at(0.0, M=16, K=2)
-        grouped = se._mc_taps(cfg, 3, self.TAPS, 60, 3, csi_mode)
-        shared = list(checked)
-        assert sum(shared[: -(-60 // block)]) == 60  # one mask per block, shared by every ZF/WF tap
-        for (kind, b_p), rep in zip(self.TAPS, grouped):
-            self.assert_same(rep, mc_hardening_sinr(cfg, kind, 3, b_p, 60, 3, csi_mode))
-            assert (rep.redraws > 0) == (kind != "mrt")
-        checked.clear()
-        mc_hardening_sinr(cfg, "zf", 3, 2, 60, 3, csi_mode)
-        assert checked == shared
-
-    def test_exhausted_redraws_fail_only_zf_and_wf(self, monkeypatch):
-        def flag_first(G):
             bad = np.zeros(len(G), bool)
-            bad[0] = True
+            bad[3] = len(checked) == 2
             return bad
 
-        monkeypatch.setattr(se, "rank_deficient_mask", flag_first)
+        monkeypatch.setattr(se, "rank_deficient_mask", flag_in_second_block)
+        monkeypatch.setattr(se, "TRIAL_BLOCK", 7)
         cfg = cfg_at(0.0, M=16, K=2)
-        grouped = se._mc_taps(cfg, 3, self.TAPS, 10, 4)
+        grouped = se._mc_taps(cfg, 3, self.TAPS, 30, 4)
+        assert checked == [7, 7]
         for (kind, b_p), rep in zip(self.TAPS, grouped):
             if kind == "mrt":
-                self.assert_same(rep, mc_hardening_sinr(cfg, kind, 3, b_p, 10, 4))
+                self.assert_same(rep, mc_hardening_sinr(cfg, kind, 3, b_p, 30, 4))
             else:
-                assert isinstance(rep, RuntimeError) and "stayed rank deficient" in str(rep)
+                assert isinstance(rep, precoding.RankDeficientError) and "numerically singular" in str(rep)
+        checked.clear()
+        with pytest.raises(precoding.RankDeficientError, match="numerically singular"):
+            mc_hardening_sinr(cfg, "wf", 3, 5, 30, 4)
 
     def test_zero_pilot_power_fails_only_zf_and_wf(self):
         cfg = SystemConfig.from_snr(M=16, K=2, tau_c=200, tau_p=8, snr_db=10.0, pilot_power=[0.0, 1.0])
@@ -736,11 +655,10 @@ class TestGroupedTaps:
         (missing,) = se._mc_taps(cfg, 3, [("zf", None)], 10, 1)
         assert isinstance(missing, ValueError) and "needs b_h and b_p" in str(missing)
 
-    def test_pieces_memo_holds_first_attempts_and_moves_no_bit(self, monkeypatch):
-        """Cold, warm and cleared memos of the split-free pieces give the same bits; redraw blocks are never stored."""
+    def test_pieces_memo_moves_no_bit(self, monkeypatch):
+        """Cold, warm and cleared memos of the split-free pieces give the same bits; each block is one entry."""
         monkeypatch.setattr(sysmodel, "_stats_cache", {})
         monkeypatch.setattr(sysmodel, "_pieces_cache", {})
-        monkeypatch.setattr(se, "rank_deficient_mask", lambda G: G[..., 0, 0].real > 18.0)
         cfg = cfg_at(0.0, M=16, K=2)
         runs = []
         for clear in (False, False, True):
@@ -748,9 +666,8 @@ class TestGroupedTaps:
                 sysmodel._stats_cache.clear()
                 sysmodel._pieces_cache.clear()
             runs.append(se._mc_taps(cfg, 3, self.TAPS, 300, 3))
-        assert all(rep.redraws > 0 for rep in runs[0] if rep.kind != "mrt")
-        first = [(3, tuple(range(lo, min(lo + sysmodel.TRIAL_BLOCK, 300))), sysmodel.DOMAIN_TRIAL) for lo in (0, 256)]
-        assert [key[:5] for key in sysmodel._pieces_cache] == [sysmodel._stats_key(cfg, *block) for block in first]
+        blocks = [(3, tuple(range(lo, min(lo + sysmodel.TRIAL_BLOCK, 300))), sysmodel.DOMAIN_TRIAL) for lo in (0, 256)]
+        assert [key[:5] for key in sysmodel._pieces_cache] == [sysmodel._stats_key(cfg, *block) for block in blocks]
         for again in runs[1:]:
             for rep, want in zip(again, runs[0]):
                 self.assert_same(rep, want)
