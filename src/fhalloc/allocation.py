@@ -16,19 +16,20 @@ and keeping the best; the candidate count is B_bar - 1, so exhaustive
 scan is the right tool.
 
 line_search takes the integer budget and a per-split evaluator.  The
-closed-form MRT search computes the whole profile in one numpy pass and
-hands line_search a lookup into it, so its profile is always complete; a
-partial profile, cut short by an evaluator that raised or returned a
-non-finite objective, can only come from the Monte Carlo evaluator.  The
-lookup's per-user rows are lists of Python floats, made by one tolist of
-the whole profile, which line_search keeps as they stand: no candidate
-costs an array round trip.
+closed-form MRT search needs no evaluator: it computes the whole profile
+in one numpy pass and builds its rows straight from the arrays.  Both
+hand their rows to _select, the one home of the selection rule.  The
+closed-form rows are all finite or none are, so that profile is always
+complete; a partial profile, cut short by an evaluator that raised or
+returned a non-finite objective, can only come from the Monte Carlo
+evaluator.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from operator import itemgetter
 from typing import Callable
 
 import numpy as np
@@ -133,47 +134,70 @@ class AllocationResult:
         return self.best.b_h + self.best.b_p
 
 
+def _failure(b_h: int, b_p: int, exc: Exception) -> str:
+    return f"({b_h}, {b_p}): {type(exc).__name__}: {exc}"
+
+
+def _select(rows) -> AllocationResult:
+    """The selection rule of every split search, over (b_h, b_p, sum_se, per_user_se) rows in scan order.
+
+    The first strict maximum wins, so ties resolve to the smallest B_H.
+    A non-finite objective fails its candidate and ends the scan: on the
+    first row it raises ValueError, on a later one the rows before it are
+    kept with failed=True.  rows is read lazily, so line_search evaluates
+    no candidate past a failed one.
+    """
+    profile = []
+    error = None
+    for row in rows:
+        if not math.isfinite(row[2]):
+            exc = ValueError(f"objective is {row[2]!r}, not a finite number")
+            if not profile:
+                raise exc
+            error = _failure(row[0], row[1], exc)
+            break
+        profile.append(row)
+    best = max(profile, key=itemgetter(2))  # the first of equal maxima
+    return AllocationResult(
+        best=BitSplit(b_h=best[0], b_p=best[1]),
+        best_sum_se=best[2],
+        profile=tuple(profile),
+        failed=error is not None,
+        error=error,
+    )
+
+
 def line_search(b_bar: int, evaluate: Callable[[int, int], object]) -> AllocationResult:
     """Exhaustive scan of B_H = 1..B_bar-1 with B_P = B_bar - B_H.
 
     evaluate(b_h, b_p) gives the objective of each candidate: anything
     with a sum_se attribute (and optionally per-user se), or a plain
-    number.  Strict improvement is required to move the incumbent, so
-    ties resolve to the smallest B_H.  The full profile is retained for
-    inspection.  A per-user se that is a list is taken as it stands, so
-    it should hold floats (optimize_split hands over lists of Python
-    floats); any other per-user se, such as a SeReport's array, is
-    converted to floats with numpy.
+    number.  The full profile is retained for inspection, and the best
+    split is picked by _select: ties resolve to the smallest B_H, and a
+    non-finite objective counts as a failed candidate.  A per-user se
+    that is a list is taken as it stands, so it should hold floats; any
+    other per-user se, such as a SeReport's array, is converted to floats
+    with numpy.
 
-    A non-finite objective counts as a failed candidate.  If a candidate
-    fails after at least one finished, the partial profile is returned
-    with failed=True; a failure on the very first candidate propagates
-    (a non-finite objective as ValueError).
+    If a candidate fails after at least one finished, the partial profile
+    is returned with failed=True; a failure on the very first candidate
+    propagates (a non-finite objective as ValueError).
     """
-    best = None
-    profile = []
-    failure = None
-    for b_h in split_range(b_bar):
-        b_p = b_bar - b_h
-        try:
-            report = evaluate(b_h, b_p)
-            value = float(getattr(report, "sum_se", report))
-            if not math.isfinite(value):
-                raise ValueError(f"objective is {value!r}, not a finite number")
-        except Exception as exc:
-            if not profile:
-                raise
-            failure = f"({b_h}, {b_p}): {type(exc).__name__}: {exc}"
-            break
-        se = getattr(report, "se", ())
-        per_user = tuple(se if isinstance(se, list) else np.asarray(se, dtype=float).tolist())
-        profile.append((b_h, b_p, value, per_user))
-        if best is None or value > best[2]:
-            best = profile[-1]
-    return AllocationResult(
-        best=BitSplit(b_h=best[0], b_p=best[1]),
-        best_sum_se=best[2],
-        profile=tuple(profile),
-        failed=failure is not None,
-        error=failure,
-    )
+    aborted = []
+
+    def rows():
+        for b_h in split_range(b_bar):
+            b_p = b_bar - b_h
+            try:
+                report = evaluate(b_h, b_p)
+                value = float(getattr(report, "sum_se", report))
+            except Exception as exc:
+                if b_h == 1:  # nothing scanned yet
+                    raise
+                aborted.append(_failure(b_h, b_p, exc))
+                return
+            se = getattr(report, "se", ())
+            yield b_h, b_p, value, tuple(se if isinstance(se, list) else np.asarray(se, dtype=float).tolist())
+
+    result = _select(rows())
+    return replace(result, failed=True, error=aborted[0]) if aborted else result

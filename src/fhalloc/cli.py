@@ -76,7 +76,11 @@ def _spec_flags(args) -> dict:
 
 
 def _spec_from_args(args, defaults: dict) -> ExperimentSpec:
-    """The defaults, then --config, then the flags; --cfh counts only without --budget-bbar."""
+    """The defaults, then --config, then the flags.
+
+    --budget-bbar drops any budget, the config's and --cfh alike, so no
+    budget is left unread next to the b_bar that overrides it.
+    """
     spec = dict(defaults)
     if args.config:
         with open(args.config) as fh:
@@ -85,7 +89,9 @@ def _spec_from_args(args, defaults: dict) -> ExperimentSpec:
             raise ValueError(f"--config must hold a JSON object, got {type(config).__name__}")
         spec.update(config)
     spec.update(_spec_flags(args))
-    if args.b_bar is None and args.c_fh is not None:
+    if args.b_bar is not None:
+        spec.pop("budget", None)
+    elif args.c_fh is not None:
         spec["budget"] = _budget(args)
     return ExperimentSpec.from_dict(spec)
 

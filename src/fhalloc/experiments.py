@@ -30,12 +30,11 @@ import time
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor, as_completed
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 
 from . import __version__
-from .allocation import AllocationResult, FronthaulBudget, compute_budget, line_search, split_range
+from .allocation import AllocationResult, FronthaulBudget, _select, compute_budget, line_search, split_range
 from .precoding import PRECODER_KINDS
 from .se import CSI_MODES, SeReport, _closed_form_mrt_profile, _mc_taps, closed_form_mrt_sinr, mc_hardening_sinr
 from .sysmodel import SystemConfig, _real
@@ -158,12 +157,18 @@ class ExperimentSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentSpec":
-        """Build a spec from plain data; unknown keys and bad values raise ValueError."""
+        """Build a spec from plain data; unknown keys and bad values raise ValueError.
+
+        A budget object may not carry a b_bar: compute_budget derives it
+        from the capacity, so a given one would go unread.
+        """
         d = dict(_known_keys(cls, d))
         budget = d.get("budget")
         if budget is not None and not isinstance(budget, FronthaulBudget):
             if not isinstance(budget, dict) or "c_fh" not in budget:
                 raise ValueError("budget must be an object with c_fh, the link bits per coherence block")
+            if budget.get("b_bar") is not None:
+                raise ValueError("budget.b_bar is derived from c_fh and the control payload; set b_bar outside the budget")
             d["budget"] = FronthaulBudget(**_known_keys(FronthaulBudget, budget))
         return cls(**d)
 
@@ -478,11 +483,12 @@ def run_sweep(spec: ExperimentSpec, out_dir=None, stem: str = "sweep") -> dict:
 
 
 def optimize_split(spec: ExperimentSpec, precoder: str | None = None) -> AllocationResult:
-    """Line-search the bit split under the spec's budget.
+    """Search every bit split under the spec's budget and keep the best.
 
     The evaluator follows spec.evaluator: the closed form (mrt), which
-    evaluates every split in one pass, or the Monte Carlo pipeline with
-    the spec's first (or given) precoder, one split at a time.  One SNR
+    evaluates every split in one pass and builds the result straight from
+    its arrays, or line_search over the Monte Carlo pipeline with the
+    spec's first (or given) precoder, one split at a time.  One SNR
     point is used; pass a spec with a single snr_db entry.  A perfect-CSI
     spec is refused: no bits cross the fronthaul, so there is no split.
     """
@@ -499,13 +505,14 @@ def optimize_split(spec: ExperimentSpec, precoder: str | None = None) -> Allocat
         if kind != "mrt":
             raise ValueError("the closed-form evaluator only covers mrt")
         splits = split_range(b_bar)
-        _, se, sum_se = _closed_form_mrt_profile(cfg, splits, [b_bar - b_h for b_h in splits])
-        rows = [SimpleNamespace(sum_se=v, se=row) for v, row in zip(sum_se.tolist(), se.tolist())]
-        evaluate = lambda b_h, b_p: rows[b_h - 1]
-    else:
-        evaluate = lambda b_h, b_p: mc_hardening_sinr(
-            cfg, kind, b_h, b_p, spec.trials, spec.seed, moment_trials=spec.moment_trials
-        )
+        b_ps = [b_bar - b_h for b_h in splits]
+        _, se, sum_se = _closed_form_mrt_profile(cfg, splits, b_ps)
+        # Every row is c A with one A and c > 0, so the rows are all finite or
+        # none are: _select can only fail on the first split, and raises there.
+        return _select(zip(splits, b_ps, sum_se.tolist(), map(tuple, se.tolist())))
+    evaluate = lambda b_h, b_p: mc_hardening_sinr(
+        cfg, kind, b_h, b_p, spec.trials, spec.seed, moment_trials=spec.moment_trials
+    )
     return line_search(b_bar, evaluate)
 
 

@@ -312,12 +312,38 @@ def _eta(bits):
     raises) goes to eta_of_bits, so the values and the errors are
     eta_of_bits' own.
     """
-    one = bits is None or isinstance(bits, (int, float, np.number))
-    etas = [
-        _ETA_LOOKUP[b] if b is None or (type(b) is int and b in _ETA_LOOKUP) else eta_of_bits(b)
-        for b in ((bits,) if one else bits)
-    ]
+    one = _one_width(bits)
+    etas = _etas((bits,) if one else bits)
     return etas[0] if one else np.array(etas).reshape(-1, 1)
+
+
+def _one_width(bits) -> bool:
+    return bits is None or isinstance(bits, (int, float, np.number))
+
+
+def _etas(widths) -> list:
+    """_eta of each width in a sequence, as a list of Python floats."""
+    return [_ETA_LOOKUP[b] if b is None or (type(b) is int and b in _ETA_LOOKUP) else eta_of_bits(b) for b in widths]
+
+
+def _split_factor(b_h, b_p):
+    """c = (1-eta_h)(1-eta_p), with _eta's shapes: a float for one split, an (S, 1) column for S.
+
+    c is formed per split in Python floats, the same IEEE operations in
+    the same order as on _eta's columns, so no bit differs from them.  A
+    single width pairs with every split of a sequence, and so does a
+    sequence of one width, as numpy broadcasting pairs them; sequences of
+    other unequal lengths raise ValueError.
+    """
+    one_h, one_p = _one_width(b_h), _one_width(b_p)
+    if one_h and one_p:
+        return (1.0 - _eta(b_h)) * (1.0 - _eta(b_p))
+    etas_h, etas_p = _etas((b_h,) if one_h else b_h), _etas((b_p,) if one_p else b_p)
+    if len(etas_h) == 1:
+        etas_h *= len(etas_p)
+    elif len(etas_p) == 1:
+        etas_p *= len(etas_h)
+    return np.array([(1.0 - h) * (1.0 - p) for h, p in zip(etas_h, etas_p, strict=True)]).reshape(-1, 1)
 
 
 def closed_form_mrt_terms(cfg: SystemConfig, b_h, b_p) -> dict[str, np.ndarray]:
@@ -427,15 +453,15 @@ def _mrt_gains(cfg: SystemConfig) -> tuple[np.ndarray, np.ndarray]:
 def _closed_form_mrt_profile(cfg: SystemConfig, b_h, b_p):
     """SINR c A, SE and sum SE of the MRT closed form, with closed_form_mrt_terms' broadcasting.
 
-    A comes once from the config (_mrt_gains) and c once per split, so a
-    split costs one product.  Every operation is elementwise, so each row
+    A comes once from the config (_mrt_gains) and c once per split
+    (_split_factor), so a split costs one product.  Every operation is elementwise, so each row
     is bit-identical to its split alone, and c commutes, so a split and
     its mirror get the same row.  Returns (sinr, se, sum_se): (K,), (K,)
     and a 0-d array for one split; (S, K), (S, K) and (S,) when b_h or
     b_p is a sequence of S splits.  c A is nonnegative, so the SINR needs
     no check before its SE.
     """
-    sinr = (1.0 - _eta(b_h)) * (1.0 - _eta(b_p)) * _mrt_gains(cfg)[1]
+    sinr = _split_factor(b_h, b_p) * _mrt_gains(cfg)[1]
     se = _se(sinr, cfg.tau_p, cfg.tau_c)
     return sinr, se, se.sum(axis=-1)
 

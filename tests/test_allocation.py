@@ -1,3 +1,4 @@
+import dataclasses
 from types import SimpleNamespace
 
 import numpy as np
@@ -10,10 +11,13 @@ from fhalloc.allocation import (
     BitSplit,
     FronthaulBudget,
     InfeasibleBudgetError,
+    _select,
     compute_budget,
     line_search,
     split_range,
 )
+from fhalloc.experiments import ExperimentSpec, optimize_split
+from fhalloc.se import closed_form_mrt_sinr
 
 
 class TestComputeBudget:
@@ -196,3 +200,62 @@ class TestLineSearch:
         assert isinstance(result, AllocationResult)
         with pytest.raises(AttributeError):
             result.best_sum_se = 2.0
+
+
+def closed_form_spec(M, K, snr_db, b_bar, users="equal"):
+    extra = {
+        "equal": {},
+        "unequal-beta": {"beta": [0.1 + 0.4 * k for k in range(K)]},
+        "one-zero-pilot": {"pilot_q": [0.0] + [1.0 + k for k in range(1, K)]},
+    }[users]
+    return ExperimentSpec(
+        name="search", M=M, K=K, tau_c=200, tau_p=K, snr_db=(snr_db,), evaluator="closed-form", b_bar=b_bar, **extra
+    )
+
+
+def reference_search(spec):
+    """line_search over closed_form_mrt_sinr, one split at a time."""
+    cfg = spec.config_for(spec.snr_db[0])
+    return line_search(spec.b_bar, lambda b_h, b_p: closed_form_mrt_sinr(cfg, b_h, b_p))
+
+
+class TestClosedFormSearch:
+    """optimize_split builds its closed-form result from the profile arrays, equal to line_search's."""
+
+    @pytest.mark.parametrize("users", ["equal", "unequal-beta", "one-zero-pilot"])
+    @pytest.mark.parametrize("K", [2, 8, 16])
+    @pytest.mark.parametrize("M", [32, 128])
+    def test_equals_line_search_over_the_closed_form(self, M, K, users):
+        """b_bar up to 40 takes both widths past the 32-bit eta table."""
+        for snr_db in (-20.0, 0.0, 20.0):
+            for b_bar in range(2, 41):
+                spec = closed_form_spec(M, K, snr_db, b_bar, users)
+                result = optimize_split(spec)
+                assert result == reference_search(spec)
+                assert not result.failed and len(result.profile) == b_bar - 1
+
+    @pytest.mark.parametrize("snr_db", [-20.0, 0.0, 20.0])
+    def test_odd_budget_picks_the_lower_middle_split(self, snr_db):
+        for b_bar in range(3, 41, 2):
+            result = optimize_split(closed_form_spec(128, 8, snr_db, b_bar))
+            assert (result.b_h, result.b_p) == ((b_bar - 1) // 2, (b_bar + 1) // 2)
+
+    def test_all_zero_gamma_raises(self):
+        spec = dataclasses.replace(closed_form_spec(32, 4, 0.0, 10), pilot_q=0.0)
+        with pytest.raises(ValueError, match="gamma = 0") as got:
+            optimize_split(spec)
+        with pytest.raises(ValueError) as want:
+            reference_search(spec)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("bad", (float("nan"), float("inf")))
+    def test_select_fails_a_non_finite_row_as_line_search_does(self, bad):
+        rows = [(b_h, 8 - b_h, float(b_h), (0.5 * b_h, 0.5 * b_h)) for b_h in range(1, 8)]
+        rows[2] = (3, 5, bad, (bad, 0.0))
+        given = _select(rows)
+        scanned = line_search(8, lambda b_h, b_p: SimpleNamespace(sum_se=rows[b_h - 1][2], se=list(rows[b_h - 1][3])))
+        assert given.failed and given.error == f"(3, 5): ValueError: objective is {bad!r}, not a finite number"
+        assert given.profile == tuple(rows[:2]) and given.best == BitSplit(b_h=2, b_p=6)
+        assert given == scanned
+        with pytest.raises(ValueError, match="not a finite number"):
+            _select(rows[2:])

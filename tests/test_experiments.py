@@ -804,6 +804,20 @@ class TestCli:
         assert code == 2
         assert "JSON object, got list" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("b_bar", [12, 0, "12"])
+    def test_budget_with_b_bar_is_refused(self, tmp_path, capsys, b_bar):
+        """b_bar is derived from the capacity; compute_budget would overwrite a given one."""
+        budget = {"c_fh": 1e5, "b_bar": b_bar}
+        with pytest.raises(ValueError, match="budget.b_bar"):
+            ExperimentSpec.from_dict({"budget": budget})
+        config = tmp_path / "spec.json"
+        config.write_text(json.dumps({"budget": budget}))
+        for command in ("sweep", "optimize"):
+            assert main([command, "--config", str(config), "--out", str(tmp_path)]) == 2
+            assert "budget.b_bar" in capsys.readouterr().err
+        # the b_bar: null that to_dict writes is no b_bar
+        assert ExperimentSpec.from_dict({"budget": {"c_fh": 1e5, "b_bar": None}}).budget == FronthaulBudget(c_fh=1e5)
+
     def test_budget_without_capacity(self, tmp_path, capsys):
         with pytest.raises(ValueError, match="c_fh"):
             ExperimentSpec.from_dict({"budget": {"bs_ul": 1}})
@@ -858,7 +872,19 @@ class TestFlagBinding:
     def test_every_flag_reaches_its_field(self, tmp_path, capsys, monkeypatch, command):
         spec = self.spec_from(tmp_path, monkeypatch, command, ["--budget-bbar", "6", *self.CAPACITY])
         assert spec.b_bar == 6
-        assert spec.budget == FronthaulBudget(c_fh=1e6)  # --cfh counts only without --budget-bbar
+        assert spec.budget is None  # --budget-bbar drops the config's budget, and --cfh counts only without it
+
+    def test_budget_bbar_drops_a_config_budget_with_b_bar(self, tmp_path, capsys, monkeypatch):
+        """The config's budget is dropped before it is read, so its b_bar is neither refused nor left unread."""
+        seen = []
+        result = AllocationResult(best=BitSplit(1, 5), best_sum_se=1.0, profile=((1, 5, 1.0, (0.5, 0.5)),))
+        monkeypatch.setattr(cli, "optimize_split", lambda spec: seen.append(spec) or result)
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"budget": {"c_fh": 1e6, "b_bar": 9}}))
+        assert main(["optimize", "--config", str(path), "--budget-bbar", "6", "--out", str(tmp_path)]) == 0
+        assert [(spec.b_bar, spec.budget) for spec in seen] == [(6, None)]
+        assert main(["optimize", "--config", str(path), "--out", str(tmp_path)]) == 2
+        assert "budget.b_bar" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["sweep", "optimize"])
     def test_capacity_flags_reach_the_budget(self, tmp_path, capsys, monkeypatch, command):

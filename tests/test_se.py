@@ -190,6 +190,29 @@ class TestClosedFormProfile:
             assert got == want
             assert se._eta(width) == want
 
+    @pytest.mark.parametrize(
+        "b_h, b_p",
+        [
+            (4, 6),
+            (None, 33),
+            ([1, np.int64(3), None, 32, 33, 70], [70, 2, 5, None, np.int32(7), 1]),
+            (5, [1, 2, 40]),
+            ([1, 2, 40], None),
+            ([9], [1, 2, 40]),
+        ],
+    )
+    def test_split_factor_is_the_product_of_the_eta_columns(self, b_h, b_p):
+        """c in Python floats is bit for bit the product of _eta's columns, shape included."""
+        want = (1.0 - se._eta(b_h)) * (1.0 - se._eta(b_p))
+        got = se._split_factor(b_h, b_p)
+        assert np.shape(got) == np.shape(want)
+        assert np.array_equal(got, want)
+
+    def test_split_factor_refuses_sequences_of_unequal_lengths(self):
+        for product in (se._split_factor, lambda b_h, b_p: (1.0 - se._eta(b_h)) * (1.0 - se._eta(b_p))):
+            with pytest.raises(ValueError):
+                product([1, 2, 3], [4, 5])
+
     @pytest.mark.parametrize("width", [0, -3, np.int64(0), 2.0, 3.5, "4"])
     def test_bad_widths_raise_the_eta_of_bits_error(self, width):
         with pytest.raises(ValueError) as want:
