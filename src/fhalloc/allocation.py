@@ -15,14 +15,17 @@ by evaluating the sum spectral efficiency at every candidate (B_H, B_P)
 and keeping the best; the candidate count is B_bar - 1, so exhaustive
 scan is the right tool.
 
-line_search takes the integer budget and a per-split evaluator.  The
-closed-form MRT search needs no evaluator: it computes the whole profile
-in one numpy pass and builds its rows straight from the arrays.  Both
-hand their rows to _select, the one home of the selection rule.  The
-closed-form rows are all finite or none are, so that profile is always
-complete; a partial profile, cut short by an evaluator that raised or
-returned a non-finite objective, can only come from the Monte Carlo
-evaluator.
+line_search takes the integer budget and a per-split evaluator.
+experiments.optimize_split runs the same scan as a sweep of cells, one
+per split, and reads its rows off the cell outcomes; a closed-form search
+with no output directory computes the whole profile in one numpy pass
+and builds its rows straight from the arrays.  All of them hand their
+rows to _select, the one home of the selection rule and of the failure
+rule: the first failed split ends the profile, raising when it is the
+first split and marking the result failed otherwise.  The closed-form
+rows are all finite or none are, so that profile is always complete; a
+partial profile can only come from an evaluator that raised or returned
+a non-finite objective, or from a Monte Carlo cell that failed.
 """
 
 from __future__ import annotations
@@ -110,9 +113,9 @@ class AllocationResult:
 
     profile holds one (b_h, b_p, sum_se, per_user_se) tuple per scanned
     candidate in scan order; per_user_se is empty when the evaluator
-    returned a bare objective value.  failed is set when an evaluator
-    raised mid-scan, in which case profile covers only the candidates
-    finished before the failure and error carries the message.
+    returned a bare objective value.  failed is set when a candidate
+    after the first failed (_select), in which case profile covers only
+    the candidates before it and error carries the message.
     """
 
     best: BitSplit
@@ -134,29 +137,33 @@ class AllocationResult:
         return self.best.b_h + self.best.b_p
 
 
-def _failure(b_h: int, b_p: int, exc: Exception) -> str:
-    return f"({b_h}, {b_p}): {type(exc).__name__}: {exc}"
-
-
 def _select(rows) -> AllocationResult:
-    """The selection rule of every split search, over (b_h, b_p, sum_se, per_user_se) rows in scan order.
+    """The selection and failure rule of every split search, over (b_h, b_p, sum_se, per_user_se) rows in scan order.
 
     The first strict maximum wins, so ties resolve to the smallest B_H.
-    A non-finite objective fails its candidate and ends the scan: on the
-    first row it raises ValueError, on a later one the rows before it are
-    kept with failed=True.  rows is read lazily, so line_search evaluates
-    no candidate past a failed one.
+    A row fails when its objective is the exception that stopped it, the
+    error text of a failed cell ("Type: message", CellOutcome.error) or
+    not a finite number.  The first failed row ends the scan: on the
+    first row it raises (the exception itself, else ValueError), on a
+    later one the rows before it are kept with failed=True.  rows is read
+    lazily, so line_search evaluates no candidate past a failed one.
     """
     profile = []
     error = None
     for row in rows:
-        if not math.isfinite(row[2]):
-            exc = ValueError(f"objective is {row[2]!r}, not a finite number")
-            if not profile:
-                raise exc
-            error = _failure(row[0], row[1], exc)
-            break
-        profile.append(row)
+        try:
+            if math.isfinite(row[2]):
+                profile.append(row)
+                continue
+            failure = ValueError(f"objective is {row[2]!r}, not a finite number")
+        except TypeError:  # not a number: the exception or the error text
+            failure = row[2]
+        if not profile:
+            raise failure if isinstance(failure, Exception) else ValueError(failure)
+        if isinstance(failure, Exception):
+            failure = f"{type(failure).__name__}: {failure}"
+        error = f"({row[0]}, {row[1]}): {failure}"
+        break
     best = max(profile, key=itemgetter(2))  # the first of equal maxima
     return AllocationResult(
         best=BitSplit(b_h=best[0], b_p=best[1]),
@@ -173,31 +180,25 @@ def line_search(b_bar: int, evaluate: Callable[[int, int], object]) -> Allocatio
     evaluate(b_h, b_p) gives the objective of each candidate: anything
     with a sum_se attribute (and optionally per-user se), or a plain
     number.  The full profile is retained for inspection, and the best
-    split is picked by _select: ties resolve to the smallest B_H, and a
-    non-finite objective counts as a failed candidate.  A per-user se
-    that is a list is taken as it stands, so it should hold floats; any
-    other per-user se, such as a SeReport's array, is converted to floats
-    with numpy.
+    split is picked by _select: ties resolve to the smallest B_H, and an
+    evaluator that raises or a non-finite objective fails its candidate.
+    A per-user se that is a list is taken as it stands, so it should hold
+    floats; any other per-user se, such as a SeReport's array, is
+    converted to floats with numpy.
 
     If a candidate fails after at least one finished, the partial profile
     is returned with failed=True; a failure on the very first candidate
     propagates (a non-finite objective as ValueError).
     """
-    aborted = []
 
     def rows():
         for b_h in split_range(b_bar):
-            b_p = b_bar - b_h
             try:
-                report = evaluate(b_h, b_p)
+                report = evaluate(b_h, b_bar - b_h)
                 value = float(getattr(report, "sum_se", report))
             except Exception as exc:
-                if b_h == 1:  # nothing scanned yet
-                    raise
-                aborted.append(_failure(b_h, b_p, exc))
-                return
+                report, value = None, exc
             se = getattr(report, "se", ())
-            yield b_h, b_p, value, tuple(se if isinstance(se, list) else np.asarray(se, dtype=float).tolist())
+            yield b_h, b_bar - b_h, value, tuple(se if isinstance(se, list) else np.asarray(se, dtype=float).tolist())
 
-    result = _select(rows())
-    return replace(result, failed=True, error=aborted[0]) if aborted else result
+    return _select(rows())

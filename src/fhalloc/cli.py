@@ -8,10 +8,15 @@ Subcommands:
     optimize   pick the best (B_H, B_P) split under a budget
     reproduce  run one of the canned studies (fig2, fig3, fig4)
 
+optimize is a sweep over the budget's splits plus a choice: it writes
+the sweep's record under --out (optimize.csv, the .dat file and
+optimize_meta.json) and prints the best split.
+
 Exit codes: 0 success, 2 bad usage or config, 3 infeasible budget,
-1 other runtime failure (I/O and similar, an optimize search that
-aborted after writing its partial profile, or a sweep/reproduce run in
-which some cell failed, after the other cells' outputs are written).
+1 other runtime failure (I/O and similar, or a run in which some cell
+failed, after the other cells' outputs are written).  An optimize
+profile ends at its first failed split, and a failure on the first
+split exits 2.
 """
 
 from __future__ import annotations
@@ -140,14 +145,7 @@ def _cmd_optimize(args) -> int:
     if result.failed:
         print(f"aborted {result.error}")
         print(f"search aborted early: {result.error}", file=sys.stderr)
-    if args.profile_out:
-        k = len(result.profile[0][3]) if result.profile else 0
-        with open(args.profile_out, "w") as fh:
-            fh.write("b_h,b_p,sum_se" + "".join(f",se_{i}" for i in range(1, k + 1)) + "\n")
-            for b_h, b_p, value, per_user in result.profile:
-                cells = [str(b_h), str(b_p), repr(value)] + [repr(v) for v in per_user]
-                fh.write(",".join(cells) + "\n")
-        print(f"profile {args.profile_out}")
+    print(f"record {args.out_dir}/optimize.csv")
     return 1 if result.failed else 0
 
 
@@ -181,7 +179,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_opt = sub.add_parser("optimize", help="best (B_H, B_P) under a budget")
     _add_system_flags(p_opt)
     _add_budget_flags(p_opt)
-    p_opt.add_argument("--profile-out", help="CSV path for the scanned profile")
     p_opt.set_defaults(func=_cmd_optimize)
 
     p_rep = sub.add_parser("reproduce", help="run a canned study")

@@ -34,9 +34,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .allocation import AllocationResult, FronthaulBudget, _select, compute_budget, line_search, split_range
+from .allocation import AllocationResult, FronthaulBudget, _select, compute_budget, split_range
 from .precoding import PRECODER_KINDS
-from .se import CSI_MODES, SeReport, _closed_form_mrt_profile, _mc_taps, closed_form_mrt_sinr, mc_hardening_sinr
+from .se import CSI_MODES, SeReport, _closed_form_mrt_profile, _mc_taps, closed_form_mrt_sinr
 from .sysmodel import SystemConfig, _real
 
 EVALUATORS = ("mc", "closed-form")
@@ -461,36 +461,48 @@ def write_outputs(
     return meta
 
 
-def _run(spec: ExperimentSpec, expand, out_dir, stem: str) -> dict:
-    """Expand the spec into cells with `expand`, run them, write the outputs.
+def _run(spec: ExperimentSpec, expand, out_dir, stem: str):
+    """Expand the spec into cells with `expand`, run them, and write the outputs unless out_dir is None.
 
     Every SNR's SystemConfig is built first, so a bad config raises a
     ConfigError before any cell runs instead of failing each cell.
+    Returns the cells, their outcomes and the metadata (None when nothing
+    was written).
     """
     for snr in spec.snr_db:
         spec.config_for(snr)
     cells = expand(spec)
     t0 = time.monotonic()
     outcomes = run_cells(spec, cells)
-    elapsed = time.monotonic() - t0
-    return write_outputs(spec, cells, outcomes, out_dir, stem=stem, extra_meta={"elapsed_s": round(elapsed, 3)})
+    extra = {"elapsed_s": round(time.monotonic() - t0, 3)}
+    meta = None if out_dir is None else write_outputs(spec, cells, outcomes, out_dir, stem=stem, extra_meta=extra)
+    return cells, outcomes, meta
 
 
 def run_sweep(spec: ExperimentSpec, out_dir=None, stem: str = "sweep") -> dict:
     if out_dir is None:
         out_dir = spec.out_dir or "."
-    return _run(spec, _expand_sweep, out_dir, stem)
+    return _run(spec, _expand_sweep, out_dir, stem)[2]
 
 
 def optimize_split(spec: ExperimentSpec, precoder: str | None = None) -> AllocationResult:
     """Search every bit split under the spec's budget and keep the best.
 
-    The evaluator follows spec.evaluator: the closed form (mrt), which
-    evaluates every split in one pass and builds the result straight from
-    its arrays, or line_search over the Monte Carlo pipeline with the
-    spec's first (or given) precoder, one split at a time.  One SNR
-    point is used; pass a spec with a single snr_db entry.  A perfect-CSI
-    spec is refused: no bits cross the fronthaul, so there is no split.
+    The search is a sweep over split_range(b_bar) with the spec's first
+    (or the given) precoder at its one SNR, followed by _select over the
+    rows in split order.  The cells run through run_cells, as a sweep's
+    do, so spec.workers sets the pool and any evaluator works (the closed
+    form covers mrt only).  With spec.out_dir set, the sweep's record is
+    written there under the stem "optimize": optimize.csv, the .dat file
+    and optimize_meta.json, which lists any failed cell.  A failed split
+    ends the profile (_select): on the first split it raises ValueError
+    with the cell's error, on a later one the result is marked failed.
+
+    A closed-form search with no out_dir skips the cells: it evaluates
+    every split in one pass and builds the result straight from its
+    arrays, with the same numbers.  One SNR point is used; pass a spec
+    with a single snr_db entry.  A perfect-CSI spec is refused: no bits
+    cross the fronthaul, so there is no split.
     """
     if spec.csi_mode != "quantized":
         raise ValueError("under perfect CSI no bits cross the fronthaul, so there is no split to optimize")
@@ -500,8 +512,8 @@ def optimize_split(spec: ExperimentSpec, precoder: str | None = None) -> Allocat
     if b_bar is None:
         raise ValueError("optimize needs b_bar or a budget")
     kind = precoder or spec.precoders[0]
-    cfg = spec.config_for(spec.snr_db[0])
-    if spec.evaluator == "closed-form":
+    if spec.evaluator == "closed-form" and spec.out_dir is None:
+        cfg = spec.config_for(spec.snr_db[0])
         if kind != "mrt":
             raise ValueError("the closed-form evaluator only covers mrt")
         splits = split_range(b_bar)
@@ -510,10 +522,14 @@ def optimize_split(spec: ExperimentSpec, precoder: str | None = None) -> Allocat
         # Every row is c A with one A and c > 0, so the rows are all finite or
         # none are: _select can only fail on the first split, and raises there.
         return _select(zip(splits, b_ps, sum_se.tolist(), map(tuple, se.tolist())))
-    evaluate = lambda b_h, b_p: mc_hardening_sinr(
-        cfg, kind, b_h, b_p, spec.trials, spec.seed, moment_trials=spec.moment_trials
+    spec = replace(spec, precoders=(kind,), b_bar=b_bar, budget=None, b_h_values=None, b_p_fixed=None)
+    cells, outcomes, _ = _run(spec, _expand_sweep, spec.out_dir, "optimize")
+    rows = (
+        (cell.b_h, cell.b_p, oc.error, ()) if oc.report is None
+        else (cell.b_h, cell.b_p, oc.report.sum_se, tuple(oc.report.se.tolist()))
+        for cell, oc in zip(cells, outcomes)
     )
-    return line_search(b_bar, evaluate)
+    return _select(rows)
 
 
 # --- figure-style presets ---------------------------------------------------
@@ -565,4 +581,4 @@ def reproduce(figure: str, out_dir=None, **overrides) -> dict:
     if out_dir is not None:
         overrides.setdefault("out_dir", str(out_dir))
     spec = preset_spec(figure, **overrides)
-    return _run(spec, lambda s: preset_cells(figure, s), spec.out_dir or ".", figure)
+    return _run(spec, lambda s: preset_cells(figure, s), spec.out_dir or ".", figure)[2]

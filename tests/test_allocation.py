@@ -259,3 +259,16 @@ class TestClosedFormSearch:
         assert given == scanned
         with pytest.raises(ValueError, match="not a finite number"):
             _select(rows[2:])
+
+    def test_select_fails_a_row_that_carries_its_failure(self):
+        """An exception, or a failed cell's error text, fails its row by the rule a non-finite objective follows."""
+        rows = [(b_h, 8 - b_h, float(b_h), ()) for b_h in range(1, 8)]
+        text = "RankDeficientError: estimated channel Gram matrix is numerically singular"
+        for failure, error in ((RuntimeError("boom"), "RuntimeError: boom"), (text, text)):
+            given = _select(rows[:2] + [(3, 5, failure, ())] + rows[3:])
+            assert given.profile == tuple(rows[:2]) and given.best == BitSplit(b_h=2, b_p=6)
+            assert given.failed and given.error == f"(3, 5): {error}"
+        with pytest.raises(RuntimeError, match="boom"):
+            _select([(1, 7, RuntimeError("boom"), ())] + rows[1:])
+        with pytest.raises(ValueError, match=f"^{text}$"):
+            _select([(1, 7, text, ())] + rows[1:])

@@ -19,7 +19,7 @@ import fhalloc.cli as cli
 import fhalloc.experiments as experiments
 import fhalloc.se as se
 import fhalloc.sysmodel as sysmodel
-from fhalloc.allocation import AllocationResult, BitSplit, FronthaulBudget
+from fhalloc.allocation import AllocationResult, BitSplit, FronthaulBudget, line_search
 from fhalloc.cli import main
 from fhalloc.experiments import (
     ExperimentSpec,
@@ -268,6 +268,28 @@ class TestOptimizeSplit:
         with pytest.raises(ValueError):
             optimize_split(small_spec(evaluator="closed-form"), precoder="wf")
 
+    @pytest.mark.parametrize("kind", ("mrt", "zf", "wf"))
+    def test_mc_equals_line_search_over_mc_hardening_sinr(self, kind):
+        """The cells of a Monte Carlo search give line_search's result over one-split mc_hardening_sinr, bit for bit."""
+        for b_bar in (6, 12):
+            for seed in (1, 2, 3):
+                spec = small_spec(M=32, K=4, snr_db=(10.0,), b_bar=b_bar, trials=200, seed=seed, precoders=(kind,))
+                cfg = spec.config_for(10.0)
+                want = line_search(b_bar, lambda b_h, b_p: mc_hardening_sinr(cfg, kind, b_h, b_p, 200, seed, moment_trials=120))
+                assert optimize_split(spec) == want and not want.failed
+
+    def test_out_dir_writes_the_sweep_record(self, tmp_path):
+        spec = small_spec(precoders=("zf", "mrt"), budget=FronthaulBudget(c_fh=128.0), b_bar=None)
+        result = optimize_split(dataclasses.replace(spec, out_dir=str(tmp_path)))
+        assert result == optimize_split(spec)
+        meta = json.loads((tmp_path / "optimize_meta.json").read_text())
+        assert meta["outputs"] == ["optimize.csv", "optimize_zf_snrp0_mc_bbar4.dat"]
+        # the record describes the search that ran: one precoder and the resolved b_bar
+        assert (meta["spec"]["precoders"], meta["spec"]["b_bar"], meta["spec"]["budget"]) == (["zf"], 4, None)
+        assert [row[2:] for row in result.profile] == [
+            (float(row[8]), tuple(map(float, row[9:]))) for row in read_csv(tmp_path / "optimize.csv")[1:]
+        ]
+
 
 class TestPresets:
     def test_fig4_grid(self):
@@ -391,7 +413,6 @@ class TestCli:
         assert f"config error: {field} must be finite" in capsys.readouterr().err
 
     def test_optimize_with_profile(self, tmp_path, capsys):
-        profile = tmp_path / "profile.csv"
         code = main(
             [
                 "optimize",
@@ -399,7 +420,6 @@ class TestCli:
                 "--k", "4",
                 "--snr-db", "10",
                 "--budget-bbar", "10",
-                "--profile-out", str(profile),
                 "--out", str(tmp_path),
             ]
         )
@@ -407,9 +427,11 @@ class TestCli:
         out = capsys.readouterr().out
         assert "best_b_h 5" in out
         assert "best_b_p 5" in out
-        rows = read_csv(profile)
+        rows = [row[3:5] + row[8:] for row in read_csv(tmp_path / "optimize.csv")]
         assert rows[0] == ["b_h", "b_p", "sum_se", "se_1", "se_2", "se_3", "se_4"]
         assert len(rows) == 10
+        assert (tmp_path / "optimize_mrt_snrp10_closed_bbar10.dat").exists()
+        assert json.loads((tmp_path / "optimize_meta.json").read_text())["rows"] == 9
 
     def test_sweep_writes_outputs(self, tmp_path, capsys):
         code = main(
@@ -473,22 +495,77 @@ class TestCli:
             ExperimentSpec.from_dict({"budget": {"c_fh": 1e5, "extra": 2}})
 
     def test_optimize_aborted_search_exits_nonzero(self, tmp_path, capsys, monkeypatch):
-        partial = AllocationResult(
-            best=BitSplit(1, 9),
-            best_sum_se=1.5,
-            profile=((1, 9, 1.5, (0.75, 0.75)),),
-            failed=True,
-            error="RuntimeError: synthetic failure",
-        )
-        monkeypatch.setattr(cli, "optimize_split", lambda spec: partial)
-        profile = tmp_path / "profile.csv"
-        code = main(["optimize", "--budget-bbar", "10", "--profile-out", str(profile), "--out", str(tmp_path)])
+        """A failed split after the first ends the profile and exits 1; the record keeps every other split."""
+        real = experiments._eval_group
+
+        def flaky(spec, cells):
+            failure = RuntimeError("synthetic failure")
+            return [failure if cell.b_h == 4 else r for cell, r in zip(cells, real(spec, cells))]
+
+        monkeypatch.setattr(experiments, "_eval_group", flaky)
+        code = main(["optimize", "--budget-bbar", "10", "--out", str(tmp_path)])
         assert code == 1
         captured = capsys.readouterr()
         assert "search aborted early" in captured.err
-        assert "scanned 1 of 9" in captured.out.splitlines()
-        assert "aborted RuntimeError: synthetic failure" in captured.out.splitlines()
-        assert read_csv(profile) == [["b_h", "b_p", "sum_se", "se_1", "se_2"], ["1", "9", "1.5", "0.75", "0.75"]]
+        assert "scanned 3 of 9" in captured.out.splitlines()
+        assert "aborted (4, 6): RuntimeError: synthetic failure" in captured.out.splitlines()
+        assert [int(row[3]) for row in read_csv(tmp_path / "optimize.csv")[1:]] == [1, 2, 3, 5, 6, 7, 8, 9]
+        meta = json.loads((tmp_path / "optimize_meta.json").read_text())
+        assert [(f["b_h"], f["error"]) for f in meta["failed_cells"]] == [(4, "RuntimeError: synthetic failure")]
+
+    def test_optimize_mc_record_and_answer_do_not_depend_on_workers(self, tmp_path, capsys):
+        """optimize --out reads --workers: the record and the answer are the same bytes at 1 to 3 workers."""
+        argv = ["optimize", "--evaluator", "mc", "--precoder", "zf", "--m", "16", "--k", "2", "--budget-bbar", "6"]
+        answers = []
+        for workers in (1, 2, 3):
+            out = tmp_path / f"w{workers}"
+            assert main(argv + ["--trials", "40", "--workers", str(workers), "--out", str(out)]) == 0
+            answers.append(capsys.readouterr().out.replace(str(out), "OUT"))
+            meta = json.loads((out / "optimize_meta.json").read_text())
+            assert (meta["rows"], meta["failed_cells"], meta["spec"]["workers"]) == (5, [], workers)
+        assert answers == [answers[0]] * 3 and "scanned 5 of 5" in answers[0]
+        names = ["optimize.csv", "optimize_zf_snrp10_mc_bbar6.dat"]
+        assert sorted(p.name for p in (tmp_path / "w1").iterdir()) == sorted(names + ["optimize_meta.json"])
+        for workers in (2, 3):
+            for name in names:
+                assert (tmp_path / f"w{workers}" / name).read_bytes() == (tmp_path / "w1" / name).read_bytes()
+
+    @pytest.mark.parametrize("b_bar", (10, 33, 40))
+    @pytest.mark.parametrize("beta", (None, [0.25, 0.5, 1.0, 2.0]), ids=("equal", "unequal-beta"))
+    def test_closed_form_optimize_matches_the_array_path(self, tmp_path, capsys, b_bar, beta):
+        """The CLI's closed-form cells give the one-pass answer, and optimize.csv its profile."""
+        config = {"M": 32, "K": 4, "tau_p": 4, "b_bar": b_bar, **({} if beta is None else {"beta": beta})}
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(config))
+        assert main(["optimize", "--config", str(path), "--out", str(tmp_path)]) == 0
+        want = optimize_split(ExperimentSpec(evaluator="closed-form", **config))
+        assert capsys.readouterr().out.splitlines()[:5] == [
+            f"b_bar {b_bar}", f"best_b_h {want.b_h}", f"best_b_p {want.b_p}",
+            f"best_sum_se {want.best_sum_se!r}", f"scanned {b_bar - 1} of {b_bar - 1}",
+        ]
+        rows = [row[3:5] + row[8:] for row in read_csv(tmp_path / "optimize.csv")[1:]]
+        assert rows == [[str(b_h), str(b_p), repr(value), *map(repr, se)] for b_h, b_p, value, se in want.profile]
+
+    def test_singular_gram_at_a_middle_split(self, tmp_path, capsys, monkeypatch):
+        """One singular ZF Gram at B_H = 3: exit 1, the profile stops at 2 and the record holds every other split."""
+        groups = []
+
+        def flag_third_group(G):
+            groups.append(len(G))
+            bad = np.zeros(len(G), bool)
+            bad[0] = len(groups) == 3  # one Monte Carlo group per B_H, run in split order
+            return bad
+
+        monkeypatch.setattr(se, "rank_deficient_mask", flag_third_group)
+        argv = ["optimize", "--evaluator", "mc", "--precoder", "zf", "--m", "16", "--k", "2", "--budget-bbar", "6"]
+        assert main(argv + ["--trials", "10", "--out", str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        assert "scanned 2 of 5" in captured.out.splitlines()
+        assert "aborted (3, 3): RankDeficientError: estimated channel Gram matrix is numerically singular" in captured.out
+        assert "search aborted early" in captured.err
+        assert [int(row[3]) for row in read_csv(tmp_path / "optimize.csv")[1:]] == [1, 2, 4, 5]
+        meta = json.loads((tmp_path / "optimize_meta.json").read_text())
+        assert [(f["b_h"], f["error"].split(":")[0]) for f in meta["failed_cells"]] == [(3, "RankDeficientError")]
 
     @pytest.mark.parametrize("command", ("sweep", "reproduce"))
     def test_bad_config_value_exits_before_any_cell(self, tmp_path, capsys, monkeypatch, command):
@@ -855,7 +932,7 @@ class TestFlagBinding:
         else:
             result = AllocationResult(best=BitSplit(1, 5), best_sum_se=1.0, profile=((1, 5, 1.0, (0.5, 0.5)),))
             monkeypatch.setattr(cli, "optimize_split", lambda spec: seen.append((spec, None)) or result)
-            extra = ["--profile-out", str(tmp_path / "profile.csv")]
+            extra = []
         path = tmp_path / "spec.json"
         path.write_text(json.dumps({**self.CONFIG, "b_p_fixed": 1}))
         out = str(tmp_path / "out")
