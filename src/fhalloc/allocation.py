@@ -9,23 +9,29 @@ total per-entry bits are
     B_bar = floor((C_FH - (Bs_ul T_u + Bs_dl T_d) K) / (K M)),
 
 to be split as B_H + B_P = B_bar with both parts at least 1 bit.  A budget
-below 2 is infeasible (split_range, the one place that rule lives), and
+below 2 is infeasible (_feasible, the one place that rule lives), and
 a non-finite capacity or control rate is an error.  The split is chosen
 by evaluating the sum spectral efficiency at every candidate (B_H, B_P)
 and keeping the best; the candidate count is B_bar - 1, so exhaustive
-scan is the right tool.
+scan is the right tool.  split_range, the one source of the candidates,
+refuses a B_bar above _B_BAR_CEILING (derived there), so no scan of
+splits and no sweep that expands one cell per split can run away.
 
 line_search takes the integer budget and a per-split evaluator.
 experiments.optimize_split runs the same scan as a sweep of cells, one
 per split, and reads its rows off the cell outcomes; a closed-form search
-with no output directory computes the whole profile in one numpy pass
-and builds its rows straight from the arrays.  All of them hand their
-rows to _select, the one home of the selection rule and of the failure
-rule: the first failed split ends the profile, raising when it is the
-first split and marking the result failed otherwise.  The closed-form
-rows are all finite or none are, so that profile is always complete; a
-partial profile can only come from an evaluator that raised or returned
-a non-finite objective, or from a Monte Carlo cell that failed.
+with no output directory computes the distinct half of the profile in
+one numpy pass (se._split_table) and builds its rows straight from the
+arrays.  All of them hand their rows to _select, the one home of the
+selection rule and of the failure rule: the first failed split ends the
+profile, raising when it is the first split and marking the result
+failed otherwise.  The closed-form paths rank their rows on
+L(B_H) = log1p(-eta(B_H)) + log1p(-eta(B_bar - B_H)) instead of the sum
+SE, which carries the same order with the digits the SE rounds away.
+The closed-form rows are all finite or none are, so that profile is
+always complete; a partial profile can only come from an evaluator that
+raised or returned a non-finite objective, or from a Monte Carlo cell
+that failed.
 """
 
 from __future__ import annotations
@@ -44,13 +50,39 @@ class InfeasibleBudgetError(ValueError):
     """The fronthaul budget cannot fund at least one bit on each transfer."""
 
 
+# The largest b_bar whose splits the closed form still ranks in their true
+# order.  The closed-form split search ranks on L(B_H) = log1p(-eta(B_H)) +
+# log1p(-eta(b_bar - B_H)), and past 5 bits eta(b) = (pi sqrt(3)/2) 4^-b in
+# doubles: 4.0**-537 is the least subnormal, so eta(b) is nonzero through
+# b = 537 bits and 0 from 538 on.  L rises strictly over B_H = 1 .. b_bar // 2
+# while every width below the middle has a nonzero eta, i.e. for
+# b_bar // 2 <= 538.  At b_bar = 1078 the splits (538, 540) and (539, 539)
+# both read L = 0 and tie, so the answer leaves the middle.  Above this
+# ceiling no evaluator could tell the middle splits apart, and a scan over
+# b_bar - 1 splits (one cell each in a sweep) would only grow.
+_B_BAR_CEILING = 1077
+
+
+def _feasible(b_bar: int) -> int:
+    """b_bar itself; InfeasibleBudgetError when it cannot fund a bit on each transfer (below 2)."""
+    if b_bar < 2:
+        raise InfeasibleBudgetError(f"b_bar = {b_bar}, need at least 2 (one bit per transfer)")
+    return b_bar
+
+
 def split_range(b_bar: int) -> range:
     """The B_H of every split B_H + B_P = b_bar with a bit on each transfer.
 
-    Raises InfeasibleBudgetError when b_bar is below 2.
+    Raises InfeasibleBudgetError when b_bar is below 2, and ValueError
+    when it is above _B_BAR_CEILING, where the closed form can no longer
+    rank the splits.
     """
-    if b_bar < 2:
-        raise InfeasibleBudgetError(f"b_bar = {b_bar}, need at least 2 (one bit per transfer)")
+    if _feasible(b_bar) > _B_BAR_CEILING:
+        shown = b_bar if b_bar < 2**53 else f"about 2^{int(b_bar).bit_length() - 1}"
+        raise ValueError(
+            f"b_bar = {shown} is above the ceiling of {_B_BAR_CEILING} bits per entry, past which eta underflows "
+            "and the splits can no longer be ranked"
+        )
     return range(1, b_bar)
 
 
@@ -95,8 +127,7 @@ def compute_budget(budget: FronthaulBudget, M: int, K: int) -> FronthaulBudget:
     if not math.isfinite(remaining):
         raise ValueError(f"control payload must be finite, and so must c_fh minus it; got c_fh - (bs_ul t_u + bs_dl t_d) K = {remaining!r}")
     b_bar = int(np.floor(remaining / (K * M)))
-    split_range(b_bar)  # refuses a b_bar below 2
-    return replace(budget, b_bar=b_bar)
+    return replace(budget, b_bar=_feasible(b_bar))
 
 
 @dataclass(frozen=True)
@@ -137,11 +168,14 @@ class AllocationResult:
         return self.best.b_h + self.best.b_p
 
 
-def _select(rows) -> AllocationResult:
+def _select(rows, key=None) -> AllocationResult:
     """The selection and failure rule of every split search, over (b_h, b_p, sum_se, per_user_se) rows in scan order.
 
-    The first strict maximum wins, so ties resolve to the smallest B_H.
-    A row fails when its objective is the exception that stopped it, the
+    Rows rank on their sum_se, or, when key is given, on key[i] for the
+    i-th row in scan order (the closed-form paths pass L(B_H) from
+    se._split_table).  The first strict maximum wins, so ties resolve to
+    the smallest B_H.  The result keeps the winner's own sum_se either
+    way.  A row fails when its objective is the exception that stopped it, the
     error text of a failed cell ("Type: message", CellOutcome.error) or
     not a finite number.  The first failed row ends the scan: on the
     first row it raises (the exception itself, else ValueError), on a
@@ -164,7 +198,11 @@ def _select(rows) -> AllocationResult:
             failure = f"{type(failure).__name__}: {failure}"
         error = f"({row[0]}, {row[1]}): {failure}"
         break
-    best = max(profile, key=itemgetter(2))  # the first of equal maxima
+    if key is None:
+        best = max(profile, key=itemgetter(2))  # the first of equal maxima
+    else:
+        ranks = key[: len(profile)]
+        best = profile[ranks.index(max(ranks))]
     return AllocationResult(
         best=BitSplit(b_h=best[0], b_p=best[1]),
         best_sum_se=best[2],

@@ -12,21 +12,25 @@ optimize is a sweep over the budget's splits plus a choice: it writes
 the sweep's record under --out (optimize.csv, the .dat file and
 optimize_meta.json) and prints the best split.
 
-Exit codes: 0 success, 2 bad usage or config, 3 infeasible budget,
+Exit codes: 0 success, 2 bad usage or config (a b_bar above the split
+ceiling of allocation.split_range among them), 3 infeasible budget,
 1 other runtime failure (I/O and similar, or a run in which some cell
 failed, after the other cells' outputs are written).  An optimize
 profile ends at its first failed split, and a failure on the first
-split exits 2.
+split exits 2.  A reader that closes stdout early (``fhalloc ... | head``)
+is not a failure: the rest of the output is dropped and the command
+ends with its own exit code.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import fields
 
-from .allocation import FronthaulBudget, InfeasibleBudgetError, compute_budget, split_range
+from .allocation import FronthaulBudget, InfeasibleBudgetError, _feasible, compute_budget
 from .experiments import ExperimentSpec, optimize_split, reproduce, run_sweep
 from .quantization import eta_of_bits
 
@@ -101,8 +105,32 @@ def _spec_from_args(args, defaults: dict) -> ExperimentSpec:
     return ExperimentSpec.from_dict(spec)
 
 
+def _out(*lines: str) -> None:
+    """Print lines to stdout and flush them; a closed stdout drops them quietly.
+
+    A reader that exits early (``fhalloc optimize ... | head -3``) closes
+    the pipe, and the next write raises BrokenPipeError.  The command's
+    work is done by then, so the rest of its output is dropped and it goes
+    on to its own exit code.  stdout's descriptor, where it has one, is
+    pointed at os.devnull, so the interpreter's last flush at exit does
+    not raise again.
+    """
+    try:
+        for line in lines:
+            print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        try:
+            fd = sys.stdout.fileno()
+        except (OSError, ValueError):  # a stdout with no descriptor (io.UnsupportedOperation)
+            return
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, fd)
+        os.close(null)
+
+
 def _cmd_eta(args) -> int:
-    print(f"{eta_of_bits(args.bits)!r}")
+    _out(f"{eta_of_bits(args.bits)!r}")
     return 0
 
 
@@ -114,15 +142,13 @@ def _cmd_budget(args) -> int:
     else:
         print("budget: provide --budget-bbar or --cfh", file=sys.stderr)
         return 2
-    split_range(b_bar)  # refuses a b_bar below 2
-    print(f"b_bar {b_bar}")
-    # b_bar - 1 splits; len() of a range past the C index range would overflow
-    print(f"splits {b_bar - 1}")
+    # b_bar - 1 splits, counted even past the split ceiling, which only bounds a scan over them
+    _out(f"b_bar {_feasible(b_bar)}", f"splits {b_bar - 1}")
     return 0
 
 
 def _report_run(meta: dict, csv_path: str) -> int:
-    print(f"wrote {meta['rows']} rows to {csv_path}")
+    _out(f"wrote {meta['rows']} rows to {csv_path}")
     failed = meta["failed_cells"]
     if failed:
         print(f"{len(failed)} cells failed, first: {failed[0]['error']}", file=sys.stderr)
@@ -137,15 +163,17 @@ def _cmd_sweep(args) -> int:
 def _cmd_optimize(args) -> int:
     spec = _spec_from_args(args, defaults={"name": "optimize", "evaluator": "closed-form"})
     result = optimize_split(spec)
-    print(f"b_bar {result.b_bar}")
-    print(f"best_b_h {result.b_h}")
-    print(f"best_b_p {result.b_p}")
-    print(f"best_sum_se {result.best_sum_se!r}")
-    print(f"scanned {len(result.profile)} of {result.b_bar - 1}")
     if result.failed:
-        print(f"aborted {result.error}")
         print(f"search aborted early: {result.error}", file=sys.stderr)
-    print(f"record {args.out_dir}/optimize.csv")
+    _out(
+        f"b_bar {result.b_bar}",
+        f"best_b_h {result.b_h}",
+        f"best_b_p {result.b_p}",
+        f"best_sum_se {result.best_sum_se!r}",
+        f"scanned {len(result.profile)} of {result.b_bar - 1}",
+        *([f"aborted {result.error}"] if result.failed else []),
+        f"record {args.out_dir}/optimize.csv",
+    )
     return 1 if result.failed else 0
 
 

@@ -36,7 +36,7 @@ import numpy as np
 from . import __version__
 from .allocation import AllocationResult, FronthaulBudget, _select, compute_budget, split_range
 from .precoding import PRECODER_KINDS
-from .se import CSI_MODES, SeReport, _closed_form_mrt_profile, _mc_taps, closed_form_mrt_sinr
+from .se import CSI_MODES, SeReport, _mc_taps, _mrt_gains, _se, _split_table, closed_form_mrt_sinr
 from .sysmodel import SystemConfig, _real
 
 EVALUATORS = ("mc", "closed-form")
@@ -497,12 +497,19 @@ def optimize_split(spec: ExperimentSpec, precoder: str | None = None) -> Allocat
     and optimize_meta.json, which lists any failed cell.  A failed split
     ends the profile (_select): on the first split it raises ValueError
     with the cell's error, on a later one the result is marked failed.
+    Monte Carlo rows rank on their sum SE; closed-form rows rank on
+    L(B_H) = log1p(-eta_h) + log1p(-eta_p) (se._split_table), which
+    orders them as the sum SE does but still separates the splits where
+    1 - eta rounds to 1, so every budget up to the split ceiling
+    (allocation.split_range) finds the balanced split.
 
-    A closed-form search with no out_dir skips the cells: it evaluates
-    every split in one pass and builds the result straight from its
-    arrays, with the same numbers.  One SNR point is used; pass a spec
-    with a single snr_db entry.  A perfect-CSI spec is refused: no bits
-    cross the fronthaul, so there is no split.
+    A closed-form search with no out_dir skips the cells.  It reads the
+    budget's memoized split table, forms A once (se._mrt_gains), computes
+    the SE rows of the distinct half of the splits in one pass, and gives
+    each mirrored split the row tuple of its partner, bit-identical to
+    closed_form_mrt_sinr of that split since c commutes.  One SNR point
+    is used; pass a spec with a single snr_db entry.  A perfect-CSI spec
+    is refused: no bits cross the fronthaul, so there is no split.
     """
     if spec.csi_mode != "quantized":
         raise ValueError("under perfect CSI no bits cross the fronthaul, so there is no split to optimize")
@@ -516,12 +523,16 @@ def optimize_split(spec: ExperimentSpec, precoder: str | None = None) -> Allocat
         cfg = spec.config_for(spec.snr_db[0])
         if kind != "mrt":
             raise ValueError("the closed-form evaluator only covers mrt")
-        splits = split_range(b_bar)
-        b_ps = [b_bar - b_h for b_h in splits]
-        _, se, sum_se = _closed_form_mrt_profile(cfg, splits, b_ps)
+        table = _split_table(b_bar)
+        se = _se(table.c * _mrt_gains(cfg)[1], cfg.tau_p, cfg.tau_c)
+        sums, users = se.sum(axis=-1).tolist(), list(map(tuple, se.tolist()))
+        # splits past the distinct half reuse their mirror's row, in reverse order
+        upper = len(table.splits) - len(sums)
+        sums += sums[:upper][::-1]
+        users += users[:upper][::-1]
         # Every row is c A with one A and c > 0, so the rows are all finite or
         # none are: _select can only fail on the first split, and raises there.
-        return _select(zip(splits, b_ps, sum_se.tolist(), map(tuple, se.tolist())))
+        return _select(zip(table.splits, table.b_ps, sums, users), key=table.rank)
     spec = replace(spec, precoders=(kind,), b_bar=b_bar, budget=None, b_h_values=None, b_p_fixed=None)
     cells, outcomes, _ = _run(spec, _expand_sweep, spec.out_dir, "optimize")
     rows = (
@@ -529,7 +540,7 @@ def optimize_split(spec: ExperimentSpec, precoder: str | None = None) -> Allocat
         else (cell.b_h, cell.b_p, oc.report.sum_se, tuple(oc.report.se.tolist()))
         for cell, oc in zip(cells, outcomes)
     )
-    return _select(rows)
+    return _select(rows, key=_split_table(b_bar).rank if spec.evaluator == "closed-form" else None)
 
 
 # --- figure-style presets ---------------------------------------------------

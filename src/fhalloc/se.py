@@ -62,25 +62,34 @@ K = 8, at M = 64 and M = 512 alike; at M = 512 and +10 dB it is about
 
 The closed form is Gamma_k = c A_k (closed_form_mrt_terms): the split
 enters only through c = (1-eta_h)(1-eta_p), and A_k depends on the config
-alone.  A closed-form split search (_closed_form_mrt_profile over
-sequences of bit widths) forms A once per config and then one product
-c A per split, and runs only arithmetic: eta comes from a table of
-eta_of_bits values, gamma from the config's checked, read-only arrays
-without checking them again, and the SE without the SINR check, since
-c A is nonnegative.  Each row is elementwise on the same A, so it is
-bit-identical to closed_form_mrt_sinr of that split, and a split and
-its mirror give the same row.
+alone.  Everything about a closed-form split search but A depends on the
+budget b_bar alone, so _split_table keeps it per b_bar (bounded and
+read-only): the splits, the c column of the first ceil((b_bar-1)/2)
+splits, and the ranking key L(B_H) = log1p(-eta_h) + log1p(-eta_p).  c
+commutes in IEEE arithmetic, so every split has the same c, and so the
+same row, as its mirror B_H -> b_bar - B_H, and a search computes only
+the distinct half of the rows: A once per config (_mrt_gains, in Python
+floats over the K users, from the config's checked, read-only arrays
+without checking them again), one product c A per distinct split, and
+the SE without the SINR check, since c A is nonnegative.  Each row is
+elementwise on the same A, so it is bit-identical to closed_form_mrt_sinr
+of that split.  L orders the splits as the SE does, since the SE rises
+with c, but keeps eta's digits where 1 - eta rounds to 1 (from 28 bits
+on), so large budgets still find the balanced split.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from . import sysmodel
+from .allocation import split_range
 from .channel import _estimate_products, _slot_pieces
 from .precoding import PRECODER_KINDS, RankDeficientError, _kxk_precoder, _mrt_gamma, _mrt_normalization, precoder_entry_var, rank_deficient_mask
 from .quantization import aqnm_noise_var, eta_of_bits
@@ -346,6 +355,51 @@ def _split_factor(b_h, b_p):
     return np.array([(1.0 - h) * (1.0 - p) for h, p in zip(etas_h, etas_p, strict=True)]).reshape(-1, 1)
 
 
+class _SplitTable(NamedTuple):
+    """What a closed-form split search over one budget needs besides the config (_split_table).
+
+    splits  split_range(b_bar), the B_H of every split in scan order
+    b_ps    the matching B_P, b_bar - B_H
+    c       read-only (h, 1) column of c = (1-eta_h)(1-eta_p) for the first
+            h = ceil((b_bar-1)/2) splits; split b_bar - B_H has the c of B_H
+    rank    L(B_H) = log1p(-eta_h) + log1p(-eta_p) of every split in scan
+            order, the key allocation._select ranks closed-form rows on
+    """
+
+    splits: range
+    b_ps: range
+    c: np.ndarray
+    rank: tuple
+
+
+# _split_table keeps the tables of this many budgets, the most recently used;
+# a table holds at most 1076 rank and 538 c entries (allocation._B_BAR_CEILING)
+_SPLIT_TABLES = 128
+
+
+@functools.lru_cache(maxsize=_SPLIT_TABLES)
+def _split_table(b_bar: int) -> _SplitTable:
+    """The _SplitTable of a budget, memoized: built once per b_bar and shared, read-only, by every search.
+
+    split_range refuses a b_bar below 2 or above the split ceiling, so no
+    table is built for either.  c comes from _split_factor, so each entry
+    is bit-identical to that split's own c.  L ranks the splits in the
+    order of c without rounding 1 - eta: from 28 bits on, 1 - eta(b)
+    rounds to 1.0 and c ties on every split whose widths are both that
+    wide, while L keeps eta's digits down to its underflow.  A split and
+    its mirror get the same L, since the sum commutes.
+    """
+    splits = split_range(b_bar)
+    b_ps = range(b_bar - 1, 0, -1)
+    half = b_bar // 2
+    c = _split_factor(splits[:half], b_ps[:half])
+    c.setflags(write=False)
+    # log1p(-eta(b)) of every width b = 1 .. b_bar - 1, at index b - 1
+    logs = [math.log1p(-eta) for eta in _etas(splits)]
+    rank = tuple(logs[b_h - 1] + logs[b_p - 1] for b_h, b_p in zip(splits, b_ps))
+    return _SplitTable(splits, b_ps, c, rank)
+
+
 def closed_form_mrt_terms(cfg: SystemConfig, b_h, b_p) -> dict[str, np.ndarray]:
     r"""Closed-form pieces of the MRT hardening SINR, per user.
 
@@ -390,7 +444,7 @@ def closed_form_mrt_terms(cfg: SystemConfig, b_h, b_p) -> dict[str, np.ndarray]:
     c commutes, so every shared-budget profile B_H -> b_bar - B_H is
     exactly its own mirror image and the balanced split is optimal at
     every SNR, M, K, beta and pilot power; an odd b_bar ties its two
-    middle splits, and line_search keeps the smaller B_H.  The Monte
+    middle splits, and the search keeps the smaller B_H.  The Monte
     Carlo ZF/WF profiles are mirror-symmetric as well: imperfect-CSI ZF
     with the same quantizers has SINR c (rho g (M-K)/K) / (rho (beta -
     c g) + 1) with g = gamma to first order.  A convention that only
@@ -443,11 +497,16 @@ def _mrt_gains(cfg: SystemConfig) -> tuple[np.ndarray, np.ndarray]:
     M gamma_k (gamma_k / sum_i gamma_i) / (beta_k + sigma^2 / P_t): the
     share is at most 1, the denominator at least beta_k, and P_t enters
     only through sigma^2 / P_t, so A_k is finite wherever gamma is.
-    Raises ValueError when every gamma is 0.
+    Raises ValueError when every gamma is 0.  The arithmetic runs in
+    Python floats, the same IEEE operations in the same order as numpy's
+    elementwise ones, and only the two results become arrays: on short
+    K-vectors numpy's per-call cost outweighs the arithmetic (for K up to
+    about 12).
     """
     gamma, total = _mrt_gamma(cfg)
-    array_gain = cfg.M * gamma * (gamma / total)
-    return array_gain, array_gain / (cfg.beta + cfg.noise_var / cfg.total_power)
+    floor = cfg.noise_var / cfg.total_power
+    array_gain = [cfg.M * g * (g / total) for g in gamma]
+    return np.array(array_gain), np.array([a / (b + floor) for a, b in zip(array_gain, cfg.beta.tolist())])
 
 
 def _closed_form_mrt_profile(cfg: SystemConfig, b_h, b_p):

@@ -131,15 +131,19 @@ def _as_user_vector(value, K: int, name: str, allow_zero: bool = False) -> np.nd
     the Python object it is: a cast would hide a boolean or a string
     (np.asarray([1, True]) is an int array).  The copy is never the
     caller's array, so writing into that array later cannot change a
-    checked config.
+    checked config.  A lone real number, the common case, is checked as it
+    stands, without the object array.
     """
-    entries = np.array(value.tolist() if isinstance(value, np.ndarray) else value, dtype=object)
-    if entries.shape not in ((), (K,)):
-        raise ConfigError(f"{name} must be a scalar or length-{K} vector, got shape {entries.shape}")
-    if not all(map(_is_real, entries.flat)):
-        raise ConfigError(f"{name} entries must be real, non-boolean numbers")
+    scalar = _is_real(value)
+    if not scalar:
+        entries = np.array(value.tolist() if isinstance(value, np.ndarray) else value, dtype=object)
+        if entries.shape not in ((), (K,)):
+            raise ConfigError(f"{name} must be a scalar or length-{K} vector, got shape {entries.shape}")
+        if not all(map(_is_real, entries.flat)):
+            raise ConfigError(f"{name} entries must be real, non-boolean numbers")
+        scalar = not entries.ndim
     try:
-        if entries.ndim:
+        if not scalar:
             arr = entries.astype(float)
             ok = np.all(np.isfinite(arr)) and np.all(arr >= 0 if allow_zero else arr > 0)
         else:

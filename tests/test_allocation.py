@@ -1,4 +1,5 @@
 import dataclasses
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -11,12 +12,14 @@ from fhalloc.allocation import (
     BitSplit,
     FronthaulBudget,
     InfeasibleBudgetError,
+    _B_BAR_CEILING,
     _select,
     compute_budget,
     line_search,
     split_range,
 )
 from fhalloc.experiments import ExperimentSpec, optimize_split
+from fhalloc.quantization import eta_of_bits
 from fhalloc.se import closed_form_mrt_sinr
 
 
@@ -103,6 +106,36 @@ class TestSplitRange:
     def test_below_two_is_infeasible(self, b_bar):
         with pytest.raises(InfeasibleBudgetError, match=rf"^b_bar = {b_bar}, need at least 2"):
             split_range(b_bar)
+
+    @pytest.mark.parametrize("b_bar, shown", [(1078, "1078"), (20_000_000, "20000000"), (2**990 + 7, "about 2\\^990")])
+    def test_above_the_ceiling_is_a_config_error(self, b_bar, shown):
+        """A budget past the ceiling is refused by value, naming the ceiling, not counted as infeasible."""
+        with pytest.raises(ValueError, match=rf"^b_bar = {shown} is above the ceiling of 1077 bits per entry") as info:
+            split_range(b_bar)
+        assert not isinstance(info.value, InfeasibleBudgetError)
+        assert split_range(_B_BAR_CEILING) == range(1, _B_BAR_CEILING)
+
+    def test_ceiling_is_the_last_budget_whose_splits_rank_strictly(self):
+        """L(B_H) rises strictly up to the middle split at the ceiling, and ties two splits one bit past it.
+
+        eta_of_bits is nonzero through 537 bits and 0 from 538 on, so at
+        b_bar = 1078 the splits (538, 540) and (539, 539) both read L = 0.
+        """
+
+        def lower_half(b_bar):
+            logs = [math.log1p(-eta_of_bits(b)) for b in range(1, b_bar)]
+            return [logs[b_h - 1] + logs[b_bar - b_h - 1] for b_h in range(1, b_bar // 2 + 1)]
+
+        assert eta_of_bits(537) > 0.0 == eta_of_bits(538)
+        for b_bar in (_B_BAR_CEILING - 1, _B_BAR_CEILING):
+            rank = lower_half(b_bar)
+            assert all(a < b for a, b in zip(rank, rank[1:]))
+        rank = lower_half(_B_BAR_CEILING + 1)
+        assert rank[-2] == rank[-1] == 0.0
+
+    def test_compute_budget_is_not_bounded_by_the_ceiling(self):
+        """The budget arithmetic reports any b_bar; only a scan over its splits is bounded."""
+        assert compute_budget(FronthaulBudget(c_fh=1e6), M=1, K=1).b_bar == 1_000_000
 
 
 class TestLineSearch:
@@ -239,6 +272,52 @@ class TestClosedFormSearch:
         for b_bar in range(3, 41, 2):
             result = optimize_split(closed_form_spec(128, 8, snr_db, b_bar))
             assert (result.b_h, result.b_p) == ((b_bar - 1) // 2, (b_bar + 1) // 2)
+
+    @pytest.mark.parametrize("users", ["equal", "unequal-beta", "one-zero-pilot"])
+    @pytest.mark.parametrize("K", [2, 8, 16])
+    @pytest.mark.parametrize("M", [32, 128])
+    def test_table_rows_are_the_closed_form_of_each_split(self, M, K, users):
+        """Every row of the split-table path, mirrored half included, is closed_form_mrt_sinr of its split, by ==.
+
+        b_bar up to 60 runs past 28 bits, where 1 - eta rounds to 1 and the
+        rows no longer tell the middle splits apart; L still picks the
+        middle one.
+        """
+        for snr_db in (-20.0, 0.0, 20.0):
+            cfg = closed_form_spec(M, K, snr_db, 2, users).config_for(snr_db)
+            for b_bar in range(2, 61):
+                result = optimize_split(closed_form_spec(M, K, snr_db, b_bar, users))
+                assert [row[:2] for row in result.profile] == [(b_h, b_bar - b_h) for b_h in range(1, b_bar)]
+                for b_h, b_p, sum_se, per_user in result.profile:
+                    alone = closed_form_mrt_sinr(cfg, b_h, b_p)
+                    assert sum_se == alone.sum_se
+                    assert per_user == tuple(alone.se.tolist())
+                assert (result.b_h, result.b_p) == (b_bar // 2, b_bar - b_bar // 2)
+                assert result.best_sum_se == result.profile[b_bar // 2 - 1][2]
+
+    def test_rank_agrees_with_the_sum_se_where_the_se_separates_the_splits(self):
+        """At the default config, b_bar 2 to 54 give line_search's answer, ranked on the sum SE."""
+        for b_bar in range(2, 55):
+            spec = ExperimentSpec(name="search", evaluator="closed-form", b_bar=b_bar)
+            assert optimize_split(spec) == reference_search(spec)
+
+    def test_every_budget_up_to_the_ceiling_picks_the_middle_split(self):
+        """Even budgets pick the middle split and odd ones keep their middle tie at the smaller B_H."""
+        for b_bar in range(2, _B_BAR_CEILING + 1):
+            result = optimize_split(closed_form_spec(32, 2, 0.0, b_bar))
+            assert (result.b_h, result.b_p) == (b_bar // 2, b_bar - b_bar // 2)
+        with pytest.raises(ValueError, match="ceiling of 1077"):
+            optimize_split(closed_form_spec(32, 2, 0.0, _B_BAR_CEILING + 1))
+
+    def test_select_ranks_on_a_given_key(self):
+        """key replaces the sum SE as the rank; ties still go to the first row, and the winner keeps its own sum_se."""
+        rows = [(b_h, 6 - b_h, 1.0, ()) for b_h in range(1, 6)]
+        assert _select(rows).best == BitSplit(b_h=1, b_p=5)
+        given = _select(rows, key=(0.1, 0.5, 0.2, 0.5, 0.0))
+        assert given.best == BitSplit(b_h=2, b_p=4) and given.best_sum_se == 1.0
+        # a partial profile ranks on its own rows' keys
+        partial = _select(rows[:1] + [(2, 4, float("nan"), ())] + rows[2:], key=(0.1, 0.5, 0.2, 0.5, 0.0))
+        assert partial.failed and partial.best == BitSplit(b_h=1, b_p=5)
 
     def test_all_zero_gamma_raises(self):
         spec = dataclasses.replace(closed_form_spec(32, 4, 0.0, 10), pilot_q=0.0)

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import functools
+import io
 import json
 import multiprocessing
 import os
@@ -512,6 +513,66 @@ class TestCli:
         assert [int(row[3]) for row in read_csv(tmp_path / "optimize.csv")[1:]] == [1, 2, 3, 5, 6, 7, 8, 9]
         meta = json.loads((tmp_path / "optimize_meta.json").read_text())
         assert [(f["b_h"], f["error"]) for f in meta["failed_cells"]] == [(4, "RuntimeError: synthetic failure")]
+
+    @pytest.mark.parametrize("b_bar", (56, 60, 70, 100))
+    def test_large_budget_picks_the_middle_split(self, tmp_path, capsys, b_bar):
+        """Past 28 bits 1 - eta rounds to 1; the cell path still ranks on L and finds the balanced split."""
+        assert main(["optimize", "--budget-bbar", str(b_bar), "--out", str(tmp_path)]) == 0
+        assert f"best_b_h {b_bar // 2}" in capsys.readouterr().out.splitlines()
+        assert optimize_split(ExperimentSpec(evaluator="closed-form", b_bar=b_bar)).b_h == b_bar // 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["optimize", "--budget-bbar", "20000000"], ["optimize", "--cfh", "1e300"], ["sweep", "--cfh", "1e300"]],
+    )
+    def test_huge_budget_is_refused_at_once(self, tmp_path, capsys, argv):
+        """A budget above the split ceiling exits 2 naming the ceiling, before any split is built or written."""
+        t0 = time.monotonic()
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+        assert time.monotonic() - t0 < 1.0
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: b_bar = ") and "ceiling of 1077" in captured.err
+        assert captured.out == "" and not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("failing", (False, True))
+    def test_closed_stdout_keeps_the_exit_code(self, tmp_path, capsys, monkeypatch, failing):
+        """A reader that closed stdout (`| head`) drops the output quietly; the command ends with its own code."""
+
+        class ClosedPipe(io.TextIOBase):  # no descriptor: fileno() raises io.UnsupportedOperation
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+            def flush(self):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        if failing:
+            real = experiments._eval_group
+
+            def flaky(spec, cells):
+                return [RuntimeError("synthetic") if cell.b_h == 4 else r for cell, r in zip(cells, real(spec, cells))]
+
+            monkeypatch.setattr(experiments, "_eval_group", flaky)
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        assert main(["eta", "--bits", "8"]) == 0
+        assert main(["optimize", "--budget-bbar", "10", "--out", str(tmp_path)]) == (1 if failing else 0)
+        assert (tmp_path / "optimize.csv").exists()
+        err = capsys.readouterr().err
+        assert "i/o error" not in err and "Broken pipe" not in err
+        assert ("search aborted early" in err) == failing
+
+    def test_closed_pipe_in_a_fresh_interpreter(self, tmp_path):
+        """stdout a pipe whose reader is gone: exit 0, nothing on stderr, the interpreter's last flush included."""
+        read, write = os.pipe()
+        os.close(read)
+        src = str(Path(fhalloc.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        argv = [sys.executable, "-m", "fhalloc.cli", "optimize", "--budget-bbar", "10", "--out", str(tmp_path)]
+        try:
+            done = subprocess.run(argv, env=env, stdout=write, stderr=subprocess.PIPE, text=True, timeout=60)
+        finally:
+            os.close(write)
+        assert (done.returncode, done.stderr) == (0, "")
+        assert (tmp_path / "optimize.csv").exists()
 
     def test_optimize_mc_record_and_answer_do_not_depend_on_workers(self, tmp_path, capsys):
         """optimize --out reads --workers: the record and the answer are the same bytes at 1 to 3 workers."""

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -226,6 +227,50 @@ class TestClosedFormProfile:
             closed_form_mrt_sinr(cfg, width, 4)
         with pytest.raises(ValueError, match=str(want.value)):
             closed_form_mrt_terms(cfg, [3, 4], [width, 4])
+
+    @pytest.mark.parametrize("b_bar", [2, 3, 9, 10, 40, 1077])
+    def test_split_table_is_read_only_and_shared(self, b_bar):
+        """One table per b_bar: the splits, c of the distinct half from _split_factor, and L of every split."""
+        table = se._split_table(b_bar)
+        assert se._split_table(b_bar) is table
+        assert table.splits == range(1, b_bar) and list(table.b_ps) == [b_bar - b_h for b_h in table.splits]
+        half = b_bar // 2
+        assert np.array_equal(table.c, se._split_factor(list(range(1, half + 1)), [b_bar - b for b in range(1, half + 1)]))
+        assert table.c.shape == (half, 1) and not table.c.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            table.c[0, 0] = 1.0
+        with pytest.raises(AttributeError):
+            table.c = None
+        assert isinstance(table.rank, tuple) and len(table.rank) == b_bar - 1
+        for b_h, rank in zip(table.splits, table.rank):
+            b_p = b_bar - b_h
+            assert rank == math.log1p(-eta_of_bits(b_h)) + math.log1p(-eta_of_bits(b_p))
+            assert rank == table.rank[b_p - 1]  # a split and its mirror
+
+    def test_split_table_memo_is_bounded(self):
+        """The memo keeps at most _SPLIT_TABLES budgets, and none past the split ceiling or below 2 bits."""
+        se._split_table.cache_clear()
+        for b_bar in range(2, 2 + se._SPLIT_TABLES + 20):
+            se._split_table(b_bar)
+        assert se._split_table.cache_info().currsize == se._SPLIT_TABLES
+        with pytest.raises(ValueError, match="ceiling of 1077"):
+            se._split_table(1078)
+        with pytest.raises(ValueError, match="need at least 2"):
+            se._split_table(1)
+        assert se._split_table.cache_info().currsize == se._SPLIT_TABLES
+        # the largest table: 538 entries of c and 1076 of L
+        table = se._split_table(1077)
+        assert (table.c.size, len(table.rank)) == (538, 1076)
+
+    def test_mrt_gains_are_the_array_arithmetic(self):
+        """_mrt_gains in Python floats is bit for bit the elementwise numpy arithmetic it replaces."""
+        for K, beta, pilot_q in ((2, None, None), (8, [0.1 + 0.4 * k for k in range(8)], None), (16, None, [0.0] + [1.0 + k for k in range(15)])):
+            cfg = SystemConfig.from_snr(M=128, K=K, tau_c=200, tau_p=K, snr_db=-7.3, beta=beta, pilot_power=pilot_q)
+            gamma = gamma_coefficient(cfg.pilot_power, cfg.tau_p, cfg.beta)
+            array_gain = cfg.M * gamma * (gamma / sum(gamma.tolist()))
+            got = se._mrt_gains(cfg)
+            assert np.array_equal(got[0], array_gain)
+            assert np.array_equal(got[1], array_gain / (cfg.beta + cfg.noise_var / cfg.total_power))
 
     def test_zero_pilot_power_search_raises(self):
         spec = ExperimentSpec(name="search", M=32, K=2, tau_p=2, pilot_q=0.0, evaluator="closed-form", b_bar=10)

@@ -175,6 +175,35 @@ class TestSystemConfig:
             make_cfg(**over)
         assert str(info.value) == message
 
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            (True, "beta entries must be real, non-boolean numbers"),
+            (np.bool_(True), "beta entries must be real, non-boolean numbers"),
+            ("1", "beta entries must be real, non-boolean numbers"),
+            (float("nan"), "beta entries must be finite and positive"),
+            (float("inf"), "beta entries must be finite and positive"),
+            (0, "beta entries must be finite and positive"),
+            (0.0, "beta entries must be finite and positive"),
+            (-2.0, "beta entries must be finite and positive"),
+            (np.float64(-1.0), "beta entries must be finite and positive"),
+            (10**400, "beta holds an integer beyond floating-point range"),
+        ],
+    )
+    def test_scalar_refusals(self, value, message):
+        """A scalar skips the object array but none of the checks."""
+        with pytest.raises(ConfigError) as info:
+            sysmodel._as_user_vector(value, 4, "beta")
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("value", [2, 2.0, np.float64(2.0), np.float32(2.0), np.int64(2), np.array(2.0)])
+    def test_scalar_is_broadcast_read_only(self, value):
+        arr = sysmodel._as_user_vector(value, 4, "beta")
+        assert arr.dtype == float and arr.tolist() == [2.0] * 4 and not arr.flags.writeable
+        assert sysmodel._as_user_vector(0, 3, "pilot_power", allow_zero=True).tolist() == [0.0] * 3
+        with pytest.raises(ConfigError, match="pilot_power entries must be finite and nonnegative"):
+            sysmodel._as_user_vector(-1e-300, 3, "pilot_power", allow_zero=True)
+
 
 class TestRngStream:
     def test_same_id_same_draws(self):
