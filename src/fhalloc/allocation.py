@@ -26,8 +26,9 @@ arrays.  All of them hand their rows to _select, the one home of the
 selection rule and of the failure rule: the first failed split ends the
 profile, raising when it is the first split and marking the result
 failed otherwise.  The closed-form paths rank their rows on
-L(B_H) = log1p(-eta(B_H)) + log1p(-eta(B_bar - B_H)) instead of the sum
-SE, which carries the same order with the digits the SE rounds away.
+min(B_H, B_P) instead of the sum SE: the order of
+L(B_H) = log1p(-eta(B_H)) + log1p(-eta(B_bar - B_H)), which is the
+order of the sum SE with the digits the SE rounds away.
 The closed-form rows are all finite or none are, so that profile is
 always complete; a partial profile can only come from an evaluator that
 raised or returned a non-finite objective, or from a Monte Carlo cell
@@ -51,15 +52,16 @@ class InfeasibleBudgetError(ValueError):
 
 
 # The largest b_bar whose splits the closed form still ranks in their true
-# order.  The closed-form split search ranks on L(B_H) = log1p(-eta(B_H)) +
-# log1p(-eta(b_bar - B_H)), and past 5 bits eta(b) = (pi sqrt(3)/2) 4^-b in
-# doubles: 4.0**-537 is the least subnormal, so eta(b) is nonzero through
-# b = 537 bits and 0 from 538 on.  L rises strictly over B_H = 1 .. b_bar // 2
-# while every width below the middle has a nonzero eta, i.e. for
-# b_bar // 2 <= 538.  At b_bar = 1078 the splits (538, 540) and (539, 539)
-# both read L = 0 and tie, so the answer leaves the middle.  Above this
-# ceiling no evaluator could tell the middle splits apart, and a scan over
-# b_bar - 1 splits (one cell each in a sweep) would only grow.
+# order.  The closed form orders the splits by c = (1-eta_h)(1-eta_p), kept
+# in doubles with eta's digits as L(B_H) = log1p(-eta(B_H)) +
+# log1p(-eta(b_bar - B_H)), and past 5 bits eta(b) = (pi sqrt(3)/2) 4^-b:
+# 4.0**-537 is the least subnormal, so eta(b) is nonzero through b = 537 bits
+# and 0 from 538 on.  L rises strictly over B_H = 1 .. b_bar // 2 while every
+# width below the middle has a nonzero eta, i.e. for b_bar // 2 <= 538, and
+# there the closed-form search's rank min(B_H, B_P) is L's order.  At
+# b_bar = 1078 the splits (538, 540) and (539, 539) both read L = 0 and tie.
+# Above this ceiling no evaluator could tell the middle splits apart, and a
+# scan over b_bar - 1 splits (one cell each in a sweep) would only grow.
 _B_BAR_CEILING = 1077
 
 
@@ -172,7 +174,7 @@ def _select(rows, key=None) -> AllocationResult:
     """The selection and failure rule of every split search, over (b_h, b_p, sum_se, per_user_se) rows in scan order.
 
     Rows rank on their sum_se, or, when key is given, on key[i] for the
-    i-th row in scan order (the closed-form paths pass L(B_H) from
+    i-th row in scan order (the closed-form paths pass min(B_H, B_P) from
     se._split_table).  The first strict maximum wins, so ties resolve to
     the smallest B_H.  The result keeps the winner's own sum_se either
     way.  A row fails when its objective is the exception that stopped it, the

@@ -36,7 +36,7 @@ import numpy as np
 from . import __version__
 from .allocation import AllocationResult, FronthaulBudget, _select, compute_budget, split_range
 from .precoding import PRECODER_KINDS
-from .se import CSI_MODES, SeReport, _mc_taps, _mrt_gains, _se, _split_table, closed_form_mrt_sinr
+from .se import CSI_MODES, SeReport, _closed_form_mrt_profile, _mc_taps, _split_table, closed_form_mrt_sinr
 from .sysmodel import SystemConfig, _real
 
 EVALUATORS = ("mc", "closed-form")
@@ -498,14 +498,15 @@ def optimize_split(spec: ExperimentSpec, precoder: str | None = None) -> Allocat
     ends the profile (_select): on the first split it raises ValueError
     with the cell's error, on a later one the result is marked failed.
     Monte Carlo rows rank on their sum SE; closed-form rows rank on
-    L(B_H) = log1p(-eta_h) + log1p(-eta_p) (se._split_table), which
-    orders them as the sum SE does but still separates the splits where
-    1 - eta rounds to 1, so every budget up to the split ceiling
-    (allocation.split_range) finds the balanced split.
+    min(B_H, B_P) (se._split_table), which orders them as the sum SE
+    does but still separates the splits where 1 - eta rounds to 1, so
+    every budget up to the split ceiling (allocation.split_range) finds
+    the balanced split.
 
     A closed-form search with no out_dir skips the cells.  It reads the
-    budget's memoized split table, forms A once (se._mrt_gains), computes
-    the SE rows of the distinct half of the splits in one pass, and gives
+    budget's memoized split table, computes the SE rows of the distinct
+    half of the splits in one pass from the table's c
+    (se._closed_form_mrt_profile), and gives
     each mirrored split the row tuple of its partner, bit-identical to
     closed_form_mrt_sinr of that split since c commutes.  One SNR point
     is used; pass a spec with a single snr_db entry.  A perfect-CSI spec
@@ -524,8 +525,8 @@ def optimize_split(spec: ExperimentSpec, precoder: str | None = None) -> Allocat
         if kind != "mrt":
             raise ValueError("the closed-form evaluator only covers mrt")
         table = _split_table(b_bar)
-        se = _se(table.c * _mrt_gains(cfg)[1], cfg.tau_p, cfg.tau_c)
-        sums, users = se.sum(axis=-1).tolist(), list(map(tuple, se.tolist()))
+        _, se, sum_se = _closed_form_mrt_profile(cfg, table.c)
+        sums, users = sum_se.tolist(), list(map(tuple, se.tolist()))
         # splits past the distinct half reuse their mirror's row, in reverse order
         upper = len(table.splits) - len(sums)
         sums += sums[:upper][::-1]

@@ -179,17 +179,16 @@ def transmit_rescale(P_q: np.ndarray, total_power: float):
     return float(alpha) if alpha.ndim == 0 else alpha
 
 
-def _mrt_gamma(cfg: SystemConfig) -> tuple[list, float]:
-    """Estimate quality gamma as a list of K Python floats, and sum_i gamma_i; ValueError when every gamma is 0.
+def _mrt_gamma(cfg: SystemConfig) -> tuple[np.ndarray, float]:
+    """Estimate quality gamma, shape (K,), and sum_i gamma_i; ValueError when every gamma is 0.
 
     The config's arrays were checked when it was built and are read-only,
     so gamma skips the checks of gamma_coefficient and runs only its
-    arithmetic, per user in Python floats: the IEEE operations of _gamma
-    in its order, written out, without numpy's per-call cost on K-vectors.
+    arithmetic.
     """
-    tau_p = cfg.tau_p
-    gamma = [(snr := q * tau_p * b) * b / (snr + 1.0) for q, b in zip(cfg.pilot_power.tolist(), cfg.beta.tolist())]
-    total = sum(gamma)
+    gamma = _gamma(cfg.pilot_power, cfg.tau_p, cfg.beta)
+    # a Python sum of K floats costs a quarter of gamma.sum() on the closed-form search path
+    total = sum(gamma.tolist())
     if not total:
         raise ValueError("every user has estimate quality gamma = 0 (zero pilot power), so there is no CSI to precode with")
     return gamma, total
@@ -202,7 +201,7 @@ def _mrt_normalization(cfg: SystemConfig, eta_h: float):
     normalization: E|P[m, i]|^2 = zeta_bar^2 gtil_i for the quantized-CSI
     matched filter.  Raises ValueError when every gamma is 0.
     """
-    gtil = (1.0 - eta_h) * np.array(_mrt_gamma(cfg)[0])
+    gtil = (1.0 - eta_h) * _mrt_gamma(cfg)[0]
     return gtil, cfg.total_power / (cfg.M * gtil.sum(axis=-1, keepdims=True))
 
 

@@ -65,17 +65,19 @@ enters only through c = (1-eta_h)(1-eta_p), and A_k depends on the config
 alone.  Everything about a closed-form split search but A depends on the
 budget b_bar alone, so _split_table keeps it per b_bar (bounded and
 read-only): the splits, the c column of the first ceil((b_bar-1)/2)
-splits, and the ranking key L(B_H) = log1p(-eta_h) + log1p(-eta_p).  c
-commutes in IEEE arithmetic, so every split has the same c, and so the
-same row, as its mirror B_H -> b_bar - B_H, and a search computes only
-the distinct half of the rows: A once per config (_mrt_gains, in Python
-floats over the K users, from the config's checked, read-only arrays
-without checking them again), one product c A per distinct split, and
-the SE without the SINR check, since c A is nonnegative.  Each row is
+splits, and the ranking key min(B_H, B_P).  c commutes in IEEE
+arithmetic, so every split has the same c, and so the same row, as its
+mirror B_H -> b_bar - B_H, and a search computes only the distinct half
+of the rows (_closed_form_mrt_profile of the table's c): A once per
+config (_mrt_gains, from the config's checked, read-only arrays without
+checking them again), one product c A per distinct split, and the SE
+without the SINR check, since c A is nonnegative.  Each row is
 elementwise on the same A, so it is bit-identical to closed_form_mrt_sinr
-of that split.  L orders the splits as the SE does, since the SE rises
-with c, but keeps eta's digits where 1 - eta rounds to 1 (from 28 bits
-on), so large budgets still find the balanced split.
+of that split.  The SE rises with c, and c, with eta's digits kept as
+L(B_H) = log1p(-eta_h) + log1p(-eta_p), rises strictly with
+min(B_H, B_P) up to the split ceiling (allocation._B_BAR_CEILING).  So
+ranking on min(B_H, B_P) gives the SE's answer, and keeps it where
+1 - eta rounds to 1 (from 28 bits on) and the SE ties the splits.
 """
 
 from __future__ import annotations
@@ -362,8 +364,8 @@ class _SplitTable(NamedTuple):
     b_ps    the matching B_P, b_bar - B_H
     c       read-only (h, 1) column of c = (1-eta_h)(1-eta_p) for the first
             h = ceil((b_bar-1)/2) splits; split b_bar - B_H has the c of B_H
-    rank    L(B_H) = log1p(-eta_h) + log1p(-eta_p) of every split in scan
-            order, the key allocation._select ranks closed-form rows on
+    rank    min(B_H, B_P) of every split in scan order, the key
+            allocation._select ranks closed-form rows on
     """
 
     splits: range
@@ -383,21 +385,19 @@ def _split_table(b_bar: int) -> _SplitTable:
 
     split_range refuses a b_bar below 2 or above the split ceiling, so no
     table is built for either.  c comes from _split_factor, so each entry
-    is bit-identical to that split's own c.  L ranks the splits in the
-    order of c without rounding 1 - eta: from 28 bits on, 1 - eta(b)
+    is bit-identical to that split's own c.  The rank min(B_H, B_P) is
+    the order of c without rounding 1 - eta: from 28 bits on, 1 - eta(b)
     rounds to 1.0 and c ties on every split whose widths are both that
-    wide, while L keeps eta's digits down to its underflow.  A split and
-    its mirror get the same L, since the sum commutes.
+    wide, while L(B_H) = log1p(-eta_h) + log1p(-eta_p) keeps eta's digits
+    and rises strictly with min(B_H, B_P) for every budget up to the
+    ceiling.
     """
     splits = split_range(b_bar)
     b_ps = range(b_bar - 1, 0, -1)
     half = b_bar // 2
     c = _split_factor(splits[:half], b_ps[:half])
     c.setflags(write=False)
-    # log1p(-eta(b)) of every width b = 1 .. b_bar - 1, at index b - 1
-    logs = [math.log1p(-eta) for eta in _etas(splits)]
-    rank = tuple(logs[b_h - 1] + logs[b_p - 1] for b_h, b_p in zip(splits, b_ps))
-    return _SplitTable(splits, b_ps, c, rank)
+    return _SplitTable(splits, b_ps, c, tuple(map(min, splits, b_ps)))
 
 
 def closed_form_mrt_terms(cfg: SystemConfig, b_h, b_p) -> dict[str, np.ndarray]:
@@ -440,7 +440,7 @@ def closed_form_mrt_terms(cfg: SystemConfig, b_h, b_p) -> dict[str, np.ndarray]:
         Gamma_k = c A_k,   A_k = P_t M gamma_k^2 / (sum_i gamma_i (P_t beta_k + sigma^2)),
 
     which is how _closed_form_mrt_profile evaluates it: A once per config
-    (_mrt_gains), c once per split.  The split enters only through c, and
+    (_mrt_gains), times a column of c.  The split enters only through c, and
     c commutes, so every shared-budget profile B_H -> b_bar - B_H is
     exactly its own mirror image and the balanced split is optimal at
     every SNR, M, K, beta and pilot power; an odd b_bar ties its two
@@ -497,30 +497,26 @@ def _mrt_gains(cfg: SystemConfig) -> tuple[np.ndarray, np.ndarray]:
     M gamma_k (gamma_k / sum_i gamma_i) / (beta_k + sigma^2 / P_t): the
     share is at most 1, the denominator at least beta_k, and P_t enters
     only through sigma^2 / P_t, so A_k is finite wherever gamma is.
-    Raises ValueError when every gamma is 0.  The arithmetic runs in
-    Python floats, the same IEEE operations in the same order as numpy's
-    elementwise ones, and only the two results become arrays: on short
-    K-vectors numpy's per-call cost outweighs the arithmetic (for K up to
-    about 12).
+    Raises ValueError when every gamma is 0.
     """
     gamma, total = _mrt_gamma(cfg)
-    floor = cfg.noise_var / cfg.total_power
-    array_gain = [cfg.M * g * (g / total) for g in gamma]
-    return np.array(array_gain), np.array([a / (b + floor) for a, b in zip(array_gain, cfg.beta.tolist())])
+    array_gain = cfg.M * gamma * (gamma / total)
+    return array_gain, array_gain / (cfg.beta + cfg.noise_var / cfg.total_power)
 
 
-def _closed_form_mrt_profile(cfg: SystemConfig, b_h, b_p):
-    """SINR c A, SE and sum SE of the MRT closed form, with closed_form_mrt_terms' broadcasting.
+def _closed_form_mrt_profile(cfg: SystemConfig, c):
+    """SINR c A, SE and sum SE of the MRT closed form, for the split factor c of one split or a column of S.
 
-    A comes once from the config (_mrt_gains) and c once per split
-    (_split_factor), so a split costs one product.  Every operation is elementwise, so each row
-    is bit-identical to its split alone, and c commutes, so a split and
-    its mirror get the same row.  Returns (sinr, se, sum_se): (K,), (K,)
-    and a 0-d array for one split; (S, K), (S, K) and (S,) when b_h or
-    b_p is a sequence of S splits.  c A is nonnegative, so the SINR needs
-    no check before its SE.
+    c comes from _split_factor (or a _split_table's c column), with its
+    shapes: a float for one split, an (S, 1) column for S.  A comes once
+    from the config (_mrt_gains), so a split costs one product.  Every
+    operation is elementwise, so each row is bit-identical to its split
+    alone, and c commutes, so a split and its mirror get the same row.
+    Returns (sinr, se, sum_se): (K,), (K,) and a 0-d array for one split;
+    (S, K), (S, K) and (S,) for S splits.  c A is nonnegative, so the
+    SINR needs no check before its SE.
     """
-    sinr = _split_factor(b_h, b_p) * _mrt_gains(cfg)[1]
+    sinr = c * _mrt_gains(cfg)[1]
     se = _se(sinr, cfg.tau_p, cfg.tau_c)
     return sinr, se, se.sum(axis=-1)
 
@@ -532,7 +528,7 @@ def closed_form_mrt_sinr(cfg: SystemConfig, b_h: int | None, b_p: int | None) ->
     (eta = 0), so (None, None) gives the unquantized matched filter with
     imperfect CSI.
     """
-    sinr, se, sum_se = _closed_form_mrt_profile(cfg, b_h, b_p)
+    sinr, se, sum_se = _closed_form_mrt_profile(cfg, _split_factor(b_h, b_p))
     return SeReport(
         sinr=sinr,
         se=se,

@@ -116,20 +116,22 @@ class TestSplitRange:
         assert split_range(_B_BAR_CEILING) == range(1, _B_BAR_CEILING)
 
     def test_ceiling_is_the_last_budget_whose_splits_rank_strictly(self):
-        """L(B_H) rises strictly up to the middle split at the ceiling, and ties two splits one bit past it.
+        """L(B_H) rises strictly up to the middle split at every budget to the ceiling, and ties two splits one bit past it.
 
+        So up to the ceiling the search's rank min(B_H, B_P) is L's order.
         eta_of_bits is nonzero through 537 bits and 0 from 538 on, so at
         b_bar = 1078 the splits (538, 540) and (539, 539) both read L = 0.
         """
+        # log1p(-eta(b)) of every width b = 1 .. ceiling, at index b - 1
+        logs = [math.log1p(-eta_of_bits(b)) for b in range(1, _B_BAR_CEILING + 1)]
 
         def lower_half(b_bar):
-            logs = [math.log1p(-eta_of_bits(b)) for b in range(1, b_bar)]
             return [logs[b_h - 1] + logs[b_bar - b_h - 1] for b_h in range(1, b_bar // 2 + 1)]
 
         assert eta_of_bits(537) > 0.0 == eta_of_bits(538)
-        for b_bar in (_B_BAR_CEILING - 1, _B_BAR_CEILING):
+        for b_bar in range(2, _B_BAR_CEILING + 1):
             rank = lower_half(b_bar)
-            assert all(a < b for a, b in zip(rank, rank[1:]))
+            assert all(a < b for a, b in zip(rank, rank[1:])), b_bar
         rank = lower_half(_B_BAR_CEILING + 1)
         assert rank[-2] == rank[-1] == 0.0
 

@@ -516,7 +516,7 @@ class TestCli:
 
     @pytest.mark.parametrize("b_bar", (56, 60, 70, 100))
     def test_large_budget_picks_the_middle_split(self, tmp_path, capsys, b_bar):
-        """Past 28 bits 1 - eta rounds to 1; the cell path still ranks on L and finds the balanced split."""
+        """Past 28 bits 1 - eta rounds to 1; the cell path still ranks on min(B_H, B_P) and finds the balanced split."""
         assert main(["optimize", "--budget-bbar", str(b_bar), "--out", str(tmp_path)]) == 0
         assert f"best_b_h {b_bar // 2}" in capsys.readouterr().out.splitlines()
         assert optimize_split(ExperimentSpec(evaluator="closed-form", b_bar=b_bar)).b_h == b_bar // 2
