@@ -8,9 +8,12 @@ Subcommands:
     optimize   pick the best (B_H, B_P) split under a budget
     reproduce  run one of the canned studies (fig2, fig3, fig4)
 
-optimize is a sweep over the budget's splits plus a choice: it writes
-the sweep's record under --out (optimize.csv, the .dat file and
-optimize_meta.json) and prints the best split.
+optimize is a sweep over the budget's splits plus a choice: it takes
+one --precoder and one --snr-db (more of either exits 2), writes the
+sweep's record under --out (optimize.csv, the .dat file and
+optimize_meta.json) and prints the best split.  reproduce writes
+<figure>.csv and one <figure>_<series>.dat per curve, with the series
+named as a sweep names them (fig4_mrt_snrp10_closed_bbar10.dat).
 
 Exit codes: 0 success, 2 bad usage or config (a b_bar above the split
 ceiling of allocation.split_range among them), 3 infeasible budget,
@@ -53,14 +56,14 @@ def _add_system_flags(p: argparse.ArgumentParser):
     _add_run_flags(p)
     p.add_argument("--tau-c", type=int, help="coherence block length in symbols")
     p.add_argument("--tau-p", type=int, help="pilot symbols per block")
-    p.add_argument("--snr-db", type=float, action="append", help="downlink SNR in dB, repeatable")
+    p.add_argument("--snr-db", type=float, action="append", help="downlink SNR in dB, repeatable (optimize takes one)")
     p.add_argument("--pilot-q", type=float, help="uplink pilot power; default P_t/sigma^2")
     p.add_argument(
         "--precoder",
         dest="precoders",
         action="append",
         choices=["mrt", "zf", "wf"],
-        help="precoder kind, repeatable",
+        help="precoder kind, repeatable (optimize takes one)",
     )
     p.add_argument("--csi", dest="csi_mode", choices=["quantized", "perfect"], help="CSI mode")
     p.add_argument("--evaluator", choices=["mc", "closed-form"], help="SE evaluator")

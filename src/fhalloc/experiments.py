@@ -3,15 +3,21 @@
 A run is described by an ExperimentSpec, expanded into a list of cells
 (one evaluated operating point each), evaluated in groups, and written
 out as a CSV table plus per-series gnuplot data files and a JSON metadata
-sidecar.  A group is every Monte Carlo cell at one (SNR, CSI mode, B_H),
-which shares the slot statistics, the Gram and the rank mask (and per
-precoder, W and the moment prior) through se._mc_taps, or one closed-form
-series.  Groups run inline, or as one process-pool task each.  Cell
-results are a pure function of the spec and the master seed, and rows
-are emitted in the spec's canonical cell order, so output files are
-byte-identical no matter how many workers executed the run.  A run that
-takes longer than _PROGRESS_S seconds reports cells done and an ETA on
-stderr.
+sidecar.  _expand_sweep is the one place cells are built.  A sweep is
+one expansion; optimize is one expansion over a budget's splits plus a
+choice (optimize_split); a preset (fig2, fig3, fig4) is a spec plus a
+list of sweep overrides, and its cells are those expansions in listed
+order (preset_cells), so its series are named as a sweep's.
+
+A group is every Monte Carlo cell at one (SNR, CSI mode, B_H), which
+shares the slot statistics, the Gram and the rank mask (and per
+precoder, W and the moment prior) through se._mc_taps, or one
+closed-form series.  Groups run inline, or as one process-pool task
+each.  Cell results are a pure function of the spec and the master
+seed, and rows are emitted in the spec's canonical cell order, so output
+files are byte-identical no matter how many workers executed the run.  A
+run that takes longer than _PROGRESS_S seconds reports cells done and an
+ETA on stderr.
 
 CSV schema, one row per cell:
 
@@ -189,8 +195,10 @@ class Cell:
 def _expand_sweep(spec: ExperimentSpec) -> list[Cell]:
     """Cells for a plain sweep: (precoder, snr, b_h) in listed order.
 
-    SNRs whose series tags collide are refused, since their cells would
-    share a series and so a closed-form group and a .dat file.
+    A series is named {precoder}_{SNR tag}_perfect, or
+    {precoder}_{SNR tag}_{mc|closed}_{bbar<b_bar>|bp<b_p_fixed>}.  SNRs
+    whose series tags collide are refused, since their cells would share
+    a series and so a closed-form group and a .dat file.
     """
     tags = {}
     for snr in spec.snr_db:
@@ -204,7 +212,7 @@ def _expand_sweep(spec: ExperimentSpec) -> list[Cell]:
             raise ValueError("the closed-form evaluator only covers quantized CSI")
         return [
             Cell(
-                series=f"{kind}_{_snr_tag(snr)}_perfect",
+                series=f"{kind}_{tag}_perfect",
                 precoder=kind,
                 snr_db=snr,
                 csi_mode="perfect",
@@ -213,7 +221,7 @@ def _expand_sweep(spec: ExperimentSpec) -> list[Cell]:
                 b_p=0,
             )
             for kind in spec.precoders
-            for snr in spec.snr_db
+            for tag, snr in tags.items()
         ]
     if spec.b_h_values is not None:
         b_h_values = spec.b_h_values
@@ -221,27 +229,23 @@ def _expand_sweep(spec: ExperimentSpec) -> list[Cell]:
         b_h_values = split_range(b_bar)
     else:
         raise ValueError("sweep needs b_h_values, b_bar, or a budget")
-    method = "closed_form_mrt" if spec.evaluator == "closed-form" else "monte_carlo"
+    if spec.b_p_fixed is None and b_bar is None:
+        raise ValueError("need b_p_fixed or a budget to pair with b_h_values")
+    closed = spec.evaluator == "closed-form"
+    if closed and set(spec.precoders) != {"mrt"}:
+        raise ValueError("the closed-form evaluator only covers mrt")
+    method, label = ("closed_form_mrt", "closed") if closed else ("monte_carlo", "mc")
+    pairing = f"bbar{b_bar}" if spec.b_p_fixed is None else f"bp{spec.b_p_fixed}"
     cells = []
     for kind in spec.precoders:
-        if method == "closed_form_mrt" and kind != "mrt":
-            raise ValueError("the closed-form evaluator only covers mrt")
-        for snr in spec.snr_db:
+        for tag, snr in tags.items():
             for b_h in b_h_values:
-                if spec.b_p_fixed is not None:
-                    b_p = spec.b_p_fixed
-                    tag = f"bp{b_p}"
-                elif b_bar is not None:
-                    b_p = b_bar - b_h
-                    tag = f"bbar{b_bar}"
-                else:
-                    raise ValueError("need b_p_fixed or a budget to pair with b_h_values")
+                b_p = b_bar - b_h if spec.b_p_fixed is None else spec.b_p_fixed
                 if b_h < 1 or b_p < 1:
                     raise ValueError(f"split ({b_h}, {b_p}) needs at least one bit per transfer")
-                label = "closed" if method == "closed_form_mrt" else "mc"
                 cells.append(
                     Cell(
-                        series=f"{kind}_{_snr_tag(snr)}_{label}_{tag}",
+                        series=f"{kind}_{tag}_{label}_{pairing}",
                         precoder=kind,
                         snr_db=snr,
                         csi_mode="quantized",
@@ -485,16 +489,18 @@ def run_sweep(spec: ExperimentSpec, out_dir=None, stem: str = "sweep") -> dict:
     return _run(spec, _expand_sweep, out_dir, stem)[2]
 
 
-def optimize_split(spec: ExperimentSpec, precoder: str | None = None) -> AllocationResult:
+def optimize_split(spec: ExperimentSpec) -> AllocationResult:
     """Search every bit split under the spec's budget and keep the best.
 
-    The search is a sweep over split_range(b_bar) with the spec's first
-    (or the given) precoder at its one SNR, followed by _select over the
-    rows in split order.  The cells run through run_cells, as a sweep's
-    do, so spec.workers sets the pool and any evaluator works (the closed
-    form covers mrt only).  With spec.out_dir set, the sweep's record is
-    written there under the stem "optimize": optimize.csv, the .dat file
-    and optimize_meta.json, which lists any failed cell.  A failed split
+    The spec names one precoder and one SNR; more of either raises
+    ValueError, and so does a perfect-CSI spec, since no bits cross the
+    fronthaul and there is no split.  The search is a sweep over
+    split_range(b_bar), followed by _select over the rows in split order.
+    The cells run through run_cells, as a sweep's do, so spec.workers
+    sets the pool and any evaluator works (the closed form covers mrt
+    only).  With spec.out_dir set, the sweep's record is written there
+    under the stem "optimize": optimize.csv, the .dat file and
+    optimize_meta.json, which lists any failed cell.  A failed split
     ends the profile (_select): on the first split it raises ValueError
     with the cell's error, on a later one the result is marked failed.
     Monte Carlo rows rank on their sum SE; closed-form rows rank on
@@ -506,23 +512,22 @@ def optimize_split(spec: ExperimentSpec, precoder: str | None = None) -> Allocat
     A closed-form search with no out_dir skips the cells.  It reads the
     budget's memoized split table, computes the SE rows of the distinct
     half of the splits in one pass from the table's c
-    (se._closed_form_mrt_profile), and gives
-    each mirrored split the row tuple of its partner, bit-identical to
-    closed_form_mrt_sinr of that split since c commutes.  One SNR point
-    is used; pass a spec with a single snr_db entry.  A perfect-CSI spec
-    is refused: no bits cross the fronthaul, so there is no split.
+    (se._closed_form_mrt_profile), and gives each mirrored split the row
+    tuple of its partner, bit-identical to closed_form_mrt_sinr of that
+    split since c commutes.
     """
     if spec.csi_mode != "quantized":
         raise ValueError("under perfect CSI no bits cross the fronthaul, so there is no split to optimize")
     if len(spec.snr_db) != 1:
-        raise ValueError("optimize expects exactly one snr_db value")
+        raise ValueError(f"optimize expects exactly one snr_db value, got {list(spec.snr_db)}")
+    if len(spec.precoders) != 1:
+        raise ValueError(f"optimize expects exactly one precoder, got {list(spec.precoders)}")
     b_bar = spec.resolve_b_bar()
     if b_bar is None:
         raise ValueError("optimize needs b_bar or a budget")
-    kind = precoder or spec.precoders[0]
     if spec.evaluator == "closed-form" and spec.out_dir is None:
         cfg = spec.config_for(spec.snr_db[0])
-        if kind != "mrt":
+        if spec.precoders != ("mrt",):
             raise ValueError("the closed-form evaluator only covers mrt")
         table = _split_table(b_bar)
         _, se, sum_se = _closed_form_mrt_profile(cfg, table.c)
@@ -534,7 +539,7 @@ def optimize_split(spec: ExperimentSpec, precoder: str | None = None) -> Allocat
         # Every row is c A with one A and c > 0, so the rows are all finite or
         # none are: _select can only fail on the first split, and raises there.
         return _select(zip(table.splits, table.b_ps, sums, users), key=table.rank)
-    spec = replace(spec, precoders=(kind,), b_bar=b_bar, budget=None, b_h_values=None, b_p_fixed=None)
+    spec = replace(spec, b_bar=b_bar, budget=None, b_h_values=None, b_p_fixed=None)
     cells, outcomes, _ = _run(spec, _expand_sweep, spec.out_dir, "optimize")
     rows = (
         (cell.b_h, cell.b_p, oc.error, ()) if oc.report is None
@@ -546,46 +551,55 @@ def optimize_split(spec: ExperimentSpec, precoder: str | None = None) -> Allocat
 
 # --- figure-style presets ---------------------------------------------------
 
-_PRESET_KINDS = ("wf", "zf", "mrt")
-_BASE = dict(M=128, K=8, tau_c=200, tau_p=8, precoders=_PRESET_KINDS)
-# (SNR in dB, b_bar) of each preset
-_PRESETS = {"fig2": (10.0, 30), "fig3": (-15.0, 10), "fig4": (10.0, 10)}
+_BASE = dict(M=128, K=8, tau_c=200, tau_p=8, precoders=("wf", "zf", "mrt"))
+# the overrides of a closed-form curve, which is MRT whatever the spec's precoders
+_CLOSED = {"evaluator": "closed-form", "precoders": ("mrt",)}
+# (SNR in dB, b_bar, sweeps) of each preset; each sweep is the overrides of one run of curves
+_PRESETS = {
+    "fig2": (10.0, 30, ({"csi_mode": "perfect"}, {"b_p_fixed": 20}, {"b_p_fixed": 2},
+                        {**_CLOSED, "b_p_fixed": 20}, {**_CLOSED, "b_p_fixed": 2})),
+    "fig3": (-15.0, 10, ({}, _CLOSED)),
+    "fig4": (10.0, 10, ({}, _CLOSED)),
+}
 
 
 def preset_cells(figure: str, spec: ExperimentSpec) -> list[Cell]:
-    """Cell lists for the three canned studies.
+    """The cells of a canned study: _expand_sweep of the spec under each of the preset's sweeps, in order.
 
-    fig2: fixed-resolution precoder transfer.  Sum SE against B_H with
-    B_P pinned to 20 (effectively unquantized) and 2 (coarse), for all
-    three precoders at SNR 10 dB, against their perfect-CSI baselines,
-    plus the closed-form MRT curves.
-    fig3: shared budget B_bar = 10 at SNR -15 dB, B_P = B_bar - B_H.
-    fig4: shared budget B_bar = 10 at SNR +10 dB, B_P = B_bar - B_H.
+    fig2: fixed-resolution precoder transfer at SNR 10 dB.  The perfect-CSI
+    baselines, then the Monte Carlo curves against B_H with B_P pinned to
+    20 (effectively unquantized) and then 2 (coarse), then the
+    closed-form MRT curves at B_P 20 and 2.  B_H runs over split_range(30).
+    fig3: shared budget b_bar = 10 at SNR -15 dB, B_P = b_bar - B_H: the
+    Monte Carlo curves, then the closed-form MRT curve.
+    fig4: the same at SNR +10 dB.
+
+    This order is the CSV row order.  The spec's precoders, snr_db, b_bar
+    and b_h_values reach every curve, except that a closed-form curve is
+    MRT alone.  A field that a sweep of the preset sets (evaluator, and in
+    fig2 csi_mode and b_p_fixed) must keep its ExperimentSpec default, or
+    ValueError is raised; so is a perfect-CSI spec, which a closed-form
+    curve refuses (_expand_sweep).
     """
-    snr = spec.snr_db[0]
-    if figure == "fig2":
-        curves = [(kind, "mc", "monte_carlo", b_p) for b_p in (20, 2) for kind in _PRESET_KINDS]
-        curves += [("mrt", "closed", "closed_form_mrt", b_p) for b_p in (20, 2)]
-        return [Cell(f"{kind}_perfect", kind, snr, "perfect", "monte_carlo", 0, 0) for kind in _PRESET_KINDS] + [
-            Cell(f"{kind}_{label}_bp{b_p}", kind, snr, "quantized", method, b_h, b_p)
-            for kind, label, method, b_p in curves
-            for b_h in range(1, 30)
-        ]
-    if figure in ("fig3", "fig4"):
-        b_bar = spec.resolve_b_bar()
-        curves = [(kind, "mc", "monte_carlo") for kind in _PRESET_KINDS] + [("mrt", "closed", "closed_form_mrt")]
-        return [
-            Cell(f"{kind}_{label}_bbar{b_bar}", kind, snr, "quantized", method, b_h, b_bar - b_h)
-            for kind, label, method in curves
-            for b_h in split_range(b_bar)
-        ]
-    raise ValueError(f"unknown figure preset {figure!r}")
+    if figure not in _PRESETS:
+        raise ValueError(f"unknown figure preset {figure!r}")
+    sweeps = _PRESETS[figure][2]
+    for key in {key for sweep in sweeps for key in sweep} - {"precoders"}:
+        if getattr(spec, key) != getattr(ExperimentSpec, key):
+            raise ValueError(f"preset {figure} sets {key} per curve, so it cannot be overridden")
+    return [cell for sweep in sweeps for cell in _expand_sweep(replace(spec, **sweep))]
 
 
 def preset_spec(figure: str, **overrides) -> ExperimentSpec:
+    """The spec of a canned study, with any ExperimentSpec fields overridden.
+
+    M = 128, K = 8, tau_c = 200, tau_p = 8, the WF, ZF and MRT precoders,
+    and the preset's SNR and b_bar.  preset_cells says which overrides
+    reach the curves and which it refuses.
+    """
     if figure not in _PRESETS:
         raise ValueError(f"unknown figure preset {figure!r}")
-    snr, b_bar = _PRESETS[figure]
+    snr, b_bar, _ = _PRESETS[figure]
     return ExperimentSpec(**{**_BASE, "name": figure, "snr_db": (snr,), "b_bar": b_bar, **overrides})
 
 

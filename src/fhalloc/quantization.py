@@ -38,9 +38,10 @@ def eta_of_bits(bits: int) -> float:
     """Distortion factor eta for a B-bit scalar quantizer, B >= 1.
 
     Tabulated for B in 1..5, eta = (pi sqrt(3)/2) * 2^(-2B) for B >= 6.
-    Strictly decreasing in B.
+    Strictly decreasing in B.  A bool is not a width (True would read as
+    one bit), nor is a float, even a whole one.
     """
-    if not isinstance(bits, (int, np.integer)):
+    if type(bits) is bool or not isinstance(bits, (int, np.integer)):
         raise ValueError(f"bits must be an integer, got {bits!r}")
     if bits < 1:
         raise ValueError(f"bits must be >= 1, got {bits}")

@@ -65,7 +65,9 @@ enters only through c = (1-eta_h)(1-eta_p), and A_k depends on the config
 alone.  Everything about a closed-form split search but A depends on the
 budget b_bar alone, so _split_table keeps it per b_bar (bounded and
 read-only): the splits, the c column of the first ceil((b_bar-1)/2)
-splits, and the ranking key min(B_H, B_P).  c commutes in IEEE
+splits, and the ranking key min(B_H, B_P).  c is _split_factor's, from
+eta_of_bits of each width (_eta), so every eta is eta_of_bits' own and a
+search computes it only when its budget's table is built.  c commutes in IEEE
 arithmetic, so every split has the same c, and so the same row, as its
 mirror B_H -> b_bar - B_H, and a search computes only the distinct half
 of the rows (_closed_form_mrt_profile of the table's c): A once per
@@ -310,51 +312,27 @@ def _mc_taps(cfg: SystemConfig, b_h, taps, trials: int, seed: int, csi_mode="qua
     return out
 
 
-# eta_of_bits of every width up to 32 bits, and 0 for an unquantized transfer
-_ETA_LOOKUP = {None: 0.0, **{b: eta_of_bits(b) for b in range(1, 33)}}
-
-
 def _eta(bits):
     """eta_of_bits of one bit width, or an (S, 1) column of them for a sequence.
 
-    None stands for an unquantized transfer (eta = 0).  A Python int the
-    table covers is looked up; any other width (numpy integers, widths
-    past the table, and every bad width, a float among them, which
-    raises) goes to eta_of_bits, so the values and the errors are
-    eta_of_bits' own.
+    None stands for an unquantized transfer (eta = 0); every other width
+    goes to eta_of_bits, so the values and the errors (a float, a bool or
+    a width below 1) are eta_of_bits' own.  Anything without dimensions,
+    a string among them, is one width.
     """
-    one = _one_width(bits)
-    etas = _etas((bits,) if one else bits)
+    one = np.ndim(bits) == 0
+    etas = [0.0 if b is None else eta_of_bits(b) for b in ((bits,) if one else bits)]
     return etas[0] if one else np.array(etas).reshape(-1, 1)
-
-
-def _one_width(bits) -> bool:
-    return bits is None or isinstance(bits, (int, float, np.number))
-
-
-def _etas(widths) -> list:
-    """_eta of each width in a sequence, as a list of Python floats."""
-    return [_ETA_LOOKUP[b] if b is None or (type(b) is int and b in _ETA_LOOKUP) else eta_of_bits(b) for b in widths]
 
 
 def _split_factor(b_h, b_p):
     """c = (1-eta_h)(1-eta_p), with _eta's shapes: a float for one split, an (S, 1) column for S.
 
-    c is formed per split in Python floats, the same IEEE operations in
-    the same order as on _eta's columns, so no bit differs from them.  A
-    single width pairs with every split of a sequence, and so does a
+    A single width pairs with every split of a sequence, and so does a
     sequence of one width, as numpy broadcasting pairs them; sequences of
     other unequal lengths raise ValueError.
     """
-    one_h, one_p = _one_width(b_h), _one_width(b_p)
-    if one_h and one_p:
-        return (1.0 - _eta(b_h)) * (1.0 - _eta(b_p))
-    etas_h, etas_p = _etas((b_h,) if one_h else b_h), _etas((b_p,) if one_p else b_p)
-    if len(etas_h) == 1:
-        etas_h *= len(etas_p)
-    elif len(etas_p) == 1:
-        etas_p *= len(etas_h)
-    return np.array([(1.0 - h) * (1.0 - p) for h, p in zip(etas_h, etas_p, strict=True)]).reshape(-1, 1)
+    return (1.0 - _eta(b_h)) * (1.0 - _eta(b_p))
 
 
 class _SplitTable(NamedTuple):

@@ -23,6 +23,7 @@ import fhalloc.sysmodel as sysmodel
 from fhalloc.allocation import AllocationResult, BitSplit, FronthaulBudget, line_search
 from fhalloc.cli import main
 from fhalloc.experiments import (
+    EVALUATORS,
     ExperimentSpec,
     _expand_sweep,
     optimize_split,
@@ -266,8 +267,14 @@ class TestOptimizeSplit:
             optimize_split(small_spec(b_bar=None))
 
     def test_closed_form_rejects_other_precoders(self):
-        with pytest.raises(ValueError):
-            optimize_split(small_spec(evaluator="closed-form"), precoder="wf")
+        with pytest.raises(ValueError, match="only covers mrt"):
+            optimize_split(small_spec(evaluator="closed-form", precoders=("wf",)))
+
+    @pytest.mark.parametrize("evaluator", EVALUATORS)
+    def test_needs_single_precoder(self, evaluator):
+        """A second precoder is refused, not left unsearched."""
+        with pytest.raises(ValueError, match="exactly one precoder"):
+            optimize_split(small_spec(evaluator=evaluator, precoders=("mrt", "zf")))
 
     @pytest.mark.parametrize("kind", ("mrt", "zf", "wf"))
     def test_mc_equals_line_search_over_mc_hardening_sinr(self, kind):
@@ -280,16 +287,27 @@ class TestOptimizeSplit:
                 assert optimize_split(spec) == want and not want.failed
 
     def test_out_dir_writes_the_sweep_record(self, tmp_path):
-        spec = small_spec(precoders=("zf", "mrt"), budget=FronthaulBudget(c_fh=128.0), b_bar=None)
+        spec = small_spec(precoders=("zf",), budget=FronthaulBudget(c_fh=128.0), b_bar=None)
         result = optimize_split(dataclasses.replace(spec, out_dir=str(tmp_path)))
         assert result == optimize_split(spec)
         meta = json.loads((tmp_path / "optimize_meta.json").read_text())
         assert meta["outputs"] == ["optimize.csv", "optimize_zf_snrp0_mc_bbar4.dat"]
-        # the record describes the search that ran: one precoder and the resolved b_bar
+        # the record describes the search that ran: its precoder and the resolved b_bar
         assert (meta["spec"]["precoders"], meta["spec"]["b_bar"], meta["spec"]["budget"]) == (["zf"], 4, None)
         assert [row[2:] for row in result.profile] == [
             (float(row[8]), tuple(map(float, row[9:]))) for row in read_csv(tmp_path / "optimize.csv")[1:]
         ]
+
+
+def layout(cells):
+    """(precoder, csi_mode, method, b_h, b_p) of every cell, in cell order (the CSV row order)."""
+    return [(c.precoder, c.csi_mode, c.method, c.b_h, c.b_p) for c in cells]
+
+
+def shared_budget_layout(kinds, b_bar):
+    """Monte Carlo curves of kinds, then the closed-form MRT curve, over every split of b_bar."""
+    curves = [(kind, "monte_carlo") for kind in kinds] + [("mrt", "closed_form_mrt")]
+    return [(kind, "quantized", method, b_h, b_bar - b_h) for kind, method in curves for b_h in range(1, b_bar)]
 
 
 class TestPresets:
@@ -298,33 +316,65 @@ class TestPresets:
         assert spec.snr_db == (10.0,)
         assert spec.b_bar == 10
         cells = preset_cells("fig4", spec)
-        assert len(cells) == 4 * 9
-        mc = [c for c in cells if c.method == "monte_carlo"]
-        closed = [c for c in cells if c.method == "closed_form_mrt"]
-        assert len(mc) == 27 and len(closed) == 9
-        assert all(c.b_h + c.b_p == 10 for c in cells)
-        assert all(c.precoder == "mrt" for c in closed)
+        assert layout(cells) == shared_budget_layout(("wf", "zf", "mrt"), 10)
+        assert all(c.snr_db == 10.0 for c in cells)
 
     def test_fig3_is_the_low_snr_variant(self):
         spec = preset_spec("fig3")
         assert spec.snr_db == (-15.0,)
         assert spec.b_bar == 10
+        cells = preset_cells("fig3", spec)
+        assert layout(cells) == shared_budget_layout(("wf", "zf", "mrt"), 10)
+        assert all(c.snr_db == -15.0 for c in cells)
 
     def test_fig2_layout(self):
+        """Perfect-CSI baselines, Monte Carlo at B_P 20 then 2, then the closed form at B_P 20 then 2."""
         spec = preset_spec("fig2")
         cells = preset_cells("fig2", spec)
-        perfect = [c for c in cells if c.csi_mode == "perfect"]
-        assert len(perfect) == 3
-        assert all(c.b_h == 0 and c.b_p == 0 for c in perfect)
-        mc = [c for c in cells if c.method == "monte_carlo" and c.csi_mode == "quantized"]
-        assert len(mc) == 2 * 3 * 29
-        assert {c.b_p for c in mc} == {2, 20}
-        closed = [c for c in cells if c.method == "closed_form_mrt"]
-        assert len(closed) == 2 * 29
+        kinds = ("wf", "zf", "mrt")
+        want = [(kind, "perfect", "monte_carlo", 0, 0) for kind in kinds]
+        want += [(kind, "quantized", "monte_carlo", b_h, b_p) for b_p in (20, 2) for kind in kinds for b_h in range(1, 30)]
+        want += [("mrt", "quantized", "closed_form_mrt", b_h, b_p) for b_p in (20, 2) for b_h in range(1, 30)]
+        assert layout(cells) == want
+        assert all(c.snr_db == 10.0 for c in cells)
 
     def test_overrides(self):
         spec = preset_spec("fig4", M=16, K=2, trials=5)
         assert (spec.M, spec.K, spec.trials) == (16, 2, 5)
+
+    def test_swept_overrides_are_honoured(self):
+        """precoders, b_bar, b_h_values and snr_db reach every curve; the closed-form curve stays MRT."""
+        cells = preset_cells("fig4", preset_spec("fig4", precoders=("mrt",)))
+        assert layout(cells) == shared_budget_layout(("mrt",), 10)
+        assert [c.series for c in cells] == ["mrt_snrp10_mc_bbar10"] * 9 + ["mrt_snrp10_closed_bbar10"] * 9
+        assert layout(preset_cells("fig3", preset_spec("fig3", b_bar=6))) == shared_budget_layout(("wf", "zf", "mrt"), 6)
+        cells = preset_cells("fig4", preset_spec("fig4", precoders=("zf",), b_h_values=(2, 5)))
+        assert layout(cells) == [("zf", "quantized", "monte_carlo", 2, 8), ("zf", "quantized", "monte_carlo", 5, 5),
+                                 ("mrt", "quantized", "closed_form_mrt", 2, 8), ("mrt", "quantized", "closed_form_mrt", 5, 5)]
+        cells = preset_cells("fig2", preset_spec("fig2", precoders=("zf",), snr_db=(0.0, 10.0), b_h_values=(3,)))
+        assert [(c.series, c.b_h, c.b_p) for c in cells] == [
+            ("zf_snrp0_perfect", 0, 0), ("zf_snrp10_perfect", 0, 0),
+            ("zf_snrp0_mc_bp20", 3, 20), ("zf_snrp10_mc_bp20", 3, 20),
+            ("zf_snrp0_mc_bp2", 3, 2), ("zf_snrp10_mc_bp2", 3, 2),
+            ("mrt_snrp0_closed_bp20", 3, 20), ("mrt_snrp10_closed_bp20", 3, 20),
+            ("mrt_snrp0_closed_bp2", 3, 2), ("mrt_snrp10_closed_bp2", 3, 2),
+        ]
+
+    @pytest.mark.parametrize("figure", ("fig2", "fig3", "fig4"))
+    @pytest.mark.parametrize(
+        "override", ({"csi_mode": "perfect"}, {"evaluator": "closed-form"}, {"evaluator": "closed-form", "precoders": ("mrt",)})
+    )
+    def test_per_curve_overrides_are_refused(self, tmp_path, figure, override):
+        """A preset sets the CSI mode and evaluator of each curve; another value is an error, not dropped."""
+        with pytest.raises(ValueError):
+            preset_cells(figure, preset_spec(figure, **override))
+        with pytest.raises(ValueError):
+            reproduce(figure, tmp_path, M=16, K=2, trials=5, **override)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_fig2_refuses_a_fixed_precoder_width(self):
+        with pytest.raises(ValueError, match="b_p_fixed"):
+            preset_cells("fig2", preset_spec("fig2", b_p_fixed=8))
 
     def test_unknown_figure(self):
         with pytest.raises(ValueError):
@@ -573,6 +623,16 @@ class TestCli:
             os.close(write)
         assert (done.returncode, done.stderr) == (0, "")
         assert (tmp_path / "optimize.csv").exists()
+
+    def test_optimize_refuses_a_second_precoder(self, tmp_path, capsys):
+        """Two --precoder flags, or a config saved from a three-precoder sweep, exit 2 before any cell runs."""
+        assert main(["optimize", "--precoder", "mrt", "--precoder", "zf", "--budget-bbar", "4", "--out", str(tmp_path / "a")]) == 2
+        assert "exactly one precoder" in capsys.readouterr().err
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps(small_spec(precoders=("wf", "zf", "mrt")).to_dict()))
+        assert main(["optimize", "--config", str(path), "--evaluator", "mc", "--out", str(tmp_path / "b")]) == 2
+        assert "exactly one precoder" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["sweep.json"]
 
     def test_optimize_mc_record_and_answer_do_not_depend_on_workers(self, tmp_path, capsys):
         """optimize --out reads --workers: the record and the answer are the same bytes at 1 to 3 workers."""
@@ -1076,7 +1136,7 @@ class TestGroups:
             assert len({(cells[i].b_h, cells[i].csi_mode, cells[i].method) for i in g}) == 1
             taps = {(cells[i].precoder, cells[i].b_p) for i in g}
             assert taps == {(kind, b_p) for kind in ("wf", "zf", "mrt") for b_p in (20, 2)}
-        assert {cells[i].series for i in groups[-1]} == {"mrt_closed_bp2"}
+        assert {cells[i].series for i in groups[-1]} == {"mrt_snrp10_closed_bp2"}
 
     @pytest.mark.skipif(
         "fork" not in multiprocessing.get_all_start_methods(),

@@ -36,6 +36,12 @@ class TestEtaOfBits:
         with pytest.raises(ValueError):
             eta_of_bits(2.5)
 
+    @pytest.mark.parametrize("flag", [True, False, np.True_])
+    def test_rejects_booleans(self, flag):
+        """A boolean is not a bit width, though True == 1."""
+        with pytest.raises(ValueError, match="must be an integer"):
+            eta_of_bits(flag)
+
     def test_numpy_integers_accepted(self):
         assert eta_of_bits(np.int64(3)) == TABLE[3]
 

@@ -158,7 +158,7 @@ class TestClosedFormProfile:
     def test_profile_equals_each_split_alone(self, M, K, snr_db, users):
         """Every row of a closed-form search is closed_form_mrt_sinr of its split, compared with ==.
 
-        b_bar = 70 takes both bit widths past the eta lookup table.
+        b_bar = 70 takes both bit widths past 32 bits.
         """
         extra = {
             "equal": {},
@@ -181,14 +181,16 @@ class TestClosedFormProfile:
                 assert len(per_user) == K
                 assert all(v == w for v, w in zip(per_user, alone.se))
 
-    def test_eta_lookup_is_eta_of_bits(self):
+    def test_eta_is_eta_of_bits(self):
         widths = [1, np.int64(3), None, 5, 6, np.int32(7), 32, 33, np.int64(40), 70, None]
-        col = se._eta(widths)
-        assert col.shape == (len(widths), 1)
-        for width, got in zip(widths, col[:, 0]):
-            want = 0.0 if width is None else eta_of_bits(width)
-            assert got == want
-            assert se._eta(width) == want
+        for given in (widths, tuple(widths), np.array(widths, dtype=object)):
+            col = se._eta(given)
+            assert col.shape == (len(widths), 1)
+            for width, got in zip(widths, col[:, 0]):
+                want = 0.0 if width is None else eta_of_bits(width)
+                assert got == want
+                assert se._eta(width) == want
+        assert np.array_equal(se._eta(range(3, 70, 11)), [[eta_of_bits(b)] for b in range(3, 70, 11)])
 
     @pytest.mark.parametrize(
         "b_h, b_p",
@@ -202,7 +204,7 @@ class TestClosedFormProfile:
         ],
     )
     def test_split_factor_is_the_product_of_the_eta_columns(self, b_h, b_p):
-        """c in Python floats is bit for bit the product of _eta's columns, shape included."""
+        """c is bit for bit the product of _eta's columns, shape included, sequences of one width broadcast."""
         want = (1.0 - se._eta(b_h)) * (1.0 - se._eta(b_p))
         got = se._split_factor(b_h, b_p)
         assert np.shape(got) == np.shape(want)
@@ -213,7 +215,7 @@ class TestClosedFormProfile:
             with pytest.raises(ValueError):
                 product([1, 2, 3], [4, 5])
 
-    @pytest.mark.parametrize("width", [0, -3, np.int64(0), 2.0, 3.5, "4"])
+    @pytest.mark.parametrize("width", [0, -3, np.int64(0), 2.0, 3.5, "4", True, np.True_])
     def test_bad_widths_raise_the_eta_of_bits_error(self, width):
         with pytest.raises(ValueError) as want:
             eta_of_bits(width)
