@@ -174,41 +174,56 @@ def _select(rows, key=None) -> AllocationResult:
     """The selection and failure rule of every split search, over (b_h, b_p, sum_se, per_user_se) rows in scan order.
 
     Rows rank on their sum_se, or, when key is given, on key[i] for the
-    i-th row in scan order (the closed-form paths pass min(B_H, B_P) from
-    se._split_table).  The first strict maximum wins, so ties resolve to
-    the smallest B_H.  The result keeps the winner's own sum_se either
-    way.  A row fails when its objective is the exception that stopped it, the
-    error text of a failed cell ("Type: message", CellOutcome.error) or
-    not a finite number.  The first failed row ends the scan: on the
-    first row it raises (the exception itself, else ValueError), on a
-    later one the rows before it are kept with failed=True.  rows is read
-    lazily, so line_search evaluates no candidate past a failed one.
+    i-th row in scan order.  key may also be a se._split_table table, which
+    ranks on its rank, min(B_H, B_P), and names the winner of a complete
+    profile as its winner index.  The first strict maximum wins, so ties
+    resolve to the smallest B_H.  The result keeps the winner's own sum_se
+    either way.  A row fails when its objective is the exception that
+    stopped it, the error text of a failed cell ("Type: message",
+    CellOutcome.error) or not a finite number.  The first failed row ends
+    the scan: on the first row it raises (the exception itself, else
+    ValueError), on a later one the rows before it are kept with
+    failed=True.  A tuple of rows is checked in one pass over its sum_se
+    column and kept whole when every one is finite; any other rows are
+    read lazily, so line_search evaluates no candidate past a failed one.
     """
-    profile = []
-    error = None
-    for row in rows:
+    profile, error = None, None
+    if isinstance(rows, tuple):
         try:
-            if math.isfinite(row[2]):
-                profile.append(row)
-                continue
-            failure = ValueError(f"objective is {row[2]!r}, not a finite number")
-        except TypeError:  # not a number: the exception or the error text
-            failure = row[2]
-        if not profile:
-            raise failure if isinstance(failure, Exception) else ValueError(failure)
-        if isinstance(failure, Exception):
-            failure = f"{type(failure).__name__}: {failure}"
-        error = f"({row[0]}, {row[1]}): {failure}"
-        break
+            if all(map(math.isfinite, map(itemgetter(2), rows))):
+                profile = rows
+        except TypeError:  # a row carries its failure; the scan below finds it
+            pass
+    if profile is None:
+        profile = []
+        for row in rows:
+            try:
+                if math.isfinite(row[2]):
+                    profile.append(row)
+                    continue
+                failure = ValueError(f"objective is {row[2]!r}, not a finite number")
+            except TypeError:  # not a number: the exception or the error text
+                failure = row[2]
+            if not profile:
+                raise failure if isinstance(failure, Exception) else ValueError(failure)
+            if isinstance(failure, Exception):
+                failure = f"{type(failure).__name__}: {failure}"
+            error = f"({row[0]}, {row[1]}): {failure}"
+            break
+        profile = tuple(profile)
     if key is None:
         best = max(profile, key=itemgetter(2))  # the first of equal maxima
     else:
-        ranks = key[: len(profile)]
-        best = profile[ranks.index(max(ranks))]
+        ranks = getattr(key, "rank", key)
+        if len(ranks) == len(profile) and hasattr(key, "winner"):
+            best = profile[key.winner]
+        else:
+            ranks = ranks[: len(profile)]
+            best = profile[ranks.index(max(ranks))]
     return AllocationResult(
         best=BitSplit(b_h=best[0], b_p=best[1]),
         best_sum_se=best[2],
-        profile=tuple(profile),
+        profile=profile,
         failed=error is not None,
         error=error,
     )

@@ -16,7 +16,8 @@ optimize_meta.json) and prints the best split.  reproduce writes
 named as a sweep names them (fig4_mrt_snrp10_closed_bbar10.dat).
 
 Exit codes: 0 success, 2 bad usage or config (a b_bar above the split
-ceiling of allocation.split_range among them), 3 infeasible budget,
+ceiling of allocation.split_range, or a config that sets both b_bar and
+a budget, among them), 3 infeasible budget,
 1 other runtime failure (I/O and similar, or a run in which some cell
 failed, after the other cells' outputs are written).  An optimize
 profile ends at its first failed split, and a failure on the first
@@ -90,8 +91,10 @@ def _spec_flags(args) -> dict:
 def _spec_from_args(args, defaults: dict) -> ExperimentSpec:
     """The defaults, then --config, then the flags.
 
-    --budget-bbar drops any budget, the config's and --cfh alike, so no
-    budget is left unread next to the b_bar that overrides it.
+    --budget-bbar drops any budget, the config's and --cfh alike, and
+    --cfh drops the config's b_bar, so a flag overrides the config's way
+    of giving the budget too.  A config that sets both b_bar and a budget
+    is refused (ExperimentSpec), since one of them would go unread.
     """
     spec = dict(defaults)
     if args.config:
@@ -104,6 +107,7 @@ def _spec_from_args(args, defaults: dict) -> ExperimentSpec:
     if args.b_bar is not None:
         spec.pop("budget", None)
     elif args.c_fh is not None:
+        spec.pop("b_bar", None)
         spec["budget"] = _budget(args)
     return ExperimentSpec.from_dict(spec)
 

@@ -109,7 +109,8 @@ class ExperimentSpec:
         Counts and bit widths are stored as Python ints and grids as
         tuples; an SNR must be a real, non-boolean number.  A bit width
         only has to be an integer here; one below 1, or a b_bar below 2,
-        is refused where the splits are formed.
+        is refused where the splits are formed.  b_bar and budget name
+        the same thing, so a spec may set one of them, not both.
         """
         for key, floor in _INTEGER_FLOORS:
             value = getattr(self, key)
@@ -120,6 +121,8 @@ class ExperimentSpec:
                 object.__setattr__(self, key, value)
             if floor is not None and value < floor:
                 raise ValueError(f"{key} must be an integer >= {floor}, got {value!r}")
+        if self.b_bar is not None and self.budget is not None:
+            raise ValueError("set b_bar or a budget, not both: b_bar is what the budget resolves to")
         for key in ("snr_db", "precoders", "b_h_values"):
             value = getattr(self, key)
             if value is None and key == "b_h_values":
@@ -152,11 +155,10 @@ class ExperimentSpec:
         )
 
     def resolve_b_bar(self) -> int | None:
-        if self.b_bar is not None:
-            return self.b_bar
+        """b_bar as given, or the budget's (compute_budget); None when the spec has neither."""
         if self.budget is not None:
             return compute_budget(self.budget, self.M, self.K).b_bar
-        return None
+        return self.b_bar
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -512,9 +514,12 @@ def optimize_split(spec: ExperimentSpec) -> AllocationResult:
     A closed-form search with no out_dir skips the cells.  It reads the
     budget's memoized split table, computes the SE rows of the distinct
     half of the splits in one pass from the table's c
-    (se._closed_form_mrt_profile), and gives each mirrored split the row
-    tuple of its partner, bit-identical to closed_form_mrt_sinr of that
-    split since c commutes.
+    (se._closed_form_mrt_profile; one user per split when every user has
+    the same beta and pilot power), and gives each mirrored split the
+    values of its partner, bit-identical to closed_form_mrt_sinr of that
+    split since c commutes.  The rows go to _select as one tuple, which
+    it checks in one finiteness pass, and the winner is the table's own,
+    the first maximum of min(B_H, B_P).
     """
     if spec.csi_mode != "quantized":
         raise ValueError("under perfect CSI no bits cross the fronthaul, so there is no split to optimize")
@@ -532,13 +537,12 @@ def optimize_split(spec: ExperimentSpec) -> AllocationResult:
         table = _split_table(b_bar)
         _, se, sum_se = _closed_form_mrt_profile(cfg, table.c)
         sums, users = sum_se.tolist(), list(map(tuple, se.tolist()))
-        # splits past the distinct half reuse their mirror's row, in reverse order
+        # splits past the distinct half reuse their mirror's values, in reverse order
         upper = len(table.splits) - len(sums)
-        sums += sums[:upper][::-1]
-        users += users[:upper][::-1]
+        rows = tuple(zip(table.splits, table.b_ps, sums + sums[:upper][::-1], users + users[:upper][::-1]))
         # Every row is c A with one A and c > 0, so the rows are all finite or
         # none are: _select can only fail on the first split, and raises there.
-        return _select(zip(table.splits, table.b_ps, sums, users), key=table.rank)
+        return _select(rows, key=table)
     spec = replace(spec, b_bar=b_bar, budget=None, b_h_values=None, b_p_fixed=None)
     cells, outcomes, _ = _run(spec, _expand_sweep, spec.out_dir, "optimize")
     rows = (
@@ -546,7 +550,7 @@ def optimize_split(spec: ExperimentSpec) -> AllocationResult:
         else (cell.b_h, cell.b_p, oc.report.sum_se, tuple(oc.report.se.tolist()))
         for cell, oc in zip(cells, outcomes)
     )
-    return _select(rows, key=_split_table(b_bar).rank if spec.evaluator == "closed-form" else None)
+    return _select(rows, key=_split_table(b_bar) if spec.evaluator == "closed-form" else None)
 
 
 # --- figure-style presets ---------------------------------------------------
@@ -595,7 +599,8 @@ def preset_spec(figure: str, **overrides) -> ExperimentSpec:
 
     M = 128, K = 8, tau_c = 200, tau_p = 8, the WF, ZF and MRT precoders,
     and the preset's SNR and b_bar.  preset_cells says which overrides
-    reach the curves and which it refuses.
+    reach the curves and which it refuses.  A budget override is refused
+    next to the preset's b_bar (ExperimentSpec); pass b_bar=None with it.
     """
     if figure not in _PRESETS:
         raise ValueError(f"unknown figure preset {figure!r}")

@@ -187,11 +187,16 @@ def _mrt_gamma(cfg: SystemConfig) -> tuple[np.ndarray, float]:
     arithmetic.
     """
     gamma = _gamma(cfg.pilot_power, cfg.tau_p, cfg.beta)
+    return gamma, _gamma_total(gamma.tolist())
+
+
+def _gamma_total(gammas: list) -> float:
+    """sum_i gamma_i, Python's sum of the list of floats; ValueError when it is 0 (every gamma is 0)."""
     # a Python sum of K floats costs a quarter of gamma.sum() on the closed-form search path
-    total = sum(gamma.tolist())
+    total = sum(gammas)
     if not total:
         raise ValueError("every user has estimate quality gamma = 0 (zero pilot power), so there is no CSI to precode with")
-    return gamma, total
+    return total
 
 
 def _mrt_normalization(cfg: SystemConfig, eta_h: float):

@@ -75,11 +75,22 @@ config (_mrt_gains, from the config's checked, read-only arrays without
 checking them again), one product c A per distinct split, and the SE
 without the SINR check, since c A is nonnegative.  Each row is
 elementwise on the same A, so it is bit-identical to closed_form_mrt_sinr
-of that split.  The SE rises with c, and c, with eta's digits kept as
+of that split.  A config given one beta and one pilot power for every
+user (SystemConfig._equal_users), as the presets and the CLI defaults
+are, has one gamma and one A: _mrt_gains forms them as Python floats in
+numpy's order of operations, with sum_i gamma_i the sum of the list of K
+equal floats, and c A and its np.log1p are formed on the (h, 1) column
+alone and repeated for the K users, so the sum over K is still numpy's
+reduction over each (h, K) row.  Every value is then the bits of the
+per-user arrays, which stay the path, and the reference, for unequal
+users.  The SE rises with c, and c, with eta's digits kept as
 L(B_H) = log1p(-eta_h) + log1p(-eta_p), rises strictly with
 min(B_H, B_P) up to the split ceiling (allocation._B_BAR_CEILING).  So
 ranking on min(B_H, B_P) gives the SE's answer, and keeps it where
-1 - eta rounds to 1 (from 28 bits on) and the SE ties the splits.
+1 - eta rounds to 1 (from 28 bits on) and the SE ties the splits.  The
+table holds the winner of that rank too, the index of its first
+maximum (B_H = b_bar // 2), so allocation._select reads it instead of
+scanning the ranks.
 """
 
 from __future__ import annotations
@@ -94,8 +105,8 @@ import numpy as np
 
 from . import sysmodel
 from .allocation import split_range
-from .channel import _estimate_products, _slot_pieces
-from .precoding import PRECODER_KINDS, RankDeficientError, _kxk_precoder, _mrt_gamma, _mrt_normalization, precoder_entry_var, rank_deficient_mask
+from .channel import _estimate_products, _gamma, _slot_pieces
+from .precoding import PRECODER_KINDS, RankDeficientError, _gamma_total, _kxk_precoder, _mrt_gamma, _mrt_normalization, precoder_entry_var, rank_deficient_mask
 from .quantization import aqnm_noise_var, eta_of_bits
 from .sysmodel import DOMAIN_TRIAL, TRIAL_BLOCK, SystemConfig, _trial_stats
 
@@ -344,12 +355,15 @@ class _SplitTable(NamedTuple):
             h = ceil((b_bar-1)/2) splits; split b_bar - B_H has the c of B_H
     rank    min(B_H, B_P) of every split in scan order, the key
             allocation._select ranks closed-form rows on
+    winner  the index of rank's first maximum, the split B_H = b_bar // 2,
+            which _select takes for a complete profile without scanning rank
     """
 
     splits: range
     b_ps: range
     c: np.ndarray
     rank: tuple
+    winner: int
 
 
 # _split_table keeps the tables of this many budgets, the most recently used;
@@ -375,7 +389,7 @@ def _split_table(b_bar: int) -> _SplitTable:
     half = b_bar // 2
     c = _split_factor(splits[:half], b_ps[:half])
     c.setflags(write=False)
-    return _SplitTable(splits, b_ps, c, tuple(map(min, splits, b_ps)))
+    return _SplitTable(splits, b_ps, c, tuple(map(min, splits, b_ps)), half - 1)
 
 
 def closed_form_mrt_terms(cfg: SystemConfig, b_h, b_p) -> dict[str, np.ndarray]:
@@ -418,7 +432,10 @@ def closed_form_mrt_terms(cfg: SystemConfig, b_h, b_p) -> dict[str, np.ndarray]:
         Gamma_k = c A_k,   A_k = P_t M gamma_k^2 / (sum_i gamma_i (P_t beta_k + sigma^2)),
 
     which is how _closed_form_mrt_profile evaluates it: A once per config
-    (_mrt_gains), times a column of c.  The split enters only through c, and
+    (_mrt_gains), times a column of c.  With one beta and pilot power for
+    every user, A is one float, and c A and its SE are formed once per
+    split and repeated for the K users, with the bits of the per-user
+    arrays.  The split enters only through c, and
     c commutes, so every shared-budget profile B_H -> b_bar - B_H is
     exactly its own mirror image and the balanced split is optimal at
     every SNR, M, K, beta and pilot power; an odd b_bar ties its two
@@ -459,27 +476,39 @@ def closed_form_mrt_terms(cfg: SystemConfig, b_h, b_p) -> dict[str, np.ndarray]:
     eta_h, eta_p = np.broadcast_arrays(_eta(b_h), _eta(b_p))
     array_gain, _ = _mrt_gains(cfg)
     p_beta = cfg.total_power * cfg.beta
-    signal = (1.0 - eta_h) * (1.0 - eta_p) * cfg.total_power * array_gain
+    variation = (1.0 - eta_p) * p_beta
     return {
-        "signal": signal,
-        "variation": (1.0 - eta_p) * p_beta,
+        # np.full spreads an equal-user config's signal, one float per split, over its K users
+        "signal": np.full(variation.shape, (1.0 - eta_h) * (1.0 - eta_p) * cfg.total_power * array_gain),
+        "variation": variation,
         "precoder_noise": eta_p * p_beta,
-        "noise": np.full(signal.shape, cfg.noise_var),
+        "noise": np.full(variation.shape, cfg.noise_var),
     }
 
 
-def _mrt_gains(cfg: SystemConfig) -> tuple[np.ndarray, np.ndarray]:
-    """(M gamma_k^2 / sum_i gamma_i, A_k), each shape (K,): the split-free user vectors of the MRT closed form.
+def _mrt_gains(cfg: SystemConfig):
+    """(M gamma_k^2 / sum_i gamma_i, A_k): the split-free user vectors of the MRT closed form.
 
     A_k = Gamma_k / c (closed_form_mrt_terms) is formed as
     M gamma_k (gamma_k / sum_i gamma_i) / (beta_k + sigma^2 / P_t): the
     share is at most 1, the denominator at least beta_k, and P_t enters
     only through sigma^2 / P_t, so A_k is finite wherever gamma is.
-    Raises ValueError when every gamma is 0.
+    Both are (K,) arrays, or, for a config given one beta and one pilot
+    power for every user (SystemConfig._equal_users), two floats: gamma
+    and A of one user, in numpy's order of operations, with sum_i gamma_i
+    the sum of the list of K equal floats that the arrays give.  So each
+    float is bit-identical to every entry of the arrays.  Raises
+    ValueError when every gamma is 0.
     """
-    gamma, total = _mrt_gamma(cfg)
+    if cfg._equal_users is None:
+        gamma, total = _mrt_gamma(cfg)
+        beta = cfg.beta
+    else:
+        beta, q = cfg._equal_users
+        gamma = _gamma(q, cfg.tau_p, beta)
+        total = _gamma_total([gamma] * cfg.K)
     array_gain = cfg.M * gamma * (gamma / total)
-    return array_gain, array_gain / (cfg.beta + cfg.noise_var / cfg.total_power)
+    return array_gain, array_gain / (beta + cfg.noise_var / cfg.total_power)
 
 
 def _closed_form_mrt_profile(cfg: SystemConfig, c):
@@ -493,9 +522,19 @@ def _closed_form_mrt_profile(cfg: SystemConfig, c):
     Returns (sinr, se, sum_se): (K,), (K,) and a 0-d array for one split;
     (S, K), (S, K) and (S,) for S splits.  c A is nonnegative, so the
     SINR needs no check before its SE.
+
+    When A is one float (equal users), it enters as a one-user vector, so
+    c A and the SE are formed once per split and then repeated for the K
+    users.  log1p is numpy's either way, and the sum over K is numpy's
+    reduction over each (S, K) row, so every value is bit-identical to the
+    per-user arrays.
     """
-    sinr = c * _mrt_gains(cfg)[1]
+    gain = _mrt_gains(cfg)[1]
+    equal = isinstance(gain, float)
+    sinr = c * (np.array([gain]) if equal else gain)
     se = _se(sinr, cfg.tau_p, cfg.tau_c)
+    if equal:
+        sinr, se = sinr.repeat(cfg.K, axis=-1), se.repeat(cfg.K, axis=-1)
     return sinr, se, se.sum(axis=-1)
 
 

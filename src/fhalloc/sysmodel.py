@@ -149,12 +149,19 @@ def _as_user_vector(value, K: int, name: str, allow_zero: bool = False) -> np.nd
         else:
             v = float(value)
             ok = math.isfinite(v) and (v >= 0.0 if allow_zero else v > 0.0)
-            arr = np.empty(K)
-            arr.fill(v)  # np.full's Python wrapper costs twice these two calls
+            arr = _filled(K, v)
     except OverflowError:
         raise ConfigError(f"{name} holds an integer beyond floating-point range") from None
     if not ok:
         raise ConfigError(f"{name} entries must be finite and {'nonnegative' if allow_zero else 'positive'}")
+    arr.setflags(write=False)
+    return arr
+
+
+def _filled(K: int, value: float) -> np.ndarray:
+    """A read-only length-K array of one float."""
+    arr = np.empty(K)
+    arr.fill(value)  # np.full's Python wrapper costs twice these two calls
     arr.setflags(write=False)
     return arr
 
@@ -175,7 +182,10 @@ class SystemConfig:
     beta and pilot_power are stored as read-only copies: writing into
     them raises, and writing into the array a caller passed in leaves the
     config as it was checked.  Code that reads a config can therefore
-    skip checking it again.
+    skip checking it again.  _equal_users holds (beta, pilot_power) as
+    Python floats when one value was given for every user (a scalar or
+    the default), else None; the MRT closed form then evaluates one user
+    (se._mrt_gains).
     """
 
     M: int
@@ -188,6 +198,35 @@ class SystemConfig:
     pilot_power: np.ndarray = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
+        M, K, tau_p, tau_c = self.M, self.K, self.tau_p, self.tau_c
+        sigma2, p_t, q = self.noise_var, self.total_power, self.pilot_power
+        beta = 1.0 if self.beta is None else self.beta
+        # The common input in one pass: Python-int counts, finite positive float powers and
+        # one float beta and pilot power for every user (the pilot power may be the default).
+        # Any other input, a bad one included, takes _checked_users, which applies the same
+        # rules one field at a time and raises their messages.
+        if (
+            type(M) is int and type(K) is int and type(tau_p) is int and type(tau_c) is int
+            and 0 < K < M < 2**53 and K <= tau_p <= tau_c < 2**53
+            and type(sigma2) is float and 0.0 < sigma2 < math.inf
+            and type(p_t) is float and 0.0 < p_t < math.inf
+            and type(beta) is float and 0.0 < beta < math.inf
+            and ((q is None and p_t / sigma2 < math.inf) or (type(q) is float and 0.0 <= q < math.inf))
+        ):
+            users = (beta, p_t / sigma2 if q is None else q)
+            beta, q = _filled(K, users[0]), _filled(K, users[1])
+        else:
+            beta, q, users = self._checked_users()
+        object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "pilot_power", q)
+        object.__setattr__(self, "_equal_users", users)
+
+    def _checked_users(self):
+        """Check every field on its own; return (beta, pilot_power, equal users) as __post_init__ stores them.
+
+        This is the reference for any input: numpy or bool counts, int or
+        numpy powers, user vectors, and every input that fails a check.
+        """
         for name in ("M", "K", "tau_p", "tau_c"):
             value = getattr(self, name)
             # a bool is an int to Python, but never a count
@@ -201,14 +240,15 @@ class SystemConfig:
             value = _real(name, getattr(self, name))
             if not (math.isfinite(value) and value > 0):
                 raise ConfigError(f"{name} must be finite and positive")
-        beta = _as_user_vector(1.0 if self.beta is None else self.beta, self.K, "beta")
+        given = 1.0 if self.beta is None else self.beta
+        beta = _as_user_vector(given, self.K, "beta")
         # default pilot power: match the downlink SNR, q_k = P_t / sigma^2
         q = self.total_power / self.noise_var if self.pilot_power is None else self.pilot_power
         if self.pilot_power is None and q == math.inf:
             raise ConfigError("the default pilot_power total_power / noise_var is beyond floating-point range")
-        q = _as_user_vector(q, self.K, "pilot_power", allow_zero=True)
-        object.__setattr__(self, "beta", beta)
-        object.__setattr__(self, "pilot_power", q)
+        pilot_power = _as_user_vector(q, self.K, "pilot_power", allow_zero=True)
+        equal = _is_real(given) and _is_real(q)
+        return beta, pilot_power, (float(beta[0]), float(pilot_power[0])) if equal else None
 
     @classmethod
     def from_snr(
@@ -230,9 +270,11 @@ class SystemConfig:
         does a noise_var or snr_db that is itself beyond float range, or a
         noise_var that is not finite and positive, by its own name.
         """
-        sigma2 = _real("noise_var", noise_var)
+        # a float needs no check before this arithmetic; the constructor checks noise_var
+        sigma2 = noise_var if type(noise_var) is float else _real("noise_var", noise_var)
+        snr = snr_db if type(snr_db) is float else _real("snr_db", snr_db)
         try:
-            p_t = sigma2 * 10.0 ** (_real("snr_db", snr_db) / 10.0)
+            p_t = sigma2 * 10.0 ** (snr / 10.0)
         except OverflowError:
             raise ConfigError(f"P_t = sigma^2 10^(snr_db/10) is beyond floating-point range at snr_db = {snr_db!r}") from None
         return cls(

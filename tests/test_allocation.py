@@ -311,6 +311,42 @@ class TestClosedFormSearch:
         with pytest.raises(ValueError, match="ceiling of 1077"):
             optimize_split(closed_form_spec(32, 2, 0.0, _B_BAR_CEILING + 1))
 
+    @pytest.mark.parametrize("K", [2, 8, 12, 16])
+    @pytest.mark.parametrize("snr_db", [-20.0, 0.0, 20.0])
+    def test_equal_users_give_the_bits_of_their_user_vectors(self, K, snr_db):
+        """A config given one beta and pilot power evaluates one user per split; one given the same K-vectors, every user.
+
+        The two paths must agree bit for bit: the search's best split,
+        best_sum_se and every profile row, and closed_form_mrt_sinr's rows.
+        A Python sum over the users differs from numpy's from K = 8, and K v
+        from the sum of K equal values at K = 12 (not at 2, 8 or 16, where
+        both are exact).  An unequal-beta config at the same budgets is checked
+        against line_search over closed_form_mrt_sinr.
+        """
+        users = {"beta": 0.7, "pilot_q": 3.0}
+        scalar = dataclasses.replace(closed_form_spec(128, K, snr_db, 2, "equal"), **users)
+        vector = dataclasses.replace(scalar, **{key: [value] * K for key, value in users.items()})
+        unequal = closed_form_spec(128, K, snr_db, 2, "unequal-beta")
+        cfg_s, cfg_v = scalar.config_for(snr_db), vector.config_for(snr_db)
+        assert cfg_s._equal_users == (0.7, 3.0) and cfg_v._equal_users is None
+        for b_bar in (2, 3, 32, 1077):
+            got = optimize_split(dataclasses.replace(scalar, b_bar=b_bar))
+            want = optimize_split(dataclasses.replace(vector, b_bar=b_bar))
+            assert (got.best, got.best_sum_se, got.failed) == (want.best, want.best_sum_se, False)
+            assert got.profile == want.profile and len(got.profile) == b_bar - 1
+            # past 28 bits the sum SE ties the middle splits, which the rank min(B_H, B_P) still orders
+            result, reference = (f(dataclasses.replace(unequal, b_bar=b_bar)) for f in (optimize_split, reference_search))
+            assert result == reference if b_bar <= 32 else (result.profile, result.b_h) == (reference.profile, b_bar // 2)
+            for b_h in (*range(1, min(b_bar, 40)), None):
+                b_p = None if b_h is None else b_bar - b_h
+                alone_s, alone_v = closed_form_mrt_sinr(cfg_s, b_h, b_p), closed_form_mrt_sinr(cfg_v, b_h, b_p)
+                assert alone_s.sinr.tobytes() == alone_v.sinr.tobytes() and alone_s.se.tobytes() == alone_v.se.tobytes()
+                assert alone_s.sum_se == alone_v.sum_se and alone_s.se.shape == (K,)
+        # the default beta and pilot power, and those values as vectors
+        default = closed_form_spec(128, K, snr_db, 33, "equal")
+        q = default.config_for(snr_db).pilot_power[0]
+        assert optimize_split(default) == optimize_split(dataclasses.replace(default, beta=[1.0] * K, pilot_q=[float(q)] * K))
+
     def test_select_ranks_on_a_given_key(self):
         """key replaces the sum SE as the rank; ties still go to the first row, and the winner keeps its own sum_se."""
         rows = [(b_h, 6 - b_h, 1.0, ()) for b_h in range(1, 6)]

@@ -83,9 +83,22 @@ class TestExperimentSpec:
                 small_spec(snr_db=bad)
         assert small_spec(snr_db=[np.float32(5.0), 10]).snr_db == (5.0, 10)
 
-    def test_resolve_b_bar_prefers_explicit(self):
-        spec = small_spec(b_bar=6, budget=FronthaulBudget(c_fh=30720.0))
-        assert spec.resolve_b_bar() == 6
+    def test_b_bar_and_budget_together_are_refused(self, tmp_path, capsys):
+        """A spec sets b_bar or a budget: with both, the budget would go unread, so it is an error."""
+        with pytest.raises(ValueError, match="not both"):
+            small_spec(b_bar=6, budget=FronthaulBudget(c_fh=30720.0))
+        with pytest.raises(ValueError, match="not both"):
+            ExperimentSpec.from_dict({"b_bar": 4, "budget": {"c_fh": 6144.0}})
+        # a preset sets its b_bar, so a budget override needs b_bar=None beside it
+        with pytest.raises(ValueError, match="not both"):
+            preset_spec("fig4", budget=FronthaulBudget(c_fh=6144.0))
+        assert preset_spec("fig4", b_bar=None, budget=FronthaulBudget(c_fh=6144.0)).resolve_b_bar() == 6
+        path = tmp_path / "both.json"
+        path.write_text(json.dumps({"b_bar": 4, "budget": {"c_fh": 6144.0}}))
+        for command in ("optimize", "sweep"):
+            assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+            assert "not both" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["both.json"]
 
     def test_resolve_b_bar_from_budget(self):
         spec = small_spec(M=128, K=8, b_bar=None, budget=FronthaulBudget(c_fh=30720.0))
@@ -1086,9 +1099,10 @@ class TestFlagBinding:
 
     @pytest.mark.parametrize("command", ["sweep", "optimize"])
     def test_capacity_flags_reach_the_budget(self, tmp_path, capsys, monkeypatch, command):
+        """--cfh drops the config's b_bar, as --budget-bbar drops its budget, so the budget is read."""
         spec = self.spec_from(tmp_path, monkeypatch, command, self.CAPACITY)
         assert spec.budget == FronthaulBudget(c_fh=16640.0, bs_ul=10.0, bs_dl=20.0, t_u=40, t_d=30)
-        assert spec.b_bar == 12
+        assert spec.b_bar is None and spec.resolve_b_bar() == (16640 - (10 * 40 + 20 * 30) * 2) // (2 * 16)
 
     def test_defaults_under_the_config(self, tmp_path, capsys, monkeypatch):
         seen = []

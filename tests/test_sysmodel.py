@@ -196,6 +196,72 @@ class TestSystemConfig:
             sysmodel._as_user_vector(value, 4, "beta")
         assert str(info.value) == message
 
+    @pytest.mark.parametrize(
+        "fields, snr_fields, message",
+        [
+            ({"M": True}, {"M": True}, "M must be a positive integer, got True"),
+            ({"tau_c": True}, {"tau_c": True}, "tau_c must be a positive integer, got True"),
+            ({"K": np.int32(0)}, {"K": np.int32(0)}, f"K must be a positive integer, got {np.int32(0)!r}"),
+            ({"M": np.int64(4)}, {"M": np.int64(4)}, "need K < M and K <= tau_p <= tau_c"),
+            ({"tau_p": 10**400}, {"M": 10**400},
+             ("tau_p is an integer beyond floating-point range", "M is an integer beyond floating-point range")),
+            ({"M": 4}, {"M": 3}, "need K < M and K <= tau_p <= tau_c"),
+            ({"tau_p": 3}, {"tau_p": 3}, "need K < M and K <= tau_p <= tau_c"),
+            ({"tau_p": 51}, {"tau_p": 51}, "need K < M and K <= tau_p <= tau_c"),
+            ({"noise_var": 0.0}, {"noise_var": 0}, "noise_var must be finite and positive"),
+            ({"noise_var": -1.0}, {"noise_var": -2}, "noise_var must be finite and positive"),
+            ({"noise_var": float("inf")}, {"noise_var": float("inf")}, "noise_var must be finite and positive"),
+            ({"noise_var": float("nan")}, {"noise_var": float("nan")}, "noise_var must be finite and positive"),
+            ({"total_power": 0.0}, {"snr_db": -float("inf")}, "total_power must be finite and positive"),
+            ({"total_power": -1.0}, {"snr_db": np.float64(-4000.0)}, "total_power must be finite and positive"),
+            ({"total_power": float("inf")}, {"snr_db": float("inf")}, "total_power must be finite and positive"),
+            ({"total_power": float("nan")}, {"snr_db": float("nan")}, "total_power must be finite and positive"),
+            ({"total_power": 0}, {"snr_db": -4000}, "total_power must be finite and positive"),
+            ({"total_power": -5}, {"snr_db": -4000.0, "noise_var": 3}, "total_power must be finite and positive"),
+            ({"beta": True}, {"beta": True}, "beta entries must be real, non-boolean numbers"),
+            ({"beta": -1.0}, {"beta": -1.0}, "beta entries must be finite and positive"),
+            ({"pilot_power": True}, {"pilot_power": -0.5},
+             ("pilot_power entries must be real, non-boolean numbers", "pilot_power entries must be finite and nonnegative")),
+            # an int power past the float range, and a default pilot power that overflows; from_snr's
+            # default pilot power is 10^(snr_db/10), which overflows only where P_t does
+            ({"total_power": 10**400}, {"noise_var": 10**400},
+             ("total_power is an integer beyond floating-point range", "noise_var is an integer beyond floating-point range")),
+            ({"total_power": 10**300, "noise_var": 1e-10}, {"snr_db": 3090.0, "noise_var": 1e-200},
+             ("the default pilot_power total_power / noise_var is beyond floating-point range",
+              "P_t = sigma^2 10^(snr_db/10) is beyond floating-point range at snr_db = 3090.0")),
+        ],
+    )
+    def test_refusals_keep_their_messages(self, fields, snr_fields, message):
+        """Input outside the one-pass check of the common input meets the field-by-field checks and their messages.
+
+        Each case goes through the constructor and through from_snr, which
+        gives total_power as sigma^2 10^(snr_db/10); a pair of messages is
+        the constructor's, then from_snr's.
+        """
+        messages = (message, message) if isinstance(message, str) else message
+        snr_fields = {**dict(M=16, K=4, tau_c=50, tau_p=4, snr_db=10.0), **snr_fields}
+        for build, given, want in ((make_cfg, fields, messages[0]), (SystemConfig.from_snr, snr_fields, messages[1])):
+            with pytest.raises(ConfigError) as info:
+                build(**given)
+            assert str(info.value) == want
+
+    @pytest.mark.parametrize(
+        "over",
+        [{"total_power": 10}, {"noise_var": 2}, {"M": np.int64(16)}, {"tau_p": np.int32(4)}, {"noise_var": np.float64(2.0)},
+         {"beta": 1}, {"beta": np.float32(1.0)}, {"pilot_power": np.float64(5.0)}, {"pilot_power": 5}],
+    )
+    def test_other_scalar_types_store_what_the_common_input_stores(self, over):
+        """ints and numpy scalars take the field-by-field checks and store the same arrays and equal-user floats."""
+        common = make_cfg(noise_var=2.0)
+        other = make_cfg(**{"noise_var": 2.0, **over})
+        assert other.beta.tolist() == common.beta.tolist() and other.pilot_power.tolist() == common.pilot_power.tolist()
+        assert other._equal_users == common._equal_users == (1.0, 5.0)
+        assert all(type(v) is float for v in other._equal_users)
+        assert make_cfg(beta=[1.0] * 4)._equal_users is None
+        assert make_cfg(pilot_power=np.full(4, 5.0))._equal_users is None
+        # counts from 2^53 on leave the one pass too, and are accepted as before
+        assert make_cfg(M=2**53, tau_c=2**60)._equal_users == (1.0, 10.0)
+
     @pytest.mark.parametrize("value", [2, 2.0, np.float64(2.0), np.float32(2.0), np.int64(2), np.array(2.0)])
     def test_scalar_is_broadcast_read_only(self, value):
         arr = sysmodel._as_user_vector(value, 4, "beta")
