@@ -13,11 +13,14 @@ A group is every Monte Carlo cell at one (SNR, CSI mode, B_H), which
 shares the slot statistics, the Gram and the rank mask (and per
 precoder, W and the moment prior) through se._mc_taps, or one
 closed-form series.  Groups run inline, or as one process-pool task
-each.  Cell results are a pure function of the spec and the master
-seed, and rows are emitted in the spec's canonical cell order, so output
-files are byte-identical no matter how many workers executed the run.  A
-run that takes longer than _PROGRESS_S seconds reports cells done and an
-ETA on stderr.
+each.  The pool machinery (concurrent.futures and multiprocessing) is
+imported only when a run starts a pool (_pool), so a serial,
+closed-form or command-line run without one never loads it.  Cell
+results are a pure function of the spec and the master seed, and rows
+are emitted in the spec's canonical cell order, so output files are
+byte-identical no matter how many workers executed the run.  A run that
+takes longer than _PROGRESS_S seconds reports cells done and an ETA on
+stderr.
 
 CSV schema, one row per cell:
 
@@ -33,7 +36,6 @@ import csv
 import json
 import sys
 import time
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor, as_completed
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
@@ -346,6 +348,25 @@ class _Progress:
             print(f"{self.done}/{self.total} cells done, about {eta:.0f} s left", file=sys.stderr)
 
 
+def _pool(workers: int):
+    """A process pool of `workers` workers, importing the pool machinery on the way.
+
+    The import waits until a run starts a pool: concurrent.futures.process
+    brings in multiprocessing, logging, socket and subprocess, which a
+    serial run never uses.  The start method is fork on Linux, where it is
+    the platform default up to Python 3.13: a forked worker starts with
+    numpy and fhalloc already imported and inherits the parent's module
+    state, which the tests rely on.  From Python 3.14 the POSIX default is
+    forkserver, which would re-import both in every worker.  Other
+    platforms keep their default.
+    """
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    context = multiprocessing.get_context("fork") if sys.platform == "linux" else None
+    return ProcessPoolExecutor(max_workers=workers, mp_context=context)
+
+
 def run_cells(spec: ExperimentSpec, cells: list[Cell]) -> list[CellOutcome]:
     """Evaluate cells in groups (_groups), inline or one pool task per group.
 
@@ -367,8 +388,10 @@ def run_cells(spec: ExperimentSpec, cells: list[Cell]) -> list[CellOutcome]:
         for group in groups:
             place(group, _eval_group_guarded(spec, [cells[i] for i in group]))
         return outcomes
+    from concurrent.futures import BrokenExecutor, as_completed
+
     futures = {}
-    with ProcessPoolExecutor(max_workers=spec.workers) as pool:
+    with _pool(spec.workers) as pool:
         for group in groups:
             try:
                 futures[pool.submit(_eval_group_guarded, spec, [cells[i] for i in group])] = group
@@ -462,8 +485,7 @@ def write_outputs(
     if extra_meta:
         meta.update(extra_meta)
     with open(out / f"{stem}_meta.json", "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(meta, indent=2, sort_keys=True) + "\n")
     return meta
 
 
@@ -517,9 +539,11 @@ def optimize_split(spec: ExperimentSpec) -> AllocationResult:
     (se._closed_form_mrt_profile; one user per split when every user has
     the same beta and pilot power), and gives each mirrored split the
     values of its partner, bit-identical to closed_form_mrt_sinr of that
-    split since c commutes.  The rows go to _select as one tuple, which
-    it checks in one finiteness pass, and the winner is the table's own,
-    the first maximum of min(B_H, B_P).
+    split since c commutes.  With equal users a row's per-user tuple
+    holds its split's one SE K times, a single float object, and its sum
+    is still numpy's reduction over the K repeated values.  The rows go
+    to _select as one tuple, which it checks in one finiteness pass, and
+    the winner is the table's own, the first maximum of min(B_H, B_P).
     """
     if spec.csi_mode != "quantized":
         raise ValueError("under perfect CSI no bits cross the fronthaul, so there is no split to optimize")
@@ -536,7 +560,11 @@ def optimize_split(spec: ExperimentSpec) -> AllocationResult:
             raise ValueError("the closed-form evaluator only covers mrt")
         table = _split_table(b_bar)
         _, se, sum_se = _closed_form_mrt_profile(cfg, table.c)
-        sums, users = sum_se.tolist(), list(map(tuple, se.tolist()))
+        if cfg._equal_users is None:
+            users = list(map(tuple, se.tolist()))
+        else:  # every user of a split has its one SE: one float, K times
+            users = [(v,) * cfg.K for v in se[:, 0].tolist()]
+        sums = sum_se.tolist()
         # splits past the distinct half reuse their mirror's values, in reverse order
         upper = len(table.splits) - len(sums)
         rows = tuple(zip(table.splits, table.b_ps, sums + sums[:upper][::-1], users + users[:upper][::-1]))

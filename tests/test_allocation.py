@@ -347,6 +347,22 @@ class TestClosedFormSearch:
         q = default.config_for(snr_db).pilot_power[0]
         assert optimize_split(default) == optimize_split(dataclasses.replace(default, beta=[1.0] * K, pilot_q=[float(q)] * K))
 
+    @pytest.mark.parametrize("K", [2, 12, 16])
+    def test_equal_users_share_one_se_object_per_row(self, K):
+        """An equal-user row's per-user tuple is one float K times, with the bits of closed_form_mrt_sinr's se.
+
+        An unequal-beta config keeps K separate floats per row.
+        """
+        for snr_db in (-20.0, 20.0):
+            equal, unequal = (closed_form_spec(64, K, snr_db, 17, users) for users in ("equal", "unequal-beta"))
+            cfg = equal.config_for(snr_db)
+            for b_h, b_p, _, per_user in optimize_split(equal).profile:
+                alone = closed_form_mrt_sinr(cfg, b_h, b_p).se.tolist()
+                assert len(per_user) == K and len({id(v) for v in per_user}) == 1
+                assert [v.hex() for v in per_user] == [v.hex() for v in alone]
+            for row in optimize_split(unequal).profile:
+                assert len({id(v) for v in row[3]}) == K
+
     def test_select_ranks_on_a_given_key(self):
         """key replaces the sum SE as the rank; ties still go to the first row, and the winner keeps its own sum_se."""
         rows = [(b_h, 6 - b_h, 1.0, ()) for b_h in range(1, 6)]

@@ -1,6 +1,5 @@
 import csv
 import dataclasses
-import functools
 import io
 import json
 import multiprocessing
@@ -919,7 +918,7 @@ class TestCli:
 
         monkeypatch.setattr(experiments, "_eval_group", die)
         fork = multiprocessing.get_context("fork")
-        monkeypatch.setattr(experiments, "ProcessPoolExecutor", functools.partial(ProcessPoolExecutor, mp_context=fork))
+        monkeypatch.setattr(experiments, "_pool", lambda workers: ProcessPoolExecutor(max_workers=workers, mp_context=fork))
         # Monte Carlo MRT puts each B_H in a group of its own, so the run has three pool tasks
         argv = ["sweep", "--m", "16", "--k", "2", "--budget-bbar", "4", "--trials", "5", "--workers", "2"]
         code = main(argv + ["--out", str(tmp_path)])
@@ -953,7 +952,7 @@ class TestCli:
                 future.set_result(fn(*args))
                 return future
 
-        monkeypatch.setattr(experiments, "ProcessPoolExecutor", BreaksAfterFirstSubmit)
+        monkeypatch.setattr(experiments, "_pool", BreaksAfterFirstSubmit)
         # one Monte Carlo group per B_H: three pool tasks (a single closed-form series runs inline)
         spec = small_spec(workers=2, trials=5)
         outcomes = experiments.run_cells(spec, _expand_sweep(spec))
@@ -1160,7 +1159,7 @@ class TestGroups:
         """Grouped cells equal one-tap mc_hardening_sinr, with a small TRIAL_BLOCK, at 1 to 3 workers."""
         monkeypatch.setattr(se, "TRIAL_BLOCK", 16)
         fork = multiprocessing.get_context("fork")
-        monkeypatch.setattr(experiments, "ProcessPoolExecutor", functools.partial(ProcessPoolExecutor, mp_context=fork))
+        monkeypatch.setattr(experiments, "_pool", lambda workers: ProcessPoolExecutor(max_workers=workers, mp_context=fork))
         spec = small_spec(precoders=("wf", "zf", "mrt"), snr_db=(0.0, 10.0), trials=50)
         for workers in (1, 2, 3):
             meta = run_sweep(dataclasses.replace(spec, workers=workers), tmp_path / f"w{workers}")
@@ -1230,6 +1229,26 @@ class TestGroups:
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "False"
 
+    def test_runs_without_a_pool_leave_the_pool_machinery_unloaded(self):
+        """A fresh interpreter that runs a closed-form search and a serial run_cells never loads concurrent.futures or multiprocessing."""
+        code = (
+            "import sys, fhalloc, fhalloc.cli, fhalloc.experiments as ex\n"
+            "spec = ex.ExperimentSpec(M=16, K=2, tau_p=2, b_bar=4, trials=5)\n"
+            "assert ex.optimize_split(ex.ExperimentSpec(M=32, K=4, tau_p=4, evaluator='closed-form', b_bar=12)).b_h == 6\n"
+            "assert all(o.report is not None for o in ex.run_cells(spec, ex._expand_sweep(spec)))\n"
+            "print(sorted(m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules))\n"
+        )
+        src = str(Path(fhalloc.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="the pool forks on Linux and keeps the platform default elsewhere")
+    def test_pool_workers_are_forked_on_linux(self):
+        with experiments._pool(2) as pool:
+            assert pool._mp_context.get_start_method() == "fork"
+
     def test_group_time_is_charged_to_its_first_cell(self, tmp_path, monkeypatch):
         monkeypatch.setattr(sysmodel, "_stats_cache", {})
         spec = small_spec(precoders=("zf", "mrt"))
@@ -1251,7 +1270,7 @@ class TestGroups:
         monkeypatch.setattr(ExperimentSpec, "from_dict", classmethod(refuse))
         if "fork" in multiprocessing.get_all_start_methods():  # the patch reaches forked workers only
             fork = multiprocessing.get_context("fork")
-            monkeypatch.setattr(experiments, "ProcessPoolExecutor", functools.partial(ProcessPoolExecutor, mp_context=fork))
+            monkeypatch.setattr(experiments, "_pool", lambda workers: ProcessPoolExecutor(max_workers=workers, mp_context=fork))
         for workers in (1, 2):
             spec = preset_spec("fig4", M=16, K=2, trials=5, workers=workers)
             outcomes = experiments.run_cells(spec, preset_cells("fig4", spec))
