@@ -12,15 +12,14 @@ order (preset_cells), so its series are named as a sweep's.
 A group is every Monte Carlo cell at one (SNR, CSI mode, B_H), which
 shares the slot statistics, the Gram and the rank mask (and per
 precoder, W and the moment prior) through se._mc_taps, or one
-closed-form series.  Groups run inline, or as one process-pool task
-each.  The pool machinery (concurrent.futures and multiprocessing) is
-imported only when a run starts a pool (_pool), so a serial,
-closed-form or command-line run without one never loads it.  Cell
-results are a pure function of the spec and the master seed, and rows
-are emitted in the spec's canonical cell order, so output files are
-byte-identical no matter how many workers executed the run.  A run that
-takes longer than _PROGRESS_S seconds reports cells done and an ETA on
-stderr.
+closed-form series.  Groups run inline, or on Linux in forked workers
+that each run every W-th group and send its outcomes back on a pipe
+(_fork_pool); no executor, queue or thread is involved, and nothing is
+pickled on the way in.  Cell results are a pure function of the spec
+and the master seed, and rows are emitted in the spec's canonical cell
+order, so output files are byte-identical no matter how many workers
+executed the run.  A run that takes longer than _PROGRESS_S seconds
+reports cells done and an ETA on stderr.
 
 CSV schema, one row per cell:
 
@@ -34,6 +33,8 @@ from __future__ import annotations
 
 import csv
 import json
+import os
+import pickle
 import sys
 import time
 from dataclasses import asdict, dataclass, fields, replace
@@ -41,7 +42,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, sysmodel
 from .allocation import AllocationResult, FronthaulBudget, _select, compute_budget, split_range
 from .precoding import PRECODER_KINDS
 from .se import CSI_MODES, SeReport, _closed_form_mrt_profile, _mc_taps, _split_table, closed_form_mrt_sinr
@@ -348,32 +349,94 @@ class _Progress:
             print(f"{self.done}/{self.total} cells done, about {eta:.0f} s left", file=sys.stderr)
 
 
-def _pool(workers: int):
-    """A process pool of `workers` workers, importing the pool machinery on the way.
+def _work(spec: ExperimentSpec, cells: list[Cell], groups: list[list[int]], fd: int, inherited: list[int]):
+    """A forked worker: run its groups in order, send each one's outcomes down fd, and exit.
 
-    The import waits until a run starts a pool: concurrent.futures.process
-    brings in multiprocessing, logging, socket and subprocess, which a
-    serial run never uses.  The start method is fork on Linux, where it is
-    the platform default up to Python 3.13: a forked worker starts with
-    numpy and fhalloc already imported and inherits the parent's module
-    state, which the tests rely on.  From Python 3.14 the POSIX default is
-    forkserver, which would re-import both in every worker.  Other
-    platforms keep their default.
+    Each group goes as one length-prefixed pickle.  An outcome that cannot
+    be pickled fails its own group, and the worker goes on.  The worker
+    first closes the pipe ends it inherited from the parent, and ends with
+    os._exit, so the stdio buffers it inherited are never flushed twice;
+    an exception ends it with status 1, and the parent fails the groups
+    it never sent.
     """
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
+    code = 1
+    try:
+        for inherited_fd in inherited:
+            os.close(inherited_fd)
+        for group in groups:
+            outcomes = _eval_group_guarded(spec, [cells[i] for i in group])
+            try:
+                data = pickle.dumps(outcomes, pickle.HIGHEST_PROTOCOL)
+            except Exception as exc:
+                data = pickle.dumps([_failed(exc)] * len(group), pickle.HIGHEST_PROTOCOL)
+            view = memoryview(len(data).to_bytes(8, "little") + data)
+            while view:
+                view = view[os.write(fd, view) :]
+        code = 0
+    finally:
+        os._exit(code)
 
-    context = multiprocessing.get_context("fork") if sys.platform == "linux" else None
-    return ProcessPoolExecutor(max_workers=workers, mp_context=context)
+
+def _fork_pool(spec: ExperimentSpec, cells: list[Cell], groups: list[list[int]], place) -> None:
+    """Run the groups in min(spec.workers, len(groups)) forked workers, placing each as it arrives.
+
+    Worker w runs groups w, w + W, ... (_work) and sends each group's
+    outcomes down its own pipe; the spec and the cells are inherited, so
+    nothing is sent to a worker.  The parent waits on the pipes with
+    select and reaps every worker, also when it raises itself (it kills
+    those still running).  A worker that ends before sending all its
+    groups fails the rest, with its exit status or signal as the error.
+    """
+    import select
+    import signal
+
+    workers = min(spec.workers, len(groups))
+    pending: dict[int, tuple[int, list, bytearray]] = {}  # pipe -> (pid, groups owed, unread bytes)
+    try:
+        for w in range(workers):
+            read, write = os.pipe()
+            pid = os.fork()
+            if pid == 0:  # the worker, which never returns
+                _work(spec, cells, groups[w::workers], write, [read, *pending])
+            os.close(write)
+            pending[read] = (pid, groups[w::workers], bytearray())
+        while pending:
+            for fd in select.select(list(pending), [], [])[0]:
+                pid, owed, buf = pending[fd]
+                chunk = os.read(fd, 1 << 16)
+                buf += chunk
+                while len(buf) >= 8 and len(buf) >= 8 + (size := int.from_bytes(buf[:8], "little")):
+                    place(owed.pop(0), pickle.loads(buf[8 : 8 + size]))
+                    del buf[: 8 + size]
+                if chunk:
+                    continue
+                del pending[fd]
+                os.close(fd)
+                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                how = f"exited with status {code}" if code >= 0 else f"was killed by signal {-code}"
+                died = CellOutcome(report=None, error=f"pool worker {how} before it returned this cell")
+                for group in owed:
+                    place(group, [died] * len(group))
+    finally:
+        for fd, (pid, _, _) in pending.items():
+            os.close(fd)
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 def run_cells(spec: ExperimentSpec, cells: list[Cell]) -> list[CellOutcome]:
-    """Evaluate cells in groups (_groups), inline or one pool task per group.
+    """Evaluate cells in groups (_groups), inline or in forked workers (_fork_pool).
 
     Outcomes come back in canonical cell order.  A failing cell does not
     stop the run; it comes back as a CellOutcome with the error recorded
-    and no report.  So does every cell of a group left unfinished or not
-    yet queued when a pool worker dies (BrokenProcessPool).
+    and no report.  So does every cell of a group that a pool worker
+    never returned because it died.  The pool forks on Linux only:
+    Windows has no fork, and macOS does not make forking a process with
+    system frameworks loaded safe.  Elsewhere, and with one worker or one
+    group, the groups run inline.  Before it forks, the parent loads
+    numpy.random once (sysmodel._import_random) when any cell draws, and
+    charges those seconds to the first Monte Carlo cell's import_s and
+    elapsed_s, as a serial run's first draw is charged.
     """
     groups = _groups(cells)
     outcomes: list = [None] * len(cells)
@@ -384,23 +447,16 @@ def run_cells(spec: ExperimentSpec, cells: list[Cell]) -> list[CellOutcome]:
             outcomes[i] = outcome
         progress(len(group))
 
-    if spec.workers <= 1 or len(groups) <= 1:
+    if spec.workers <= 1 or len(groups) <= 1 or sys.platform != "linux":
         for group in groups:
             place(group, _eval_group_guarded(spec, [cells[i] for i in group]))
         return outcomes
-    from concurrent.futures import BrokenExecutor, as_completed
-
-    futures = {}
-    with _pool(spec.workers) as pool:
-        for group in groups:
-            try:
-                futures[pool.submit(_eval_group_guarded, spec, [cells[i] for i in group])] = group
-            except BrokenExecutor as exc:
-                # a worker died before this group was queued; it and the rest fail
-                place(group, [_failed(exc)] * len(group))
-        for future in as_completed(futures):
-            group = futures[future]
-            place(group, [_failed(future.exception())] * len(group) if future.exception() else future.result())
+    first = next((i for i, cell in enumerate(cells) if cell.method == "monte_carlo"), None)
+    import_s = 0.0 if first is None else sysmodel._import_random()
+    _fork_pool(spec, cells, groups, place)
+    if import_s and outcomes[first].report is not None:
+        outcomes[first].report.stage_s["import_s"] += import_s
+        outcomes[first] = replace(outcomes[first], elapsed_s=outcomes[first].elapsed_s + import_s)
     return outcomes
 
 

@@ -2,13 +2,11 @@ import csv
 import dataclasses
 import io
 import json
-import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 import time
-from concurrent.futures import Future, ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import numpy as np
@@ -904,10 +902,7 @@ class TestCli:
         assert f"{argv[-2].lstrip('-')} must be an integer >=" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.skipif(
-        "fork" not in multiprocessing.get_all_start_methods(),
-        reason="the patched cell reaches the workers only when they are forked",
-    )
+    @pytest.mark.skipif(sys.platform != "linux", reason="the pool forks on Linux only")
     def test_dead_pool_worker_becomes_failed_cells(self, tmp_path, capsys, monkeypatch):
         real = experiments._eval_group
 
@@ -917,49 +912,18 @@ class TestCli:
             return real(spec, cells)
 
         monkeypatch.setattr(experiments, "_eval_group", die)
-        fork = multiprocessing.get_context("fork")
-        monkeypatch.setattr(experiments, "_pool", lambda workers: ProcessPoolExecutor(max_workers=workers, mp_context=fork))
-        # Monte Carlo MRT puts each B_H in a group of its own, so the run has three pool tasks
+        # Monte Carlo MRT puts each B_H in a group of its own: worker 0 runs B_H 1 and 3, worker 1 B_H 2
         argv = ["sweep", "--m", "16", "--k", "2", "--budget-bbar", "4", "--trials", "5", "--workers", "2"]
         code = main(argv + ["--out", str(tmp_path)])
         assert code == 1
-        assert "BrokenProcessPool" in capsys.readouterr().err
+        assert "pool worker exited with status 1" in capsys.readouterr().err
         meta = json.loads((tmp_path / "sweep_meta.json").read_text())
         failed = meta["failed_cells"]
-        assert 2 in [f["b_h"] for f in failed]
-        assert all(f["error"].startswith("BrokenProcessPool") for f in failed)
-        assert meta["rows"] + len(failed) == 3
-        assert len(read_csv(tmp_path / "sweep.csv")) == 1 + meta["rows"]
-
-    def test_pool_broken_while_queueing_fails_the_unqueued_cells(self, monkeypatch):
-        """A worker that dies before every cell is queued fails those cells, not the run."""
-
-        class BreaksAfterFirstSubmit:
-            def __init__(self, max_workers):
-                self.queued = 0
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc_info):
-                return False
-
-            def submit(self, fn, *args):
-                if self.queued:
-                    raise BrokenProcessPool("A child process terminated abruptly")
-                self.queued += 1
-                future = Future()
-                future.set_result(fn(*args))
-                return future
-
-        monkeypatch.setattr(experiments, "_pool", BreaksAfterFirstSubmit)
-        # one Monte Carlo group per B_H: three pool tasks (a single closed-form series runs inline)
-        spec = small_spec(workers=2, trials=5)
-        outcomes = experiments.run_cells(spec, _expand_sweep(spec))
-        assert len(outcomes) == 3
-        assert outcomes[0].report is not None
-        assert [o.report for o in outcomes[1:]] == [None, None]
-        assert all(o.error.startswith("BrokenProcessPool") for o in outcomes[1:])
+        assert [f["b_h"] for f in failed] == [2]
+        assert failed[0]["error"] == "pool worker exited with status 1 before it returned this cell"
+        assert meta["rows"] == 2
+        assert [int(row[3]) for row in read_csv(tmp_path / "sweep.csv")[1:]] == [1, 3]
+        assert [c["elapsed_s"] is None for c in meta["cells"]] == [False, True, False]
 
     @pytest.mark.parametrize("command", ("sweep", "reproduce"))
     def test_failed_cell_exits_one_after_writing(self, tmp_path, capsys, monkeypatch, command):
@@ -1151,15 +1115,9 @@ class TestGroups:
             assert taps == {(kind, b_p) for kind in ("wf", "zf", "mrt") for b_p in (20, 2)}
         assert {cells[i].series for i in groups[-1]} == {"mrt_snrp10_closed_bp2"}
 
-    @pytest.mark.skipif(
-        "fork" not in multiprocessing.get_all_start_methods(),
-        reason="the patched TRIAL_BLOCK reaches the workers only when they are forked",
-    )
     def test_grouped_cells_match_one_tap_at_any_worker_count(self, tmp_path, monkeypatch):
         """Grouped cells equal one-tap mc_hardening_sinr, with a small TRIAL_BLOCK, at 1 to 3 workers."""
         monkeypatch.setattr(se, "TRIAL_BLOCK", 16)
-        fork = multiprocessing.get_context("fork")
-        monkeypatch.setattr(experiments, "_pool", lambda workers: ProcessPoolExecutor(max_workers=workers, mp_context=fork))
         spec = small_spec(precoders=("wf", "zf", "mrt"), snr_db=(0.0, 10.0), trials=50)
         for workers in (1, 2, 3):
             meta = run_sweep(dataclasses.replace(spec, workers=workers), tmp_path / f"w{workers}")
@@ -1214,6 +1172,22 @@ class TestGroups:
         # the stub costs every group (the real import returns 0 once loaded), charged to the group's first cell
         assert all(c["import_s"] == 0.25 for c in cells[:3]) and all(c["import_s"] == 0 for c in cells[3:])
 
+    def test_pool_charges_its_numpy_random_import_to_the_first_cell(self, tmp_path, monkeypatch):
+        """The pool loads numpy.random once, before it forks, and records it as a serial run does."""
+        loaded = []
+
+        def slow_import_once():
+            if loaded:
+                return 0.0
+            loaded.append(True)
+            time.sleep(0.25)
+            return 0.25
+
+        monkeypatch.setattr(sysmodel, "_import_random", slow_import_once)
+        cells = run_sweep(small_spec(precoders=("zf", "mrt"), workers=2), tmp_path)["cells"]
+        assert cells[0]["import_s"] == 0.25 and cells[0]["elapsed_s"] >= 0.25
+        assert all(c["import_s"] == 0 for c in cells[1:])
+
     def test_closed_form_search_leaves_numpy_random_unloaded(self):
         """A fresh interpreter that imports fhalloc and runs a closed-form search never loads numpy.random."""
         code = (
@@ -1244,10 +1218,20 @@ class TestGroups:
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "[]"
 
-    @pytest.mark.skipif(sys.platform != "linux", reason="the pool forks on Linux and keeps the platform default elsewhere")
-    def test_pool_workers_are_forked_on_linux(self):
-        with experiments._pool(2) as pool:
-            assert pool._mp_context.get_start_method() == "fork"
+    def test_pool_forks_on_linux_only(self, tmp_path, monkeypatch):
+        """Off Linux, --workers above 1 runs the groups inline and writes the same bytes."""
+        spec = small_spec(workers=2, trials=5)
+        linux = run_sweep(spec, tmp_path / "linux")
+
+        def refuse():
+            raise AssertionError("forked off Linux")
+
+        monkeypatch.setattr(sys, "platform", "darwin")
+        monkeypatch.setattr(os, "fork", refuse)
+        other = run_sweep(spec, tmp_path / "other")
+        assert other["failed_cells"] == linux["failed_cells"] == []
+        for name in linux["outputs"]:
+            assert (tmp_path / "other" / name).read_bytes() == (tmp_path / "linux" / name).read_bytes()
 
     def test_group_time_is_charged_to_its_first_cell(self, tmp_path, monkeypatch):
         monkeypatch.setattr(sysmodel, "_stats_cache", {})
@@ -1268,14 +1252,118 @@ class TestGroups:
             raise AssertionError("a group parsed the spec again")
 
         monkeypatch.setattr(ExperimentSpec, "from_dict", classmethod(refuse))
-        if "fork" in multiprocessing.get_all_start_methods():  # the patch reaches forked workers only
-            fork = multiprocessing.get_context("fork")
-            monkeypatch.setattr(experiments, "_pool", lambda workers: ProcessPoolExecutor(max_workers=workers, mp_context=fork))
         for workers in (1, 2):
             spec = preset_spec("fig4", M=16, K=2, trials=5, workers=workers)
             outcomes = experiments.run_cells(spec, preset_cells("fig4", spec))
             assert [o.error for o in outcomes] == [None] * 36
         assert parsed == []
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="the pool forks on Linux only")
+class TestForkPool:
+    """run_cells' forked workers: how many, what a dead one fails, and that none outlives the run."""
+
+    @staticmethod
+    def assert_no_child_left():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_never_forks_more_workers_than_groups(self, tmp_path, monkeypatch):
+        forks = []
+        real = os.fork
+
+        def counting():
+            forks.append(1)
+            return real()
+
+        monkeypatch.setattr(os, "fork", counting)
+        argv = ["sweep", "--m", "16", "--k", "2", "--budget-bbar", "4", "--trials", "5", "--workers", "6"]
+        assert main(argv + ["--out", str(tmp_path)]) == 0
+        assert len(forks) == 3  # one Monte Carlo MRT group per B_H
+        self.assert_no_child_left()
+
+    def test_killed_worker_fails_only_the_groups_it_never_returned(self, tmp_path, monkeypatch):
+        real = experiments._eval_group
+
+        def killed_at_b_h_4(spec, cells):
+            if cells[0].b_h == 4:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real(spec, cells)
+
+        monkeypatch.setattr(experiments, "_eval_group", killed_at_b_h_4)
+        # four groups, B_H 1 to 4: worker 0 runs B_H 1 and 3, worker 1 runs B_H 2 and is killed at 4
+        meta = run_sweep(small_spec(b_bar=5, workers=2, trials=5), tmp_path)
+        assert [f["b_h"] for f in meta["failed_cells"]] == [4]
+        error = f"pool worker was killed by signal {signal.SIGKILL.value} before it returned this cell"
+        assert meta["failed_cells"][0]["error"] == error
+        assert [int(row[3]) for row in read_csv(tmp_path / "sweep.csv")[1:]] == [1, 2, 3]
+        self.assert_no_child_left()
+
+    def test_an_error_in_the_parent_kills_and_reaps_every_worker(self, monkeypatch):
+        real = experiments._eval_group
+
+        def slow_at_b_h_2(spec, cells):
+            if cells[0].b_h == 2:
+                time.sleep(60)
+            return real(spec, cells)
+
+        def fail(progress, cells):
+            raise RuntimeError("progress failed")
+
+        monkeypatch.setattr(experiments, "_eval_group", slow_at_b_h_2)
+        monkeypatch.setattr(experiments._Progress, "__call__", fail)
+        spec = small_spec(workers=2, trials=5)
+        t0 = time.monotonic()
+        with pytest.raises(RuntimeError, match="progress failed"):
+            experiments.run_cells(spec, _expand_sweep(spec))
+        assert time.monotonic() - t0 < 30  # the sleeping worker was killed, not waited for
+        self.assert_no_child_left()
+
+    def test_an_outcome_that_cannot_be_pickled_fails_its_own_group(self, monkeypatch):
+        real = experiments._eval_group
+
+        class Local(dict):  # a class local to a function cannot be pickled
+            pass
+
+        def unpicklable_at_b_h_1(spec, cells):
+            reports = real(spec, cells)
+            if cells[0].b_h == 1:
+                reports = [dataclasses.replace(r, stage_s=Local(r.stage_s)) for r in reports]
+            return reports
+
+        monkeypatch.setattr(experiments, "_eval_group", unpicklable_at_b_h_1)
+        # four groups: worker 0 runs B_H 1 and then 3, so it has to go on past the failed group
+        spec = small_spec(b_bar=5, workers=2, trials=5)
+        outcomes = experiments.run_cells(spec, _expand_sweep(spec))
+        assert outcomes[0].report is None and "pickle" in outcomes[0].error.lower()
+        assert all(o.report is not None for o in outcomes[1:])
+        self.assert_no_child_left()
+
+    @staticmethod
+    def run_fresh(before: str, after: str) -> str:
+        """The stdout of a fresh interpreter that runs before, a two-worker run_cells, then after."""
+        code = (
+            "import sys, fhalloc.experiments as ex\n"
+            "spec = ex.ExperimentSpec(M=16, K=2, tau_p=2, b_bar=4, trials=5, workers=2)\n"
+            f"{before}\n"
+            "assert all(o.report is not None for o in ex.run_cells(spec, ex._expand_sweep(spec)))\n"
+            f"{after}\n"
+        )
+        src = str(Path(fhalloc.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        env.pop("PYTHONUNBUFFERED", None)  # stdout to a pipe must be block-buffered
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        return done.stdout
+
+    def test_a_pool_run_leaves_the_pool_machinery_unloaded(self):
+        """A fresh interpreter whose run forks two workers never loads concurrent.futures or multiprocessing."""
+        out = self.run_fresh("", "print(sorted(m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules))")
+        assert out.strip() == "[]"
+
+    def test_workers_never_flush_the_parents_stdio_buffers(self):
+        """Text the parent buffered before the fork is written once, by the parent, not again by each worker."""
+        assert self.run_fresh("print('buffered', end=' ')", "print('done')") == "buffered done\n"
 
 
 class TestProgress:
