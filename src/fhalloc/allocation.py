@@ -20,15 +20,16 @@ splits and no sweep that expands one cell per split can run away.
 line_search takes the integer budget and a per-split evaluator.
 experiments.optimize_split runs the same scan as a sweep of cells, one
 per split, and reads its rows off the cell outcomes; a closed-form search
-with no output directory computes the distinct half of the profile in
-one numpy pass (se._split_table) and builds its rows straight from the
-arrays.  All of them hand their rows to _select, the one home of the
-selection rule and of the failure rule: the first failed split ends the
-profile, raising when it is the first split and marking the result
-failed otherwise.  The closed-form paths rank their rows on
-min(B_H, B_P) instead of the sum SE: the order of
-L(B_H) = log1p(-eta(B_H)) + log1p(-eta(B_bar - B_H)), which is the
-order of the sum SE with the digits the SE rounds away.
+with no output directory takes its rows from se._closed_form_mrt_rows,
+which computes the distinct half of the profile in one numpy pass.  All
+of them hand their rows to _select, the one home of the selection rule
+and of the failure rule: the first failed split ends the profile,
+raising when it is the first split and marking the result failed
+otherwise.  The closed-form paths select with balanced=True: the
+closed-form SE depends on the split only through c = (1-eta_h)(1-eta_p),
+whose order, with the digits the SE rounds away, is that of
+min(B_H, B_P) (see _B_BAR_CEILING), so the winner is the kept split
+nearest the middle.
 The closed-form rows are all finite or none are, so that profile is
 always complete; a partial profile can only come from an evaluator that
 raised or returned a non-finite objective, or from a Monte Carlo cell
@@ -58,7 +59,7 @@ class InfeasibleBudgetError(ValueError):
 # 4.0**-537 is the least subnormal, so eta(b) is nonzero through b = 537 bits
 # and 0 from 538 on.  L rises strictly over B_H = 1 .. b_bar // 2 while every
 # width below the middle has a nonzero eta, i.e. for b_bar // 2 <= 538, and
-# there the closed-form search's rank min(B_H, B_P) is L's order.  At
+# there min(B_H, B_P), the key of _select's balanced rule, is L's order.  At
 # b_bar = 1078 the splits (538, 540) and (539, 539) both read L = 0 and tie.
 # Above this ceiling no evaluator could tell the middle splits apart, and a
 # scan over b_bar - 1 splits (one cell each in a sweep) would only grow.
@@ -133,59 +134,49 @@ def compute_budget(budget: FronthaulBudget, M: int, K: int) -> FronthaulBudget:
 
 
 @dataclass(frozen=True)
-class BitSplit:
-    """One candidate allocation: b_h bits for CSI, b_p for the precoder."""
-
-    b_h: int
-    b_p: int
-
-
-@dataclass(frozen=True)
 class AllocationResult:
-    """Outcome of a bit-split search over one budget.
+    """Outcome of a bit-split search over one budget: the best split (b_h, b_p) and its sum SE.
 
     profile holds one (b_h, b_p, sum_se, per_user_se) tuple per scanned
     candidate in scan order; per_user_se is empty when the evaluator
-    returned a bare objective value.  failed is set when a candidate
-    after the first failed (_select), in which case profile covers only
-    the candidates before it and error carries the message.
+    returned a bare objective value.  error is None when every candidate
+    ran; when one after the first failed (_select), error carries its
+    message, profile covers only the candidates before it, and failed is
+    set.
     """
 
-    best: BitSplit
+    b_h: int
+    b_p: int
     best_sum_se: float
     profile: tuple
-    failed: bool = False
     error: str | None = None
 
     @property
-    def b_h(self) -> int:
-        return self.best.b_h
-
-    @property
-    def b_p(self) -> int:
-        return self.best.b_p
+    def failed(self) -> bool:
+        return self.error is not None
 
     @property
     def b_bar(self) -> int:
-        return self.best.b_h + self.best.b_p
+        return self.b_h + self.b_p
 
 
-def _select(rows, key=None) -> AllocationResult:
+def _select(rows, balanced: bool = False) -> AllocationResult:
     """The selection and failure rule of every split search, over (b_h, b_p, sum_se, per_user_se) rows in scan order.
 
-    Rows rank on their sum_se, or, when key is given, on key[i] for the
-    i-th row in scan order.  key may also be a se._split_table table, which
-    ranks on its rank, min(B_H, B_P), and names the winner of a complete
-    profile as its winner index.  The first strict maximum wins, so ties
-    resolve to the smallest B_H.  The result keeps the winner's own sum_se
-    either way.  A row fails when its objective is the exception that
-    stopped it, the error text of a failed cell ("Type: message",
-    CellOutcome.error) or not a finite number.  The first failed row ends
-    the scan: on the first row it raises (the exception itself, else
-    ValueError), on a later one the rows before it are kept with
-    failed=True.  A tuple of rows is checked in one pass over its sum_se
-    column and kept whole when every one is finite; any other rows are
-    read lazily, so line_search evaluates no candidate past a failed one.
+    Rows rank on their sum_se, and the first maximum wins, so ties
+    resolve to the smallest B_H.  With balanced set, the rows are the
+    splits of one budget from B_H = 1 on, and the winner is the first
+    maximum of min(B_H, B_P) over the rows kept: the row
+    min(len(profile), b_bar // 2) - 1, b_bar read off the first row.
+    The result keeps the winner's own sum_se either way.  A row fails
+    when its objective is the exception that stopped it, the error text
+    of a failed cell ("Type: message", CellOutcome.error) or not a finite
+    number.  The first failed row ends the scan: on the first row it
+    raises (the exception itself, else ValueError), on a later one the
+    rows before it are kept and the result carries the error.  A tuple of
+    rows is checked in one pass over its sum_se column and kept whole
+    when every one is finite; any other rows are read lazily, so
+    line_search evaluates no candidate past a failed one.
     """
     profile, error = None, None
     if isinstance(rows, tuple):
@@ -211,22 +202,11 @@ def _select(rows, key=None) -> AllocationResult:
             error = f"({row[0]}, {row[1]}): {failure}"
             break
         profile = tuple(profile)
-    if key is None:
-        best = max(profile, key=itemgetter(2))  # the first of equal maxima
+    if balanced:
+        best = profile[min(len(profile), (profile[0][0] + profile[0][1]) // 2) - 1]
     else:
-        ranks = getattr(key, "rank", key)
-        if len(ranks) == len(profile) and hasattr(key, "winner"):
-            best = profile[key.winner]
-        else:
-            ranks = ranks[: len(profile)]
-            best = profile[ranks.index(max(ranks))]
-    return AllocationResult(
-        best=BitSplit(b_h=best[0], b_p=best[1]),
-        best_sum_se=best[2],
-        profile=profile,
-        failed=error is not None,
-        error=error,
-    )
+        best = max(profile, key=itemgetter(2))  # the first of equal maxima
+    return AllocationResult(best[0], best[1], best[2], profile, error)
 
 
 def line_search(b_bar: int, evaluate: Callable[[int, int], object]) -> AllocationResult:

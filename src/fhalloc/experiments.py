@@ -45,7 +45,7 @@ import numpy as np
 from . import __version__, sysmodel
 from .allocation import AllocationResult, FronthaulBudget, _select, compute_budget, split_range
 from .precoding import PRECODER_KINDS
-from .se import CSI_MODES, SeReport, _closed_form_mrt_profile, _mc_taps, _split_table, closed_form_mrt_sinr
+from .se import CSI_MODES, SeReport, _closed_form_mrt_rows, _mc_taps, closed_form_mrt_sinr
 from .sysmodel import SystemConfig, _real
 
 EVALUATORS = ("mc", "closed-form")
@@ -113,7 +113,9 @@ class ExperimentSpec:
         tuples; an SNR must be a real, non-boolean number.  A bit width
         only has to be an integer here; one below 1, or a b_bar below 2,
         is refused where the splits are formed.  b_bar and budget name
-        the same thing, so a spec may set one of them, not both.
+        the same thing, so a spec may set one of them, not both, and a
+        budget may not carry a b_bar: compute_budget derives it from the
+        capacity, so a given one would go unread.
         """
         for key, floor in _INTEGER_FLOORS:
             value = getattr(self, key)
@@ -124,6 +126,8 @@ class ExperimentSpec:
                 object.__setattr__(self, key, value)
             if floor is not None and value < floor:
                 raise ValueError(f"{key} must be an integer >= {floor}, got {value!r}")
+        if self.budget is not None and self.budget.b_bar is not None:
+            raise ValueError("budget.b_bar is derived from c_fh and the control payload; set b_bar outside the budget")
         if self.b_bar is not None and self.budget is not None:
             raise ValueError("set b_bar or a budget, not both: b_bar is what the budget resolves to")
         for key in ("snr_db", "precoders", "b_h_values"):
@@ -168,18 +172,12 @@ class ExperimentSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentSpec":
-        """Build a spec from plain data; unknown keys and bad values raise ValueError.
-
-        A budget object may not carry a b_bar: compute_budget derives it
-        from the capacity, so a given one would go unread.
-        """
+        """Build a spec from plain data; unknown keys and bad values raise ValueError."""
         d = dict(_known_keys(cls, d))
         budget = d.get("budget")
         if budget is not None and not isinstance(budget, FronthaulBudget):
             if not isinstance(budget, dict) or "c_fh" not in budget:
                 raise ValueError("budget must be an object with c_fh, the link bits per coherence block")
-            if budget.get("b_bar") is not None:
-                raise ValueError("budget.b_bar is derived from c_fh and the control payload; set b_bar outside the budget")
             d["budget"] = FronthaulBudget(**_known_keys(FronthaulBudget, budget))
         return cls(**d)
 
@@ -198,12 +196,12 @@ class Cell:
 
 
 def _expand_sweep(spec: ExperimentSpec) -> list[Cell]:
-    """Cells for a plain sweep: (precoder, snr, b_h) in listed order.
+    """Cells for a plain sweep: (precoder, snr, (b_h, b_p)) in listed order.
 
-    A series is named {precoder}_{SNR tag}_perfect, or
-    {precoder}_{SNR tag}_{mc|closed}_{bbar<b_bar>|bp<b_p_fixed>}.  SNRs
-    whose series tags collide are refused, since their cells would share
-    a series and so a closed-form group and a .dat file.
+    A series is named {precoder}_{SNR tag}_perfect, whose one pair is
+    (0, 0), or {precoder}_{SNR tag}_{mc|closed}_{bbar<b_bar>|bp<b_p_fixed>}.
+    SNRs whose series tags collide are refused, since their cells would
+    share a series and so a closed-form group and a .dat file.
     """
     tags = {}
     for snr in spec.snr_db:
@@ -215,51 +213,31 @@ def _expand_sweep(spec: ExperimentSpec) -> list[Cell]:
     if spec.csi_mode == "perfect":
         if spec.evaluator == "closed-form":
             raise ValueError("the closed-form evaluator only covers quantized CSI")
-        return [
-            Cell(
-                series=f"{kind}_{tag}_perfect",
-                precoder=kind,
-                snr_db=snr,
-                csi_mode="perfect",
-                method="monte_carlo",
-                b_h=0,
-                b_p=0,
-            )
-            for kind in spec.precoders
-            for tag, snr in tags.items()
-        ]
-    if spec.b_h_values is not None:
-        b_h_values = spec.b_h_values
-    elif b_bar is not None:
-        b_h_values = split_range(b_bar)
+        method, suffix, pairs = "monte_carlo", "perfect", [(0, 0)]
     else:
-        raise ValueError("sweep needs b_h_values, b_bar, or a budget")
-    if spec.b_p_fixed is None and b_bar is None:
-        raise ValueError("need b_p_fixed or a budget to pair with b_h_values")
-    closed = spec.evaluator == "closed-form"
-    if closed and set(spec.precoders) != {"mrt"}:
-        raise ValueError("the closed-form evaluator only covers mrt")
-    method, label = ("closed_form_mrt", "closed") if closed else ("monte_carlo", "mc")
-    pairing = f"bbar{b_bar}" if spec.b_p_fixed is None else f"bp{spec.b_p_fixed}"
-    cells = []
-    for kind in spec.precoders:
-        for tag, snr in tags.items():
-            for b_h in b_h_values:
-                b_p = b_bar - b_h if spec.b_p_fixed is None else spec.b_p_fixed
-                if b_h < 1 or b_p < 1:
-                    raise ValueError(f"split ({b_h}, {b_p}) needs at least one bit per transfer")
-                cells.append(
-                    Cell(
-                        series=f"{kind}_{tag}_{label}_{pairing}",
-                        precoder=kind,
-                        snr_db=snr,
-                        csi_mode="quantized",
-                        method=method,
-                        b_h=b_h,
-                        b_p=b_p,
-                    )
-                )
-    return cells
+        if spec.b_h_values is not None:
+            b_h_values = spec.b_h_values
+        elif b_bar is not None:
+            b_h_values = split_range(b_bar)
+        else:
+            raise ValueError("sweep needs b_h_values, b_bar, or a budget")
+        if spec.b_p_fixed is None and b_bar is None:
+            raise ValueError("need b_p_fixed or a budget to pair with b_h_values")
+        closed = spec.evaluator == "closed-form"
+        if closed and set(spec.precoders) != {"mrt"}:
+            raise ValueError("the closed-form evaluator only covers mrt")
+        method, label = ("closed_form_mrt", "closed") if closed else ("monte_carlo", "mc")
+        suffix = f"{label}_bbar{b_bar}" if spec.b_p_fixed is None else f"{label}_bp{spec.b_p_fixed}"
+        pairs = [(b_h, b_bar - b_h if spec.b_p_fixed is None else spec.b_p_fixed) for b_h in b_h_values]
+        for b_h, b_p in pairs:
+            if b_h < 1 or b_p < 1:
+                raise ValueError(f"split ({b_h}, {b_p}) needs at least one bit per transfer")
+    return [
+        Cell(f"{kind}_{tag}_{suffix}", kind, snr, spec.csi_mode, method, b_h, b_p)
+        for kind in spec.precoders
+        for tag, snr in tags.items()
+        for b_h, b_p in pairs
+    ]
 
 
 def _snr_tag(snr_db: float) -> str:
@@ -494,7 +472,6 @@ def write_outputs(
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for cell, rep in done:
-            seed = spec.seed if rep.seed is None else rep.seed
             row = [
                 cell.precoder,
                 cell.csi_mode,
@@ -503,7 +480,7 @@ def write_outputs(
                 cell.b_p,
                 cell.method,
                 rep.trials,
-                seed,
+                spec.seed,
                 repr(float(rep.sum_se)),
             ]
             row += [repr(float(v)) for v in rep.se]
@@ -574,32 +551,27 @@ def optimize_split(spec: ExperimentSpec) -> AllocationResult:
 
     The spec names one precoder and one SNR; more of either raises
     ValueError, and so does a perfect-CSI spec, since no bits cross the
-    fronthaul and there is no split.  The search is a sweep over
-    split_range(b_bar), followed by _select over the rows in split order.
-    The cells run through run_cells, as a sweep's do, so spec.workers
-    sets the pool and any evaluator works (the closed form covers mrt
-    only).  With spec.out_dir set, the sweep's record is written there
-    under the stem "optimize": optimize.csv, the .dat file and
-    optimize_meta.json, which lists any failed cell.  A failed split
-    ends the profile (_select): on the first split it raises ValueError
-    with the cell's error, on a later one the result is marked failed.
-    Monte Carlo rows rank on their sum SE; closed-form rows rank on
-    min(B_H, B_P) (se._split_table), which orders them as the sum SE
-    does but still separates the splits where 1 - eta rounds to 1, so
-    every budget up to the split ceiling (allocation.split_range) finds
-    the balanced split.
+    fronthaul and there is no split, or a spec with b_h_values or
+    b_p_fixed, since the search pairs every split of the budget itself.
+    The search is a sweep over split_range(b_bar), followed by _select
+    over the rows in split order.  The cells run through run_cells, as a
+    sweep's do, so spec.workers sets the pool and any evaluator works
+    (the closed form covers mrt only).  With spec.out_dir set, the
+    sweep's record is written there under the stem "optimize":
+    optimize.csv, the .dat file and optimize_meta.json, which lists any
+    failed cell.  A failed split ends the profile (_select): on the first
+    split it raises ValueError with the cell's error, on a later one the
+    result is marked failed.  Monte Carlo rows rank on their sum SE;
+    closed-form rows select the balanced split (_select with
+    balanced=True), the sum SE's answer, which still separates the splits
+    where 1 - eta rounds to 1, so every budget up to the split ceiling
+    (allocation.split_range) finds the middle split.
 
-    A closed-form search with no out_dir skips the cells.  It reads the
-    budget's memoized split table, computes the SE rows of the distinct
-    half of the splits in one pass from the table's c
-    (se._closed_form_mrt_profile; one user per split when every user has
-    the same beta and pilot power), and gives each mirrored split the
-    values of its partner, bit-identical to closed_form_mrt_sinr of that
-    split since c commutes.  With equal users a row's per-user tuple
-    holds its split's one SE K times, a single float object, and its sum
-    is still numpy's reduction over the K repeated values.  The rows go
-    to _select as one tuple, which it checks in one finiteness pass, and
-    the winner is the table's own, the first maximum of min(B_H, B_P).
+    A closed-form search with no out_dir skips the cells and takes its
+    rows from se._closed_form_mrt_rows, bit-identical to
+    closed_form_mrt_sinr of each split.  They go to _select as one tuple,
+    which it checks in one finiteness pass; the rows are all finite or
+    none are, so it can only fail on the first split, and raises there.
     """
     if spec.csi_mode != "quantized":
         raise ValueError("under perfect CSI no bits cross the fronthaul, so there is no split to optimize")
@@ -607,34 +579,25 @@ def optimize_split(spec: ExperimentSpec) -> AllocationResult:
         raise ValueError(f"optimize expects exactly one snr_db value, got {list(spec.snr_db)}")
     if len(spec.precoders) != 1:
         raise ValueError(f"optimize expects exactly one precoder, got {list(spec.precoders)}")
+    for key in ("b_h_values", "b_p_fixed"):
+        if getattr(spec, key) is not None:
+            raise ValueError(f"optimize scans every split of the budget, so it takes no {key}")
     b_bar = spec.resolve_b_bar()
     if b_bar is None:
         raise ValueError("optimize needs b_bar or a budget")
-    if spec.evaluator == "closed-form" and spec.out_dir is None:
+    closed = spec.evaluator == "closed-form"
+    if closed and spec.out_dir is None:
         cfg = spec.config_for(spec.snr_db[0])
         if spec.precoders != ("mrt",):
             raise ValueError("the closed-form evaluator only covers mrt")
-        table = _split_table(b_bar)
-        _, se, sum_se = _closed_form_mrt_profile(cfg, table.c)
-        if cfg._equal_users is None:
-            users = list(map(tuple, se.tolist()))
-        else:  # every user of a split has its one SE: one float, K times
-            users = [(v,) * cfg.K for v in se[:, 0].tolist()]
-        sums = sum_se.tolist()
-        # splits past the distinct half reuse their mirror's values, in reverse order
-        upper = len(table.splits) - len(sums)
-        rows = tuple(zip(table.splits, table.b_ps, sums + sums[:upper][::-1], users + users[:upper][::-1]))
-        # Every row is c A with one A and c > 0, so the rows are all finite or
-        # none are: _select can only fail on the first split, and raises there.
-        return _select(rows, key=table)
-    spec = replace(spec, b_bar=b_bar, budget=None, b_h_values=None, b_p_fixed=None)
-    cells, outcomes, _ = _run(spec, _expand_sweep, spec.out_dir, "optimize")
+        return _select(_closed_form_mrt_rows(cfg, b_bar), balanced=True)
+    cells, outcomes, _ = _run(replace(spec, b_bar=b_bar, budget=None), _expand_sweep, spec.out_dir, "optimize")
     rows = (
         (cell.b_h, cell.b_p, oc.error, ()) if oc.report is None
         else (cell.b_h, cell.b_p, oc.report.sum_se, tuple(oc.report.se.tolist()))
         for cell, oc in zip(cells, outcomes)
     )
-    return _select(rows, key=_split_table(b_bar) if spec.evaluator == "closed-form" else None)
+    return _select(rows, balanced=closed)
 
 
 # --- figure-style presets ---------------------------------------------------

@@ -62,16 +62,15 @@ K = 8, at M = 64 and M = 512 alike; at M = 512 and +10 dB it is about
 
 The closed form is Gamma_k = c A_k (closed_form_mrt_terms): the split
 enters only through c = (1-eta_h)(1-eta_p), and A_k depends on the config
-alone.  Everything about a closed-form split search but A depends on the
-budget b_bar alone, so _split_table keeps it per b_bar (bounded and
-read-only): the splits, the c column of the first ceil((b_bar-1)/2)
-splits, and the ranking key min(B_H, B_P).  c is _split_factor's, from
-eta_of_bits of each width (_eta), so every eta is eta_of_bits' own and a
-search computes it only when its budget's table is built.  c commutes in IEEE
-arithmetic, so every split has the same c, and so the same row, as its
-mirror B_H -> b_bar - B_H, and a search computes only the distinct half
-of the rows (_closed_form_mrt_profile of the table's c): A once per
-config (_mrt_gains, from the config's checked, read-only arrays without
+alone.  So c is all of a closed-form split search that depends on the
+budget, and _split_c keeps it per b_bar (bounded and read-only): the c
+column of the first b_bar // 2 splits, from _split_factor and so from
+eta_of_bits of each width (_eta), computed only when its budget is first
+searched.  c commutes in IEEE arithmetic, so every split has the same c,
+and so the same row, as its mirror B_H -> b_bar - B_H, and
+_closed_form_mrt_rows computes only the distinct half of the rows
+(_closed_form_mrt_profile of that column): A once per config
+(_mrt_gains, from the config's checked, read-only arrays without
 checking them again), one product c A per distinct split, and the SE
 without the SINR check, since c A is nonnegative.  Each row is
 elementwise on the same A, so it is bit-identical to closed_form_mrt_sinr
@@ -86,11 +85,9 @@ per-user arrays, which stay the path, and the reference, for unequal
 users.  The SE rises with c, and c, with eta's digits kept as
 L(B_H) = log1p(-eta_h) + log1p(-eta_p), rises strictly with
 min(B_H, B_P) up to the split ceiling (allocation._B_BAR_CEILING).  So
-ranking on min(B_H, B_P) gives the SE's answer, and keeps it where
-1 - eta rounds to 1 (from 28 bits on) and the SE ties the splits.  The
-table holds the winner of that rank too, the index of its first
-maximum (B_H = b_bar // 2), so allocation._select reads it instead of
-scanning the ranks.
+the balanced split, which allocation._select picks with balanced=True,
+is the SE's answer, also where 1 - eta rounds to 1 (from 28 bits on) and
+the SE ties the splits.
 """
 
 from __future__ import annotations
@@ -99,7 +96,6 @@ import functools
 import math
 import time
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -346,50 +342,24 @@ def _split_factor(b_h, b_p):
     return (1.0 - _eta(b_h)) * (1.0 - _eta(b_p))
 
 
-class _SplitTable(NamedTuple):
-    """What a closed-form split search over one budget needs besides the config (_split_table).
+# _split_c keeps the c columns of this many budgets, the most recently used;
+# a column holds at most 538 entries (allocation._B_BAR_CEILING)
+_SPLIT_MEMO = 128
 
-    splits  split_range(b_bar), the B_H of every split in scan order
-    b_ps    the matching B_P, b_bar - B_H
-    c       read-only (h, 1) column of c = (1-eta_h)(1-eta_p) for the first
-            h = ceil((b_bar-1)/2) splits; split b_bar - B_H has the c of B_H
-    rank    min(B_H, B_P) of every split in scan order, the key
-            allocation._select ranks closed-form rows on
-    winner  the index of rank's first maximum, the split B_H = b_bar // 2,
-            which _select takes for a complete profile without scanning rank
+
+@functools.lru_cache(maxsize=_SPLIT_MEMO)
+def _split_c(b_bar: int) -> np.ndarray:
+    """The read-only (h, 1) column of c for the first h = b_bar // 2 splits of b_bar, memoized and shared.
+
+    Split b_bar - B_H has the c of B_H.  c comes from _split_factor, so
+    each entry is bit-identical to that split's own c.  split_range
+    refuses a b_bar below 2 or above the split ceiling, so nothing is
+    memoized for either.
     """
-
-    splits: range
-    b_ps: range
-    c: np.ndarray
-    rank: tuple
-    winner: int
-
-
-# _split_table keeps the tables of this many budgets, the most recently used;
-# a table holds at most 1076 rank and 538 c entries (allocation._B_BAR_CEILING)
-_SPLIT_TABLES = 128
-
-
-@functools.lru_cache(maxsize=_SPLIT_TABLES)
-def _split_table(b_bar: int) -> _SplitTable:
-    """The _SplitTable of a budget, memoized: built once per b_bar and shared, read-only, by every search.
-
-    split_range refuses a b_bar below 2 or above the split ceiling, so no
-    table is built for either.  c comes from _split_factor, so each entry
-    is bit-identical to that split's own c.  The rank min(B_H, B_P) is
-    the order of c without rounding 1 - eta: from 28 bits on, 1 - eta(b)
-    rounds to 1.0 and c ties on every split whose widths are both that
-    wide, while L(B_H) = log1p(-eta_h) + log1p(-eta_p) keeps eta's digits
-    and rises strictly with min(B_H, B_P) for every budget up to the
-    ceiling.
-    """
-    splits = split_range(b_bar)
-    b_ps = range(b_bar - 1, 0, -1)
     half = b_bar // 2
-    c = _split_factor(splits[:half], b_ps[:half])
+    c = _split_factor(split_range(b_bar)[:half], range(b_bar - 1, b_bar - 1 - half, -1))
     c.setflags(write=False)
-    return _SplitTable(splits, b_ps, c, tuple(map(min, splits, b_ps)), half - 1)
+    return c
 
 
 def closed_form_mrt_terms(cfg: SystemConfig, b_h, b_p) -> dict[str, np.ndarray]:
@@ -514,7 +484,7 @@ def _mrt_gains(cfg: SystemConfig):
 def _closed_form_mrt_profile(cfg: SystemConfig, c):
     """SINR c A, SE and sum SE of the MRT closed form, for the split factor c of one split or a column of S.
 
-    c comes from _split_factor (or a _split_table's c column), with its
+    c comes from _split_factor (or _split_c's column), with its
     shapes: a float for one split, an (S, 1) column for S.  A comes once
     from the config (_mrt_gains), so a split costs one product.  Every
     operation is elementwise, so each row is bit-identical to its split
@@ -536,6 +506,28 @@ def _closed_form_mrt_profile(cfg: SystemConfig, c):
     if equal:
         sinr, se = sinr.repeat(cfg.K, axis=-1), se.repeat(cfg.K, axis=-1)
     return sinr, se, se.sum(axis=-1)
+
+
+def _closed_form_mrt_rows(cfg: SystemConfig, b_bar: int) -> tuple:
+    """The (b_h, b_p, sum_se, per_user_se) rows of a closed-form MRT search over every split of b_bar, in scan order.
+
+    The distinct half of the rows comes from one pass over _split_c's
+    column (_closed_form_mrt_profile); each mirrored split gets the values
+    of its partner, bit-identical to closed_form_mrt_sinr of that split
+    since c commutes.  With equal users a row's per-user tuple holds its
+    split's one SE K times, a single float object, and its sum is still
+    numpy's reduction over the K repeated values.  Every row is c A with
+    one A and c > 0, so the rows are all finite or none are.
+    """
+    _, se, sum_se = _closed_form_mrt_profile(cfg, _split_c(b_bar))
+    if cfg._equal_users is None:
+        users = list(map(tuple, se.tolist()))
+    else:  # every user of a split has its one SE: one float, K times
+        users = [(v,) * cfg.K for v in se[:, 0].tolist()]
+    sums = sum_se.tolist()
+    # splits past the distinct half reuse their mirror's values, in reverse order
+    upper = b_bar - 1 - len(sums)
+    return tuple(zip(range(1, b_bar), range(b_bar - 1, 0, -1), sums + sums[:upper][::-1], users + users[:upper][::-1]))
 
 
 def closed_form_mrt_sinr(cfg: SystemConfig, b_h: int | None, b_p: int | None) -> SeReport:

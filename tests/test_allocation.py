@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from fhalloc.allocation import (
     AllocationResult,
-    BitSplit,
     FronthaulBudget,
     InfeasibleBudgetError,
     _B_BAR_CEILING,
@@ -153,14 +152,14 @@ class TestLineSearch:
 
     def test_finds_the_peak(self):
         result = line_search(12, lambda b_h, b_p: -((b_h - 9) ** 2))
-        assert result.best == BitSplit(b_h=9, b_p=3)
+        assert (result.b_h, result.b_p) == (9, 3)
         assert result.best_sum_se == 0.0
         assert result.b_h == 9 and result.b_p == 3 and result.b_bar == 12
 
     def test_tie_breaks_to_smaller_b_h(self):
         # min(b_h, b_p) peaks at both (3, 4) and (4, 3)
         result = line_search(7, lambda b_h, b_p: float(min(b_h, b_p)))
-        assert result.best == BitSplit(b_h=3, b_p=4)
+        assert (result.b_h, result.b_p) == (3, 4)
 
     def test_best_matches_profile_rescan(self):
         rng = np.random.default_rng(0)
@@ -172,7 +171,7 @@ class TestLineSearch:
 
     def test_minimal_budget_single_candidate(self):
         result = line_search(2, lambda b_h, b_p: 5.0)
-        assert result.best == BitSplit(b_h=1, b_p=1)
+        assert (result.b_h, result.b_p) == (1, 1)
         assert len(result.profile) == 1
 
     def test_accepts_report_objects(self):
@@ -207,7 +206,7 @@ class TestLineSearch:
         assert result.failed
         assert result.error == "(4, 4): RuntimeError: boom"
         assert [row[0] for row in result.profile] == [1, 2, 3]
-        assert result.best == BitSplit(b_h=3, b_p=5)
+        assert (result.b_h, result.b_p) == (3, 5)
 
     def test_first_candidate_failure_propagates(self):
         def evaluate(b_h, b_p):
@@ -222,7 +221,7 @@ class TestLineSearch:
         assert result.failed
         assert result.error == f"(3, 5): ValueError: objective is {bad!r}, not a finite number"
         assert [row[0] for row in result.profile] == [1, 2]
-        assert result.best == BitSplit(b_h=2, b_p=6)
+        assert (result.b_h, result.b_p) == (2, 6)
         with pytest.raises(ValueError, match="not a finite number"):
             line_search(8, lambda b_h, b_p: bad)
 
@@ -332,7 +331,7 @@ class TestClosedFormSearch:
         for b_bar in (2, 3, 32, 1077):
             got = optimize_split(dataclasses.replace(scalar, b_bar=b_bar))
             want = optimize_split(dataclasses.replace(vector, b_bar=b_bar))
-            assert (got.best, got.best_sum_se, got.failed) == (want.best, want.best_sum_se, False)
+            assert (got.b_h, got.b_p, got.best_sum_se, got.failed) == (want.b_h, want.b_p, want.best_sum_se, False)
             assert got.profile == want.profile and len(got.profile) == b_bar - 1
             # past 28 bits the sum SE ties the middle splits, which the rank min(B_H, B_P) still orders
             result, reference = (f(dataclasses.replace(unequal, b_bar=b_bar)) for f in (optimize_split, reference_search))
@@ -363,15 +362,39 @@ class TestClosedFormSearch:
             for row in optimize_split(unequal).profile:
                 assert len({id(v) for v in row[3]}) == K
 
-    def test_select_ranks_on_a_given_key(self):
-        """key replaces the sum SE as the rank; ties still go to the first row, and the winner keeps its own sum_se."""
-        rows = [(b_h, 6 - b_h, 1.0, ()) for b_h in range(1, 6)]
-        assert _select(rows).best == BitSplit(b_h=1, b_p=5)
-        given = _select(rows, key=(0.1, 0.5, 0.2, 0.5, 0.0))
-        assert given.best == BitSplit(b_h=2, b_p=4) and given.best_sum_se == 1.0
-        # a partial profile ranks on its own rows' keys
-        partial = _select(rows[:1] + [(2, 4, float("nan"), ())] + rows[2:], key=(0.1, 0.5, 0.2, 0.5, 0.0))
-        assert partial.failed and partial.best == BitSplit(b_h=1, b_p=5)
+    @pytest.mark.parametrize("b_bar", range(2, 65))
+    def test_balanced_select_is_the_first_maximum_of_the_smaller_width(self, b_bar):
+        """On every prefix of the splits, whole or cut short by a failed row, the winner is the first maximum of min(B_H, B_P).
+
+        The sum SE plays no part: the rows carry a falling one, so ranking
+        on it would pick B_H = 1.  The winner keeps its own sum_se.
+        """
+        rows = [(b_h, b_bar - b_h, -float(b_h), ()) for b_h in range(1, b_bar)]
+        for kept in range(1, b_bar):
+            ranks = [min(b_h, b_p) for b_h, b_p, _, _ in rows[:kept]]
+            want = rows[ranks.index(max(ranks))]
+            whole = _select(tuple(rows[:kept]), balanced=True)
+            assert (whole.b_h, whole.b_p, whole.best_sum_se, whole.failed) == (*want[:3], False)
+            assert whole.profile == tuple(rows[:kept])
+            if kept < b_bar - 1:
+                cut = _select(rows[:kept] + [(kept + 1, b_bar - kept - 1, float("nan"), ())] + rows[kept + 1 :], balanced=True)
+                assert (cut.b_h, cut.b_p, cut.profile) == (want[0], want[1], tuple(rows[:kept]))
+                assert cut.failed and cut.error.startswith(f"({kept + 1}, {b_bar - kept - 1}): ValueError")
+        assert _select(tuple(rows)).b_h == 1
+
+    def test_failed_is_whether_an_error_is_set(self):
+        """failed is no stored field: a result is failed exactly when it carries an error."""
+        assert not AllocationResult(1, 5, 1.0, ((1, 5, 1.0, ()),)).failed
+        assert AllocationResult(1, 5, 1.0, ((1, 5, 1.0, ()),), error="(2, 4): boom").failed
+        assert [f.name for f in dataclasses.fields(AllocationResult)] == ["b_h", "b_p", "best_sum_se", "profile", "error"]
+
+    def test_search_with_and_without_a_record_agree(self, tmp_path):
+        """A closed-form optimize_split gives the same result from its rows as from the cells it writes to out_dir."""
+        for b_bar in range(2, 61):
+            spec = closed_form_spec(32, 4, 0.0, b_bar)
+            recorded = optimize_split(dataclasses.replace(spec, out_dir=str(tmp_path / f"b{b_bar}")))
+            assert recorded == optimize_split(spec)
+            assert (tmp_path / f"b{b_bar}" / "optimize.csv").exists()
 
     def test_all_zero_gamma_raises(self):
         spec = dataclasses.replace(closed_form_spec(32, 4, 0.0, 10), pilot_q=0.0)
@@ -388,7 +411,7 @@ class TestClosedFormSearch:
         given = _select(rows)
         scanned = line_search(8, lambda b_h, b_p: SimpleNamespace(sum_se=rows[b_h - 1][2], se=list(rows[b_h - 1][3])))
         assert given.failed and given.error == f"(3, 5): ValueError: objective is {bad!r}, not a finite number"
-        assert given.profile == tuple(rows[:2]) and given.best == BitSplit(b_h=2, b_p=6)
+        assert given.profile == tuple(rows[:2]) and (given.b_h, given.b_p) == (2, 6)
         assert given == scanned
         with pytest.raises(ValueError, match="not a finite number"):
             _select(rows[2:])
@@ -399,7 +422,7 @@ class TestClosedFormSearch:
         text = "RankDeficientError: estimated channel Gram matrix is numerically singular"
         for failure, error in ((RuntimeError("boom"), "RuntimeError: boom"), (text, text)):
             given = _select(rows[:2] + [(3, 5, failure, ())] + rows[3:])
-            assert given.profile == tuple(rows[:2]) and given.best == BitSplit(b_h=2, b_p=6)
+            assert given.profile == tuple(rows[:2]) and (given.b_h, given.b_p) == (2, 6)
             assert given.failed and given.error == f"(3, 5): {error}"
         with pytest.raises(RuntimeError, match="boom"):
             _select([(1, 7, RuntimeError("boom"), ())] + rows[1:])

@@ -17,7 +17,7 @@ import fhalloc.cli as cli
 import fhalloc.experiments as experiments
 import fhalloc.se as se
 import fhalloc.sysmodel as sysmodel
-from fhalloc.allocation import AllocationResult, BitSplit, FronthaulBudget, line_search
+from fhalloc.allocation import AllocationResult, FronthaulBudget, line_search
 from fhalloc.cli import main
 from fhalloc.experiments import (
     EVALUATORS,
@@ -275,6 +275,16 @@ class TestOptimizeSplit:
     def test_needs_budget(self):
         with pytest.raises(ValueError):
             optimize_split(small_spec(b_bar=None))
+
+    @pytest.mark.parametrize("evaluator", EVALUATORS)
+    @pytest.mark.parametrize("field, value", [("b_p_fixed", 3), ("b_h_values", (1, 2))])
+    def test_refuses_split_pinning_fields(self, tmp_path, evaluator, field, value):
+        """optimize pairs every split of the budget itself, so a pinned B_P or a B_H list is refused, not dropped."""
+        spec = small_spec(M=16, K=2, tau_p=2, b_bar=10, evaluator=evaluator, **{field: value})
+        for out_dir in (None, str(tmp_path / "out")):
+            with pytest.raises(ValueError, match=f"takes no {field}"):
+                optimize_split(dataclasses.replace(spec, out_dir=out_dir))
+        assert not (tmp_path / "out").exists()
 
     def test_closed_form_rejects_other_precoders(self):
         with pytest.raises(ValueError, match="only covers mrt"):
@@ -644,6 +654,16 @@ class TestCli:
         assert "exactly one precoder" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["sweep.json"]
 
+    @pytest.mark.parametrize("config", [{"b_p_fixed": 3}, {"b_h_values": [1, 2]}])
+    def test_optimize_refuses_split_pinning_fields(self, tmp_path, capsys, config):
+        """A config that pins B_P or lists B_H exits 2 and writes no record, instead of searching the whole budget."""
+        path = tmp_path / "pin.json"
+        path.write_text(json.dumps(config))
+        assert main(["optimize", "--config", str(path), "--budget-bbar", "10", "--out", str(tmp_path / "out")]) == 2
+        captured = capsys.readouterr()
+        assert f"takes no {next(iter(config))}" in captured.err and captured.out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["pin.json"]
+
     def test_optimize_mc_record_and_answer_do_not_depend_on_workers(self, tmp_path, capsys):
         """optimize --out reads --workers: the record and the answer are the same bytes at 1 to 3 workers."""
         argv = ["optimize", "--evaluator", "mc", "--precoder", "zf", "--m", "16", "--k", "2", "--budget-bbar", "6"]
@@ -984,6 +1004,11 @@ class TestCli:
         budget = {"c_fh": 1e5, "b_bar": b_bar}
         with pytest.raises(ValueError, match="budget.b_bar"):
             ExperimentSpec.from_dict({"budget": budget})
+        # a FronthaulBudget given as it stands goes through the same check
+        with pytest.raises(ValueError, match="budget.b_bar"):
+            ExperimentSpec(budget=FronthaulBudget(c_fh=1e5, b_bar=b_bar))
+        with pytest.raises(ValueError, match="budget.b_bar"):
+            preset_spec("fig4", b_bar=None, budget=FronthaulBudget(c_fh=6144.0, b_bar=b_bar))
         config = tmp_path / "spec.json"
         config.write_text(json.dumps({"budget": budget}))
         for command in ("sweep", "optimize"):
@@ -1027,7 +1052,7 @@ class TestFlagBinding:
             monkeypatch.setattr(cli, "run_sweep", lambda spec, out_dir: seen.append((spec, out_dir)) or {"rows": 0, "failed_cells": []})
             extra = ["--b-p-fixed", "3"]
         else:
-            result = AllocationResult(best=BitSplit(1, 5), best_sum_se=1.0, profile=((1, 5, 1.0, (0.5, 0.5)),))
+            result = AllocationResult(b_h=1, b_p=5, best_sum_se=1.0, profile=((1, 5, 1.0, (0.5, 0.5)),))
             monkeypatch.setattr(cli, "optimize_split", lambda spec: seen.append((spec, None)) or result)
             extra = []
         path = tmp_path / "spec.json"
@@ -1051,7 +1076,7 @@ class TestFlagBinding:
     def test_budget_bbar_drops_a_config_budget_with_b_bar(self, tmp_path, capsys, monkeypatch):
         """The config's budget is dropped before it is read, so its b_bar is neither refused nor left unread."""
         seen = []
-        result = AllocationResult(best=BitSplit(1, 5), best_sum_se=1.0, profile=((1, 5, 1.0, (0.5, 0.5)),))
+        result = AllocationResult(b_h=1, b_p=5, best_sum_se=1.0, profile=((1, 5, 1.0, (0.5, 0.5)),))
         monkeypatch.setattr(cli, "optimize_split", lambda spec: seen.append(spec) or result)
         path = tmp_path / "spec.json"
         path.write_text(json.dumps({"budget": {"c_fh": 1e6, "b_bar": 9}}))

@@ -364,7 +364,7 @@ def test_unit_level_names_live_in_their_modules():
         "channel": ("mmse_estimate",),
         "precoding": ("RankDeficientError", "build_precoder"),
         "se": ("se_from_sinr", "SeReport"),
-        "allocation": ("BitSplit", "AllocationResult"),
+        "allocation": ("AllocationResult",),
     }
     for module, names in homes.items():
         for name in names:

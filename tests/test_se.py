@@ -230,35 +230,29 @@ class TestClosedFormProfile:
             closed_form_mrt_terms(cfg, [3, 4], [width, 4])
 
     @pytest.mark.parametrize("b_bar", [2, 3, 9, 10, 40, 1077])
-    def test_split_table_is_read_only_and_shared(self, b_bar):
-        """One table per b_bar: the splits, c of the distinct half from _split_factor, and min(B_H, B_P) of every split."""
-        table = se._split_table(b_bar)
-        assert se._split_table(b_bar) is table
-        assert table.splits == range(1, b_bar) and list(table.b_ps) == [b_bar - b_h for b_h in table.splits]
+    def test_split_c_is_read_only_and_shared(self, b_bar):
+        """One c column per b_bar: _split_factor of the first b_bar // 2 splits, read-only."""
+        c = se._split_c(b_bar)
+        assert se._split_c(b_bar) is c
         half = b_bar // 2
-        assert np.array_equal(table.c, se._split_factor(list(range(1, half + 1)), [b_bar - b for b in range(1, half + 1)]))
-        assert table.c.shape == (half, 1) and not table.c.flags.writeable
+        assert np.array_equal(c, se._split_factor(list(range(1, half + 1)), [b_bar - b for b in range(1, half + 1)]))
+        assert c.shape == (half, 1) and not c.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
-            table.c[0, 0] = 1.0
-        with pytest.raises(AttributeError):
-            table.c = None
-        assert isinstance(table.rank, tuple) and len(table.rank) == b_bar - 1
-        assert table.rank == tuple(min(b_h, b_bar - b_h) for b_h in table.splits)
+            c[0, 0] = 1.0
 
-    def test_split_table_memo_is_bounded(self):
-        """The memo keeps at most _SPLIT_TABLES budgets, and none past the split ceiling or below 2 bits."""
-        se._split_table.cache_clear()
-        for b_bar in range(2, 2 + se._SPLIT_TABLES + 20):
-            se._split_table(b_bar)
-        assert se._split_table.cache_info().currsize == se._SPLIT_TABLES
+    def test_split_c_memo_is_bounded(self):
+        """The memo keeps at most _SPLIT_MEMO budgets, and none past the split ceiling or below 2 bits."""
+        se._split_c.cache_clear()
+        for b_bar in range(2, 2 + se._SPLIT_MEMO + 20):
+            se._split_c(b_bar)
+        assert se._split_c.cache_info().currsize == se._SPLIT_MEMO
         with pytest.raises(ValueError, match="ceiling of 1077"):
-            se._split_table(1078)
+            se._split_c(1078)
         with pytest.raises(ValueError, match="need at least 2"):
-            se._split_table(1)
-        assert se._split_table.cache_info().currsize == se._SPLIT_TABLES
-        # the largest table: 538 entries of c and 1076 of the rank
-        table = se._split_table(1077)
-        assert (table.c.size, len(table.rank)) == (538, 1076)
+            se._split_c(1)
+        assert se._split_c.cache_info().currsize == se._SPLIT_MEMO
+        # the largest column: 538 entries of c
+        assert se._split_c(1077).size == 538
 
     def test_zero_pilot_power_search_raises(self):
         spec = ExperimentSpec(name="search", M=32, K=2, tau_p=2, pilot_q=0.0, evaluator="closed-form", b_bar=10)
